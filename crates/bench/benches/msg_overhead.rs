@@ -20,10 +20,10 @@ fn bench_msg(c: &mut Criterion) {
         let payload = make_payload(size);
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("plain", size), &payload, |b, payload| {
-            b.iter(|| measure_plain_message(&mut pair, payload))
+            b.iter(|| measure_plain_message(&mut pair, payload).total())
         });
         group.bench_with_input(BenchmarkId::new("secure", size), &payload, |b, payload| {
-            b.iter(|| measure_secure_message(&mut pair, payload))
+            b.iter(|| measure_secure_message(&mut pair, payload).total())
         });
     }
     group.finish();

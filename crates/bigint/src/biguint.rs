@@ -104,6 +104,10 @@ impl BigUint {
         BigUint { limbs }
     }
 
+    /// The little-endian limbs (no trailing zero limbs).
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
 
     /// Number of significant bits (`0` for the value zero).
     pub fn bits(&self) -> usize {
@@ -387,8 +391,8 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
-    /// Squares the value (slightly cheaper than a general multiplication for
-    /// the modular-exponentiation hot path).
+    /// Squares the value (the same schoolbook product as [`BigUint::mul_ref`];
+    /// modular exponentiation squares in Montgomery form instead).
     pub fn square(&self) -> BigUint {
         self.mul_ref(self)
     }

@@ -1,9 +1,19 @@
 //! Modular arithmetic on [`BigUint`] values.
 //!
 //! Provides the operations RSA needs: modular addition/subtraction/
-//! multiplication, modular exponentiation (left-to-right square-and-multiply
-//! with a 4-bit fixed window) and modular inverse via the extended Euclidean
-//! algorithm.
+//! multiplication, modular exponentiation and modular inverse via the
+//! extended Euclidean algorithm.
+//!
+//! [`mod_pow`] with an odd modulus (every RSA modulus, CRT prime and
+//! Miller–Rabin candidate) runs in Montgomery form.  Each call allocates its
+//! fixed-width limb buffers once, multiplies with the CIOS (coarsely
+//! integrated operand scanning) method, and makes the final conditional
+//! subtraction of every product by mask rather than by branch.  The
+//! exponent is scanned in fixed windows whose width grows with its length:
+//! 1 bit for the public exponent 65537, 5 bits for the 512-bit CRT
+//! exponents of a 1024-bit key.  An even modulus falls back to
+//! square-and-multiply with a division after every product, which the tests
+//! also use as the reference.
 
 use crate::BigUint;
 
@@ -45,9 +55,11 @@ pub fn mod_mul(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
 
 /// `base^exponent mod modulus`.
 ///
-/// Uses a fixed 4-bit window over the exponent bits, which reduces the number
-/// of multiplications by roughly 25% compared to plain square-and-multiply
-/// for the 1024–2048 bit exponents used by RSA.
+/// An odd modulus takes the Montgomery path described in the module docs;
+/// an even one takes square-and-multiply with a division per product.  The
+/// window digits and the skipped multiply on a zero digit depend on the
+/// exponent's bits, so this is not hardened against timing side channels;
+/// only the reduction inside each product is branch-free.
 ///
 /// # Panics
 ///
@@ -57,44 +69,245 @@ pub fn mod_pow(base: &BigUint, exponent: &BigUint, modulus: &BigUint) -> BigUint
     if modulus.is_one() {
         return BigUint::zero();
     }
-    if exponent.is_zero() {
-        return BigUint::one();
+    if modulus.is_even() {
+        return mod_pow_by_division(base, exponent, modulus);
     }
+    let mut field = Montgomery::new(modulus);
+    let base = field.form_of(base);
+    let power = field.pow(&base, exponent);
+    field.value_of(&power)
+}
+
+/// `base^exponent mod modulus` by left-to-right square-and-multiply with a
+/// Knuth division after every product: [`mod_pow`]'s path for even moduli
+/// and the tests' reference for the Montgomery path.
+pub(crate) fn mod_pow_by_division(
+    base: &BigUint,
+    exponent: &BigUint,
+    modulus: &BigUint,
+) -> BigUint {
     let base = base % modulus;
-    if base.is_zero() {
-        return BigUint::zero();
-    }
-
-    // Precompute base^0 .. base^15 (mod modulus).
-    const WINDOW: usize = 4;
-    let mut table = Vec::with_capacity(1 << WINDOW);
-    table.push(BigUint::one());
-    table.push(base.clone());
-    for i in 2..(1 << WINDOW) {
-        table.push(mod_mul(&table[i - 1], &base, modulus));
-    }
-
-    let bits = exponent.bits();
-    // Process the exponent in 4-bit windows, most-significant first.
-    let mut result = BigUint::one();
-    let windows = bits.div_ceil(WINDOW);
-    for w in (0..windows).rev() {
-        for _ in 0..WINDOW {
-            result = mod_mul(&result, &result, modulus);
-        }
-        let mut digit = 0usize;
-        for b in 0..WINDOW {
-            let bit_index = w * WINDOW + (WINDOW - 1 - b);
-            digit <<= 1;
-            if bit_index < bits && exponent.bit(bit_index) {
-                digit |= 1;
-            }
-        }
-        if digit != 0 {
-            result = mod_mul(&result, &table[digit], modulus);
+    let mut result = BigUint::one() % modulus;
+    for i in (0..exponent.bits()).rev() {
+        result = mod_mul(&result, &result, modulus);
+        if exponent.bit(i) {
+            result = mod_mul(&result, &base, modulus);
         }
     }
     result
+}
+
+/// Window width for an exponent of `bits` bits.  A `w`-bit window costs
+/// `2^w - 2` multiplies to build its table and saves multiplies on every
+/// window it covers; these are the break-even lengths OpenSSL uses.
+fn window_bits(bits: usize) -> usize {
+    match bits {
+        0..=23 => 1,
+        24..=79 => 3,
+        80..=239 => 4,
+        240..=671 => 5,
+        _ => 6,
+    }
+}
+
+/// Montgomery arithmetic modulo a fixed odd modulus `N > 1` of `len` limbs,
+/// with `R = 2^(64 * len)`.
+///
+/// A value `x` is held in Montgomery form `x * R mod N` as exactly `len`
+/// little-endian limbs.  Every product is fully reduced, so two forms are
+/// equal exactly when the values they stand for are.
+pub(crate) struct Montgomery {
+    modulus: BigUint,
+    /// `-N^-1 mod 2^64`.
+    n0_inv: u64,
+    /// `R^2 mod N`: a product with it converts into Montgomery form.
+    r_squared: Vec<u64>,
+    /// `R mod N`: the Montgomery form of one.
+    one: Vec<u64>,
+    /// The CIOS accumulator, `len + 2` limbs, reused by every product.
+    scratch: Vec<u64>,
+}
+
+impl Montgomery {
+    /// Prepares arithmetic modulo `modulus`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `modulus` is even or one.
+    pub(crate) fn new(modulus: &BigUint) -> Self {
+        assert!(
+            modulus.is_odd() && !modulus.is_one(),
+            "Montgomery form needs an odd modulus above one"
+        );
+        let len = modulus.limbs().len();
+        // Newton's iteration doubles the correct low bits of N^-1 mod 2^64
+        // per step; 1 is the inverse of any odd number mod 2.
+        let n0 = modulus.limbs()[0];
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+        }
+        let r_squared = (BigUint::one() << (2 * 64 * len)) % modulus;
+        let mut field = Montgomery {
+            modulus: modulus.clone(),
+            n0_inv: inv.wrapping_neg(),
+            r_squared: padded(&r_squared, len),
+            one: Vec::new(),
+            scratch: vec![0; len + 2],
+        };
+        field.one = field.form_of(&BigUint::one());
+        field
+    }
+
+    /// The Montgomery form of one.
+    pub(crate) fn one(&self) -> &[u64] {
+        &self.one
+    }
+
+    /// Converts `x` (any size) into Montgomery form.
+    pub(crate) fn form_of(&mut self, x: &BigUint) -> Vec<u64> {
+        let reduced;
+        let x = if x < &self.modulus {
+            x
+        } else {
+            reduced = x % &self.modulus;
+            &reduced
+        };
+        let mut form = padded(x, self.modulus.limbs().len());
+        let modulus = self.modulus.limbs();
+        cios_product(&mut self.scratch, &form, &self.r_squared, modulus, self.n0_inv);
+        reduce(&self.scratch, modulus, &mut form);
+        form
+    }
+
+    /// Converts a Montgomery form back to the value it stands for.
+    pub(crate) fn value_of(&mut self, form: &[u64]) -> BigUint {
+        let mut unit = padded(&BigUint::one(), form.len());
+        let modulus = self.modulus.limbs();
+        cios_product(&mut self.scratch, form, &unit, modulus, self.n0_inv);
+        reduce(&self.scratch, modulus, &mut unit);
+        BigUint::from_limbs(unit)
+    }
+
+    /// `acc = acc * b` in Montgomery form.
+    fn mul_assign(&mut self, acc: &mut [u64], b: &[u64]) {
+        let modulus = self.modulus.limbs();
+        cios_product(&mut self.scratch, acc, b, modulus, self.n0_inv);
+        reduce(&self.scratch, modulus, acc);
+    }
+
+    /// `acc = acc^2` in Montgomery form.
+    pub(crate) fn square_assign(&mut self, acc: &mut [u64]) {
+        let modulus = self.modulus.limbs();
+        cios_product(&mut self.scratch, acc, acc, modulus, self.n0_inv);
+        reduce(&self.scratch, modulus, acc);
+    }
+
+    /// `base^exponent` with `base` and the result in Montgomery form, by
+    /// fixed windows of [`window_bits`] bits, most significant first.
+    pub(crate) fn pow(&mut self, base: &[u64], exponent: &BigUint) -> Vec<u64> {
+        let bits = exponent.bits();
+        if bits == 0 {
+            return self.one.clone();
+        }
+        let len = self.one.len();
+        let width = window_bits(bits);
+        // table[d] = base^d for every digit d < 2^width, one flat buffer.
+        let mut table = vec![0u64; len << width];
+        table[..len].copy_from_slice(&self.one);
+        table[len..2 * len].copy_from_slice(base);
+        for d in 2..1usize << width {
+            let (built, rest) = table.split_at_mut(d * len);
+            let modulus = self.modulus.limbs();
+            cios_product(
+                &mut self.scratch,
+                &built[(d - 1) * len..],
+                &built[len..2 * len],
+                modulus,
+                self.n0_inv,
+            );
+            reduce(&self.scratch, modulus, &mut rest[..len]);
+        }
+        let digit = |w: usize| {
+            (0..width)
+                .rev()
+                .fold(0usize, |acc, b| acc << 1 | usize::from(exponent.bit(w * width + b)))
+        };
+        let windows = bits.div_ceil(width);
+        // The top window holds the exponent's leading one bit, so it is
+        // never zero and seeds the accumulator without any squaring.
+        let top = digit(windows - 1);
+        let mut acc = table[top * len..(top + 1) * len].to_vec();
+        for w in (0..windows - 1).rev() {
+            for _ in 0..width {
+                self.square_assign(&mut acc);
+            }
+            let d = digit(w);
+            if d != 0 {
+                self.mul_assign(&mut acc, &table[d * len..(d + 1) * len]);
+            }
+        }
+        acc
+    }
+}
+
+/// `x` as exactly `len` little-endian limbs.
+fn padded(x: &BigUint, len: usize) -> Vec<u64> {
+    let mut limbs = vec![0u64; len];
+    limbs[..x.limbs().len()].copy_from_slice(x.limbs());
+    limbs
+}
+
+/// One CIOS Montgomery product: leaves `a * b * R^-1 mod N`, possibly plus
+/// one extra `N`, in `t[..=len]`.  `a` and `b` are below `N` in `len` limbs;
+/// `t` has `len + 2` limbs.
+fn cios_product(t: &mut [u64], a: &[u64], b: &[u64], modulus: &[u64], n0_inv: u64) {
+    let len = modulus.len();
+    let (t, a, b) = (&mut t[..len + 2], &a[..len], &b[..len]);
+    t.fill(0);
+    for &b_i in b {
+        // t += a * b_i
+        let mut carry = 0u64;
+        for (t_j, &a_j) in t[..len].iter_mut().zip(a) {
+            let sum = u128::from(*t_j) + u128::from(a_j) * u128::from(b_i) + u128::from(carry);
+            *t_j = sum as u64;
+            carry = (sum >> 64) as u64;
+        }
+        let sum = u128::from(t[len]) + u128::from(carry);
+        t[len] = sum as u64;
+        t[len + 1] = (sum >> 64) as u64;
+        // t = (t + m * N) / 2^64, with m chosen so the low limb cancels.
+        let m = t[0].wrapping_mul(n0_inv);
+        let mut carry = ((u128::from(t[0]) + u128::from(m) * u128::from(modulus[0])) >> 64) as u64;
+        for j in 1..len {
+            let sum = u128::from(t[j]) + u128::from(m) * u128::from(modulus[j]) + u128::from(carry);
+            t[j - 1] = sum as u64;
+            carry = (sum >> 64) as u64;
+        }
+        let sum = u128::from(t[len]) + u128::from(carry);
+        t[len - 1] = sum as u64;
+        t[len] = t[len + 1] + (sum >> 64) as u64;
+    }
+}
+
+/// `out = t mod N` for `t < 2N` held in `len + 1` limbs: `t - N` is
+/// computed unconditionally and the choice between it and `t` is a mask, so
+/// no branch depends on the value.
+fn reduce(t: &[u64], modulus: &[u64], out: &mut [u64]) {
+    let len = modulus.len();
+    let (t, out) = (&t[..=len], &mut out[..len]);
+    let mut borrow = 0u64;
+    for ((o, &t_j), &n_j) in out.iter_mut().zip(t).zip(modulus) {
+        let (d, b1) = t_j.overflowing_sub(n_j);
+        let (d, b2) = d.overflowing_sub(borrow);
+        *o = d;
+        borrow = u64::from(b1 | b2);
+    }
+    // t < N exactly when the subtraction borrows out of the top limb.
+    let keep_t = u64::from(t[len] < borrow).wrapping_neg();
+    for (o, &t_j) in out.iter_mut().zip(t) {
+        *o = (t_j & keep_t) | (*o & !keep_t);
+    }
 }
 
 /// Modular inverse: returns `x` such that `a * x ≡ 1 (mod m)`, or `None` if

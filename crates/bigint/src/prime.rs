@@ -10,7 +10,7 @@
 //! * [`generate_safe_prime_candidate`] — a prime `p` with `gcd(p-1, e)` = 1
 //!   for a given public exponent, the form RSA key generation needs.
 
-use crate::modular::mod_pow;
+use crate::modular::Montgomery;
 use crate::rng;
 use crate::BigUint;
 use rand::RngCore;
@@ -58,15 +58,20 @@ pub fn is_probable_prime<R: RngCore + ?Sized>(
     let two = BigUint::from(2u64);
     let upper = candidate - &two; // bases in [2, candidate - 2]
 
+    // Trial division leaves only odd candidates above 251 here.  The witness
+    // loop stays in Montgomery form, where comparing forms compares values.
+    let mut field = Montgomery::new(candidate);
+    let minus_one = field.form_of(&n_minus_1);
     'witness: for _ in 0..rounds {
         let a = rng::random_range(rng, &two, &upper);
-        let mut x = mod_pow(&a, &d, candidate);
-        if x.is_one() || x == n_minus_1 {
+        let a = field.form_of(&a);
+        let mut x = field.pow(&a, &d);
+        if x == field.one() || x == minus_one {
             continue;
         }
         for _ in 0..s.saturating_sub(1) {
-            x = mod_pow(&x, &two, candidate);
-            if x == n_minus_1 {
+            field.square_assign(&mut x);
+            if x == minus_one {
                 continue 'witness;
             }
         }

@@ -2,9 +2,10 @@
 //!
 //! These check the ring axioms, the Euclidean division invariant and the
 //! round-trip properties of the serialisation formats over randomly generated
-//! values of up to several hundred bits.
+//! values of up to several hundred bits, and the Montgomery exponentiation
+//! against the division-based reference up to 2048 bits.
 
-use crate::modular::{mod_inverse, mod_mul, mod_pow};
+use crate::modular::{mod_inverse, mod_mul, mod_pow, mod_pow_by_division};
 use crate::BigUint;
 use proptest::prelude::*;
 
@@ -19,8 +20,34 @@ fn arb_nonzero_biguint() -> impl Strategy<Value = BigUint> {
     arb_biguint().prop_map(|v| if v.is_zero() { BigUint::one() } else { v })
 }
 
+/// Strategy producing a value of exactly `bits` bits, for a length drawn
+/// uniformly from `bits` (at most 2048).
+fn arb_exact_bits(bits: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = BigUint> {
+    (bits, proptest::collection::vec(any::<u64>(), 32)).prop_map(|(bits, limbs)| {
+        let mut value = BigUint::from_limbs(limbs) >> (2048 - bits);
+        value.set_bit(bits - 1, true);
+        value
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn montgomery_mod_pow_matches_division_reference(
+        modulus in arb_exact_bits(64..=2048).prop_map(|mut m| { m.set_bit(0, true); m }),
+        exponent in prop_oneof![
+            Just(BigUint::from(2u64)),
+            Just(BigUint::from(65_537u64)),
+            arb_exact_bits(1..=2048),
+        ],
+        base in prop_oneof![Just(BigUint::zero()), arb_exact_bits(1..=2048)],
+    ) {
+        prop_assert_eq!(
+            mod_pow(&base, &exponent, &modulus),
+            mod_pow_by_division(&base, &exponent, &modulus)
+        );
+    }
 
     #[test]
     fn addition_is_commutative(a in arb_biguint(), b in arb_biguint()) {

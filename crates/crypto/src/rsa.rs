@@ -230,22 +230,19 @@ impl RsaPublicKey {
             });
         }
         // EM = 0x00 || 0x02 || PS || 0x00 || M, PS non-zero random bytes.
-        let ps_len = k - message.len() - 3;
-        let mut em = Vec::with_capacity(k);
-        em.push(0x00);
-        em.push(0x02);
-        for _ in 0..ps_len {
-            loop {
-                let mut b = [0u8; 1];
-                rng.fill_bytes(&mut b);
-                if b[0] != 0 {
-                    em.push(b[0]);
-                    break;
-                }
+        // PS comes from one draw; only its zero bytes (1 in 256) are redrawn.
+        let mut em = vec![0u8; k];
+        em[1] = 0x02;
+        let ps_end = k - message.len() - 1;
+        rng.fill_bytes(&mut em[2..ps_end]);
+        for b in &mut em[2..ps_end] {
+            while *b == 0 {
+                let mut redraw = [0u8; 1];
+                rng.fill_bytes(&mut redraw);
+                *b = redraw[0];
             }
         }
-        em.push(0x00);
-        em.extend_from_slice(message);
+        em[ps_end + 1..].copy_from_slice(message);
         let m = BigUint::from_bytes_be(&em);
         Ok(self.raw_encrypt(&m).to_bytes_be_padded(k))
     }
@@ -651,6 +648,127 @@ mod tests {
     fn sign_is_deterministic() {
         let kp = test_keypair();
         assert_eq!(kp.private.sign(b"m").unwrap(), kp.private.sign(b"m").unwrap());
+    }
+
+    /// Seed of the known-answer key.  The pinned signature and ciphertexts
+    /// came from the division-based `mod_pow` and byte-at-a-time padding, an
+    /// implementation independent of the Montgomery path.
+    const KAT_KEY_SEED: u64 = 0x4B41_5431;
+    const KAT_MODULUS: &str = "b4eefb363c3da8606fa2e1a0b97aa6202a1acc731d749389ecc9c1a535470284\
+         b2365fd77dd1dfdf9a3f2701a11494caab2ae652a717bb610e7e871e22b86e3f\
+         178ab233f64d5c5beb92f3884133389427855bd2c54db5a8600198081070322a\
+         e8c52e7112152d89a3ae4c23eb760d7bd647ee298dd70f31c276a6d914079b0b";
+    const KAT_SIGNATURE: &str = "a2784f5dd7d65dbae095f2ee8f40fbcb7f93721d926e4eee4b5cfccc7eb31648\
+         71aa65ab8df0457955818f761fbd83a1631dbca53bddb44f39eddcdea115dc1a\
+         b301a2f4ed370f45d3e8b8c282aef3a051c0149a0b2aef5231ae17e0fbd519ff\
+         a64db6ef13f56a5edd7191207d26c5bf740e07d969d5ea14d211f91bd5cf13c7";
+    const KAT_PKCS1_V15_CIPHERTEXT: &str = "a945ff2bd8a0463d444f8c287d4a412dcef59f69300d9a815dbf5962f81f3ea9\
+         1bcb310cd5be4b99fef5ac7a9e1a6aaa2bc905cb805f1fe0fbe05f7a17c33044\
+         ba51cb55b5f5818cf52ed6ca793c79f55078f20a1ad510edf5e33261bb148748\
+         8cb0d8724e46637685822045d6d33b1a89172b35dadc8da4a75bd8c56dba9b34";
+    const KAT_OAEP_CIPHERTEXT: &str = "284e1a0dc728656053a80803df535301b260f19192c27e1e9769799a1f4a14f7\
+         c37bbb40f8ea6339b6769388510d7d61dd7feec82667e1040c1d547d9d994c4b\
+         aca99439a85befc894be469a3bbcb6091208bba9c7d1a229bb257a393d4b408b\
+         225f2428cd413f5213914f1ac2e454085d867a6054ea4954c077cd3e26d6beb9";
+
+    fn kat_keypair() -> &'static RsaKeyPair {
+        static KEY: std::sync::OnceLock<RsaKeyPair> = std::sync::OnceLock::new();
+        KEY.get_or_init(|| {
+            let mut rng = HmacDrbg::from_seed_u64(KAT_KEY_SEED);
+            RsaKeyPair::generate(&mut rng, 1024).unwrap()
+        })
+    }
+
+    /// `hex` as big-endian bytes, one per two digits.
+    fn unhex(hex: &str) -> Vec<u8> {
+        BigUint::from_hex(hex).unwrap().to_bytes_be_padded(hex.len() / 2)
+    }
+
+    #[test]
+    fn known_answer_key_generation_and_signature() {
+        let kp = kat_keypair();
+        assert_eq!(kp.public.modulus().to_hex(), KAT_MODULUS);
+        let sig = kp.private.sign(b"JXTA-Overlay known-answer message").unwrap();
+        assert_eq!(sig, unhex(KAT_SIGNATURE));
+        kp.public
+            .verify(b"JXTA-Overlay known-answer message", &sig)
+            .unwrap();
+    }
+
+    #[test]
+    fn known_answer_pkcs1_v15_decryption() {
+        let pt = kat_keypair()
+            .private
+            .decrypt_pkcs1_v15(&unhex(KAT_PKCS1_V15_CIPHERTEXT))
+            .unwrap();
+        assert_eq!(pt, b"pkcs1 v1.5 known-answer plaintext");
+    }
+
+    #[test]
+    fn known_answer_oaep_decryption() {
+        let pt = kat_keypair()
+            .private
+            .decrypt_oaep(&unhex(KAT_OAEP_CIPHERTEXT))
+            .unwrap();
+        assert_eq!(pt, b"oaep known-answer plaintext");
+    }
+
+    /// An `RngCore` stub whose output is mostly zero bytes: runs of `run`
+    /// zeros, each followed by one non-zero byte.
+    struct ZeroRuns {
+        run: usize,
+        emitted: usize,
+        calls: usize,
+    }
+
+    impl RngCore for ZeroRuns {
+        fn next_u32(&mut self) -> u32 {
+            let mut buf = [0u8; 4];
+            self.fill_bytes(&mut buf);
+            u32::from_be_bytes(buf)
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let mut buf = [0u8; 8];
+            self.fill_bytes(&mut buf);
+            u64::from_be_bytes(buf)
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.calls += 1;
+            for b in dest {
+                self.emitted += 1;
+                *b = if self.emitted.is_multiple_of(self.run + 1) {
+                    (self.emitted / (self.run + 1) % 255 + 1) as u8
+                } else {
+                    0
+                };
+            }
+        }
+    }
+
+    #[test]
+    fn pkcs1_v15_padding_redraws_zero_bytes() {
+        let kp = kat_keypair();
+        let k = kp.public.modulus_len();
+        let message = b"redraw";
+        let mut rng = ZeroRuns {
+            run: 40,
+            emitted: 0,
+            calls: 0,
+        };
+        let ct = kp.public.encrypt_pkcs1_v15(&mut rng, message).unwrap();
+        assert!(rng.calls > 1, "the redraw path ran");
+
+        let em = kp.private.raw_decrypt(&BigUint::from_bytes_be(&ct)).to_bytes_be_padded(k);
+        let ps_len = k - message.len() - 3;
+        assert_eq!(&em[..2], &[0x00, 0x02]);
+        let ps = &em[2..2 + ps_len];
+        assert!(ps.len() >= 8);
+        assert!(!ps.contains(&0), "padding string has a zero byte");
+        assert_eq!(em[2 + ps_len], 0x00);
+        assert_eq!(&em[3 + ps_len..], message);
+        assert_eq!(kp.private.decrypt_pkcs1_v15(&ct).unwrap(), message);
     }
 
     #[test]

@@ -3572,8 +3572,10 @@ impl Broker {
                         while let Ok(job) = lane_rx.recv() {
                             match job {
                                 LaneJob::Apply(net_message, message) => {
-                                    broker.apply_net(net_message, Some(message));
+                                    // Counted before `apply_net` publishes
+                                    // the message as processed.
                                     counters[lane].fetch_add(1, Ordering::Relaxed);
+                                    broker.apply_net(net_message, Some(message));
                                     // Release pairs with the dispatcher's
                                     // Acquire: a zero in-flight count proves
                                     // the apply's effects are visible.
@@ -3634,6 +3636,8 @@ impl Broker {
                         let mut stamped = Vec::with_capacity(INGRESS_BATCH);
                         let mut verified: Vec<(u64, NetMessage, Option<Message>)> =
                             Vec::with_capacity(INGRESS_BATCH);
+                        let mut ready: Vec<(NetMessage, Option<Message>)> =
+                            Vec::with_capacity(INGRESS_BATCH);
                         loop {
                             {
                                 let mut ingress = ingress.lock();
@@ -3663,7 +3667,6 @@ impl Broker {
                             }));
                             let mut router = router.lock();
                             let router = &mut *router;
-                            let mut batch = 0u64;
                             for (ticket, net_message, decoded) in verified.drain(..) {
                                 if ticket != router.next_ticket {
                                     // An earlier ticket is still being
@@ -3674,9 +3677,26 @@ impl Broker {
                                     router.reorder.insert(ticket, (net_message, decoded));
                                     continue;
                                 }
-                                // In order — the common case: route without
-                                // touching the reorder buffer, then drain any
-                                // parked successors this unblocked.
+                                // In order — the common case: queue it
+                                // without touching the reorder buffer, then
+                                // any parked successors this unblocked.
+                                ready.push((net_message, decoded));
+                                router.next_ticket += 1;
+                                while let Some(parked) =
+                                    router.reorder.remove(&router.next_ticket)
+                                {
+                                    ready.push(parked);
+                                    router.next_ticket += 1;
+                                }
+                            }
+                            // Count the batch before applying it: a reader
+                            // that sees a message processed must also see it
+                            // counted.  The router lock stays held, so
+                            // routing order is unchanged.
+                            if !ready.is_empty() {
+                                broker.pipeline.record_apply_batch(ready.len() as u64);
+                            }
+                            for (net_message, decoded) in ready.drain(..) {
                                 broker.dispatch_apply(
                                     net_message,
                                     decoded,
@@ -3684,28 +3704,6 @@ impl Broker {
                                     &lane_busy,
                                     eager_inline,
                                 );
-                                router.next_ticket += 1;
-                                batch += 1;
-                                loop {
-                                    let next = router.next_ticket;
-                                    let Some((net_message, decoded)) =
-                                        router.reorder.remove(&next)
-                                    else {
-                                        break;
-                                    };
-                                    broker.dispatch_apply(
-                                        net_message,
-                                        decoded,
-                                        &lane_txs,
-                                        &lane_busy,
-                                        eager_inline,
-                                    );
-                                    router.next_ticket += 1;
-                                    batch += 1;
-                                }
-                            }
-                            if batch > 0 {
-                                broker.pipeline.record_apply_batch(batch);
                             }
                         }
                         // The last worker out drops the final clones of the
@@ -3752,8 +3750,8 @@ impl Broker {
                 // it does, so partition FIFO holds trivially, and the
                 // message still counts against its lane for load metrics.
                 if eager_inline {
-                    self.apply_net(net_message, Some(message));
                     self.pipeline.count_lane_message(lane);
+                    self.apply_net(net_message, Some(message));
                     return;
                 }
                 lane_busy[lane].fetch_add(1, Ordering::Relaxed);
