@@ -866,10 +866,7 @@ impl BrokerExtension for SecureBrokerExtension {
                 }
             }
             MessageKind::BrokerSync => {
-                if let Some(count) = message
-                    .element_str("count")
-                    .and_then(|c| c.parse::<usize>().ok())
-                {
+                if let Some(count) = message.entry_count("count") {
                     for i in 0..count {
                         if let Some(xml) = message.element_str(&format!("e{i}-xml")) {
                             warm(&xml);
@@ -880,10 +877,7 @@ impl BrokerExtension for SecureBrokerExtension {
                 }
             }
             MessageKind::AntiEntropySnapshot => {
-                if let Some(count) = message
-                    .element_str("a-count")
-                    .and_then(|c| c.parse::<usize>().ok())
-                {
+                if let Some(count) = message.entry_count("a-count") {
                     for i in 0..count {
                         if let Some(xml) = message.element_str(&format!("a{i}-xml")) {
                             warm(&xml);
@@ -998,7 +992,7 @@ mod tests {
     use crate::admin::Administrator;
     use jxta_crypto::envelope::seal_envelope;
     use jxta_overlay::broker::BrokerConfig;
-    use jxta_overlay::net::LinkModel;
+    use jxta_overlay::net::{LinkModel, NetMessage};
     use jxta_overlay::{GroupId, SimNetwork, UserDatabase};
     use std::sync::Arc;
 
@@ -1539,6 +1533,28 @@ mod tests {
         assert_eq!(w.extension.issuer_epoch(), epoch0 + 1);
         assert!(w.extension.credential_chains(&foreign));
         assert_eq!(w.extension.memo_hits.load(Ordering::Relaxed), hits0 + 2);
+    }
+
+    /// A forged gossip count cannot stall pre-verification: a
+    /// `count = u64::MAX` digest of three elements from a peer outside the
+    /// federation is walked only as far as the elements it carries, then
+    /// rejected at admission.  An uncapped walk never returns.
+    #[test]
+    fn forged_sync_count_from_an_unadmitted_peer_is_rejected() {
+        let mut w = world();
+        let rogue = PeerId::random(&mut w.rng);
+        let forged = Message::new(MessageKind::BrokerSync, rogue, 0)
+            .with_str("count", &u64::MAX.to_string())
+            .with_str("e0-xml", "<adv/>")
+            .with_str("seq", "1");
+        w.broker.process_net(NetMessage {
+            from: rogue,
+            to: w.broker.id(),
+            payload: forged.to_bytes(),
+            wire_time: std::time::Duration::ZERO,
+        });
+        assert_eq!(w.broker.federation_stats().rejected_unknown_origin, 1);
+        assert_eq!(w.broker.processed_count(), 1);
     }
 
     #[test]

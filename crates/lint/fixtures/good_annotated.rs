@@ -2,11 +2,6 @@
 // well-formed `lint:allow(rule, reason)`.  Must scan clean.
 
 impl Broker {
-    // lint:allow(touch-repair, read-modify-write audited; caller touches)
-    fn reindex_sessions(&self) {
-        self.sessions.write().shrink_to_fit();
-    }
-
     fn answer_client(&self, target: PeerId, message: Message) {
         // lint:allow(accounted-send, client-facing response, not broker traffic)
         self.network.send(target, message);

@@ -1,11 +1,6 @@
 // Fixture: idiomatic code following every invariant.  Must scan clean.
 
 impl Broker {
-    fn adopt_session(&self, peer: PeerId, session: PeerSession) {
-        self.sessions.write().insert(peer, session);
-        self.touch_repair_state();
-    }
-
     fn announce(&self, target: BrokerId, message: Message) {
         self.send_sequenced(target, message);
     }

@@ -4,10 +4,6 @@
 //! The rules encode invariants this codebase has already been burned by or
 //! deliberately designed around:
 //!
-//! - `touch-repair` — every broker mutation primitive (session, membership,
-//!   advertisement, ring, home-shard or group state) must invalidate the
-//!   cached repair hash trees via `touch_repair_state`, or anti-entropy
-//!   serves stale digests (the PR 7 stale-tree bug class).
 //! - `accounted-send` — inter-broker traffic must route through the
 //!   sequenced/repair choke points so the delivery ledger and repair
 //!   accounting see every message.  Raw `network.send` from broker code is
@@ -28,7 +24,7 @@
 //!   `Mutex::new` is invisible to cycle detection.
 //!
 //! A violation is suppressed only by an explicit annotation on the same
-//! line, the line above, or (for `touch-repair`) the `fn` signature line:
+//! line or the line above:
 //!
 //! ```text
 //! // lint:allow(rule-name, reason why this site is exempt)
@@ -50,7 +46,6 @@ use std::fmt;
 
 /// The rule identifiers accepted by `lint:allow(...)`.
 pub const RULES: &[&str] = &[
-    "touch-repair",
     "accounted-send",
     "unchecked-capacity",
     "std-sync-lock",
@@ -77,21 +72,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Broker-state mutation patterns that must be paired with
-/// `touch_repair_state` in the same function.  `.read()` accesses do not
-/// match; only write-path acquisitions and the group primitives do.
-const MUTATION_PATTERNS: &[&str] = &[
-    ".advertisements.write()",
-    ".membership_versions.write()",
-    ".sessions.write()",
-    ".displaced.write()",
-    ".peer_homes.write()",
-    ".ring.write()",
-    ".groups.join(",
-    ".groups.leave(",
-    ".groups.leave_all(",
-];
-
 /// Raw send patterns that bypass the sequenced/repair choke points.
 const SEND_PATTERNS: &[&str] = &[
     ".network.send(",
@@ -113,17 +93,10 @@ struct Line {
 
 /// One function currently open on the scan stack.
 struct FnFrame {
-    name: String,
     /// Brace depth just before the function's signature line.
     entry_depth: i32,
     /// Whether the body `{` has been consumed yet (signatures can span lines).
     opened: bool,
-    /// Line index (0-based) of the `fn` signature, for signature-line allows.
-    sig_line: usize,
-    /// Repair-tree mutation sites seen in this body: (line#, pattern, allowed).
-    mutations: Vec<(usize, &'static str, bool)>,
-    /// Whether the body mentions `touch_repair_state`.
-    has_touch: bool,
     /// Identifiers carrying wire-decoded integer taint.
     tainted: HashSet<String>,
 }
@@ -131,7 +104,6 @@ struct FnFrame {
 /// Scan one file's source.  `rel_path` is the workspace-relative path and
 /// drives per-rule scoping (which rules care about which files).
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
-    let touch_scope = rel_path.ends_with("broker.rs");
     let send_scope = rel_path.ends_with("broker.rs")
         || rel_path.ends_with("federation.rs")
         || rel_path.ends_with("broker_ext.rs");
@@ -183,14 +155,10 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
         }
 
         // --- function tracking -----------------------------------------
-        if let Some(name) = fn_name(text) {
+        if starts_fn(text) {
             fn_stack.push(FnFrame {
-                name,
                 entry_depth: depth_before,
                 opened: depth > depth_before,
-                sig_line: idx,
-                mutations: Vec::new(),
-                has_touch: false,
                 tainted: HashSet::new(),
             });
         } else if let Some(frame) = fn_stack.last_mut() {
@@ -328,49 +296,14 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
                     });
                 }
             }
-
-            if touch_scope {
-                if text.contains("touch_repair_state") {
-                    for f in fn_stack.iter_mut() {
-                        f.has_touch = true;
-                    }
-                } else {
-                    let frame = fn_stack.last_mut().unwrap();
-                    for pat in MUTATION_PATTERNS {
-                        if text.contains(pat) {
-                            let ok = allowed("touch-repair", idx)
-                                || allowed("touch-repair", frame.sig_line);
-                            frame.mutations.push((lineno, pat, ok));
-                        }
-                    }
-                }
-            }
         }
 
         // --- close finished functions ----------------------------------
-        while let Some(frame) = fn_stack.last() {
-            if frame.opened && depth <= frame.entry_depth {
-                let frame = fn_stack.pop().unwrap();
-                if !frame.has_touch {
-                    for (line, pat, ok) in frame.mutations {
-                        if !ok {
-                            out.push(Violation {
-                                file: rel_path.to_string(),
-                                line,
-                                rule: "touch-repair",
-                                message: format!(
-                                    "`{}` mutates repair-tracked state but fn `{}` never \
-                                     calls touch_repair_state; anti-entropy will serve \
-                                     stale digests",
-                                    pat, frame.name
-                                ),
-                            });
-                        }
-                    }
-                }
-            } else {
-                break;
-            }
+        while fn_stack
+            .last()
+            .is_some_and(|frame| frame.opened && depth <= frame.entry_depth)
+        {
+            fn_stack.pop();
         }
     }
 
@@ -490,22 +423,21 @@ fn brace_delta(text: &str) -> i32 {
     d
 }
 
-/// Extract the function name if this line begins a `fn` item.
-fn fn_name(text: &str) -> Option<String> {
-    let pos = match_positions(text, "fn ").into_iter().find(|&p| {
+/// Whether this line begins a `fn` item.
+fn starts_fn(text: &str) -> bool {
+    let Some(pos) = match_positions(text, "fn ").into_iter().find(|&p| {
         // Word boundary on the left: `fn` must not be the tail of another
         // identifier (`stale_fn `), and closures/paths don't use `fn `.
         p == 0 || !text.as_bytes()[p - 1].is_ascii_alphanumeric() && text.as_bytes()[p - 1] != b'_'
-    })?;
+    }) else {
+        return false;
+    };
     let rest = text[pos + 3..].trim_start();
-    let name: String = rest
+    let name_len = rest
         .chars()
         .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    if name.is_empty() || !rest[name.len()..].trim_start().starts_with(['(', '<']) {
-        return None;
-    }
-    Some(name)
+        .count();
+    name_len > 0 && rest[name_len..].trim_start().starts_with(['(', '<'])
 }
 
 /// Extract the identifier bound by a `let` on this line, if any.
@@ -567,17 +499,6 @@ mod tests {
             scan_source(path, src).into_iter().map(|v| v.rule).collect();
         rules.dedup();
         rules
-    }
-
-    #[test]
-    fn fixture_touch_repair_fires() {
-        let src = include_str!("../fixtures/bad_touch_repair.rs");
-        let v = scan_source(BROKER_PATH, src);
-        assert!(
-            v.iter().any(|v| v.rule == "touch-repair"),
-            "expected touch-repair violation, got {:?}",
-            v
-        );
     }
 
     #[test]

@@ -22,19 +22,27 @@
 //! # Federation
 //!
 //! The paper's architecture has a *backbone* of brokers, not a single one.
-//! A broker therefore also speaks two inter-broker message kinds:
+//! A broker therefore also speaks the inter-broker message kinds
+//! ([`MessageKind::is_inter_broker`]): gossip, relays, shard queries,
+//! anti-entropy repair, membership shuffles, Plumtree tree repair and SWIM
+//! probes.  Every one of them carries a per-origin sequence number and
+//! passes one admission gate in [`Broker::process_net`] before any handler
+//! runs: traffic from peers outside the federation, traffic whose claimed
+//! origin is not the link it arrived on, and stale or duplicate sequence
+//! numbers (replays) are rejected and counted.  Two of the kinds carry the
+//! replicated data itself:
 //!
 //! * [`MessageKind::BrokerSync`] — gossip that replicates the advertisement
-//!   index, group membership and peer→broker routing to every peer broker.
-//!   Sync messages carry a per-origin sequence number; stale or duplicate
-//!   sequence numbers (replays) and messages from peers that are not part of
-//!   the federation are rejected and counted.
+//!   index, group membership and peer→broker routing to the peer brokers.
 //! * [`MessageKind::BrokerRelay`] — an opaque client payload crossing the
 //!   backbone towards the broker that homes the destination peer.  Clients
 //!   trigger it with [`MessageKind::RelayViaBroker`]; each hop of the relay
 //!   is charged its own link cost (see [`SimNetwork::forward`]).
 //!
-//! [`crate::federation::BrokerNetwork`] wires brokers into a full mesh.
+//! [`crate::federation::BrokerNetwork`] admits every broker as a peer of
+//! every other; small federations gossip over that full mesh, larger ones
+//! over the epidemic fabric of bounded partial views (see
+//! [`Broker::epidemic_engaged`]).
 
 use crate::database::UserDatabase;
 use crate::group::{GroupId, GroupRegistry};
@@ -46,6 +54,7 @@ use crate::metrics::{FederationMetrics, FederationStats, PipelineMetrics, Pipeli
 use crate::net::{NetMessage, SimNetwork};
 use crate::shard::{self, SectionTree, ShardRing};
 use crate::swim::{AliveOutcome, DeadOutcome, SuspectOutcome, SwimDetector};
+use crate::tracked::Tracked;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,19 +148,6 @@ pub struct BrokerConfig {
     /// Capacity of the membership layer's passive healing reservoir.
     /// Defaults to [`crate::membership::DEFAULT_PASSIVE_VIEW`].
     pub passive_view: usize,
-    /// Known-peer count above which the epidemic fabric engages (see
-    /// [`Broker::epidemic_engaged`]).
-    ///
-    /// `None` (the default) keeps the implicit PR 9 rule — engage once the
-    /// peer set outgrows [`BrokerConfig::active_view`], i.e. exactly when
-    /// the views stop being complete.  `Some(n)` pins the threshold
-    /// explicitly, decoupling *when* the federation goes epidemic from *how
-    /// wide* its routing degree is: a deployment can hold the full-mesh
-    /// fabric up to a larger backbone (`n` above the view capacity) or
-    /// engage early in tests (`Some(0)` engages at any size).  Like
-    /// [`BrokerConfig::full_mesh`], all brokers of one federation must
-    /// agree on it — the predicate must be uniform for forwarding to work.
-    pub engagement_threshold: Option<usize>,
 }
 
 impl Default for BrokerConfig {
@@ -166,7 +162,6 @@ impl Default for BrokerConfig {
             full_mesh: false,
             active_view: crate::membership::DEFAULT_ACTIVE_VIEW,
             passive_view: crate::membership::DEFAULT_PASSIVE_VIEW,
-            engagement_threshold: None,
         }
     }
 }
@@ -231,14 +226,6 @@ impl BrokerConfig {
     pub fn with_view_capacities(mut self, active: usize, passive: usize) -> Self {
         self.active_view = active;
         self.passive_view = passive;
-        self
-    }
-
-    /// Pins the epidemic engagement threshold: the fabric engages once the
-    /// known peer count exceeds `threshold`, independent of the view
-    /// capacity — see [`BrokerConfig::engagement_threshold`].
-    pub fn with_engagement_threshold(mut self, threshold: usize) -> Self {
-        self.engagement_threshold = Some(threshold);
         self
     }
 }
@@ -512,18 +499,20 @@ pub struct Broker {
     config: BrokerConfig,
     network: Arc<SimNetwork>,
     database: Arc<UserDatabase>,
+    /// Group membership (repair-tracked, like every [`Tracked`] field
+    /// below: its writes bump `repair_epoch`).
     groups: GroupRegistry,
     /// Global advertisement index: group → (owner, doc type) → XML.
-    advertisements: RwLock<HashMap<GroupId, GroupAdvertisements>>,
+    advertisements: Tracked<HashMap<GroupId, GroupAdvertisements>>,
     /// Connected (but not necessarily logged-in) peers.
     connected: RwLock<HashMap<PeerId, ()>>,
     /// Logged-in sessions.
-    sessions: RwLock<HashMap<PeerId, BrokerSession>>,
+    sessions: Tracked<HashMap<PeerId, BrokerSession>>,
     /// Live local sessions shadowed by a remote join this broker yielded to.
     /// The connection is still open here; if the displacing origin later
     /// gossips the peer's departure, the shadowed session is resurrected
     /// (the join/leave pair proves the displacing join was a stale echo).
-    displaced: RwLock<HashMap<PeerId, BrokerSession>>,
+    displaced: Tracked<HashMap<PeerId, BrokerSession>>,
     extension: RwLock<Option<Arc<dyn BrokerExtension>>>,
     /// The other brokers of the federation backbone.  This is the complete
     /// *known* set — admission control and the shard ring always use it;
@@ -552,7 +541,7 @@ pub struct Broker {
     /// the replica set instead of broadcasting.
     group_hosts: RwLock<HashMap<GroupId, HashMap<PeerId, PeerId>>>,
     /// Which broker each remote peer is homed at (replicated via gossip).
-    peer_homes: RwLock<HashMap<PeerId, PeerId>>,
+    peer_homes: Tracked<HashMap<PeerId, PeerId>>,
     /// Last-writer-wins version of each peer's presence (join/leave) state.
     peer_versions: RwLock<HashMap<PeerId, PresenceVersion>>,
     /// Provenance version of each stored membership entry: the presence
@@ -561,7 +550,7 @@ pub struct Broker {
     /// a peer strictly newer than the entry's provenance that does not list
     /// the membership proves the entry stale, while an equal version proves
     /// it current (the same join event implies the same group list).
-    membership_versions: RwLock<HashMap<(GroupId, PeerId), PresenceVersion>>,
+    membership_versions: Tracked<HashMap<(GroupId, PeerId), PresenceVersion>>,
     /// Sequence number stamped on outgoing inter-broker messages.
     sync_seq: AtomicU64,
     /// Serialises sequence allocation with the wire send (see
@@ -578,7 +567,7 @@ pub struct Broker {
     pipeline: PipelineMetrics,
     /// The consistent-hash ring over this broker and its federation peers
     /// (only consulted when `config.replication_factor` is set).
-    ring: RwLock<ShardRing>,
+    ring: Tracked<ShardRing>,
     /// Gossip events queued per destination, coalesced into one `BrokerSync`
     /// digest per destination at the next [`Broker::flush_gossip`].  A
     /// `BTreeMap` keeps the flush order deterministic, which the inline
@@ -595,11 +584,11 @@ pub struct Broker {
     /// anti-entropy round costs one root digest per edge instead of
     /// re-hashing O(shard) entries per peer per round.
     repair_trees: Mutex<RepairTreeCache>,
-    /// Version counter of the state the repair trees summarise.  Every
-    /// mutation of the advertisement index, group membership, presence
-    /// stamps or shard routing bumps it ([`Broker::touch_repair_state`]);
-    /// the cache drops all trees when its recorded epoch falls behind.
-    repair_epoch: AtomicU64,
+    /// Version counter of the state the repair trees summarise, shared by
+    /// every [`Tracked`] field and the group registry: each mutating write
+    /// guard bumps it when it drops, and the cache drops all trees when its
+    /// recorded epoch falls behind.
+    repair_epoch: Arc<AtomicU64>,
 }
 
 /// Cached [`SectionTree`]s of the two shard-keyed anti-entropy sections,
@@ -607,7 +596,7 @@ pub struct Broker {
 /// replication the filter is peer-invariant, so one tree keyed by the
 /// broker's own id serves every edge).  Invalidated wholesale when
 /// `repair_epoch` moves: state writes are the common case and a coarse epoch
-/// keeps every mutation site O(1).
+/// keeps every write O(1).
 #[derive(Default)]
 struct RepairTreeCache {
     /// The `repair_epoch` value the cached trees were built at.
@@ -629,16 +618,17 @@ impl Broker {
         let mut ring = ShardRing::new(config.replication_factor.unwrap_or(usize::MAX));
         ring.insert(id);
         let view = PartialView::new(id, config.active_view, config.passive_view);
+        let epoch = Arc::new(AtomicU64::new(0));
         Arc::new(Broker {
             id,
             config,
             network,
             database,
-            groups: GroupRegistry::new(),
-            advertisements: RwLock::with_class("broker.advertisements", HashMap::new()),
+            groups: GroupRegistry::tracked_by(&epoch),
+            advertisements: Tracked::with_class("broker.advertisements", HashMap::new(), &epoch),
             connected: RwLock::with_class("broker.connected", HashMap::new()),
-            sessions: RwLock::with_class("broker.sessions", HashMap::new()),
-            displaced: RwLock::with_class("broker.displaced", HashMap::new()),
+            sessions: Tracked::with_class("broker.sessions", HashMap::new(), &epoch),
+            displaced: Tracked::with_class("broker.displaced", HashMap::new(), &epoch),
             extension: RwLock::with_class("broker.extension", None),
             peer_brokers: RwLock::with_class("broker.peer_brokers", Vec::new()),
             view: Mutex::with_class("broker.view", view),
@@ -649,21 +639,25 @@ impl Broker {
             ihave_outbox: Mutex::with_class("broker.ihave_outbox", BTreeMap::new()),
             swim: Mutex::with_class("broker.swim", SwimDetector::new(id)),
             group_hosts: RwLock::with_class("broker.group_hosts", HashMap::new()),
-            peer_homes: RwLock::with_class("broker.peer_homes", HashMap::new()),
+            peer_homes: Tracked::with_class("broker.peer_homes", HashMap::new(), &epoch),
             peer_versions: RwLock::with_class("broker.peer_versions", HashMap::new()),
-            membership_versions: RwLock::with_class("broker.membership_versions", HashMap::new()),
+            membership_versions: Tracked::with_class(
+                "broker.membership_versions",
+                HashMap::new(),
+                &epoch,
+            ),
             sync_seq: AtomicU64::new(0),
             send_lock: Mutex::with_class("broker.send_lock", ()),
             seen_seq: RwLock::with_class("broker.seen_seq", HashMap::new()),
             federation: FederationMetrics::new(),
             pipeline: PipelineMetrics::new(),
-            ring: RwLock::with_class("broker.ring", ring),
+            ring: Tracked::with_class("broker.ring", ring, &epoch),
             outbox: Mutex::with_class("broker.outbox", BTreeMap::new()),
             pending_lookups: Mutex::with_class("broker.pending_lookups", HashMap::new()),
             next_query: AtomicU64::new(1),
             processed: AtomicU64::new(0),
             repair_trees: Mutex::with_class("broker.repair_trees", RepairTreeCache::default()),
-            repair_epoch: AtomicU64::new(0),
+            repair_epoch: epoch,
         })
     }
 
@@ -718,9 +712,6 @@ impl Broker {
             }
             peers.push(broker);
             self.ring.write().insert(broker);
-            // The ring changed, so the set of entries shared with each peer
-            // changed with it.
-            self.touch_repair_state();
         }
         let active = {
             let mut view = self.view.lock();
@@ -742,7 +733,6 @@ impl Broker {
     /// just left, and an unanswered client would otherwise only see its own
     /// timeout (and the pending entry would leak).
     pub fn remove_peer_broker(&self, broker: &PeerId) {
-        self.touch_repair_state();
         self.peer_brokers.write().retain(|b| b != broker);
         self.ring.write().remove(broker);
         self.seen_seq.write().remove(broker);
@@ -828,21 +818,14 @@ impl Broker {
     }
 
     /// Whether the epidemic fabric is active: the broker is not pinned to
-    /// full mesh and the known peer set has outgrown the engagement
-    /// threshold (the active-view capacity unless
-    /// [`BrokerConfig::engagement_threshold`] pins it), so the view is a
-    /// strict subset and broadcasts must be forwarded.  The predicate
-    /// depends only on configuration and the (replicated) peer count, so
-    /// every broker of a federation reaches the same answer — which the
-    /// forwarding protocol needs: a broker that pushed eagerly must be able
-    /// to rely on its neighbours pushing onward.
+    /// full mesh and the known peer set has outgrown the active-view
+    /// capacity, so the view is a strict subset and broadcasts must be
+    /// forwarded.  The predicate depends only on configuration and the
+    /// (replicated) peer count, so every broker of a federation reaches the
+    /// same answer — which the forwarding protocol needs: a broker that
+    /// pushed eagerly must be able to rely on its neighbours pushing onward.
     pub fn epidemic_engaged(&self) -> bool {
-        !self.config.full_mesh
-            && self.peer_brokers.read().len()
-                > self
-                    .config
-                    .engagement_threshold
-                    .unwrap_or(self.config.active_view)
+        !self.config.full_mesh && self.peer_brokers.read().len() > self.config.active_view
     }
 
     /// The peer brokers that broadcast gossip, anti-entropy and extension
@@ -1022,7 +1005,6 @@ impl Broker {
             self.stamp_membership(g, peer, (seq, PRESENCE_JOIN, self.id));
         }
         self.set_group_hosts(&peer, &groups, self.id);
-        self.touch_repair_state();
         self.gossip_join(seq, peer, &groups);
         self.flush_gossip();
         session
@@ -1037,7 +1019,6 @@ impl Broker {
         self.groups.leave_all(peer);
         self.forget_membership_stamps(peer);
         self.clear_group_hosts(peer);
-        self.touch_repair_state();
         if had_session {
             let peer = *peer;
             let seq = self.version_local_presence(peer, PRESENCE_LEAVE);
@@ -1068,13 +1049,10 @@ impl Broker {
     }
 
     /// Records the provenance version of a stored membership entry.
-    /// Bumps the repair epoch itself: a caller cannot forget and serve a
-    /// stale membership tree (over-bumping is O(1) and harmless).
     fn stamp_membership(&self, group: &GroupId, member: PeerId, version: PresenceVersion) {
         self.membership_versions
             .write()
             .insert((group.clone(), member), version);
-        self.touch_repair_state();
     }
 
     /// Drops every membership provenance stamp of `peer` (paired with the
@@ -1083,7 +1061,6 @@ impl Broker {
         self.membership_versions
             .write()
             .retain(|(_, member), _| member != peer);
-        self.touch_repair_state();
     }
 
     /// The provenance version of a stored membership entry (falling back to
@@ -1124,9 +1101,6 @@ impl Broker {
         }
         self.sessions.write().remove(&peer);
         self.connected.write().remove(&peer);
-        // The sessions map shapes the membership-filter side of the repair
-        // trees; bump here so the yield itself can never serve stale digests.
-        self.touch_repair_state();
         false
     }
 
@@ -1150,7 +1124,6 @@ impl Broker {
             return true;
         }
         self.connected.write().remove(&peer);
-        self.touch_repair_state();
         false
     }
 
@@ -1256,7 +1229,9 @@ impl Broker {
     /// Inserts (or LWW-replaces) an advertisement in the local index.
     /// Returns `false` when a write with a greater-or-equal version is
     /// already stored — the shared no-regression rule of gossip application
-    /// and anti-entropy repair.
+    /// and anti-entropy repair.  The stored version is compared through a
+    /// shared borrow of the guard, so a stale write leaves the repair
+    /// epoch (and with it the cached repair trees) alone.
     fn store_advertisement(
         &self,
         from: PeerId,
@@ -1265,31 +1240,22 @@ impl Broker {
         xml: &str,
         version: (u64, PeerId),
     ) -> bool {
+        let key = (from, doc_type.to_string());
         let mut advertisements = self.advertisements.write();
-        let entry = advertisements
-            .entry(group.clone())
-            .or_default()
-            .entry((from, doc_type.to_string()));
-        use std::collections::hash_map::Entry;
-        match entry {
-            Entry::Occupied(mut stored) => {
-                if version <= stored.get().version {
-                    return false;
-                }
-                stored.insert(IndexedAdvertisement {
-                    xml: xml.to_string(),
-                    version,
-                });
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(IndexedAdvertisement {
-                    xml: xml.to_string(),
-                    version,
-                });
-            }
+        let stored = advertisements
+            .get(group)
+            .and_then(|index| index.get(&key))
+            .map(|adv| adv.version);
+        if stored.is_some_and(|stored| version <= stored) {
+            return false;
         }
-        drop(advertisements);
-        self.touch_repair_state();
+        advertisements.entry(group.clone()).or_default().insert(
+            key,
+            IndexedAdvertisement {
+                xml: xml.to_string(),
+                version,
+            },
+        );
         true
     }
 
@@ -1491,29 +1457,24 @@ impl Broker {
         }
     }
 
-    /// Admission control for inter-broker traffic: the origin must be a
-    /// known peer broker, it must match the transport-level sender (when the
-    /// message arrived over the network rather than being handed in
-    /// directly), and the sequence number must be fresh.  Rejections are
+    /// Admission control for inter-broker traffic, run once per message by
+    /// [`Broker::process_net`] before any inter-broker handler: the origin
+    /// must be a known peer broker, it must match the transport-level sender
+    /// `from`, and the sequence number must be fresh.  Rejections are
     /// counted (they are what the cross-broker attack tests assert on).
     ///
     /// This models the connection-oriented trust of a real backbone (a
     /// broker knows which TLS/TCP link a message arrived on); an adversary
     /// spoofing *both* identities is only stopped by the end-to-end
     /// cryptography of the secure extension, never by the overlay.
-    fn accept_from_peer_broker(
-        &self,
-        origin: PeerId,
-        transport_from: Option<PeerId>,
-        seq: Option<String>,
-    ) -> Option<u64> {
-        if transport_from.is_some_and(|from| from != origin) || !self.is_peer_broker(&origin) {
+    fn accept_from_peer_broker(&self, origin: PeerId, from: PeerId, seq: Option<String>) -> bool {
+        if from != origin || !self.is_peer_broker(&origin) {
             self.federation.count_rejected_unknown_origin();
-            return None;
+            return false;
         }
         let Some(seq) = seq.and_then(|s| s.parse::<u64>().ok()) else {
             self.federation.count_rejected_replayed();
-            return None;
+            return false;
         };
         // Lamport merge: pull the local sequence counter past every observed
         // remote sequence number, so subsequent *local* writes always
@@ -1525,33 +1486,26 @@ impl Broker {
         let last = seen.entry(origin).or_insert(0);
         if seq <= *last {
             self.federation.count_rejected_replayed();
-            return None;
+            return false;
         }
         *last = seq;
-        Some(seq)
+        true
     }
 
-    /// Applies one incoming gossip message to local state.  Two wire shapes
+    /// Applies one admitted gossip message to local state.  Two wire shapes
     /// are understood: the coalesced digest (`count` element, events in
-    /// `e{i}-*` fields, each carrying its own version `seq`) that this
-    /// implementation sends, and the PR 2 single-event layout (`op` at the
-    /// top level, the transport `seq` doubling as the version) for
-    /// compatibility with captured traffic and hand-built test messages.
-    fn handle_sync(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    /// `e{i}-*` fields, each carrying its own version `seq`) that
+    /// [`Broker::flush_gossip`] sends, and the original single-event layout
+    /// (`op` at the top level, the transport `seq` doubling as the version),
+    /// which [`Broker::gossip_extension_state`] sends for revocation lists
+    /// and the pipelined-vs-inline equivalence proptest scripts for its
+    /// fake peer broker.
+    fn handle_sync(&self, message: &Message) {
         let origin = message.sender;
         let epidemic = self.epidemic_engaged();
         let mut broadcasts = 0usize;
         let mut duplicates = 0usize;
-        if let Some(count) = message
-            .element_str("count")
-            .and_then(|c| c.parse::<usize>().ok())
-        {
+        if let Some(count) = message.entry_count("count") {
             // One name→content index up front: per-field `element` scans
             // would make applying an n-event digest O(n²).
             let index = message.index();
@@ -1718,7 +1672,6 @@ impl Broker {
                         self.groups.join(group, peer);
                     }
                 }
-                self.touch_repair_state();
                 self.federation.count_sync_applied();
             }
             Some("leave") => {
@@ -1738,7 +1691,6 @@ impl Broker {
                 self.forget_membership_stamps(&peer);
                 self.clear_group_hosts(&peer);
                 self.peer_homes.write().remove(&peer);
-                self.touch_repair_state();
                 self.federation.count_sync_applied();
             }
             Some("membership") => {
@@ -1776,7 +1728,6 @@ impl Broker {
                     if self.is_local_replica(&group, &peer) {
                         self.stamp_membership(&group, peer, carried);
                         self.groups.join(group, peer);
-                        self.touch_repair_state();
                     }
                 }
                 self.federation.count_sync_applied();
@@ -1868,13 +1819,7 @@ impl Broker {
     /// the passive reservoir (never widening the known set — admission
     /// stays anchored on `peer_brokers`) and answer with a sample of our
     /// own views, so both reservoirs refresh from one exchange.
-    fn handle_membership_shuffle(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_membership_shuffle(&self, message: &Message) {
         // The shuffle doubles as a SWIM liveness signal: the sender
         // piggybacks its incarnation, and receiving the message at all is
         // first-hand proof of life.
@@ -1900,13 +1845,7 @@ impl Broker {
     }
 
     /// Handles the answering half of a shuffle: integrate only.
-    fn handle_membership_shuffle_reply(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_membership_shuffle_reply(&self, message: &Message) {
         self.swim_contact(message);
         let incoming = Self::parse_peer_list(&message.element_str("peers").unwrap_or_default());
         self.view.lock().integrate_shuffle(&incoming);
@@ -1916,24 +1855,15 @@ impl Broker {
     /// broker has not received means the eager tree failed to reach us
     /// first — promote the advertising edge and pull the payloads with a
     /// `Graft`.  Ids already seen need nothing: the tree worked.
-    fn handle_plumtree_ihave(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
-        let Some(count) = message
-            .element_str("count")
-            .and_then(|c| c.parse::<usize>().ok())
-        else {
+    fn handle_plumtree_ihave(&self, message: &Message) {
+        let Some(count) = message.entry_count("count") else {
             return;
         };
         let index = message.index();
         let mut missing: Vec<GossipId> = Vec::new();
         {
             let tree = self.plumtree.lock();
-            for i in 0..count.min(message.element_count()) {
+            for i in 0..count {
                 let gid = index
                     .get_str(&format!("g{i}-origin"))
                     .and_then(|urn| PeerId::from_urn(&urn))
@@ -1971,22 +1901,13 @@ impl Broker {
     /// edge towards it becomes eager again and every requested payload
     /// still in the cache is re-sent as ordinary gossip.  Evicted payloads
     /// are counted as graft misses; anti-entropy repairs those.
-    fn handle_plumtree_graft(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
-        let Some(count) = message
-            .element_str("count")
-            .and_then(|c| c.parse::<usize>().ok())
-        else {
+    fn handle_plumtree_graft(&self, message: &Message) {
+        let Some(count) = message.entry_count("count") else {
             return;
         };
         self.plumtree.lock().promote(message.sender);
         let index = message.index();
-        for i in 0..count.min(message.element_count()) {
+        for i in 0..count {
             let gid = index
                 .get_str(&format!("g{i}-origin"))
                 .and_then(|urn| PeerId::from_urn(&urn))
@@ -2011,13 +1932,7 @@ impl Broker {
 
     /// Handles a `Prune`: our pushes duplicate what the sender already has
     /// — demote the edge to lazy (digests only) until a graft re-earns it.
-    fn handle_plumtree_prune(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_plumtree_prune(&self, message: &Message) {
         self.plumtree.lock().demote(message.sender);
     }
 
@@ -2044,13 +1959,7 @@ impl Broker {
     /// evidence the *sender* lives; the answer is an ack carrying our own
     /// incarnation, addressed to `reply-to` when present (the prober an
     /// indirect probe relays for) or to the sender (the direct case).
-    fn handle_swim_ping(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_swim_ping(&self, message: &Message) {
         self.swim_contact(message);
         let reply_to = message
             .element_str("reply-to")
@@ -2071,13 +1980,7 @@ impl Broker {
     /// `target` timed out asks us to try from our vantage point.  We relay
     /// a `SwimPing` whose `reply-to` names the original prober, so a live
     /// target acks the prober directly and one relay hop suffices.
-    fn handle_swim_ping_req(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_swim_ping_req(&self, message: &Message) {
         self.swim_contact(message);
         let Some(target) = message
             .element_str("target")
@@ -2099,13 +2002,7 @@ impl Broker {
 
     /// Handles a probe ack: clears the outstanding probe (direct or
     /// relayed) for the acking broker and refreshes it as alive.
-    fn handle_swim_ack(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_swim_ack(&self, message: &Message) {
         let incarnation = message
             .element_str("inc")
             .and_then(|s| s.parse::<u64>().ok())
@@ -2387,7 +2284,6 @@ impl Broker {
         }
 
         self.federation.count_entries_migrated(migrated);
-        self.touch_repair_state();
         // The whole migration ships as one digest per destination — the
         // coalescing is what keeps re-sharding O(brokers) messages instead
         // of O(entries).
@@ -2408,7 +2304,6 @@ impl Broker {
             self.groups.join(group.clone(), peer);
         }
         self.set_group_hosts(&peer, &session.groups, self.id);
-        self.touch_repair_state();
         self.gossip_join(seq, peer, &session.groups);
     }
 
@@ -2586,15 +2481,6 @@ impl Broker {
         h = Self::hash_chunk(h, group.as_str().as_bytes());
         h = Self::hash_chunk(h, member.as_bytes());
         crate::shard::mix(h)
-    }
-
-    /// Marks the state summarised by the repair trees as changed.  Called by
-    /// every mutation of the advertisement index, the group membership, the
-    /// sessions/homes that shape the membership filter, and the shard ring;
-    /// the tree cache compares epochs and rebuilds lazily.  Over-bumping is
-    /// harmless (one rebuild); the coarse counter keeps every write O(1).
-    fn touch_repair_state(&self) {
-        self.repair_epoch.fetch_add(1, Ordering::Release);
     }
 
     /// The cached repair tree of one shard-keyed section (`'a'` or `'m'`)
@@ -2787,13 +2673,7 @@ impl Broker {
     /// descent instead, narrowing to the divergent key ranges before any
     /// entry is shipped; without it they join the full snapshot (the PR 4
     /// baseline).
-    fn handle_anti_entropy_digest(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_anti_entropy_digest(&self, message: &Message) {
         let origin = message.sender;
         let (a, m, p, x) = self.repair_hashes(&origin);
         let theirs = |name: &str| message.element_str(name).and_then(|h| h.parse::<u64>().ok());
@@ -2864,13 +2744,7 @@ impl Broker {
     /// as range-scoped snapshot pages.  The exchange is stateless and the
     /// depth strictly increases leg over leg, so a descent terminates within
     /// [`shard::REPAIR_TREE_DEPTH`] range legs however the trees differ.
-    fn handle_anti_entropy_range(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_anti_entropy_range(&self, message: &Message) {
         let origin = message.sender;
         let Some(section) = message.element_str("section").and_then(|s| s.chars().next()) else {
             return;
@@ -3109,13 +2983,7 @@ impl Broker {
     /// Handles a peer's anti-entropy snapshot: merge every section under the
     /// last-writer-wins rules and, if the peer asked (`want`), send the
     /// local snapshot of the same sections back so both replicas converge.
-    fn handle_anti_entropy_snapshot(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_anti_entropy_snapshot(&self, message: &Message) {
         let origin = message.sender;
         let repaired = self.merge_repair_snapshot(origin, message);
         if repaired > 0 {
@@ -3154,7 +3022,6 @@ impl Broker {
         // O(n²) element visits.
         let index = message.index();
         let text = |name: &str| index.get_str(name);
-        let count = |name: &str| text(name).and_then(|c| c.parse::<usize>().ok());
         // Range-scoped pages (the final legs of a tree descent) only speak
         // for `[lo, hi]` of the shard-key space: an entry the page lacks is
         // evidence of deletion only if its key is inside the page's range.
@@ -3170,7 +3037,7 @@ impl Broker {
         // The presence section is parsed up front: the membership deletion
         // rule below compares against the *sender's* versions.
         let presence: Option<Vec<(PeerId, PresenceVersion, Option<PeerId>)>> =
-            count("p-count").map(|n| {
+            message.entry_count("p-count").map(|n| {
                 (0..n)
                     .filter_map(|i| {
                         let peer =
@@ -3235,7 +3102,8 @@ impl Broker {
         // join event implies the same group list), which keeps a half-healed
         // replica from talking a healed one out of a correct entry.  Then
         // additions, carrying the sender's provenance stamps.
-        if let (Some(m_count), Some(presence)) = (count("m-count"), presence.as_ref()) {
+        if let (Some(m_count), Some(presence)) = (message.entry_count("m-count"), presence.as_ref())
+        {
             let sender_versions: HashMap<PeerId, PresenceVersion> =
                 presence.iter().map(|(peer, version, _)| (*peer, *version)).collect();
             // A forged m-count must not reserve memory the message cannot
@@ -3310,7 +3178,7 @@ impl Broker {
         // Advertisements: pure LWW merge — repair only ever *adds* missed
         // writes (reshard handles ownership moves deterministically on every
         // broker, so there are no deletions to reconcile).
-        if let Some(n) = count("a-count") {
+        if let Some(n) = message.entry_count("a-count") {
             for i in 0..n {
                 let (Some(group), Some(owner), Some(doc_type), Some(xml), Some(vseq), Some(vorigin)) = (
                     text(&format!("a{i}-group")),
@@ -3342,9 +3210,6 @@ impl Broker {
             if let Some(extension) = extension {
                 repaired += extension.apply_repair_snapshot(self, blob);
             }
-        }
-        if repaired > 0 {
-            self.touch_repair_state();
         }
         repaired
     }
@@ -3410,18 +3275,7 @@ impl Broker {
     /// Handles a `BrokerRelay` arriving over the backbone: after admission
     /// control, the opaque payload is delivered to the locally homed
     /// destination peer with the accumulated wire time carried forward.
-    fn handle_broker_relay(
-        &self,
-        message: &Message,
-        transport_from: Option<PeerId>,
-        carried_wire: Duration,
-    ) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_broker_relay(&self, message: &Message, carried_wire: Duration) {
         let (Some(to_urn), Some(payload)) = (message.element_str("to"), message.element("payload"))
         else {
             self.federation.count_relay_failed();
@@ -3818,10 +3672,11 @@ impl Broker {
     /// Pipeline stage 2 — serialized: applies one decoded message to broker
     /// state and sends replies.  Must observe messages in arrival order (the
     /// pipeline's ticket reorder guarantees it), which preserves per-sender
-    /// FIFO and the inter-broker replay-protection semantics.  Relay kinds
-    /// are dispatched here rather than in [`Broker::handle_message`] because
-    /// they need the delivery's accumulated wire time for per-hop
-    /// accounting.
+    /// FIFO and the inter-broker replay-protection semantics.  Inter-broker
+    /// kinds pass admission control here, where the transport sender is
+    /// known, and are dispatched only if admitted; client relays are
+    /// dispatched here rather than in [`Broker::handle_message`] because they
+    /// need the delivery's accumulated wire time for per-hop accounting.
     fn apply_net(&self, net_message: NetMessage, decoded: Option<Message>) {
         let Some(message) = decoded else {
             // Undecodable traffic is dropped silently — but it still counts
@@ -3830,71 +3685,22 @@ impl Broker {
             self.processed.fetch_add(1, Ordering::Release);
             return;
         };
-        let response = match message.kind {
-            MessageKind::RelayViaBroker => {
-                self.handle_relay_request(&message, net_message.wire_time)
+        let response = if message.kind.is_inter_broker() {
+            // The one admission gate for backbone traffic.  A rejected
+            // message still counts as processed below, or quiescence would
+            // never be reached after hostile traffic arrives.
+            if self.accept_from_peer_broker(
+                message.sender,
+                net_message.from,
+                message.element_str("seq"),
+            ) {
+                self.handle_inter_broker(&message, net_message.wire_time);
             }
-            MessageKind::BrokerRelay => {
-                self.handle_broker_relay(&message, Some(net_message.from), net_message.wire_time);
-                None
-            }
-            MessageKind::BrokerSync => {
-                self.handle_sync(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::ShardQuery => {
-                self.handle_shard_query(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::ShardResponse => {
-                self.handle_shard_response(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::AntiEntropyDigest => {
-                self.handle_anti_entropy_digest(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::AntiEntropySnapshot => {
-                self.handle_anti_entropy_snapshot(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::AntiEntropyRange => {
-                self.handle_anti_entropy_range(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::MembershipShuffle => {
-                self.handle_membership_shuffle(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::MembershipShuffleReply => {
-                self.handle_membership_shuffle_reply(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::PlumtreeIHave => {
-                self.handle_plumtree_ihave(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::PlumtreeGraft => {
-                self.handle_plumtree_graft(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::PlumtreePrune => {
-                self.handle_plumtree_prune(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::SwimPing => {
-                self.handle_swim_ping(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::SwimPingReq => {
-                self.handle_swim_ping_req(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::SwimAck => {
-                self.handle_swim_ack(&message, Some(net_message.from));
-                None
-            }
-            _ => self.handle_message(&message),
+            None
+        } else if message.kind == MessageKind::RelayViaBroker {
+            self.handle_relay_request(&message, net_message.wire_time)
+        } else {
+            self.handle_message(&message)
         };
         // Belt and braces: any handler that queued gossip has flushed it
         // already, but an extension hooked in via `handle_message` may have
@@ -3916,77 +3722,47 @@ impl Broker {
         self.processed.load(Ordering::Acquire)
     }
 
-    /// Dispatches a decoded message to the appropriate broker function.
+    /// Dispatches an admitted inter-broker message ([`MessageKind::is_inter_broker`])
+    /// to its handler.  Only [`Broker::apply_net`] calls this, after the
+    /// admission gate.
+    fn handle_inter_broker(&self, message: &Message, carried_wire: Duration) {
+        match message.kind {
+            MessageKind::BrokerSync => self.handle_sync(message),
+            MessageKind::BrokerRelay => self.handle_broker_relay(message, carried_wire),
+            MessageKind::ShardQuery => self.handle_shard_query(message),
+            MessageKind::ShardResponse => self.handle_shard_response(message),
+            MessageKind::AntiEntropyDigest => self.handle_anti_entropy_digest(message),
+            MessageKind::AntiEntropySnapshot => self.handle_anti_entropy_snapshot(message),
+            MessageKind::AntiEntropyRange => self.handle_anti_entropy_range(message),
+            MessageKind::MembershipShuffle => self.handle_membership_shuffle(message),
+            MessageKind::MembershipShuffleReply => self.handle_membership_shuffle_reply(message),
+            MessageKind::PlumtreeIHave => self.handle_plumtree_ihave(message),
+            MessageKind::PlumtreeGraft => self.handle_plumtree_graft(message),
+            MessageKind::PlumtreePrune => self.handle_plumtree_prune(message),
+            MessageKind::SwimPing => self.handle_swim_ping(message),
+            MessageKind::SwimPingReq => self.handle_swim_ping_req(message),
+            MessageKind::SwimAck => self.handle_swim_ack(message),
+            // `is_inter_broker` holds for exactly the kinds above.
+            _ => {}
+        }
+    }
+
+    /// Dispatches a decoded client message to the appropriate broker
+    /// function and returns the reply, if any.
     ///
-    /// Public so tests (and the in-line, thread-free mode used by some
-    /// benchmarks) can drive a broker without spawning its thread.
+    /// Serves the client kinds only: inter-broker kinds need the transport
+    /// sender for admission control, so they reach their handlers only
+    /// through [`Broker::process_net`] and are rejected here like any other
+    /// kind that is not a broker function.  Public so tests (and the
+    /// in-line, thread-free mode used by some benchmarks) can drive a broker
+    /// without spawning its thread.
     pub fn handle_message(&self, message: &Message) -> Option<Message> {
         match message.kind {
             MessageKind::ConnectRequest => Some(self.handle_connect(message)),
             MessageKind::LoginRequest => Some(self.handle_login(message)),
             MessageKind::PublishAdvertisement => Some(self.handle_publish(message)),
             MessageKind::LookupRequest => self.handle_lookup(message),
-            MessageKind::BrokerSync => {
-                self.handle_sync(message, None);
-                None
-            }
             MessageKind::RelayViaBroker => self.handle_relay_request(message, Duration::ZERO),
-            MessageKind::BrokerRelay => {
-                self.handle_broker_relay(message, None, Duration::ZERO);
-                None
-            }
-            MessageKind::ShardQuery => {
-                self.handle_shard_query(message, None);
-                None
-            }
-            MessageKind::ShardResponse => {
-                self.handle_shard_response(message, None);
-                None
-            }
-            MessageKind::AntiEntropyDigest => {
-                self.handle_anti_entropy_digest(message, None);
-                None
-            }
-            MessageKind::AntiEntropySnapshot => {
-                self.handle_anti_entropy_snapshot(message, None);
-                None
-            }
-            MessageKind::AntiEntropyRange => {
-                self.handle_anti_entropy_range(message, None);
-                None
-            }
-            MessageKind::MembershipShuffle => {
-                self.handle_membership_shuffle(message, None);
-                None
-            }
-            MessageKind::MembershipShuffleReply => {
-                self.handle_membership_shuffle_reply(message, None);
-                None
-            }
-            MessageKind::PlumtreeIHave => {
-                self.handle_plumtree_ihave(message, None);
-                None
-            }
-            MessageKind::PlumtreeGraft => {
-                self.handle_plumtree_graft(message, None);
-                None
-            }
-            MessageKind::PlumtreePrune => {
-                self.handle_plumtree_prune(message, None);
-                None
-            }
-            MessageKind::SwimPing => {
-                self.handle_swim_ping(message, None);
-                None
-            }
-            MessageKind::SwimPingReq => {
-                self.handle_swim_ping_req(message, None);
-                None
-            }
-            MessageKind::SwimAck => {
-                self.handle_swim_ack(message, None);
-                None
-            }
             MessageKind::SecureConnectChallenge
             | MessageKind::SecureLoginRequest => {
                 let extension = self.extension.read().clone();
@@ -4307,13 +4083,7 @@ impl Broker {
     /// `ShardResponse`.  Signed advertisements are returned verbatim — the
     /// XMLdsig envelope travels the extra hop unmodified, so client-side
     /// validation is unaffected by where the entry happened to live.
-    fn handle_shard_query(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_shard_query(&self, message: &Message) {
         let (Some(query), Some(group)) = (
             message.element_str("query"),
             message.element_str("group"),
@@ -4356,13 +4126,7 @@ impl Broker {
 
     /// Merges a replica's `ShardResponse` into the pending lookup it answers
     /// and, once every replica reported, replies to the waiting client.
-    fn handle_shard_response(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_shard_response(&self, message: &Message) {
         let Some(query) = message
             .element_str("query")
             .and_then(|q| q.parse::<u64>().ok())
@@ -4377,10 +4141,7 @@ impl Broker {
             if let Some(member) = message.element_str("member") {
                 state.is_member |= member == "true";
             }
-            let count = message
-                .element_str("count")
-                .and_then(|c| c.parse::<usize>().ok())
-                .unwrap_or(0);
+            let count = message.entry_count("count").unwrap_or(0);
             for i in 0..count {
                 let (Some(owner), Some(vseq), Some(vorigin), Some(xml)) = (
                     message
@@ -4524,9 +4285,20 @@ mod tests {
         broker.handle_message(&login).unwrap()
     }
 
+    /// Hands `message` to `broker` as if it arrived over `from`'s link — the
+    /// path a spawned broker's event loop takes, admission gate included.
+    fn deliver(broker: &Broker, from: PeerId, message: &Message) {
+        broker.process_net(NetMessage {
+            from,
+            to: broker.id(),
+            payload: message.to_bytes(),
+            wire_time: Duration::ZERO,
+        });
+    }
+
     /// Every membership/session mutation primitive must bump the repair
-    /// epoch on its own: PR 8's lint demands `touch_repair_state` at each
-    /// mutation site, and pushing the bump *into* the primitives makes the
+    /// epoch on its own: the tracked write guards bump it whenever a
+    /// primitive mutates repair-tracked state, which makes the
     /// stale-tree-digest bug (a forgetful future caller serving old section
     /// digests forever) structurally impossible.
     #[test]
@@ -4564,9 +4336,8 @@ mod tests {
     }
 
     /// The digest-level regression: prime the cached membership tree, then
-    /// mutate through a primitive alone (exactly what a caller that forgot
-    /// its own `touch_repair_state` would do) and verify the next tree is
-    /// rebuilt rather than served stale.
+    /// mutate through a primitive alone (with no explicit invalidation by the
+    /// caller) and verify the next tree is rebuilt rather than served stale.
     #[test]
     fn repair_tree_never_serves_stale_digests_after_primitive_mutation() {
         let (_net, _db, broker, mut rng) = setup();
@@ -4584,6 +4355,42 @@ mod tests {
         broker.forget_membership_stamps(&peer);
         let healed = broker.repair_section_tree('m', &own_id).root().digest();
         assert_ne!(healed, primed, "membership tree digest served stale");
+    }
+
+    /// A write guard moves the repair epoch only when it mutated: a stale
+    /// replicated write, which loses its last-writer-wins comparison, and a
+    /// guard that only read must keep the cached repair trees valid —
+    /// otherwise every no-op anti-entropy page would force a rebuild.
+    #[test]
+    fn stale_writes_leave_the_repair_epoch_unchanged() {
+        let (_net, _db, broker, mut rng) = setup();
+        let owner = PeerId::random(&mut rng);
+        let origin = PeerId::random(&mut rng);
+        let group = GroupId::new("math");
+        let doc_type = "jxta:PipeAdvertisement";
+        let epoch = |b: &Broker| b.repair_epoch.load(Ordering::Acquire);
+
+        let before = epoch(&broker);
+        assert!(broker.load_advertisement(owner, &group, doc_type, "<v2/>", (2, origin)));
+        assert!(epoch(&broker) > before, "a winning write moves the epoch");
+
+        let before = epoch(&broker);
+        assert!(!broker.load_advertisement(owner, &group, doc_type, "<v1/>", (1, origin)));
+        assert!(!broker.load_advertisement(owner, &group, doc_type, "<v2/>", (2, origin)));
+        assert_eq!(
+            epoch(&broker),
+            before,
+            "a stale write must not move the epoch"
+        );
+
+        let guard = broker.advertisements.write();
+        assert_eq!(guard.len(), 1);
+        drop(guard);
+        assert_eq!(
+            epoch(&broker),
+            before,
+            "a read-only write guard must not move the epoch"
+        );
     }
 
     /// End-to-end sanity that the lock-order detector is live inside broker
@@ -4825,15 +4632,17 @@ mod tests {
 
     #[test]
     fn sync_from_unknown_origin_is_rejected() {
-        let (_net, _db, broker, mut rng) = setup();
+        let (net, _db, broker, mut rng) = setup();
         let rogue = PeerId::random(&mut rng);
+        let rogue_inbox = net.register(rogue);
         let peer = PeerId::random(&mut rng);
         let sync = Message::new(MessageKind::BrokerSync, rogue, 0)
             .with_str("op", "join")
             .with_str("peer", &peer.to_urn())
             .with_str("groups", "math")
             .with_str("seq", "1");
-        assert!(broker.handle_message(&sync).is_none(), "gossip is never acked");
+        deliver(&broker, rogue, &sync);
+        assert!(rogue_inbox.try_recv().is_err(), "gossip is never acked");
         assert_eq!(broker.federation_stats().rejected_unknown_origin, 1);
         assert!(broker.home_of(&peer).is_none(), "nothing was applied");
     }
@@ -4849,14 +4658,14 @@ mod tests {
             .with_str("peer", &peer.to_urn())
             .with_str("groups", "math,chem")
             .with_str("seq", "1");
-        broker.handle_message(&sync);
+        deliver(&broker, origin, &sync);
         assert_eq!(broker.federation_stats().syncs_applied, 1);
         assert_eq!(broker.home_of(&peer), Some(origin));
         assert!(broker.groups().is_member(&GroupId::new("math"), &peer));
 
         // Replaying the captured gossip verbatim changes nothing.
         let routing_before = broker.routing_snapshot();
-        broker.handle_message(&sync);
+        deliver(&broker, origin, &sync);
         assert_eq!(broker.federation_stats().rejected_replayed, 1);
         assert_eq!(broker.federation_stats().syncs_applied, 1);
         assert_eq!(broker.routing_snapshot(), routing_before);
@@ -4875,7 +4684,7 @@ mod tests {
             .with_str("owner", &owner.to_urn())
             .with_str("xml", "<remote/>")
             .with_str("seq", "1");
-        broker.handle_message(&publish);
+        deliver(&broker, origin, &publish);
         assert_eq!(
             broker.lookup(&GroupId::new("math"), "jxta:PipeAdvertisement", Some(owner)),
             vec!["<remote/>".to_string()]
@@ -4886,13 +4695,13 @@ mod tests {
             .with_str("peer", &owner.to_urn())
             .with_str("groups", "math")
             .with_str("seq", "2");
-        broker.handle_message(&join);
+        deliver(&broker, origin, &join);
         assert!(broker.groups().is_member(&GroupId::new("math"), &owner));
         let leave = Message::new(MessageKind::BrokerSync, origin, 0)
             .with_str("op", "leave")
             .with_str("peer", &owner.to_urn())
             .with_str("seq", "3");
-        broker.handle_message(&leave);
+        deliver(&broker, origin, &leave);
         assert!(!broker.groups().is_member(&GroupId::new("math"), &owner));
         assert!(broker.home_of(&owner).is_none());
         assert_eq!(broker.federation_stats().syncs_applied, 3);
@@ -4900,15 +4709,17 @@ mod tests {
 
     #[test]
     fn anti_entropy_traffic_from_unknown_origin_is_rejected() {
-        let (_net, _db, broker, mut rng) = setup();
+        let (net, _db, broker, mut rng) = setup();
         let rogue = PeerId::random(&mut rng);
+        let rogue_inbox = net.register(rogue);
         let digest = Message::new(MessageKind::AntiEntropyDigest, rogue, 0)
             .with_str("seq", "1")
             .with_str("a-hash", "1")
             .with_str("m-hash", "2")
             .with_str("p-hash", "3")
             .with_str("x-hash", "4");
-        assert!(broker.handle_message(&digest).is_none(), "digests are never acked");
+        deliver(&broker, rogue, &digest);
+        assert!(rogue_inbox.try_recv().is_err(), "digests are never acked");
         assert_eq!(broker.federation_stats().rejected_unknown_origin, 1);
 
         // A forged snapshot from outside the federation applies nothing.
@@ -4923,10 +4734,171 @@ mod tests {
             .with_str("a0-xml", "<forged/>")
             .with_str("a0-vseq", "9")
             .with_str("a0-vorigin", &rogue.to_urn());
-        broker.handle_message(&snapshot);
+        deliver(&broker, rogue, &snapshot);
         assert_eq!(broker.federation_stats().rejected_unknown_origin, 2);
         assert!(broker.advertisement_snapshot().is_empty());
         assert_eq!(broker.federation_stats().entries_repaired, 0);
+    }
+
+    /// The admission gate covers every inter-broker kind, three ways: from
+    /// an unadmitted origin, from an admitted origin arriving over another
+    /// peer's link, and with a replayed sequence number.  Each is counted
+    /// under the right rejection, changes no replicated state, is never
+    /// answered, and still counts as processed (or quiescence would break).
+    #[test]
+    fn admission_gate_rejects_every_inter_broker_kind() {
+        let (net, _db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        let other = PeerId::random(&mut rng);
+        let rogue = PeerId::random(&mut rng);
+        let owner = PeerId::random(&mut rng);
+        broker.add_peer_broker(origin);
+        broker.add_peer_broker(other);
+        let inboxes = [
+            net.register(origin),
+            net.register(other),
+            net.register(rogue),
+        ];
+        // Raise the origin's replay floor: sequence number 100 is stale now.
+        let prune = Message::new(MessageKind::PlumtreePrune, origin, 0).with_str("seq", "100");
+        deliver(&broker, origin, &prune);
+        // Applied, this payload would re-home `owner` (as a single-event
+        // join) and index an advertisement (as a snapshot's a-section).
+        let hostile = |kind: MessageKind, sender: PeerId, seq: &str| {
+            Message::new(kind, sender, 0)
+                .with_str("seq", seq)
+                .with_str("op", "join")
+                .with_str("peer", &owner.to_urn())
+                .with_str("groups", "math")
+                .with_str("want", "")
+                .with_str("a-count", "1")
+                .with_str("a0-group", "math")
+                .with_str("a0-owner", &owner.to_urn())
+                .with_str("a0-type", "jxta:PipeAdvertisement")
+                .with_str("a0-xml", "<forged/>")
+                .with_str("a0-vseq", "9")
+                .with_str("a0-vorigin", &sender.to_urn())
+        };
+        let state = |b: &Broker| {
+            (
+                b.advertisement_snapshot(),
+                b.routing_snapshot(),
+                b.groups().snapshot(),
+                b.repair_presence_entries(),
+                b.repair_epoch.load(Ordering::Acquire),
+            )
+        };
+        let kinds: Vec<MessageKind> = (0..=255u8)
+            .filter_map(MessageKind::from_u8)
+            .filter(|kind| kind.is_inter_broker())
+            .collect();
+        assert_eq!(kinds.len(), 15);
+        for kind in kinds {
+            let cases = [
+                (rogue, hostile(kind, rogue, "101"), 1, 0),
+                (other, hostile(kind, origin, "101"), 1, 0),
+                (origin, hostile(kind, origin, "100"), 0, 1),
+            ];
+            for (from, message, unknown_origin, replayed) in cases {
+                let stats = broker.federation_stats();
+                let before = state(&broker);
+                let processed = broker.processed_count();
+                deliver(&broker, from, &message);
+                let after = broker.federation_stats();
+                assert_eq!(
+                    (
+                        after.rejected_unknown_origin - stats.rejected_unknown_origin,
+                        after.rejected_replayed - stats.rejected_replayed,
+                    ),
+                    (unknown_origin, replayed),
+                    "{kind:?} from {from:?}: wrong rejection counted"
+                );
+                assert_eq!(
+                    state(&broker),
+                    before,
+                    "{kind:?} from {from:?}: state changed"
+                );
+                assert_eq!(
+                    broker.processed_count(),
+                    processed + 1,
+                    "{kind:?}: not processed"
+                );
+            }
+        }
+        assert!(
+            inboxes.iter().all(|inbox| inbox.try_recv().is_err()),
+            "rejections are silent"
+        );
+        // Control: admitted, the same payload does change the state.
+        let before = state(&broker);
+        deliver(
+            &broker,
+            origin,
+            &hostile(MessageKind::BrokerSync, origin, "101"),
+        );
+        assert_ne!(state(&broker), before);
+        assert_eq!(broker.home_of(&owner), Some(origin));
+    }
+
+    /// Every decoder loop driven by a wire count stops at the elements the
+    /// message carries: a forged count of 10⁶ on a handful of elements costs
+    /// a handful of element lookups, where an uncapped loop costs at least
+    /// one lookup per claimed entry.
+    #[test]
+    fn forged_entry_counts_are_capped_by_element_count() {
+        let (_net, _db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        let client = PeerId::random(&mut rng);
+        broker.add_peer_broker(origin);
+        // A routed lookup awaiting its replica, so the shard response's
+        // result loop runs.
+        broker.pending_lookups.lock().insert(
+            7,
+            PendingLookup {
+                client,
+                client_request: 1,
+                remaining: 1,
+                adv_results: BTreeMap::new(),
+                is_member: false,
+                membership: false,
+            },
+        );
+        let forged = "1000000";
+        let messages = [
+            Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", forged),
+            Message::new(MessageKind::PlumtreeIHave, origin, 0).with_str("count", forged),
+            Message::new(MessageKind::PlumtreeGraft, origin, 0).with_str("count", forged),
+            Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
+                .with_str("want", "")
+                .with_str("p-count", forged)
+                .with_str("m-count", forged)
+                .with_str("a-count", forged),
+            Message::new(MessageKind::ShardResponse, origin, 0)
+                .with_str("query", "7")
+                .with_str("count", forged),
+        ];
+        for (seq, message) in messages.into_iter().enumerate() {
+            let message = message.with_str("seq", &(seq + 1).to_string());
+            let elements = message.element_count() as u64;
+            let before = crate::message::scan_probe::visited();
+            deliver(&broker, origin, &message);
+            let visited = crate::message::scan_probe::visited() - before;
+            assert!(
+                visited <= 64 * elements,
+                "{:?}: {visited} element lookups for {elements} elements",
+                message.kind
+            );
+        }
+        let stats = broker.federation_stats();
+        assert_eq!(
+            (stats.rejected_unknown_origin, stats.rejected_replayed),
+            (0, 0),
+            "every forged message must reach its decoder"
+        );
+        assert!(
+            broker.pending_lookups.lock().is_empty(),
+            "the shard response was decoded"
+        );
     }
 
     /// Regression: merging an n-entry snapshot must stay O(n) element

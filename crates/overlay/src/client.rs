@@ -493,13 +493,10 @@ impl ClientPeer {
             message.push_element("owner", owner.to_urn().into_bytes());
         }
         let response = self.request(broker, &message, MessageKind::LookupResponse)?;
-        let count: usize = response
-            .element_str("count")
-            .and_then(|c| c.parse().ok())
-            .unwrap_or(0);
-        // The count is broker-asserted text: cap the pre-allocation by the
-        // elements the response actually carries.
-        let mut results = Vec::with_capacity(count.min(response.element_count()));
+        // The count is broker-asserted text, capped by the elements the
+        // response actually carries.
+        let count = response.entry_count("count").unwrap_or(0);
+        let mut results = Vec::with_capacity(count);
         for i in 0..count {
             if let Some(xml) = response.element_str(&format!("adv-{i}")) {
                 results.push(xml);
@@ -1063,5 +1060,43 @@ mod tests {
         assert!(matches!(event, ClientEvent::Text { text, .. } if text == "ping"));
         // No further events → timeout returns None.
         assert!(bob.wait_for_event(Duration::from_millis(10)).is_none());
+    }
+
+    /// A broker-asserted result count is capped by the elements the response
+    /// carries: a forged count of 10⁶ decodes in a handful of element
+    /// lookups instead of one scan per claimed result.
+    #[test]
+    fn forged_lookup_count_is_capped_by_element_count() {
+        let mut rng = HmacDrbg::from_seed_u64(0xC0DE);
+        let network = SimNetwork::new(LinkModel::ideal());
+        let fake_broker = PeerId::random(&mut rng);
+        let _broker_inbox = network.register(fake_broker);
+        let mut client = ClientPeer::with_random_id(
+            Arc::clone(&network),
+            ClientConfig::named("probe"),
+            &mut rng,
+        );
+        client.set_broker(fake_broker);
+        client.set_session("alice", vec![GroupId::new("math")]);
+        // Answer the lookup below (it takes the next request id) up front.
+        let request_id = client.next_request_id() + 1;
+        let forged = Message::new(MessageKind::LookupResponse, fake_broker, request_id)
+            .with_str("status", "ok")
+            .with_str("count", "1000000")
+            .with_str("adv-0", "<a/>");
+        network
+            .send(fake_broker, client.id(), forged.to_bytes())
+            .unwrap();
+        let before = crate::message::scan_probe::visited();
+        let results = client
+            .lookup_advertisements(&GroupId::new("math"), "jxta:PipeAdvertisement", None)
+            .unwrap();
+        let visited = crate::message::scan_probe::visited() - before;
+        assert_eq!(results, vec!["<a/>".to_string()]);
+        let elements = forged.element_count() as u64;
+        assert!(
+            visited <= 64 * elements,
+            "{visited} element lookups for {elements} elements"
+        );
     }
 }

@@ -806,64 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn engagement_threshold_is_a_config_knob() {
-        // Default rule: engage once peers outgrow the active view.
-        let (_net, _db, brokers) = make_view_brokers(6, 3, 8, 0xE830);
-        let federation = InlineFederation::new(brokers);
-        assert!(federation.broker(0).epidemic_engaged(), "5 peers > view 3");
-
-        // Pinned high: the same federation stays full mesh — a deployment
-        // can hold the mesh fabric up to a larger backbone than its view.
-        let mut rng = HmacDrbg::from_seed_u64(0xE831);
-        let network = SimNetwork::new(LinkModel::ideal());
-        let database = Arc::new(UserDatabase::new());
-        let build = |threshold: usize, rng: &mut HmacDrbg| -> Vec<Arc<Broker>> {
-            (0..6)
-                .map(|i| {
-                    Broker::new(
-                        PeerId::random(rng),
-                        BrokerConfig::named(format!("t{i}"))
-                            .with_view_capacities(3, 8)
-                            .with_engagement_threshold(threshold),
-                        Arc::clone(&network),
-                        Arc::clone(&database),
-                    )
-                })
-                .collect()
-        };
-        let held = InlineFederation::new(build(16, &mut rng));
-        assert!(
-            !held.broker(0).epidemic_engaged(),
-            "threshold 16 holds 5 peers in full mesh despite view 3"
-        );
-        // Pinned at zero: even a tiny federation engages (the test knob).
-        let eager = InlineFederation::new(build(0, &mut rng));
-        assert!(
-            eager.broker(0).epidemic_engaged(),
-            "threshold 0 engages at any size"
-        );
-        // Both shapes still replicate correctly.
-        let alice = PeerId::random(&mut rng);
-        held.broker(0).establish_session(alice, "alice");
-        held.broker(0).index_and_distribute(
-            alice,
-            &GroupId::new("math"),
-            "jxta:PipeAdvertisement",
-            "<held/>",
-        );
-        held.pump();
-        assert!(held.converged());
-        eager.broker(1).index_and_distribute(
-            PeerId::random(&mut rng),
-            &GroupId::new("math"),
-            "jxta:PipeAdvertisement",
-            "<eager/>",
-        );
-        eager.pump();
-        assert!(eager.repair_until_converged(4).is_some());
-    }
-
-    #[test]
     fn lazy_ihaves_batch_across_publishes_until_the_repair_tick() {
         const N: usize = 10;
         let (_net, _db, brokers) = make_view_brokers(N, 3, 8, 0xE840);

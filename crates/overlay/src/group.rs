@@ -6,8 +6,10 @@
 //! group the peer belongs to.
 
 use crate::id::PeerId;
-use parking_lot::RwLock;
+use crate::tracked::Tracked;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// Identifier of a peer group (a human-readable name, as in JXTA-Overlay).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,14 +49,12 @@ impl From<String> for GroupId {
 /// brokers.
 #[derive(Debug)]
 pub struct GroupRegistry {
-    groups: RwLock<HashMap<GroupId, HashSet<PeerId>>>,
+    groups: Tracked<HashMap<GroupId, HashSet<PeerId>>>,
 }
 
 impl Default for GroupRegistry {
     fn default() -> Self {
-        GroupRegistry {
-            groups: RwLock::with_class("groups.members", HashMap::new()),
-        }
+        Self::tracked_by(&Arc::default())
     }
 }
 
@@ -62,6 +62,14 @@ impl GroupRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty registry whose membership writes bump `epoch` (a
+    /// broker's repair epoch: membership is a repair-tree section).
+    pub(crate) fn tracked_by(epoch: &Arc<AtomicU64>) -> Self {
+        GroupRegistry {
+            groups: Tracked::with_class("groups.members", HashMap::new(), epoch),
+        }
     }
 
     /// Creates (publishes) a group if it does not exist yet.  Returns `true`

@@ -77,6 +77,7 @@ pub mod net;
 pub mod plumtree;
 pub mod shard;
 pub mod swim;
+mod tracked;
 
 pub use broker::{Broker, BrokerConfig, BrokerHandle};
 pub use federation::BrokerNetwork;

@@ -153,6 +153,14 @@ impl MessageKind {
             _ => return None,
         })
     }
+
+    /// Whether this kind is broker ↔ broker backbone traffic (every kind
+    /// numbered from [`MessageKind::BrokerSync`] up).  A broker admits such
+    /// a message only from a known peer broker, over that broker's own
+    /// link, with a fresh sequence number — see [`crate::broker::Broker::process_net`].
+    pub fn is_inter_broker(self) -> bool {
+        self as u8 >= MessageKind::BrokerSync as u8
+    }
 }
 
 /// A named message element.
@@ -234,6 +242,16 @@ impl Message {
     /// outnumber the elements that encode them.
     pub fn element_count(&self) -> usize {
         self.elements.len()
+    }
+
+    /// Parses element `name` as an entry count, capped at
+    /// [`Message::element_count`].  The count arrives on the wire, and every
+    /// entry is encoded by at least one element, so the cap loses nothing
+    /// genuine while a forged count (up to `u64::MAX`) can no longer drive a
+    /// decoder loop past the size of the message that carries it.
+    pub fn entry_count(&self, name: &str) -> Option<usize> {
+        let count = self.element_str(name)?.parse::<usize>().ok()?;
+        Some(count.min(self.element_count()))
     }
 
     /// Looks up an element and decodes it as UTF-8.
@@ -371,6 +389,8 @@ impl<'a> ElementIndex<'a> {
 
     /// Raw content of element `name`.
     pub fn get(&self, name: &str) -> Option<&'a [u8]> {
+        #[cfg(test)]
+        scan_probe::record(1);
         self.by_name.get(name).copied()
     }
 
@@ -380,22 +400,26 @@ impl<'a> ElementIndex<'a> {
     }
 }
 
-/// Test-only instrumentation counting how many elements linear
-/// [`Message::element`] lookups visit, so regression tests can pin bulk
-/// merge paths to O(n) total element visits.
+/// Test-only instrumentation counting element lookups: the elements each
+/// linear [`Message::element`] scan visits plus one per [`ElementIndex`]
+/// lookup, so regression tests can pin bulk decode paths to work linear in
+/// the message size.  Counted per thread, so tests running in parallel do
+/// not see each other's lookups.
 #[cfg(test)]
 pub(crate) mod scan_probe {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static VISITED: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn record(elements: usize) {
-        VISITED.fetch_add(elements as u64, Ordering::Relaxed);
+    thread_local! {
+        static VISITED: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Cumulative elements visited by `Message::element` process-wide.
+    pub(crate) fn record(elements: usize) {
+        VISITED.with(|visited| visited.set(visited.get() + elements as u64));
+    }
+
+    /// Cumulative element lookups on the calling thread.
     pub(crate) fn visited() -> u64 {
-        VISITED.load(Ordering::Relaxed)
+        VISITED.with(Cell::get)
     }
 }
 
