@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jxta_bench::{
-    format_ingest_report, measure_ingest_throughput, summarize_ingest, write_bench6_json,
+    format_ingest_report, measure_ingest_throughput, summarize_ingest, write_bench_json,
     ExperimentConfig,
 };
 
@@ -38,7 +38,7 @@ fn run_sweep() {
     }
     let result = summarize_ingest(rows);
     eprintln!("{}", format_ingest_report(&result));
-    match write_bench6_json(&result) {
+    match write_bench_json("BENCH_6.json", &result) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(error) => eprintln!("could not write BENCH_6.json: {error}"),
     }

@@ -23,9 +23,23 @@ use jxta_bench::{
     experiment_msg_overhead, experiment_repair, experiment_swim_detection,
     format_delta_repair_report, format_epidemic_fanout_report, format_fanout_report,
     format_federation_report, format_ingest_report, format_join_report, format_msg_report,
-    format_repair_report, format_swim_detection_report, write_bench6_json, write_bench7_json,
-    write_bench8_json, write_bench9_json, ExperimentConfig, FIGURE2_PAYLOAD_SIZES,
+    format_repair_report, format_swim_detection_report, write_bench_json, ExperimentConfig,
+    FIGURE2_PAYLOAD_SIZES,
 };
+
+/// Every experiment name (and alias) the CLI accepts.
+const EXPERIMENTS: &[&str] = &[
+    "e1", "e2", "e3", "federation", "e4", "repair", "e6", "ingest", "e7", "delta", "e8",
+    "epidemic", "e9", "swim", "fanout", "all",
+];
+
+/// Writes an experiment's machine-readable result and reports where.
+fn write_bench(name: &str, result: &impl serde::Serialize) {
+    match write_bench_json(name, result) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(error) => eprintln!("could not write {name}: {error}"),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,6 +50,10 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".to_string());
+    if !EXPERIMENTS.contains(&which.as_str()) {
+        eprintln!("unknown experiment {which:?}; expected e1, e2, e3, e4, e6, e7, e8, e9, fanout or all");
+        std::process::exit(1);
+    }
 
     let config = if quick {
         ExperimentConfig::quick()
@@ -94,15 +112,10 @@ fn main() {
         }
     }
 
-    // `e5` stays as an alias: the E6 sweep supersedes it (same workload, plus
-    // the apply-lane dimension) and now writes BENCH_6.json.
-    if which == "e5" || which == "e6" || which == "ingest" || which == "all" {
+    if which == "e6" || which == "ingest" || which == "all" {
         let result = experiment_ingest_throughput(&config);
         println!("{}", format_ingest_report(&result));
-        match write_bench6_json(&result) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(error) => eprintln!("could not write BENCH_6.json: {error}"),
-        }
+        write_bench("BENCH_6.json", &result);
         if json {
             println!("{}\n", serde_json::to_string_pretty(&result).unwrap());
         }
@@ -111,10 +124,7 @@ fn main() {
     if which == "e7" || which == "delta" || which == "all" {
         let result = experiment_delta_repair(&config);
         println!("{}", format_delta_repair_report(&result));
-        match write_bench7_json(&result) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(error) => eprintln!("could not write BENCH_7.json: {error}"),
-        }
+        write_bench("BENCH_7.json", &result);
         if json {
             println!("{}\n", serde_json::to_string_pretty(&result).unwrap());
         }
@@ -123,10 +133,7 @@ fn main() {
     if which == "e8" || which == "epidemic" || which == "all" {
         let result = experiment_epidemic_fanout(&config);
         println!("{}", format_epidemic_fanout_report(&result));
-        match write_bench8_json(&result) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(error) => eprintln!("could not write BENCH_8.json: {error}"),
-        }
+        write_bench("BENCH_8.json", &result);
         if json {
             println!("{}\n", serde_json::to_string_pretty(&result).unwrap());
         }
@@ -135,22 +142,9 @@ fn main() {
     if which == "e9" || which == "swim" || which == "all" {
         let result = experiment_swim_detection(&config);
         println!("{}", format_swim_detection_report(&result));
-        match write_bench9_json(&result) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(error) => eprintln!("could not write BENCH_9.json: {error}"),
-        }
+        write_bench("BENCH_9.json", &result);
         if json {
             println!("{}\n", serde_json::to_string_pretty(&result).unwrap());
         }
-    }
-
-    if ![
-        "e1", "e2", "e3", "federation", "e4", "repair", "e5", "e6", "ingest", "e7", "delta",
-        "e8", "epidemic", "e9", "swim", "fanout", "all",
-    ]
-    .contains(&which.as_str())
-    {
-        eprintln!("unknown experiment {which:?}; expected e1, e2, e3, e4, e5, e6, e7, e8, e9, fanout or all");
-        std::process::exit(1);
     }
 }

@@ -1128,18 +1128,6 @@ pub fn format_delta_repair_report(result: &DeltaRepairResult) -> String {
     out
 }
 
-/// Writes the E7 result as machine-readable `BENCH_7.json` at the workspace
-/// root.  Returns the path.
-pub fn write_bench7_json(result: &DeltaRepairResult) -> std::io::Result<std::path::PathBuf> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()?
-        .join("BENCH_7.json");
-    let json = serde_json::to_string_pretty(result).expect("serialise E7 result");
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
 // ----------------------------------------------------------------------
 // E8 — epidemic backbone: per-broker fan-out and convergence vs full mesh
 // ----------------------------------------------------------------------
@@ -1334,18 +1322,6 @@ pub fn format_epidemic_fanout_report(result: &EpidemicFanoutResult) -> String {
     }
     out.push('\n');
     out
-}
-
-/// Writes the E8 result as machine-readable `BENCH_8.json` at the workspace
-/// root.  Returns the path.
-pub fn write_bench8_json(result: &EpidemicFanoutResult) -> std::io::Result<std::path::PathBuf> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()?
-        .join("BENCH_8.json");
-    let json = serde_json::to_string_pretty(result).expect("serialise E8 result");
-    std::fs::write(&path, json)?;
-    Ok(path)
 }
 
 // ----------------------------------------------------------------------
@@ -1586,18 +1562,6 @@ pub fn format_swim_detection_report(result: &SwimDetectionResult) -> String {
         ));
     }
     out
-}
-
-/// Writes the E9 result as machine-readable `BENCH_9.json` at the workspace
-/// root.  Returns the path.
-pub fn write_bench9_json(result: &SwimDetectionResult) -> std::io::Result<std::path::PathBuf> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()?
-        .join("BENCH_9.json");
-    let json = serde_json::to_string_pretty(result).expect("serialise E9 result");
-    std::fs::write(&path, json)?;
-    Ok(path)
 }
 
 // ----------------------------------------------------------------------
@@ -2043,15 +2007,14 @@ pub fn format_ingest_report(result: &IngestThroughputResult) -> String {
     out
 }
 
-/// Writes the E6 result as machine-readable `BENCH_6.json` at the workspace
-/// root (the second point of the repo's performance trajectory;
-/// `BENCH_5.json` stays on disk as the pre-laned record).  Returns the path.
-pub fn write_bench6_json(result: &IngestThroughputResult) -> std::io::Result<std::path::PathBuf> {
+/// Writes an experiment result as machine-readable JSON to `name` (e.g.
+/// `BENCH_6.json`) at the workspace root.  Returns the path.
+pub fn write_bench_json(name: &str, result: &impl Serialize) -> std::io::Result<std::path::PathBuf> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()?
-        .join("BENCH_6.json");
-    let json = serde_json::to_string_pretty(result).expect("serialise E6 result");
+        .join(name);
+    let json = serde_json::to_string_pretty(result).expect("serialise experiment result");
     std::fs::write(&path, json)?;
     Ok(path)
 }

@@ -39,7 +39,6 @@ pub struct SecureNetworkBuilder {
     broker_names: Vec<String>,
     replication_factor: Option<usize>,
     repair_interval: Option<Duration>,
-    request_timeout: Duration,
     verify_workers: usize,
     inbox_capacity: Option<usize>,
     apply_lanes: Option<usize>,
@@ -58,7 +57,6 @@ impl SecureNetworkBuilder {
             broker_names: vec!["broker-1".to_string()],
             replication_factor: None,
             repair_interval: None,
-            request_timeout: Duration::from_secs(5),
             verify_workers: 0,
             inbox_capacity: None,
             apply_lanes: None,
@@ -180,12 +178,6 @@ impl SecureNetworkBuilder {
         self
     }
 
-    /// Sets the request timeout used by the clients this setup creates.
-    pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
-        self.request_timeout = timeout;
-        self
-    }
-
     /// Performs the system setup and spawns the broker.
     pub fn build(self) -> SecureNetwork {
         let mut rng = HmacDrbg::from_seed_u64(self.seed);
@@ -260,7 +252,6 @@ impl SecureNetworkBuilder {
             extensions,
             rng,
             key_bits: self.key_bits,
-            request_timeout: self.request_timeout,
             verify_cache_capacity: self.verify_cache_capacity,
         }
     }
@@ -276,7 +267,6 @@ pub struct SecureNetwork {
     extensions: Vec<Arc<SecureBrokerExtension>>,
     rng: HmacDrbg,
     key_bits: usize,
-    request_timeout: Duration,
     verify_cache_capacity: Option<usize>,
 }
 
@@ -341,19 +331,12 @@ impl SecureNetwork {
         self.key_bits
     }
 
-    fn client_config(&self, nickname: &str) -> ClientConfig {
-        ClientConfig {
-            nickname: nickname.to_string(),
-            request_timeout: self.request_timeout,
-        }
-    }
-
     /// Creates a plain (insecure) client peer — the baseline of every
     /// experiment.
     pub fn plain_client(&mut self, nickname: &str) -> ClientPeer {
         ClientPeer::with_random_id(
             Arc::clone(&self.network),
-            self.client_config(nickname),
+            ClientConfig::named(nickname),
             &mut self.rng,
         )
     }
@@ -375,7 +358,7 @@ impl SecureNetwork {
     ) -> SecureClient {
         SecureClient::new(
             Arc::clone(&self.network),
-            self.client_config(nickname),
+            ClientConfig::named(nickname),
             identity,
             self.admin.credential().clone(),
             self.rng.next_u64(),

@@ -43,17 +43,41 @@
 //! every other; small federations gossip over that full mesh, larger ones
 //! over the epidemic fabric of bounded partial views (see
 //! [`Broker::epidemic_engaged`]).
+//!
+//! # Where the state lives
+//!
+//! * The **replica** (`crate::replica::Replica`, lock `broker.replica`):
+//!   everything replicated or repaired — advertisements, sessions, routing
+//!   and presence versions, membership and its stamps, group hosts, the
+//!   shard ring.  Its write guard bumps the repair epoch when it mutates.
+//! * The **fabric** (`crate::fabric::Fabric`, lock `broker.fabric`):
+//!   admission, membership (HyParView, SWIM) and dissemination (Plumtree,
+//!   the gossip and `IHave` queues), kept in step with the view by itself.
+//! * The ingress **pipeline** (see [`Broker::spawn`]) has its own locks; the
+//!   broker keeps the extension slot, the send lock, pending shard lookups
+//!   and the repair-tree cache.
+//! * The lock-free sequence clock (`crate::counter`) stamps messages and
+//!   local writes; that module's rule keeps every counter sent in range.
+//!
+//! Lock discipline: hold at most one of `replica` and `fabric`, and neither
+//! across a send, an extension hook or a [`SimNetwork`] call.  A replica
+//! transition returns what must be gossiped or pushed, and the broker ships
+//! it after releasing the guard — so there is no order between the two
+//! locks to get wrong.
 
+use crate::counter::{self, SyncClock};
 use crate::database::UserDatabase;
+use crate::fabric::{Fabric, GossipEvent};
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
-use crate::membership::PartialView;
 use crate::message::{Message, MessageKind};
-use crate::plumtree::{GossipId, PlumtreeState};
 use crate::metrics::{FederationMetrics, FederationStats, PipelineMetrics, PipelineStats};
 use crate::net::{NetMessage, SimNetwork};
-use crate::shard::{self, SectionTree, ShardRing};
-use crate::swim::{AliveOutcome, DeadOutcome, SuspectOutcome, SwimDetector};
+use crate::plumtree::GossipId;
+use crate::replica::{
+    extension_hash, FlatEntry, JoinGossip, PresenceEntry, PresenceVersion, Replica, PRESENCE_JOIN,
+};
+use crate::shard::{self, SectionTree};
 use crate::tracked::Tracked;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -397,83 +421,6 @@ pub struct BrokerSession {
     pub groups: Vec<GroupId>,
 }
 
-/// One indexed advertisement: the XML document plus its last-writer-wins
-/// version.  The version is `(sequence number at the origin broker, origin
-/// broker id)`: every broker keeps the entry with the greatest version, so
-/// concurrent publishes of the same `(owner, doc type)` key at different
-/// brokers converge to the same winner on every replica regardless of the
-/// order the gossip arrives in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct IndexedAdvertisement {
-    xml: String,
-    version: (u64, PeerId),
-}
-
-/// Advertisement index for one group: (owner, doc type) → versioned XML.
-type GroupAdvertisements = HashMap<(PeerId, String), IndexedAdvertisement>;
-
-/// A flattened index entry: `(group, owner, doc type, xml, version)` — the
-/// shape migration re-routes across the ring.
-type FlatEntry = (GroupId, PeerId, String, String, (u64, PeerId));
-
-/// Version of a peer's replicated presence state: `(origin sequence, kind
-/// rank, origin broker)`.  Joins rank above leaves at the same sequence so a
-/// leave/re-join pair racing across the backbone resolves to the join on
-/// every broker.  Like the advertisement versions, any total order makes the
-/// replicas converge; the ranking only picks the intuitive winner.
-type PresenceVersion = (u64, u8, PeerId);
-
-/// Rank of a leave in a [`PresenceVersion`].
-const PRESENCE_LEAVE: u8 = 0;
-/// Rank of a join in a [`PresenceVersion`].
-const PRESENCE_JOIN: u8 = 1;
-
-/// One gossip event queued for a peer broker: the flattened element list of
-/// a single replicated write (`op`, its version `seq`, and the op-specific
-/// fields).  Events are coalesced per destination into one `BrokerSync`
-/// digest per flush instead of one message per event.  Keys are owned
-/// because the epidemic fabric re-queues events parsed off the wire.
-#[derive(Debug, Clone)]
-struct GossipEvent {
-    fields: Vec<(String, String)>,
-}
-
-impl GossipEvent {
-    fn new(fields: Vec<(&str, String)>) -> Self {
-        GossipEvent {
-            fields: fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        }
-    }
-
-    fn from_owned(fields: Vec<(String, String)>) -> Self {
-        GossipEvent { fields }
-    }
-
-    /// The value of field `key`, if present.
-    fn get(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Sets field `key`, replacing an existing value.
-    fn set(&mut self, key: &str, value: String) {
-        if let Some(slot) = self.fields.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            self.fields.push((key.to_string(), value));
-        }
-    }
-
-    /// The gossip id of a broadcast event: its `(vorigin, seq)` LWW version.
-    fn gossip_id(&self) -> Option<GossipId> {
-        let origin = PeerId::from_urn(self.get("vorigin")?)?;
-        let seq = self.get("seq")?.parse().ok()?;
-        Some((origin, seq))
-    }
-}
-
 /// A lookup this broker routed to remote shard replicas and has not answered
 /// yet: the requesting client, its request identifier, and the merge state.
 #[derive(Debug)]
@@ -499,80 +446,24 @@ pub struct Broker {
     config: BrokerConfig,
     network: Arc<SimNetwork>,
     database: Arc<UserDatabase>,
-    /// Group membership (repair-tracked, like every [`Tracked`] field
-    /// below: its writes bump `repair_epoch`).
-    groups: GroupRegistry,
-    /// Global advertisement index: group → (owner, doc type) → XML.
-    advertisements: Tracked<HashMap<GroupId, GroupAdvertisements>>,
-    /// Connected (but not necessarily logged-in) peers.
-    connected: RwLock<HashMap<PeerId, ()>>,
-    /// Logged-in sessions.
-    sessions: Tracked<HashMap<PeerId, BrokerSession>>,
-    /// Live local sessions shadowed by a remote join this broker yielded to.
-    /// The connection is still open here; if the displacing origin later
-    /// gossips the peer's departure, the shadowed session is resurrected
-    /// (the join/leave pair proves the displacing join was a stale echo).
-    displaced: Tracked<HashMap<PeerId, BrokerSession>>,
+    /// Replicated, repair-tracked state (see the module docs).
+    replica: Tracked<Replica>,
+    /// Admission, membership and dissemination state (see the module docs).
+    fabric: Mutex<Fabric>,
     extension: RwLock<Option<Arc<dyn BrokerExtension>>>,
-    /// The other brokers of the federation backbone.  This is the complete
-    /// *known* set — admission control and the shard ring always use it;
-    /// the membership layer's partial views below pick the traffic targets.
-    peer_brokers: RwLock<Vec<PeerId>>,
-    /// HyParView-style partial views over `peer_brokers`: the bounded
-    /// active view is where broadcast traffic and anti-entropy go once the
-    /// epidemic fabric engages (see [`Broker::epidemic_engaged`]).
-    view: Mutex<PartialView>,
-    /// Plumtree eager/lazy edge sets, seen-set and graft cache over the
-    /// active view.
-    plumtree: Mutex<PlumtreeState>,
-    /// Gossip ids pending lazy advertisement, coalesced into one
-    /// `PlumtreeIHave` per destination at the next flush.
-    ihave_outbox: Mutex<BTreeMap<PeerId, Vec<GossipId>>>,
-    /// SWIM failure detector over the admitted peer set, ticked by the
-    /// repair cadence ([`Broker::start_repair_round`]).  Confirmed deaths
-    /// feed `view` / `plumtree` through [`Broker::on_swim_death`]; the
-    /// admission state (`peer_brokers`, `seen_seq`) is deliberately left
-    /// alone so a recovered broker re-enters by simply answering a probe.
-    swim: Mutex<SwimDetector>,
-    /// Which brokers host live members of each group: group → member →
-    /// home broker.  Maintained from the same fully replicated join/leave
-    /// gossip that feeds `peer_homes`, so it needs no extra wire traffic;
-    /// sharded publishes use it to address member-hosting brokers beyond
-    /// the replica set instead of broadcasting.
-    group_hosts: RwLock<HashMap<GroupId, HashMap<PeerId, PeerId>>>,
-    /// Which broker each remote peer is homed at (replicated via gossip).
-    peer_homes: Tracked<HashMap<PeerId, PeerId>>,
-    /// Last-writer-wins version of each peer's presence (join/leave) state.
-    peer_versions: RwLock<HashMap<PeerId, PresenceVersion>>,
-    /// Provenance version of each stored membership entry: the presence
-    /// version the `(group, member)` entry was asserted under.  Anti-entropy
-    /// deletion decisions compare a peer's *current* version against this —
-    /// a peer strictly newer than the entry's provenance that does not list
-    /// the membership proves the entry stale, while an equal version proves
-    /// it current (the same join event implies the same group list).
-    membership_versions: Tracked<HashMap<(GroupId, PeerId), PresenceVersion>>,
-    /// Sequence number stamped on outgoing inter-broker messages.
-    sync_seq: AtomicU64,
+    /// Sequence number stamped on outgoing inter-broker messages (shared
+    /// with the replica, which versions local writes with it).
+    sync_seq: Arc<SyncClock>,
     /// Serialises sequence allocation with the wire send (see
     /// [`Broker::send_sequenced`]): several threads send on a broker's
     /// behalf (its event loop, the federation repair loop, in-process
     /// callers), and the receiver's replay protection requires their
     /// sequence numbers to arrive in allocation order.
     send_lock: Mutex<()>,
-    /// Highest sequence number seen per origin broker (replay detection).
-    seen_seq: RwLock<HashMap<PeerId, u64>>,
     /// Federation activity counters.
     federation: FederationMetrics,
     /// Ingress-pipeline activity counters (all zero without a pipeline).
     pipeline: PipelineMetrics,
-    /// The consistent-hash ring over this broker and its federation peers
-    /// (only consulted when `config.replication_factor` is set).
-    ring: Tracked<ShardRing>,
-    /// Gossip events queued per destination, coalesced into one `BrokerSync`
-    /// digest per destination at the next [`Broker::flush_gossip`].  A
-    /// `BTreeMap` keeps the flush order deterministic, which the inline
-    /// federation's reproducible pumping relies on.
-    outbox: Mutex<BTreeMap<PeerId, Vec<GossipEvent>>>,
     /// Lookups routed to remote shard replicas, keyed by query identifier.
     pending_lookups: Mutex<HashMap<u64, PendingLookup>>,
     /// Next shard-query identifier.
@@ -584,22 +475,17 @@ pub struct Broker {
     /// anti-entropy round costs one root digest per edge instead of
     /// re-hashing O(shard) entries per peer per round.
     repair_trees: Mutex<RepairTreeCache>,
-    /// Version counter of the state the repair trees summarise, shared by
-    /// every [`Tracked`] field and the group registry: each mutating write
-    /// guard bumps it when it drops, and the cache drops all trees when its
-    /// recorded epoch falls behind.
-    repair_epoch: Arc<AtomicU64>,
 }
 
 /// Cached [`SectionTree`]s of the two shard-keyed anti-entropy sections,
 /// keyed by the peer whose shared-entry filter shaped them (in full
 /// replication the filter is peer-invariant, so one tree keyed by the
-/// broker's own id serves every edge).  Invalidated wholesale when
-/// `repair_epoch` moves: state writes are the common case and a coarse epoch
-/// keeps every write O(1).
+/// broker's own id serves every edge).  Invalidated wholesale when the
+/// replica's epoch moves: state writes are the common case and a coarse
+/// epoch keeps every write O(1).
 #[derive(Default)]
 struct RepairTreeCache {
-    /// The `repair_epoch` value the cached trees were built at.
+    /// The replica epoch the cached trees were built at.
     epoch: u64,
     /// Advertisement-section trees per peer filter.
     adv: HashMap<PeerId, Arc<SectionTree>>,
@@ -615,49 +501,24 @@ impl Broker {
         network: Arc<SimNetwork>,
         database: Arc<UserDatabase>,
     ) -> Arc<Self> {
-        let mut ring = ShardRing::new(config.replication_factor.unwrap_or(usize::MAX));
-        ring.insert(id);
-        let view = PartialView::new(id, config.active_view, config.passive_view);
-        let epoch = Arc::new(AtomicU64::new(0));
+        let sync_seq = Arc::new(SyncClock::default());
+        let replica = Replica::new(id, config.replication_factor, Arc::clone(&sync_seq));
         Arc::new(Broker {
             id,
+            replica: Tracked::with_class("broker.replica", replica),
+            fabric: Mutex::with_class("broker.fabric", Fabric::new(id, &config)),
             config,
             network,
             database,
-            groups: GroupRegistry::tracked_by(&epoch),
-            advertisements: Tracked::with_class("broker.advertisements", HashMap::new(), &epoch),
-            connected: RwLock::with_class("broker.connected", HashMap::new()),
-            sessions: Tracked::with_class("broker.sessions", HashMap::new(), &epoch),
-            displaced: Tracked::with_class("broker.displaced", HashMap::new(), &epoch),
             extension: RwLock::with_class("broker.extension", None),
-            peer_brokers: RwLock::with_class("broker.peer_brokers", Vec::new()),
-            view: Mutex::with_class("broker.view", view),
-            plumtree: Mutex::with_class(
-                "broker.plumtree",
-                PlumtreeState::new(crate::plumtree::DEFAULT_CACHE),
-            ),
-            ihave_outbox: Mutex::with_class("broker.ihave_outbox", BTreeMap::new()),
-            swim: Mutex::with_class("broker.swim", SwimDetector::new(id)),
-            group_hosts: RwLock::with_class("broker.group_hosts", HashMap::new()),
-            peer_homes: Tracked::with_class("broker.peer_homes", HashMap::new(), &epoch),
-            peer_versions: RwLock::with_class("broker.peer_versions", HashMap::new()),
-            membership_versions: Tracked::with_class(
-                "broker.membership_versions",
-                HashMap::new(),
-                &epoch,
-            ),
-            sync_seq: AtomicU64::new(0),
+            sync_seq,
             send_lock: Mutex::with_class("broker.send_lock", ()),
-            seen_seq: RwLock::with_class("broker.seen_seq", HashMap::new()),
             federation: FederationMetrics::new(),
             pipeline: PipelineMetrics::new(),
-            ring: Tracked::with_class("broker.ring", ring, &epoch),
-            outbox: Mutex::with_class("broker.outbox", BTreeMap::new()),
             pending_lookups: Mutex::with_class("broker.pending_lookups", HashMap::new()),
             next_query: AtomicU64::new(1),
             processed: AtomicU64::new(0),
             repair_trees: Mutex::with_class("broker.repair_trees", RepairTreeCache::default()),
-            repair_epoch: epoch,
         })
     }
 
@@ -682,14 +543,19 @@ impl Broker {
         &self.database
     }
 
-    /// The broker's group registry.
-    pub fn groups(&self) -> &GroupRegistry {
-        &self.groups
+    /// A snapshot of the broker's group registry.
+    pub fn groups(&self) -> GroupRegistry {
+        self.replica.read().groups().clone()
     }
 
     /// Installs the security extension.
     pub fn set_extension(&self, extension: Arc<dyn BrokerExtension>) {
         *self.extension.write() = Some(extension);
+    }
+
+    /// The installed extension, cloned out so no lock is held while it runs.
+    fn extension(&self) -> Option<Arc<dyn BrokerExtension>> {
+        self.extension.read().clone()
     }
 
     // ------------------------------------------------------------------
@@ -702,25 +568,9 @@ impl Broker {
     /// of a running sharded federation should follow up with
     /// [`Broker::reshard`] to migrate entries onto their new replicas.
     pub fn add_peer_broker(&self, broker: PeerId) {
-        if broker == self.id {
-            return;
+        if self.fabric.lock().admit(broker) {
+            self.replica.write().admit_broker(broker);
         }
-        {
-            let mut peers = self.peer_brokers.write();
-            if peers.contains(&broker) {
-                return;
-            }
-            peers.push(broker);
-            self.ring.write().insert(broker);
-        }
-        let active = {
-            let mut view = self.view.lock();
-            view.on_join(broker);
-            view.active()
-        };
-        self.plumtree.lock().sync_active(&active);
-        let peers = self.peer_brokers.read().clone();
-        self.swim.lock().sync_members(&peers);
     }
 
     /// Removes a broker from the federation backbone and the shard ring.
@@ -733,47 +583,11 @@ impl Broker {
     /// just left, and an unanswered client would otherwise only see its own
     /// timeout (and the pending entry would leak).
     pub fn remove_peer_broker(&self, broker: &PeerId) {
-        self.peer_brokers.write().retain(|b| b != broker);
-        self.ring.write().remove(broker);
-        self.seen_seq.write().remove(broker);
-        self.outbox.lock().remove(broker);
-        // Every survivor performs the identical cleanup, so the replicated
-        // state stays consistent without any gossip from the dead broker.
-        let orphans: Vec<PeerId> = {
-            let homes = self.peer_homes.read();
-            homes
-                .iter()
-                .filter(|(_, home)| *home == broker)
-                .map(|(peer, _)| *peer)
-                .collect()
-        };
-        for peer in orphans {
-            self.groups.leave_all(&peer);
-            self.forget_membership_stamps(&peer);
-            self.connected.write().remove(&peer);
-            self.displaced.write().remove(&peer);
-        }
-        self.peer_homes.write().retain(|_, home| home != broker);
-        let stranded: Vec<PendingLookup> = {
-            let mut pending = self.pending_lookups.lock();
-            std::mem::take(&mut *pending).into_values().collect()
-        };
-        for state in stranded {
+        self.fabric.lock().forget(broker);
+        self.replica.write().remove_broker(broker);
+        let stranded = std::mem::take(&mut *self.pending_lookups.lock());
+        for state in stranded.into_values() {
             self.finish_pending_lookup(state);
-        }
-        let active = {
-            let mut view = self.view.lock();
-            view.on_failure(broker);
-            view.active()
-        };
-        self.plumtree.lock().sync_active(&active);
-        self.ihave_outbox.lock().remove(broker);
-        let peers = self.peer_brokers.read().clone();
-        self.swim.lock().sync_members(&peers);
-        // The dead broker's hosted members left with it (mirrors the
-        // peer_homes cleanup above).
-        for hosts in self.group_hosts.write().values_mut() {
-            hosts.retain(|_, home| home != broker);
         }
     }
 
@@ -791,30 +605,24 @@ impl Broker {
     /// The replica set of `(group, owner)` on this broker's shard ring (in
     /// full-replication mode: this broker plus every peer).
     pub fn shard_replicas(&self, group: &GroupId, owner: &PeerId) -> Vec<PeerId> {
-        self.ring.read().replicas(group, owner)
-    }
-
-    /// Returns `true` if this broker must store the `(group, owner)` entry:
-    /// always in full-replication mode, only as a ring replica when sharded.
-    fn is_local_replica(&self, group: &GroupId, owner: &PeerId) -> bool {
-        !self.is_sharded() || self.ring.read().is_replica(group, owner, &self.id)
+        self.replica.read().replicas(group, owner)
     }
 
     /// Number of advertisements currently held in the local index (the
     /// quantity the sharding experiments show dropping from O(total) to
     /// O(total·K/N) per broker).
     pub fn advertisement_entry_count(&self) -> usize {
-        self.advertisements.read().values().map(HashMap::len).sum()
+        self.replica.read().advertisement_count()
     }
 
     /// The other brokers of the federation this broker gossips with.
     pub fn peer_brokers(&self) -> Vec<PeerId> {
-        self.peer_brokers.read().clone()
+        self.fabric.lock().peers().to_vec()
     }
 
     /// Returns `true` if `peer` is a known peer broker of the federation.
     pub fn is_peer_broker(&self, peer: &PeerId) -> bool {
-        self.peer_brokers.read().contains(peer)
+        self.fabric.lock().is_admitted(peer)
     }
 
     /// Whether the epidemic fabric is active: the broker is not pinned to
@@ -825,65 +633,36 @@ impl Broker {
     /// same answer — which the forwarding protocol needs: a broker that
     /// pushed eagerly must be able to rely on its neighbours pushing onward.
     pub fn epidemic_engaged(&self) -> bool {
-        !self.config.full_mesh && self.peer_brokers.read().len() > self.config.active_view
+        self.fabric.lock().engaged()
     }
 
     /// The peer brokers that broadcast gossip, anti-entropy and extension
     /// state target: the bounded active view once the epidemic fabric is
     /// engaged, the complete peer set otherwise.
     fn repair_targets(&self) -> Vec<PeerId> {
-        if self.epidemic_engaged() {
-            self.view.lock().active()
-        } else {
-            self.peer_brokers()
-        }
+        self.fabric.lock().targets()
     }
 
     /// The membership layer's current active view (complete below the view
     /// capacity), for tests and diagnostics.
     pub fn active_view(&self) -> Vec<PeerId> {
-        self.view.lock().active()
+        self.fabric.lock().active()
     }
 
     /// The Plumtree eager (tree) edges, for tests and diagnostics.
     pub fn epidemic_eager_peers(&self) -> Vec<PeerId> {
-        self.plumtree.lock().eager()
+        self.fabric.lock().eager()
     }
 
     /// The Plumtree lazy (digest-only) edges, for tests and diagnostics.
     pub fn epidemic_lazy_peers(&self) -> Vec<PeerId> {
-        self.plumtree.lock().lazy()
-    }
-
-    /// Records `member` as hosted at `home` for each listed group.
-    fn set_group_hosts(&self, member: &PeerId, groups: &[GroupId], home: PeerId) {
-        let mut hosts = self.group_hosts.write();
-        for group in groups {
-            hosts.entry(group.clone()).or_default().insert(*member, home);
-        }
-    }
-
-    /// Drops `member` from every group's host digest.
-    fn clear_group_hosts(&self, member: &PeerId) {
-        let mut hosts = self.group_hosts.write();
-        for members in hosts.values_mut() {
-            members.remove(member);
-        }
-        hosts.retain(|_, members| !members.is_empty());
+        self.fabric.lock().lazy()
     }
 
     /// The brokers hosting at least one live member of `group`, per the
     /// replicated join/leave digest (never includes this broker itself).
     pub fn group_host_brokers(&self, group: &GroupId) -> Vec<PeerId> {
-        let hosts = self.group_hosts.read();
-        let mut out: Vec<PeerId> = hosts
-            .get(group)
-            .map(|members| members.values().copied().collect())
-            .unwrap_or_default();
-        out.sort();
-        out.dedup();
-        out.retain(|b| *b != self.id);
-        out
+        self.replica.read().group_host_brokers(group)
     }
 
     /// Federation activity counters (gossip, relays, rejected traffic).
@@ -900,112 +679,65 @@ impl Broker {
     /// audience of broker-initiated pushes such as federation credential
     /// updates.
     pub fn client_peers(&self) -> Vec<PeerId> {
-        let mut peers: Vec<PeerId> = self.connected.read().keys().copied().collect();
-        for peer in self.sessions.read().keys() {
-            if !peers.contains(peer) {
-                peers.push(*peer);
-            }
-        }
-        peers.sort();
-        peers
+        self.replica.read().client_peers()
     }
 
     /// The broker a peer is homed at: this broker for local sessions, the
     /// gossip-replicated home broker for peers joined elsewhere.
     pub fn home_of(&self, peer: &PeerId) -> Option<PeerId> {
-        if self.sessions.read().contains_key(peer) {
-            return Some(self.id);
-        }
-        self.peer_homes.read().get(peer).copied()
+        self.replica.read().home_of(peer)
     }
 
     /// Deterministic snapshot of the advertisement index, used by the
     /// federation's replication-convergence checks.
     pub fn advertisement_snapshot(&self) -> Vec<(GroupId, PeerId, String, String)> {
-        let advertisements = self.advertisements.read();
-        let mut out = Vec::new();
-        for (group, index) in advertisements.iter() {
-            for ((owner, doc_type), adv) in index.iter() {
-                out.push((group.clone(), *owner, doc_type.clone(), adv.xml.clone()));
-            }
-        }
-        out.sort();
-        out
+        self.replica.read().advertisements_with(|xml, _| xml.to_string())
     }
 
     /// Like [`Broker::advertisement_snapshot`] but reporting each entry's
     /// last-writer-wins version instead of its XML — what the repair tests
     /// use to prove anti-entropy never regresses a newer write.
     pub fn advertisement_versions(&self) -> Vec<(GroupId, PeerId, String, (u64, PeerId))> {
-        let advertisements = self.advertisements.read();
-        let mut out = Vec::new();
-        for (group, index) in advertisements.iter() {
-            for ((owner, doc_type), adv) in index.iter() {
-                out.push((group.clone(), *owner, doc_type.clone(), adv.version));
-            }
-        }
-        out.sort();
-        out
+        self.replica.read().advertisements_with(|_, version| version)
     }
 
     /// Deterministic snapshot of the peer→home-broker routing table (local
     /// sessions map to this broker itself).
     pub fn routing_snapshot(&self) -> Vec<(PeerId, PeerId)> {
-        let mut out: Vec<(PeerId, PeerId)> = self
-            .sessions
-            .read()
-            .keys()
-            .map(|peer| (*peer, self.id))
-            .collect();
-        out.extend(self.peer_homes.read().iter().map(|(p, h)| (*p, *h)));
-        out.sort();
-        out
+        self.replica.read().routing_snapshot()
     }
 
     /// Returns `true` if `peer` completed the connect step.
     pub fn is_connected(&self, peer: &PeerId) -> bool {
-        self.connected.read().contains_key(peer)
+        self.replica.read().is_connected(peer)
     }
 
     /// Returns the session of a logged-in peer.
     pub fn session(&self, peer: &PeerId) -> Option<BrokerSession> {
-        self.sessions.read().get(peer).cloned()
+        self.replica.read().session(peer).cloned()
     }
 
     /// Number of logged-in peers.
     pub fn session_count(&self) -> usize {
-        self.sessions.read().len()
+        self.replica.read().session_count()
     }
 
     /// Marks a peer as connected (used by both the plain handler and the
     /// secure extension).
     pub fn mark_connected(&self, peer: PeerId) {
-        self.connected.write().insert(peer, ());
+        self.replica.write().mark_connected(peer);
     }
 
     /// Records a successful login and joins the user's groups.  Returns the
     /// created session and replicates it to the federation (the peer is now
     /// homed here).
     pub fn establish_session(&self, peer: PeerId, username: &str) -> BrokerSession {
-        let groups = self.database.groups_of(username);
-        for g in &groups {
-            self.groups.join(g.clone(), peer);
-        }
         let session = BrokerSession {
             username: username.to_string(),
-            groups: groups.clone(),
+            groups: self.database.groups_of(username),
         };
-        self.sessions.write().insert(peer, session.clone());
-        // If the peer previously logged in at another broker, this broker is
-        // its home now; a fresh login also supersedes any shadowed session.
-        self.peer_homes.write().remove(&peer);
-        self.displaced.write().remove(&peer);
-        let seq = self.version_local_presence(peer, PRESENCE_JOIN);
-        for g in &groups {
-            self.stamp_membership(g, peer, (seq, PRESENCE_JOIN, self.id));
-        }
-        self.set_group_hosts(&peer, &groups, self.id);
-        self.gossip_join(seq, peer, &groups);
+        let join = self.replica.write().establish_session(peer, session.clone());
+        self.gossip_joins(vec![join]);
         self.flush_gossip();
         session
     }
@@ -1013,137 +745,15 @@ impl Broker {
     /// Removes a peer's session and group memberships (logout / departure)
     /// and replicates the departure to the federation.
     pub fn drop_session(&self, peer: &PeerId) {
-        let had_session = self.sessions.write().remove(peer).is_some();
-        self.connected.write().remove(peer);
-        self.displaced.write().remove(peer);
-        self.groups.leave_all(peer);
-        self.forget_membership_stamps(peer);
-        self.clear_group_hosts(peer);
-        if had_session {
-            let peer = *peer;
-            let seq = self.version_local_presence(peer, PRESENCE_LEAVE);
-            self.gossip_to_all(GossipEvent::new(vec![
-                ("op", "leave".to_string()),
-                ("seq", seq.to_string()),
-                ("peer", peer.to_urn()),
-            ]));
-            self.flush_gossip();
-        }
-    }
-
-    /// Records a local join/leave in the presence register and returns the
-    /// sequence number it was versioned (and must be gossiped) under.  The
-    /// sequence is floored above the stored version so the local write — the
-    /// authoritative one, the client is talking to *this* broker — wins.
-    fn version_local_presence(&self, peer: PeerId, rank: u8) -> u64 {
-        let floor = self
-            .peer_versions
-            .read()
-            .get(&peer)
-            .map(|version| version.0 + 1)
-            .unwrap_or(1);
-        self.sync_seq.fetch_max(floor - 1, Ordering::Relaxed);
-        let seq = self.next_sync_seq();
-        self.peer_versions.write().insert(peer, (seq, rank, self.id));
-        seq
-    }
-
-    /// Records the provenance version of a stored membership entry.
-    fn stamp_membership(&self, group: &GroupId, member: PeerId, version: PresenceVersion) {
-        self.membership_versions
-            .write()
-            .insert((group.clone(), member), version);
-    }
-
-    /// Drops every membership provenance stamp of `peer` (paired with the
-    /// `leave_all` that cleared its memberships).
-    fn forget_membership_stamps(&self, peer: &PeerId) {
-        self.membership_versions
-            .write()
-            .retain(|(_, member), _| member != peer);
-    }
-
-    /// The provenance version of a stored membership entry (falling back to
-    /// the peer's presence version, then to a floor that loses every
-    /// comparison).
-    fn membership_stamp(&self, group: &GroupId, member: &PeerId) -> PresenceVersion {
-        if let Some(stamp) = self
-            .membership_versions
-            .read()
-            .get(&(group.clone(), *member))
-        {
-            return *stamp;
-        }
-        self.peer_versions
-            .read()
-            .get(member)
-            .copied()
-            .unwrap_or((0, PRESENCE_LEAVE, *member))
-    }
-
-    /// Applies the local side effects of a remote JOIN (the peer is homed
-    /// elsewhere now), shared by gossip application and anti-entropy repair:
-    /// live-session arbitration plus session/connection cleanup.  When the
-    /// peer is demonstrably logged in *here* — local ground truth the remote
-    /// join cannot know about — the lower broker id re-asserts (so a stale
-    /// join arriving late cannot ghost a live client) and the higher one
-    /// yields but *shadows* the still-open session instead of forgetting it;
-    /// exactly one side backs down, so the exchange always terminates.
-    /// Returns `true` when the event was absorbed by a re-assert and the
-    /// caller must stop applying it.
-    fn yield_to_remote_join(&self, peer: PeerId, origin: PeerId) -> bool {
-        if let Some(session) = self.session(&peer) {
-            if self.id < origin {
-                self.reassert_session(peer, &session);
-                return true;
-            }
-            self.displaced.write().insert(peer, session);
-        }
-        self.sessions.write().remove(&peer);
-        self.connected.write().remove(&peer);
-        false
-    }
-
-    /// Applies the local side effects of a remote LEAVE, shared by gossip
-    /// application and anti-entropy repair.  A leave echoing an older home
-    /// must not log out a peer that is live here, so a live session is
-    /// re-asserted unconditionally (the leaver holds no session and never
-    /// counter-asserts).  A *shadowed* session is resurrected instead: the
-    /// peer's global state just became "gone", yet its connection here is
-    /// still open, which proves the join we yielded to was a stale echo of a
-    /// completed login/logout episode.  Returns `true` when the event was
-    /// absorbed and the caller must stop applying it.
-    fn absorb_remote_leave(&self, peer: PeerId) -> bool {
-        if let Some(session) = self.session(&peer) {
-            self.reassert_session(peer, &session);
-            return true;
-        }
-        if let Some(session) = self.displaced.write().remove(&peer) {
-            self.sessions.write().insert(peer, session.clone());
-            self.reassert_session(peer, &session);
-            return true;
-        }
-        self.connected.write().remove(&peer);
-        false
-    }
-
-    /// Applies `version` to the presence register if it is newer than the
-    /// stored one.  Returns `false` when the incoming write is stale.
-    fn try_version_presence(&self, peer: PeerId, version: PresenceVersion) -> bool {
-        let mut versions = self.peer_versions.write();
-        match versions.entry(peer) {
-            std::collections::hash_map::Entry::Occupied(mut stored) => {
-                if version <= *stored.get() {
-                    return false;
-                }
-                stored.insert(version);
-                true
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(version);
-                true
-            }
-        }
+        let Some(seq) = self.replica.write().drop_session(peer) else {
+            return;
+        };
+        self.gossip_to_all(GossipEvent::new(vec![
+            ("op", "leave".to_string()),
+            ("seq", seq.to_string()),
+            ("peer", peer.to_urn()),
+        ]));
+        self.flush_gossip();
     }
 
     /// Stores an advertisement in the shard (or, in full-replication mode,
@@ -1173,9 +783,15 @@ impl Broker {
         // The gossip's sequence number doubles as the entry's last-writer-
         // wins version, so the local write and its replicas carry the
         // identical version on every broker.
-        let seq = self.next_sync_seq();
-        let store = self.is_local_replica(group, &from);
-        let pushed = self.apply_publish(from, group, doc_type, xml, (seq, self.id), store);
+        let seq = self.sync_seq.next();
+        let (members, sharded_targets) = {
+            let mut replica = self.replica.write();
+            let members = replica.publish(from, group, doc_type, xml, (seq, self.id));
+            let targets = self.is_sharded().then(|| replica.publish_targets(group, &from));
+            (members, targets)
+        };
+        let pushed =
+            members.map_or(0, |members| self.push_advertisement(&members, group, doc_type, xml));
         let event = GossipEvent::new(vec![
             ("op", "publish".to_string()),
             ("seq", seq.to_string()),
@@ -1184,79 +800,16 @@ impl Broker {
             ("owner", from.to_urn()),
             ("xml", xml.to_string()),
         ]);
-        let fanout = if self.is_sharded() {
-            let mut targets: Vec<PeerId> = self
-                .shard_replicas(group, &from)
-                .into_iter()
-                .chain(self.group_host_brokers(group))
-                .filter(|broker| *broker != self.id)
-                .collect();
-            targets.sort();
-            targets.dedup();
-            self.gossip_to(&targets, event);
-            targets.len()
-        } else {
-            self.gossip_to_all(event)
+        let fanout = match sharded_targets {
+            Some(targets) => {
+                self.fabric.lock().queue(&targets, event);
+                targets.len()
+            }
+            None => self.gossip_to_all(event),
         };
         self.federation.count_publish_fanout(fanout as u64);
         self.flush_gossip();
         pushed
-    }
-
-    /// Indexes an advertisement (when `store` — the origin of a sharded
-    /// publish may not be one of the entry's replicas) and pushes it to
-    /// locally homed group members, without gossiping; shared by the local
-    /// publish path and the gossip application path.  A stored entry is only
-    /// replaced when `version` is greater than the stored one (last-writer-
-    /// wins convergence).
-    fn apply_publish(
-        &self,
-        from: PeerId,
-        group: &GroupId,
-        doc_type: &str,
-        xml: &str,
-        version: (u64, PeerId),
-        store: bool,
-    ) -> usize {
-        if store && !self.store_advertisement(from, group, doc_type, xml, version) {
-            // A concurrent write with a greater version already won; dropping
-            // this one keeps all replicas equal.
-            return 0;
-        }
-        self.push_to_local_members(from, group, doc_type, xml)
-    }
-
-    /// Inserts (or LWW-replaces) an advertisement in the local index.
-    /// Returns `false` when a write with a greater-or-equal version is
-    /// already stored — the shared no-regression rule of gossip application
-    /// and anti-entropy repair.  The stored version is compared through a
-    /// shared borrow of the guard, so a stale write leaves the repair
-    /// epoch (and with it the cached repair trees) alone.
-    fn store_advertisement(
-        &self,
-        from: PeerId,
-        group: &GroupId,
-        doc_type: &str,
-        xml: &str,
-        version: (u64, PeerId),
-    ) -> bool {
-        let key = (from, doc_type.to_string());
-        let mut advertisements = self.advertisements.write();
-        let stored = advertisements
-            .get(group)
-            .and_then(|index| index.get(&key))
-            .map(|adv| adv.version);
-        if stored.is_some_and(|stored| version <= stored) {
-            return false;
-        }
-        advertisements.entry(group.clone()).or_default().insert(
-            key,
-            IndexedAdvertisement {
-                xml: xml.to_string(),
-                version,
-            },
-        );
-        true
     }
 
     /// Seeds one advertisement directly into the local index with an
@@ -1273,34 +826,28 @@ impl Broker {
         xml: &str,
         version: (u64, PeerId),
     ) -> bool {
-        self.store_advertisement(owner, group, doc_type, xml, version)
+        self.replica
+            .write()
+            .store_advertisement(owner, group, doc_type, xml, version)
     }
 
-    /// Pushes an advertisement to the locally homed members of its group
-    /// (everyone but the owner).  Returns the number of peers pushed to.
-    fn push_to_local_members(
+    /// Pushes an advertisement to the given locally homed group members.
+    /// Returns the number of peers pushed to.
+    fn push_advertisement(
         &self,
-        from: PeerId,
+        members: &[PeerId],
         group: &GroupId,
         doc_type: &str,
         xml: &str,
     ) -> usize {
-        let local: Vec<PeerId> = {
-            let sessions = self.sessions.read();
-            self.groups
-                .members(group)
-                .into_iter()
-                .filter(|member| *member != from && sessions.contains_key(member))
-                .collect()
-        };
         let mut pushed = 0;
-        for member in local {
+        for member in members {
             let push = Message::new(MessageKind::AdvertisementPush, self.id, 0)
                 .with_str("group", group.as_str())
                 .with_str("doc-type", doc_type)
                 .with_str("xml", xml);
             // lint:allow(accounted-send, client-facing push to a locally attached member)
-            if self.network.send(self.id, member, push.to_bytes()).is_ok() {
+            if self.network.send(self.id, *member, push.to_bytes()).is_ok() {
                 pushed += 1;
             }
         }
@@ -1310,11 +857,6 @@ impl Broker {
     // ------------------------------------------------------------------
     // Federation gossip
     // ------------------------------------------------------------------
-
-    /// Allocates the next outgoing inter-broker sequence number.
-    fn next_sync_seq(&self) -> u64 {
-        self.sync_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
 
     /// Stamps `message` with the next inter-broker sequence number and sends
     /// it, holding the send lock so allocation order and wire order agree.
@@ -1326,7 +868,7 @@ impl Broker {
     /// size *after* the sequence element was appended.
     fn send_sequenced(&self, to: PeerId, mut message: Message, carried_wire: Duration) -> Option<usize> {
         let _guard = self.send_lock.lock();
-        let seq = self.next_sync_seq();
+        let seq = self.sync_seq.next();
         message.push_element("seq", seq.to_string().into_bytes());
         let bytes = message.to_bytes();
         let size = bytes.len();
@@ -1337,62 +879,24 @@ impl Broker {
             .map(|_| size)
     }
 
-    /// Queues a broadcast gossip event for the federation and returns the
-    /// number of brokers it was queued to directly (the origin's fan-out).
-    ///
-    /// Full mesh (or a federation small enough that the active view is
-    /// complete): queued to every peer broker, exactly the old behaviour.
-    /// Epidemic: the event is stamped with its version origin and a
-    /// broadcast marker, recorded as seen and cached for grafts, queued
-    /// eagerly only to the Plumtree tree edges, and advertised as an
-    /// `IHave` on the lazy edges at the next flush — receivers forward it
-    /// onward (see [`Broker::handle_sync`]), which is what caps this
-    /// broker's fan-out at the view size.
-    fn gossip_to_all(&self, mut event: GossipEvent) -> usize {
-        if !self.epidemic_engaged() {
-            let peers = self.peer_brokers.read().clone();
-            self.gossip_to(&peers, event);
-            return peers.len();
-        }
-        event.set("vorigin", self.id.to_urn());
-        event.set("bcast", "1".to_string());
-        let Some(gid) = event.gossip_id() else {
-            // No parseable version: fall back to direct delivery rather
-            // than lose the event (forwarders could not dedup it).
-            let peers = self.peer_brokers.read().clone();
-            self.gossip_to(&peers, event);
-            return peers.len();
-        };
-        let (eager, lazy) = {
-            let mut tree = self.plumtree.lock();
-            tree.note_seen(gid);
-            tree.cache_event(gid, event.fields.clone());
-            (tree.eager(), tree.lazy())
-        };
-        self.gossip_to(&eager, event);
-        self.federation.count_eager_pushes(eager.len() as u64);
-        if !lazy.is_empty() {
-            let mut ihaves = self.ihave_outbox.lock();
-            for peer in &lazy {
-                ihaves.entry(*peer).or_default().push(gid);
-            }
-        }
-        eager.len()
+    /// Queues a broadcast gossip event and returns the origin's fan-out (see
+    /// `Fabric::broadcast`; receivers forward it in [`Broker::handle_sync`]).
+    fn gossip_to_all(&self, event: GossipEvent) -> usize {
+        self.fabric.lock().broadcast(event, &self.federation)
     }
 
-    /// Queues a gossip event for each broker in `targets`.  Nothing is sent
-    /// yet: events are coalesced per destination and shipped as one digest
-    /// per destination by [`Broker::flush_gossip`].
-    fn gossip_to(&self, targets: &[PeerId], event: GossipEvent) {
-        if targets.is_empty() {
-            return;
-        }
-        let mut outbox = self.outbox.lock();
-        for target in targets {
-            if *target == self.id {
-                continue;
-            }
-            outbox.entry(*target).or_default().push(event.clone());
+    /// Queues the joins a replica transition handed back for every peer: the
+    /// routing update is fully replicated in both modes (receivers apply the
+    /// membership part only for entries they own).  The caller flushes.
+    fn gossip_joins(&self, joins: Vec<JoinGossip>) {
+        for join in joins {
+            let groups: Vec<&str> = join.groups.iter().map(GroupId::as_str).collect();
+            self.gossip_to_all(GossipEvent::new(vec![
+                ("op", "join".to_string()),
+                ("seq", join.seq.to_string()),
+                ("peer", join.peer.to_urn()),
+                ("groups", groups.join(",")),
+            ]));
         }
     }
 
@@ -1404,10 +908,7 @@ impl Broker {
     /// application — pays one backbone message per destination instead of
     /// one per event.
     pub fn flush_gossip(&self) {
-        let batches: Vec<(PeerId, Vec<GossipEvent>)> = {
-            let mut outbox = self.outbox.lock();
-            std::mem::take(&mut *outbox).into_iter().collect()
-        };
+        let batches = self.fabric.lock().take_outbox();
         for (destination, events) in batches {
             let mut digest = Message::new(MessageKind::BrokerSync, self.id, 0)
                 .with_str("count", &events.len().to_string());
@@ -1436,21 +937,13 @@ impl Broker {
     /// edge instead of one per publish; the sends avoided are counted as
     /// `ihave_digests_saved`.
     pub fn flush_ihaves(&self) {
-        let ihaves: Vec<(PeerId, Vec<GossipId>)> = {
-            let mut outbox = self.ihave_outbox.lock();
-            std::mem::take(&mut *outbox).into_iter().collect()
-        };
+        let ihaves = self.fabric.lock().take_ihaves();
         for (destination, gids) in ihaves {
             // Per-publish flushing would have shipped each id in its own
             // digest; coalescing n ids saves n-1 sends to this destination.
             self.federation
                 .count_ihave_digests_saved(gids.len().saturating_sub(1) as u64);
-            let mut digest = Message::new(MessageKind::PlumtreeIHave, self.id, 0)
-                .with_str("count", &gids.len().to_string());
-            for (i, (origin, seq)) in gids.iter().enumerate() {
-                digest.push_element(format!("g{i}-origin"), origin.to_urn().into_bytes());
-                digest.push_element(format!("g{i}-seq"), seq.to_string().into_bytes());
-            }
+            let digest = self.gossip_id_digest(MessageKind::PlumtreeIHave, &gids);
             if self.send_sequenced(destination, digest, Duration::ZERO).is_some() {
                 self.federation.count_ihave_sent();
             }
@@ -1460,36 +953,17 @@ impl Broker {
     /// Admission control for inter-broker traffic, run once per message by
     /// [`Broker::process_net`] before any inter-broker handler: the origin
     /// must be a known peer broker, it must match the transport-level sender
-    /// `from`, and the sequence number must be fresh.  Rejections are
-    /// counted (they are what the cross-broker attack tests assert on).
+    /// `from`, and the sequence number must be fresh and in range (see
+    /// [`counter::parse`]).  Rejections are counted (they are what the
+    /// cross-broker attack tests assert on).
     ///
     /// This models the connection-oriented trust of a real backbone (a
     /// broker knows which TLS/TCP link a message arrived on); an adversary
     /// spoofing *both* identities is only stopped by the end-to-end
     /// cryptography of the secure extension, never by the overlay.
     fn accept_from_peer_broker(&self, origin: PeerId, from: PeerId, seq: Option<String>) -> bool {
-        if from != origin || !self.is_peer_broker(&origin) {
-            self.federation.count_rejected_unknown_origin();
-            return false;
-        }
-        let Some(seq) = seq.and_then(|s| s.parse::<u64>().ok()) else {
-            self.federation.count_rejected_replayed();
-            return false;
-        };
-        // Lamport merge: pull the local sequence counter past every observed
-        // remote sequence number, so subsequent *local* writes always
-        // version-dominate the remote writes this broker has already seen —
-        // without it, a fresh local publish on a quiet broker would lose the
-        // LWW comparison against a replica from a busier broker.
-        self.sync_seq.fetch_max(seq, Ordering::Relaxed);
-        let mut seen = self.seen_seq.write();
-        let last = seen.entry(origin).or_insert(0);
-        if seq <= *last {
-            self.federation.count_rejected_replayed();
-            return false;
-        }
-        *last = seq;
-        true
+        let seq = seq.as_deref().and_then(counter::parse);
+        self.fabric.lock().admit_message(origin, from, seq, &self.sync_seq, &self.federation)
     }
 
     /// Applies one admitted gossip message to local state.  Two wire shapes
@@ -1513,61 +987,37 @@ impl Broker {
                 // Epidemic bookkeeping first: a broadcast event (it carries
                 // its gossip id in `vorigin`/`seq` plus the `bcast` marker)
                 // is deduplicated on the seen-set, cached for grafts, and
-                // re-queued onward — eager edges get the payload, lazy
-                // edges an `IHave` at the flush below.  Application itself
-                // stays on the byte-faithful closure over the wire message.
+                // re-queued onward.  Application itself stays on the
+                // byte-faithful closure over the wire message.
                 let gid = if epidemic
                     && index.get(&format!("e{i}-bcast")) == Some(b"1".as_slice())
                 {
                     index
                         .get_str(&format!("e{i}-vorigin"))
                         .and_then(|urn| PeerId::from_urn(&urn))
-                        .zip(
-                            index
-                                .get_str(&format!("e{i}-seq"))
-                                .and_then(|s| s.parse::<u64>().ok()),
-                        )
+                        .zip(index.get_str(&format!("e{i}-seq")).as_deref().and_then(counter::parse))
                 } else {
                     None
                 };
                 if let Some(gid) = gid {
                     broadcasts += 1;
-                    let fresh = self.plumtree.lock().note_seen(gid);
+                    let prefix = format!("e{i}-");
+                    let fields = || {
+                        message
+                            .elements
+                            .iter()
+                            .filter_map(|element| {
+                                element.name.strip_prefix(&prefix).map(|field| {
+                                    let value = String::from_utf8_lossy(&element.content);
+                                    (field.to_string(), value.into_owned())
+                                })
+                            })
+                            .collect()
+                    };
+                    let fresh = self.fabric.lock().relay(gid, fields, origin, &self.federation);
                     if !fresh {
                         duplicates += 1;
                         continue;
-                    }
-                    let prefix = format!("e{i}-");
-                    let fields: Vec<(String, String)> = message
-                        .elements
-                        .iter()
-                        .filter_map(|element| {
-                            element.name.strip_prefix(&prefix).map(|field| {
-                                (
-                                    field.to_string(),
-                                    String::from_utf8_lossy(&element.content).into_owned(),
-                                )
-                            })
-                        })
-                        .collect();
-                    let (eager, lazy) = {
-                        let mut tree = self.plumtree.lock();
-                        tree.cache_event(gid, fields.clone());
-                        (tree.eager(), tree.lazy())
-                    };
-                    let forward: Vec<PeerId> = eager
-                        .into_iter()
-                        .filter(|p| *p != origin && *p != gid.0)
-                        .collect();
-                    self.gossip_to(&forward, GossipEvent::from_owned(fields));
-                    self.federation.count_eager_pushes(forward.len() as u64);
-                    if !lazy.is_empty() {
-                        let mut ihaves = self.ihave_outbox.lock();
-                        for peer in lazy {
-                            if peer != origin && peer != gid.0 {
-                                ihaves.entry(peer).or_default().push(gid);
-                            }
-                        }
                     }
                 }
                 self.apply_sync_event(origin, &|field: &str| {
@@ -1583,7 +1033,7 @@ impl Broker {
         // duplicates the tree: demote it to lazy and tell the sender to
         // prune its side too.
         if epidemic && broadcasts > 0 && duplicates == broadcasts {
-            self.plumtree.lock().demote(origin);
+            self.fabric.lock().prune(origin);
             let prune = Message::new(MessageKind::PlumtreePrune, self.id, 0);
             if self.send_sequenced(origin, prune, Duration::ZERO).is_some() {
                 self.federation.count_prune_sent();
@@ -1600,137 +1050,63 @@ impl Broker {
     /// bytes; textual fields are decoded through the local `get` helper.
     fn apply_sync_event(&self, origin: PeerId, raw: &dyn Fn(&str) -> Option<Vec<u8>>) {
         let get = |field: &str| raw(field).map(|b| String::from_utf8_lossy(&b).into_owned());
-        let Some(seq) = get("seq").and_then(|s| s.parse::<u64>().ok()) else {
+        let peer_field = |field: &str| get(field).and_then(|urn| PeerId::from_urn(&urn));
+        let Some(seq) = get("seq").as_deref().and_then(counter::parse) else {
             return;
         };
-        match get("op").as_deref() {
+        // The version origin (for joins and leaves: the peer's home) travels
+        // with epidemic and migrated events, where the transport sender may
+        // be a forwarder; the direct-delivery layouts fall back to the sender.
+        let version = (seq, peer_field("vorigin").unwrap_or(origin));
+        let mut joins = Vec::new();
+        let applied = match get("op").as_deref() {
             Some("publish") => {
                 let (Some(group), Some(doc_type), Some(owner), Some(xml)) = (
                     get("group"),
                     get("doc-type"),
-                    get("owner"),
+                    peer_field("owner"),
                     get("xml"),
                 ) else {
                     return;
                 };
-                let Some(owner) = PeerId::from_urn(&owner) else {
-                    return;
-                };
-                // Migrated entries keep their original version: the version
-                // origin travels with the event and may differ from the
-                // broker that re-routed it here.
-                let version_origin = get("vorigin")
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .unwrap_or(origin);
-                let group = GroupId::new(group);
                 // A broker outside the replica set can still receive the
                 // publish: group-aware routing addresses member-hosting
-                // brokers so they push to their local members.  They apply
-                // without storing — `sharded_converged` checks the entry
-                // lives on exactly its ring replicas.
-                let store = self.is_local_replica(&group, &owner);
-                self.apply_publish(owner, &group, &doc_type, &xml, (seq, version_origin), store);
-                self.federation.count_sync_applied();
+                // brokers so they push to their local members.
+                let group = GroupId::new(group);
+                let members = self.replica.write().publish(owner, &group, &doc_type, &xml, version);
+                if let Some(members) = members {
+                    self.push_advertisement(&members, &group, &doc_type, &xml);
+                }
+                true
             }
             Some("join") => {
-                let Some(peer) = get("peer").and_then(|urn| PeerId::from_urn(&urn)) else {
+                let Some(peer) = peer_field("peer") else {
                     return;
                 };
-                // The joining peer's home is the broker that versioned the
-                // event.  Under the epidemic fabric the transport sender may
-                // be a forwarder, so the event carries the home explicitly;
-                // the direct-delivery layouts fall back to the sender.
-                let home = get("vorigin")
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .unwrap_or(origin);
-                if !self.try_version_presence(peer, (seq, PRESENCE_JOIN, home)) {
-                    return; // a newer local or replicated write already won
-                }
-                if self.yield_to_remote_join(peer, home) {
-                    return;
-                }
-                // The peer is homed at `home` now; any local session for it
-                // was stale (the peer re-homed to another broker).
-                self.groups.leave_all(&peer);
-                self.forget_membership_stamps(&peer);
-                self.clear_group_hosts(&peer);
-                self.peer_homes.write().insert(peer, home);
-                for group in get("groups")
-                    .unwrap_or_default()
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                {
-                    let group = GroupId::new(group);
-                    // Every broker records which broker hosts the member (the
-                    // group-aware publish routing digest) …
-                    self.set_group_hosts(&peer, std::slice::from_ref(&group), home);
-                    // … but sharded membership entries live on their ring
-                    // replicas only; the routing updates are applied by
-                    // every broker either way.
-                    if self.is_local_replica(&group, &peer) {
-                        self.stamp_membership(&group, peer, (seq, PRESENCE_JOIN, home));
-                        self.groups.join(group, peer);
-                    }
-                }
-                self.federation.count_sync_applied();
+                let groups = get("groups").unwrap_or_default();
+                self.replica.write().apply_join(peer, version, &groups, &mut joins)
             }
             Some("leave") => {
-                let Some(peer) = get("peer").and_then(|urn| PeerId::from_urn(&urn)) else {
+                let Some(peer) = peer_field("peer") else {
                     return;
                 };
-                let home = get("vorigin")
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .unwrap_or(origin);
-                if !self.try_version_presence(peer, (seq, PRESENCE_LEAVE, home)) {
-                    return; // the peer meanwhile re-homed; this leave is stale
-                }
-                if self.absorb_remote_leave(peer) {
-                    return;
-                }
-                self.groups.leave_all(&peer);
-                self.forget_membership_stamps(&peer);
-                self.clear_group_hosts(&peer);
-                self.peer_homes.write().remove(&peer);
-                self.federation.count_sync_applied();
+                self.replica.write().apply_leave(peer, version, &mut joins)
             }
             Some("membership") => {
                 // A migrated membership entry: (group, peer) re-routed onto
-                // this broker after a ring change.  It carries the presence
-                // version it was observed under; anything older than what we
-                // already know is stale and dropped.
+                // this broker after a ring change, carrying the presence
+                // version it was observed under.
                 let (Some(peer), Some(group), Some(rank), Some(vorigin)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
+                    peer_field("peer"),
                     get("group"),
                     get("vrank").and_then(|r| r.parse::<u8>().ok()),
-                    get("vorigin").and_then(|urn| PeerId::from_urn(&urn)),
+                    peer_field("vorigin"),
                 ) else {
                     return;
                 };
-                let carried: PresenceVersion = (seq, rank, vorigin);
-                {
-                    let mut versions = self.peer_versions.write();
-                    match versions.entry(peer) {
-                        std::collections::hash_map::Entry::Occupied(mut stored) => {
-                            if carried < *stored.get() {
-                                return; // a newer join/leave superseded this
-                            }
-                            if carried > *stored.get() {
-                                stored.insert(carried);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(carried);
-                        }
-                    }
-                }
-                if rank == PRESENCE_JOIN {
-                    let group = GroupId::new(group);
-                    if self.is_local_replica(&group, &peer) {
-                        self.stamp_membership(&group, peer, carried);
-                        self.groups.join(group, peer);
-                    }
-                }
-                self.federation.count_sync_applied();
+                self.replica
+                    .write()
+                    .apply_membership(peer, GroupId::new(group), (seq, rank, vorigin))
             }
             Some("ext") => {
                 // An opaque extension-state blob (e.g. an admin-signed
@@ -1740,70 +1116,53 @@ impl Broker {
                 let Some(blob) = raw("blob") else {
                     return;
                 };
-                let extension = self.extension.read().clone();
-                if let Some(extension) = extension {
+                if let Some(extension) = self.extension() {
                     let repaired = extension.apply_repair_snapshot(self, &blob);
                     if repaired > 0 {
                         self.federation.count_entries_repaired(repaired);
                     }
                 }
-                self.federation.count_sync_applied();
+                true
             }
             // SWIM verdicts ride the same gossip fabric as data events but
             // mutate the failure detector, not the replicated state (so they
             // do not count as `sync_applied`).  `sinc` is the incarnation
             // the accusation or refutation is made at; the detector's
             // precedence rules decide whether it lands.
-            Some("swim-suspect") => {
-                let (Some(peer), Some(sinc)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
-                    get("sinc").and_then(|s| s.parse::<u64>().ok()),
-                ) else {
+            Some(op @ ("swim-suspect" | "swim-alive" | "swim-dead")) => {
+                let (Some(peer), Some(sinc)) =
+                    (peer_field("peer"), get("sinc").as_deref().and_then(counter::parse))
+                else {
                     return;
                 };
-                let outcome = self.swim.lock().on_suspect(peer, sinc);
-                match outcome {
-                    SuspectOutcome::RefuteWith(incarnation) => {
-                        // Someone suspects *us*: broadcast an alive
-                        // announcement at a higher incarnation, which orders
-                        // above the accusation everywhere it reached.
-                        self.federation.count_swim_refutation();
-                        self.gossip_swim_alive(incarnation);
-                    }
-                    SuspectOutcome::Suspected => self.federation.count_swim_suspicion(),
-                    SuspectOutcome::Ignored => {}
+                let refute = self.fabric.lock().verdict(op, peer, sinc, &self.federation);
+                if let Some(incarnation) = refute {
+                    // An accusation of *this* broker: refute with an alive
+                    // announcement at a higher incarnation, which orders
+                    // above the accusation everywhere it reached.
+                    self.federation.count_swim_refutation();
+                    self.gossip_swim("swim-alive", self.id, incarnation);
+                    self.flush_gossip();
                 }
+                false
             }
-            Some("swim-alive") => {
-                let (Some(peer), Some(sinc)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
-                    get("sinc").and_then(|s| s.parse::<u64>().ok()),
-                ) else {
-                    return;
-                };
-                if self.swim.lock().on_alive(peer, sinc) == AliveOutcome::Cleared {
-                    self.swim_member_alive(peer);
-                }
-            }
-            Some("swim-dead") => {
-                let (Some(peer), Some(sinc)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
-                    get("sinc").and_then(|s| s.parse::<u64>().ok()),
-                ) else {
-                    return;
-                };
-                let outcome = self.swim.lock().on_dead(peer, sinc);
-                match outcome {
-                    DeadOutcome::Confirmed => self.on_swim_death(peer, sinc, false),
-                    DeadOutcome::RefuteWith(incarnation) => {
-                        self.federation.count_swim_refutation();
-                        self.gossip_swim_alive(incarnation);
-                    }
-                    DeadOutcome::Ignored => {}
-                }
-            }
-            _ => {}
+            _ => false,
+        };
+        self.gossip_joins(joins);
+        if applied {
+            self.federation.count_sync_applied();
         }
+    }
+
+    /// Queues a SWIM verdict (`swim-suspect`, `swim-dead` or this broker's
+    /// own `swim-alive` refutation) about `peer` at `incarnation`.
+    fn gossip_swim(&self, op: &str, peer: PeerId, incarnation: u64) {
+        self.gossip_to_all(GossipEvent::new(vec![
+            ("op", op.to_string()),
+            ("seq", self.sync_seq.next().to_string()),
+            ("peer", peer.to_urn()),
+            ("sinc", incarnation.to_string()),
+        ]));
     }
 
     // ------------------------------------------------------------------
@@ -1815,27 +1174,31 @@ impl Broker {
         csv.split(',').filter_map(PeerId::from_urn).collect()
     }
 
-    /// Handles a peer's `MembershipShuffle`: fold the offered sample into
-    /// the passive reservoir (never widening the known set — admission
-    /// stays anchored on `peer_brokers`) and answer with a sample of our
-    /// own views, so both reservoirs refresh from one exchange.
+    /// The SWIM incarnation a message piggybacks (0 without one in range —
+    /// still proof of life, just without refutation precedence).
+    fn incarnation_of(message: &Message) -> u64 {
+        message.element_str("inc").as_deref().and_then(counter::parse).unwrap_or(0)
+    }
+
+    /// Handles a peer's `MembershipShuffle` or the answering
+    /// `MembershipShuffleReply`: fold the offered sample into the passive
+    /// reservoir (never widening the known set — admission stays anchored on
+    /// the admitted peers) and answer a shuffle with a sample of our own
+    /// views, so both reservoirs refresh from one exchange.  Either doubles
+    /// as a SWIM liveness signal: receiving it at all is first-hand proof the
+    /// sender lives.
     fn handle_membership_shuffle(&self, message: &Message) {
-        // The shuffle doubles as a SWIM liveness signal: the sender
-        // piggybacks its incarnation, and receiving the message at all is
-        // first-hand proof of life.
-        self.swim_contact(message);
         let incoming = Self::parse_peer_list(&message.element_str("peers").unwrap_or_default());
-        let reply_sample = {
-            let mut view = self.view.lock();
-            let sample = view.shuffle_sample(incoming.len().max(4));
-            view.integrate_shuffle(&incoming);
-            sample
+        let answer = message.kind == MessageKind::MembershipShuffle;
+        let (reply_sample, incarnation) = {
+            let mut fabric = self.fabric.lock();
+            fabric.contact(message.sender, Self::incarnation_of(message), false);
+            (fabric.shuffle(&incoming, answer), fabric.incarnation())
         };
         if reply_sample.is_empty() {
             return;
         }
         let urns: Vec<String> = reply_sample.iter().map(PeerId::to_urn).collect();
-        let incarnation = self.swim.lock().incarnation();
         // Replied through the sequencing choke point, not `apply_net`'s
         // response path: inter-broker admission requires a fresh `seq`.
         let reply = Message::new(MessageKind::MembershipShuffleReply, self.id, 0)
@@ -1844,11 +1207,26 @@ impl Broker {
         self.send_sequenced(message.sender, reply, Duration::ZERO);
     }
 
-    /// Handles the answering half of a shuffle: integrate only.
-    fn handle_membership_shuffle_reply(&self, message: &Message) {
-        self.swim_contact(message);
-        let incoming = Self::parse_peer_list(&message.element_str("peers").unwrap_or_default());
-        self.view.lock().integrate_shuffle(&incoming);
+    /// The gossip ids an `IHave` or `Graft` digest lists (`count` plus
+    /// `g{i}-origin`/`g{i}-seq`), unparseable entries skipped.
+    fn gossip_ids(message: &Message) -> Option<Vec<GossipId>> {
+        let count = message.entry_count("count")?;
+        let index = message.index();
+        let gid = |i: usize| {
+            let origin = PeerId::from_urn(&index.get_str(&format!("g{i}-origin"))?)?;
+            Some((origin, index.get_str(&format!("g{i}-seq"))?.parse::<u64>().ok()?))
+        };
+        Some((0..count).filter_map(gid).collect())
+    }
+
+    /// An `IHave` or `Graft` digest listing `gids`.
+    fn gossip_id_digest(&self, kind: MessageKind, gids: &[GossipId]) -> Message {
+        let mut digest = Message::new(kind, self.id, 0).with_str("count", &gids.len().to_string());
+        for (i, (origin, seq)) in gids.iter().enumerate() {
+            digest.push_element(format!("g{i}-origin"), origin.to_urn().into_bytes());
+            digest.push_element(format!("g{i}-seq"), seq.to_string().into_bytes());
+        }
+        digest
     }
 
     /// Handles a lazy-edge `IHave` digest: any advertised gossip id this
@@ -1856,43 +1234,15 @@ impl Broker {
     /// first — promote the advertising edge and pull the payloads with a
     /// `Graft`.  Ids already seen need nothing: the tree worked.
     fn handle_plumtree_ihave(&self, message: &Message) {
-        let Some(count) = message.entry_count("count") else {
+        let Some(gids) = Self::gossip_ids(message) else {
             return;
         };
-        let index = message.index();
-        let mut missing: Vec<GossipId> = Vec::new();
-        {
-            let tree = self.plumtree.lock();
-            for i in 0..count {
-                let gid = index
-                    .get_str(&format!("g{i}-origin"))
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .zip(
-                        index
-                            .get_str(&format!("g{i}-seq"))
-                            .and_then(|s| s.parse::<u64>().ok()),
-                    );
-                if let Some(gid) = gid {
-                    if !tree.has_seen(&gid) {
-                        missing.push(gid);
-                    }
-                }
-            }
-        }
+        let missing = self.fabric.lock().ihave(message.sender, gids);
         if missing.is_empty() {
             return;
         }
-        self.plumtree.lock().promote(message.sender);
-        let mut graft = Message::new(MessageKind::PlumtreeGraft, self.id, 0)
-            .with_str("count", &missing.len().to_string());
-        for (i, (origin, seq)) in missing.iter().enumerate() {
-            graft.push_element(format!("g{i}-origin"), origin.to_urn().into_bytes());
-            graft.push_element(format!("g{i}-seq"), seq.to_string().into_bytes());
-        }
-        if self
-            .send_sequenced(message.sender, graft, Duration::ZERO)
-            .is_some()
-        {
+        let graft = self.gossip_id_digest(MessageKind::PlumtreeGraft, &missing);
+        if self.send_sequenced(message.sender, graft, Duration::ZERO).is_some() {
             self.federation.count_graft_sent();
         }
     }
@@ -1902,176 +1252,50 @@ impl Broker {
     /// still in the cache is re-sent as ordinary gossip.  Evicted payloads
     /// are counted as graft misses; anti-entropy repairs those.
     fn handle_plumtree_graft(&self, message: &Message) {
-        let Some(count) = message.entry_count("count") else {
+        let Some(gids) = Self::gossip_ids(message) else {
             return;
         };
-        self.plumtree.lock().promote(message.sender);
-        let index = message.index();
-        for i in 0..count {
-            let gid = index
-                .get_str(&format!("g{i}-origin"))
-                .and_then(|urn| PeerId::from_urn(&urn))
-                .zip(
-                    index
-                        .get_str(&format!("g{i}-seq"))
-                        .and_then(|s| s.parse::<u64>().ok()),
-                );
-            let Some(gid) = gid else {
-                continue;
-            };
-            let cached = self.plumtree.lock().cached(&gid);
-            match cached {
-                Some(fields) => {
-                    self.gossip_to(&[message.sender], GossipEvent::from_owned(fields));
-                }
-                None => self.federation.count_graft_miss(),
-            }
-        }
+        self.fabric.lock().graft(message.sender, gids, &self.federation);
         self.flush_gossip();
-    }
-
-    /// Handles a `Prune`: our pushes duplicate what the sender already has
-    /// — demote the edge to lazy (digests only) until a graft re-earns it.
-    fn handle_plumtree_prune(&self, message: &Message) {
-        self.plumtree.lock().demote(message.sender);
     }
 
     // ------------------------------------------------------------------
     // SWIM failure detection
     // ------------------------------------------------------------------
 
-    /// Feeds a received inter-broker message into the detector as
-    /// first-hand contact: the sender is demonstrably alive at whatever
-    /// incarnation it piggybacked (0 when the message carries none — still
-    /// proof of life, just without refutation precedence).
-    fn swim_contact(&self, message: &Message) {
-        let incarnation = message
-            .element_str("inc")
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(0);
-        let outcome = self.swim.lock().on_contact(message.sender, incarnation);
-        if outcome == AliveOutcome::Cleared {
-            self.swim_member_alive(message.sender);
-        }
-    }
-
-    /// Handles a SWIM direct probe.  The ping itself is first-hand
-    /// evidence the *sender* lives; the answer is an ack carrying our own
+    /// Handles a SWIM probe; either kind is first-hand evidence the
+    /// *sender* lives.  A `SwimPing` is answered with an ack carrying our
     /// incarnation, addressed to `reply-to` when present (the prober an
-    /// indirect probe relays for) or to the sender (the direct case).
-    fn handle_swim_ping(&self, message: &Message) {
-        self.swim_contact(message);
-        let reply_to = message
-            .element_str("reply-to")
-            .and_then(|urn| PeerId::from_urn(&urn))
-            .unwrap_or(message.sender);
-        if reply_to == self.id || !self.is_peer_broker(&reply_to) {
-            return;
-        }
-        let incarnation = self.swim.lock().incarnation();
-        let ack = Message::new(MessageKind::SwimAck, self.id, 0)
-            .with_str("inc", &incarnation.to_string());
-        if self.send_sequenced(reply_to, ack, Duration::ZERO).is_some() {
-            self.federation.count_swim_ack();
-        }
-    }
-
-    /// Handles an indirect ping request: a prober whose direct probe of
-    /// `target` timed out asks us to try from our vantage point.  We relay
-    /// a `SwimPing` whose `reply-to` names the original prober, so a live
-    /// target acks the prober directly and one relay hop suffices.
-    fn handle_swim_ping_req(&self, message: &Message) {
-        self.swim_contact(message);
-        let Some(target) = message
-            .element_str("target")
-            .and_then(|urn| PeerId::from_urn(&urn))
-        else {
+    /// indirect probe relays for) or to the sender.  A `SwimPingReq` comes
+    /// from a prober whose direct probe of `target` timed out: we relay a
+    /// `SwimPing` whose `reply-to` names the prober, so a live target acks
+    /// the prober directly and one relay hop suffices.
+    fn handle_swim_probe(&self, message: &Message) {
+        let relay = message.kind == MessageKind::SwimPingReq;
+        let peer = |name: &str| message.element_str(name).and_then(|urn| PeerId::from_urn(&urn));
+        let to =
+            if relay { peer("target") } else { Some(peer("reply-to").unwrap_or(message.sender)) };
+        let send = {
+            let mut fabric = self.fabric.lock();
+            fabric.contact(message.sender, Self::incarnation_of(message), false);
+            to.filter(|to| *to != self.id && fabric.is_admitted(to))
+                .map(|to| (to, fabric.incarnation()))
+        };
+        let Some((to, incarnation)) = send else {
             return;
         };
-        if target == self.id || !self.is_peer_broker(&target) {
-            return;
+        let kind = if relay { MessageKind::SwimPing } else { MessageKind::SwimAck };
+        let mut probe = Message::new(kind, self.id, 0).with_str("inc", &incarnation.to_string());
+        if relay {
+            probe.push_element("reply-to", message.sender.to_urn().into_bytes());
         }
-        let incarnation = self.swim.lock().incarnation();
-        let ping = Message::new(MessageKind::SwimPing, self.id, 0)
-            .with_str("inc", &incarnation.to_string())
-            .with_str("reply-to", &message.sender.to_urn());
-        if self.send_sequenced(target, ping, Duration::ZERO).is_some() {
-            self.federation.count_swim_probe();
+        if self.send_sequenced(to, probe, Duration::ZERO).is_some() {
+            if relay {
+                self.federation.count_swim_probe();
+            } else {
+                self.federation.count_swim_ack();
+            }
         }
-    }
-
-    /// Handles a probe ack: clears the outstanding probe (direct or
-    /// relayed) for the acking broker and refreshes it as alive.
-    fn handle_swim_ack(&self, message: &Message) {
-        let incarnation = message
-            .element_str("inc")
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(0);
-        let outcome = self.swim.lock().on_ack(message.sender, incarnation);
-        if outcome == AliveOutcome::Cleared {
-            self.swim_member_alive(message.sender);
-        }
-    }
-
-    /// Re-admits a member the detector cleared — a refutation, an ack from
-    /// a falsely-buried broker, or direct contact from a recovered one —
-    /// into the membership view and the Plumtree edge sets.  The inverse of
-    /// [`Broker::on_swim_death`]; admission state never changed, so this is
-    /// all a resurrection takes.
-    fn swim_member_alive(&self, peer: PeerId) {
-        if !self.is_peer_broker(&peer) {
-            return;
-        }
-        let active = {
-            let mut view = self.view.lock();
-            view.on_join(peer);
-            view.active()
-        };
-        self.plumtree.lock().sync_active(&active);
-    }
-
-    /// Applies a confirmed death verdict: evict `peer` from the membership
-    /// views (promotion from the passive reservoir heals the active set),
-    /// drop it from the Plumtree edge sets and the pending gossip queues,
-    /// and — when the verdict is this broker's own (`announce`) — gossip it
-    /// so the rest of the federation converges without each broker paying
-    /// its own suspicion timeout.  The admission set (`peer_brokers`), the
-    /// shard ring and the replay floor are deliberately untouched:
-    /// forgetting those is the operator-driven [`Broker::remove_peer_broker`]
-    /// path, and keeping them lets a recovered broker re-enter by simply
-    /// answering a probe again.
-    fn on_swim_death(&self, peer: PeerId, incarnation: u64, announce: bool) {
-        self.federation.count_swim_death();
-        let active = {
-            let mut view = self.view.lock();
-            view.on_failure(&peer);
-            view.active()
-        };
-        self.plumtree.lock().sync_active(&active);
-        self.ihave_outbox.lock().remove(&peer);
-        self.outbox.lock().remove(&peer);
-        if announce {
-            self.gossip_to_all(GossipEvent::new(vec![
-                ("op", "swim-dead".to_string()),
-                ("seq", self.next_sync_seq().to_string()),
-                ("peer", peer.to_urn()),
-                ("sinc", incarnation.to_string()),
-            ]));
-            self.flush_gossip();
-        }
-    }
-
-    /// Broadcasts this broker's refutation: an alive announcement at the
-    /// (freshly bumped) incarnation, which orders above every standing
-    /// accusation made at a lower one.
-    fn gossip_swim_alive(&self, incarnation: u64) {
-        self.gossip_to_all(GossipEvent::new(vec![
-            ("op", "swim-alive".to_string()),
-            ("seq", self.next_sync_seq().to_string()),
-            ("peer", self.id.to_urn()),
-            ("sinc", incarnation.to_string()),
-        ]));
-        self.flush_gossip();
     }
 
     /// One SWIM protocol period, driven by the repair cadence: advance the
@@ -2080,36 +1304,29 @@ impl Broker {
     /// probes.  The local-health multiplier is refreshed first from this
     /// broker's own inbox backlog, so an overloaded broker stretches its
     /// timeouts instead of flooding the federation with false accusations
-    /// it is merely too slow to see refuted.
+    /// it is merely too slow to see refuted.  Deaths this broker confirms are
+    /// evicted and gossiped, so peers need not wait out their own timeouts.
     fn start_swim_probe(&self) {
-        let peers = self.peer_brokers.read().clone();
-        if peers.is_empty() {
+        if self.fabric.lock().peers().is_empty() {
             return;
         }
         let backlog = self
             .network
             .delivered_to(&self.id)
             .saturating_sub(self.processed_count());
-        let plan = {
-            let mut swim = self.swim.lock();
-            swim.sync_members(&peers);
-            swim.set_backlog(backlog, SWIM_BACKLOG_THRESHOLD);
-            swim.tick()
-        };
+        let plan = self.fabric.lock().tick(backlog, SWIM_BACKLOG_THRESHOLD);
         for (peer, incarnation) in plan.new_dead {
-            self.on_swim_death(peer, incarnation, true);
+            self.federation.count_swim_death();
+            self.fabric.lock().on_death(&peer);
+            self.gossip_swim("swim-dead", peer, incarnation);
+            self.flush_gossip();
         }
         for (peer, incarnation) in plan.new_suspects {
             self.federation.count_swim_suspicion();
-            self.gossip_to_all(GossipEvent::new(vec![
-                ("op", "swim-suspect".to_string()),
-                ("seq", self.next_sync_seq().to_string()),
-                ("peer", peer.to_urn()),
-                ("sinc", incarnation.to_string()),
-            ]));
+            self.gossip_swim("swim-suspect", peer, incarnation);
         }
         if let Some(target) = plan.probe {
-            let incarnation = self.swim.lock().incarnation();
+            let incarnation = self.swim_incarnation();
             let ping = Message::new(MessageKind::SwimPing, self.id, 0)
                 .with_str("inc", &incarnation.to_string());
             if self.send_sequenced(target, ping, Duration::ZERO).is_some() {
@@ -2129,17 +1346,17 @@ impl Broker {
     /// The SWIM detector's record for `peer` (state and incarnation), or
     /// `None` when the detector is not tracking it.
     pub fn swim_record(&self, peer: &PeerId) -> Option<crate::swim::PeerRecord> {
-        self.swim.lock().record(peer)
+        self.fabric.lock().swim_record(peer)
     }
 
     /// The members the SWIM detector currently holds confirmed dead.
     pub fn swim_dead_members(&self) -> Vec<PeerId> {
-        self.swim.lock().dead_members()
+        self.fabric.lock().dead_members()
     }
 
     /// This broker's own SWIM incarnation (bumped by each refutation).
     pub fn swim_incarnation(&self) -> u64 {
-        self.swim.lock().incarnation()
+        self.fabric.lock().incarnation()
     }
 
     /// Replicates the extension's opaque repair state (e.g. its installed
@@ -2154,10 +1371,7 @@ impl Broker {
     /// applies the update before any request issued afterwards — the
     /// ordering `SecureNetwork::revoke` documents.
     pub fn gossip_extension_state(&self) {
-        let Some(extension) = self.extension.read().clone() else {
-            return;
-        };
-        let Some(blob) = extension.repair_snapshot() else {
+        let Some(blob) = self.extension().and_then(|e| e.repair_snapshot()) else {
             return;
         };
         // Epidemic federations send to the active view only; the x-section
@@ -2185,143 +1399,40 @@ impl Broker {
         if !self.is_sharded() {
             return 0;
         }
-        let mut migrated = 0u64;
-
-        // Local sessions re-assert their join first: the peer→home routing
-        // table is fully replicated, so a freshly admitted broker must learn
-        // every existing route (and the membership entries it now owns ride
-        // along in the join's group list).
-        let sessions: Vec<(PeerId, BrokerSession)> = self
-            .sessions
-            .read()
-            .iter()
-            .map(|(peer, session)| (*peer, session.clone()))
-            .collect();
-        for (peer, session) in sessions {
-            let seq = self.version_local_presence(peer, PRESENCE_JOIN);
-            self.gossip_join(seq, peer, &session.groups);
+        let plan = self.replica.write().reshard();
+        // Local sessions re-assert their join first: a freshly admitted
+        // broker must learn every existing route (and the membership
+        // entries it now owns ride along in the join's group list).
+        self.gossip_joins(plan.joins);
+        let mut fabric = self.fabric.lock();
+        for ((group, owner, doc_type, xml, version), targets) in plan.adverts {
+            fabric.queue(&targets, GossipEvent::new(vec![
+                ("op", "publish".to_string()),
+                ("seq", version.0.to_string()),
+                ("vorigin", version.1.to_urn()),
+                ("group", group.as_str().to_string()),
+                ("doc-type", doc_type),
+                ("owner", owner.to_urn()),
+                ("xml", xml),
+            ]));
         }
-
-        // Advertisements: re-gossip each entry (with its original version)
-        // to its replica set, then drop the ones that moved away.
-        let entries: Vec<FlatEntry> = {
-            let advertisements = self.advertisements.read();
-            advertisements
-                .iter()
-                .flat_map(|(group, index)| {
-                    index.iter().map(|((owner, doc_type), adv)| {
-                        (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version)
-                    })
-                })
-                .collect()
-        };
-        for (group, owner, doc_type, xml, version) in entries {
-            let replicas = self.shard_replicas(&group, &owner);
-            let targets: Vec<PeerId> = replicas
-                .iter()
-                .filter(|replica| **replica != self.id)
-                .copied()
-                .collect();
-            self.gossip_to(
-                &targets,
-                GossipEvent::new(vec![
-                    ("op", "publish".to_string()),
-                    ("seq", version.0.to_string()),
-                    ("vorigin", version.1.to_urn()),
-                    ("group", group.as_str().to_string()),
-                    ("doc-type", doc_type.clone()),
-                    ("owner", owner.to_urn()),
-                    ("xml", xml),
-                ]),
-            );
-            if !replicas.contains(&self.id) {
-                let mut advertisements = self.advertisements.write();
-                if let Some(index) = advertisements.get_mut(&group) {
-                    index.remove(&(owner, doc_type));
-                    if index.is_empty() {
-                        advertisements.remove(&group);
-                    }
-                }
-                migrated += 1;
-            }
+        for (group, peer, version, targets) in plan.memberships {
+            fabric.queue(&targets, GossipEvent::new(vec![
+                ("op", "membership".to_string()),
+                ("seq", version.0.to_string()),
+                ("vrank", PRESENCE_JOIN.to_string()),
+                ("vorigin", version.2.to_urn()),
+                ("peer", peer.to_urn()),
+                ("group", group.as_str().to_string()),
+            ]));
         }
-
-        // Membership: same treatment per (group, peer) entry, except that a
-        // locally homed session's membership is local ground truth and never
-        // dropped (its home broker keeps it in addition to the replicas).
-        for (group, members) in self.groups.snapshot() {
-            for peer in members {
-                let replicas = self.shard_replicas(&group, &peer);
-                // Migrated entries carry their provenance stamp, so the
-                // receiving replica's copy stays comparable against future
-                // presence versions exactly as the original was.
-                let version = self.membership_stamp(&group, &peer);
-                let targets: Vec<PeerId> = replicas
-                    .iter()
-                    .filter(|replica| **replica != self.id)
-                    .copied()
-                    .collect();
-                self.gossip_to(
-                    &targets,
-                    GossipEvent::new(vec![
-                        ("op", "membership".to_string()),
-                        ("seq", version.0.to_string()),
-                        ("vrank", PRESENCE_JOIN.to_string()),
-                        ("vorigin", version.2.to_urn()),
-                        ("peer", peer.to_urn()),
-                        ("group", group.as_str().to_string()),
-                    ]),
-                );
-                let homed_here = self.sessions.read().contains_key(&peer);
-                if !replicas.contains(&self.id) && !homed_here {
-                    self.groups.leave(&group, &peer);
-                    self.membership_versions
-                        .write()
-                        .remove(&(group.clone(), peer));
-                    migrated += 1;
-                }
-            }
-        }
-
-        self.federation.count_entries_migrated(migrated);
+        drop(fabric);
+        self.federation.count_entries_migrated(plan.migrated);
         // The whole migration ships as one digest per destination — the
         // coalescing is what keeps re-sharding O(brokers) messages instead
         // of O(entries).
         self.flush_gossip();
-        migrated
-    }
-
-    /// Re-announces a live local session whose presence register was just
-    /// overwritten by stale remote gossip: this broker *is* the peer's home
-    /// (the connection is local ground truth), so it restores the peer's
-    /// membership, re-versions the join above the remote write and gossips
-    /// it back out (the caller flushes).
-    fn reassert_session(&self, peer: PeerId, session: &BrokerSession) {
-        self.peer_homes.write().remove(&peer);
-        let seq = self.version_local_presence(peer, PRESENCE_JOIN);
-        for group in &session.groups {
-            self.stamp_membership(group, peer, (seq, PRESENCE_JOIN, self.id));
-            self.groups.join(group.clone(), peer);
-        }
-        self.set_group_hosts(&peer, &session.groups, self.id);
-        self.gossip_join(seq, peer, &session.groups);
-    }
-
-    /// Queues a join event for `peer` under `seq` towards every peer broker:
-    /// the peer→home routing update is fully replicated in both modes
-    /// (receivers apply the membership part only for entries they own).
-    fn gossip_join(&self, seq: u64, peer: PeerId, groups: &[GroupId]) {
-        let joined = groups
-            .iter()
-            .map(|g| g.as_str().to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.gossip_to_all(GossipEvent::new(vec![
-            ("op", "join".to_string()),
-            ("seq", seq.to_string()),
-            ("peer", peer.to_urn()),
-            ("groups", joined),
-        ]));
+        plan.migrated
     }
 
     // ------------------------------------------------------------------
@@ -2340,107 +1451,6 @@ impl Broker {
     // sender's in return; snapshots merge under the same last-writer-wins
     // versions as gossip, so repair can never regress a newer write.
 
-    /// Extends an FNV-1a state with a length-prefixed chunk (the prefix
-    /// keeps adjacent variable-length fields from aliasing).
-    fn hash_chunk(state: u64, bytes: &[u8]) -> u64 {
-        crate::shard::fnv1a(
-            crate::shard::fnv1a(state, &(bytes.len() as u64).to_be_bytes()),
-            bytes,
-        )
-    }
-
-    /// `true` when both this broker and `peer` are ring replicas of
-    /// `(group, owner)` — the shared-responsibility test that keeps the two
-    /// sides of an anti-entropy exchange hashing the same entry set.
-    /// Always `true` in full-replication mode.
-    fn is_shared_replica(&self, group: &GroupId, owner: &PeerId, peer: &PeerId) -> bool {
-        if !self.is_sharded() {
-            return true;
-        }
-        let ring = self.ring.read();
-        ring.is_replica(group, owner, &self.id) && ring.is_replica(group, owner, peer)
-    }
-
-    /// Sorted advertisement entries shared between this broker and `peer`.
-    fn repair_adv_entries(&self, peer: &PeerId) -> Vec<FlatEntry> {
-        let advertisements = self.advertisements.read();
-        let mut out: Vec<FlatEntry> = advertisements
-            .iter()
-            .flat_map(|(group, index)| {
-                index.iter().map(|((owner, doc_type), adv)| {
-                    (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version)
-                })
-            })
-            .filter(|(group, owner, ..)| self.is_shared_replica(group, owner, peer))
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// `true` when both this broker and `peer` are responsible for the
-    /// membership entry `(group, member)`: a ring replica of it, or the
-    /// member's home broker (which keeps its local sessions' memberships as
-    /// ground truth, and is the only broker that can heal replicas when the
-    /// join gossip was lost to all of them).  Both sides evaluate the home
-    /// from the fully replicated routing table, so the sets agree whenever
-    /// routing does — and routing itself is healed by the presence section.
-    fn is_membership_shared(&self, group: &GroupId, member: &PeerId, peer: &PeerId) -> bool {
-        if !self.is_sharded() {
-            return true;
-        }
-        let home = self.home_of(member);
-        let ring = self.ring.read();
-        let responsible = |broker: &PeerId| {
-            ring.is_replica(group, member, broker) || home == Some(*broker)
-        };
-        responsible(&self.id) && responsible(peer)
-    }
-
-    /// Sorted membership entries shared with `peer` (see
-    /// [`Broker::is_membership_shared`]).
-    fn repair_membership_entries(&self, peer: &PeerId) -> Vec<(GroupId, PeerId)> {
-        let mut out = Vec::new();
-        for (group, members) in self.groups.snapshot() {
-            for member in members {
-                if self.is_membership_shared(&group, &member, peer) {
-                    out.push((group.clone(), member));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Sorted presence register: every peer's last-writer-wins
-    /// `(seq, rank, origin)` version plus its current home broker.  Fully
-    /// replicated, like the routing table it versions, so the whole register
-    /// is exchanged with every peer.
-    fn repair_presence_entries(&self) -> Vec<(PeerId, PresenceVersion, Option<PeerId>)> {
-        let versions = self.peer_versions.read();
-        let sessions = self.sessions.read();
-        let homes = self.peer_homes.read();
-        let mut out: Vec<(PeerId, PresenceVersion, Option<PeerId>)> = versions
-            .iter()
-            .map(|(peer, version)| {
-                let home = if sessions.contains_key(peer) {
-                    Some(self.id)
-                } else {
-                    homes.get(peer).copied()
-                };
-                (*peer, *version, home)
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// The per-section anti-entropy hashes of the state shared with `peer`:
-    /// `(advertisements, membership, presence, extension)`.
-    fn repair_hashes(&self, peer: &PeerId) -> (u64, u64, u64, u64) {
-        let (a, m) = self.repair_shared_hashes(peer);
-        (a, m, self.repair_presence_hash(), self.repair_extension_hash())
-    }
-
     /// The hashes of the two ring-filtered sections (advertisements and
     /// membership) shared with `peer`: the root digests of the cached repair
     /// trees, so both the flat and the tree strategy compare the identical
@@ -2452,39 +1462,8 @@ impl Broker {
         )
     }
 
-    /// The hash of one advertisement entry as folded into the repair tree.
-    /// Order-independent aggregation (XOR up the tree) needs each entry
-    /// mixed on its own; the length-prefixed chunks keep adjacent
-    /// variable-length fields from aliasing.
-    fn adv_entry_hash(
-        group: &GroupId,
-        owner: &PeerId,
-        doc_type: &str,
-        xml: &str,
-        version: (u64, PeerId),
-    ) -> u64 {
-        let mut h = crate::shard::FNV_OFFSET;
-        h = Self::hash_chunk(h, group.as_str().as_bytes());
-        h = Self::hash_chunk(h, owner.as_bytes());
-        h = Self::hash_chunk(h, doc_type.as_bytes());
-        h = Self::hash_chunk(h, xml.as_bytes());
-        h = Self::hash_chunk(h, &version.0.to_be_bytes());
-        h = Self::hash_chunk(h, version.1.as_bytes());
-        crate::shard::mix(h)
-    }
-
-    /// The hash of one membership entry.  Provenance stamps are deliberately
-    /// excluded, exactly as the flat section hash excluded them: two
-    /// replicas holding the same `(group, member)` set agree.
-    fn membership_entry_hash(group: &GroupId, member: &PeerId) -> u64 {
-        let mut h = crate::shard::FNV_OFFSET;
-        h = Self::hash_chunk(h, group.as_str().as_bytes());
-        h = Self::hash_chunk(h, member.as_bytes());
-        crate::shard::mix(h)
-    }
-
     /// The cached repair tree of one shard-keyed section (`'a'` or `'m'`)
-    /// towards `peer`, rebuilt when the state epoch moved.  In full
+    /// towards `peer`, rebuilt when the replica's epoch moved.  In full
     /// replication the shared-entry filter passes everything, so a single
     /// tree — cached under this broker's own id — serves every edge; sharded
     /// mode keys the cache by peer because each edge shares a different
@@ -2493,7 +1472,7 @@ impl Broker {
         let cache_key = if self.is_sharded() { *peer } else { self.id };
         // The epoch is read *before* the state: a write racing with the
         // build bumps past this value, so the next round rebuilds.
-        let epoch = self.repair_epoch.load(Ordering::Acquire);
+        let epoch = self.replica.epoch();
         let mut cache = self.repair_trees.lock();
         if cache.epoch != epoch {
             cache.adv.clear();
@@ -2507,64 +1486,17 @@ impl Broker {
         if let Some(tree) = slot.get(&cache_key) {
             return Arc::clone(tree);
         }
-        let tree = Arc::new(self.build_section_tree(section, &cache_key));
+        let tree = Arc::new(self.replica.read().build_section_tree(section, &cache_key));
         slot.insert(cache_key, Arc::clone(&tree));
         tree
-    }
-
-    /// Builds the repair tree of one section from scratch (cache miss path).
-    fn build_section_tree(&self, section: char, peer: &PeerId) -> SectionTree {
-        let mut tree = SectionTree::default();
-        if section == 'a' {
-            let advertisements = self.advertisements.read();
-            for (group, index) in advertisements.iter() {
-                for ((owner, doc_type), adv) in index.iter() {
-                    if !self.is_shared_replica(group, owner, peer) {
-                        continue;
-                    }
-                    tree.insert(
-                        crate::shard::shard_key(group, owner),
-                        Self::adv_entry_hash(group, owner, doc_type, &adv.xml, adv.version),
-                    );
-                }
-            }
-        } else {
-            for (group, member) in self.repair_membership_entries(peer) {
-                tree.insert(
-                    crate::shard::shard_key(&group, &member),
-                    Self::membership_entry_hash(&group, &member),
-                );
-            }
-        }
-        tree
-    }
-
-    /// The hash of the presence/routing register (fully replicated, so
-    /// identical towards every peer).
-    fn repair_presence_hash(&self) -> u64 {
-        use crate::shard::{mix, FNV_OFFSET};
-        let mut p = FNV_OFFSET;
-        for (peer_id, version, home) in self.repair_presence_entries() {
-            p = Self::hash_chunk(p, peer_id.as_bytes());
-            p = Self::hash_chunk(p, &version.0.to_be_bytes());
-            p = Self::hash_chunk(p, &[version.1]);
-            p = Self::hash_chunk(p, version.2.as_bytes());
-            p = match home {
-                Some(home) => Self::hash_chunk(p, home.as_bytes()),
-                None => Self::hash_chunk(p, &[]),
-            };
-        }
-        mix(p)
     }
 
     /// The hash of the extension's replicated state (peer-independent; zero
     /// when no extension is installed or it replicates nothing).
     fn repair_extension_hash(&self) -> u64 {
-        use crate::shard::{mix, FNV_OFFSET};
-        match self.extension.read().clone().and_then(|e| e.repair_digest()) {
-            Some(bytes) => mix(Self::hash_chunk(FNV_OFFSET, &bytes)),
-            None => 0,
-        }
+        self.extension()
+            .and_then(|e| e.repair_digest())
+            .map_or(0, |bytes| extension_hash(&bytes))
     }
 
     /// Starts one anti-entropy round: sends every peer broker a digest of
@@ -2586,7 +1518,7 @@ impl Broker {
         // (one shared tree in full replication, one per edge sharded), so a
         // round over an unchanged state hashes nothing and costs one small
         // digest per edge.
-        let p = self.repair_presence_hash();
+        let p = self.replica.read().presence_hash();
         let x = self.repair_extension_hash();
         for peer in peers {
             let (a, m) = self.repair_shared_hashes(&peer);
@@ -2616,21 +1548,10 @@ impl Broker {
     /// ([`MessageKind::MembershipShuffleReply`]).  No-op below the epidemic
     /// engagement threshold — complete views have nothing to refresh.
     fn start_shuffle(&self) {
-        if !self.epidemic_engaged() {
-            return;
-        }
-        let (target, sample) = {
-            let mut view = self.view.lock();
-            (view.shuffle_target(), view.shuffle_sample(4))
-        };
-        let Some(target) = target else {
+        let Some((target, sample, incarnation)) = self.fabric.lock().shuffle_offer() else {
             return;
         };
-        if sample.is_empty() {
-            return;
-        }
         let urns: Vec<String> = sample.iter().map(PeerId::to_urn).collect();
-        let incarnation = self.swim.lock().incarnation();
         let shuffle = Message::new(MessageKind::MembershipShuffle, self.id, 0)
             .with_str("peers", &urns.join(","))
             .with_str("inc", &incarnation.to_string());
@@ -2675,7 +1596,8 @@ impl Broker {
     /// baseline).
     fn handle_anti_entropy_digest(&self, message: &Message) {
         let origin = message.sender;
-        let (a, m, p, x) = self.repair_hashes(&origin);
+        let (a, m) = self.repair_shared_hashes(&origin);
+        let (p, x) = (self.replica.read().presence_hash(), self.repair_extension_hash());
         let theirs = |name: &str| message.element_str(name).and_then(|h| h.parse::<u64>().ok());
         let mut flat = String::new();
         let mut descend = String::new();
@@ -2802,106 +1724,25 @@ impl Broker {
     fn build_repair_snapshot(&self, peer: &PeerId, sections: &str, want: &str) -> Message {
         let mut snapshot =
             Message::new(MessageKind::AntiEntropySnapshot, self.id, 0).with_str("want", want);
-        if sections.contains('a') {
-            Self::push_adv_section(&mut snapshot, self.repair_adv_entries(peer));
-        }
-        if sections.contains('m') {
-            self.push_membership_section(&mut snapshot, self.repair_membership_entries(peer));
-        }
-        if sections.contains('p') {
-            self.push_presence_section(&mut snapshot);
+        {
+            let replica = self.replica.read();
+            if sections.contains('a') {
+                push_adv_section(&mut snapshot, replica.repair_adv_entries(peer));
+            }
+            if sections.contains('m') {
+                let entries = replica.repair_membership_entries(peer);
+                push_membership_section(&replica, &mut snapshot, entries);
+            }
+            if sections.contains('p') {
+                push_presence_section(&replica, &mut snapshot);
+            }
         }
         if sections.contains('x') {
-            if let Some(blob) = self.extension.read().clone().and_then(|e| e.repair_snapshot()) {
+            if let Some(blob) = self.extension().and_then(|e| e.repair_snapshot()) {
                 snapshot.push_element("ext", blob);
             }
         }
         snapshot
-    }
-
-    /// Appends advertisement entries as an `a` section (`a-count` + `a{i}-*`).
-    fn push_adv_section(snapshot: &mut Message, entries: Vec<FlatEntry>) {
-        snapshot.push_element("a-count", entries.len().to_string().into_bytes());
-        for (i, (group, owner, doc_type, xml, version)) in entries.into_iter().enumerate() {
-            snapshot.push_element(format!("a{i}-group"), group.as_str().as_bytes().to_vec());
-            snapshot.push_element(format!("a{i}-owner"), owner.to_urn().into_bytes());
-            snapshot.push_element(format!("a{i}-type"), doc_type.into_bytes());
-            snapshot.push_element(format!("a{i}-xml"), xml.into_bytes());
-            snapshot.push_element(format!("a{i}-vseq"), version.0.to_string().into_bytes());
-            snapshot.push_element(format!("a{i}-vorigin"), version.1.to_urn().into_bytes());
-        }
-    }
-
-    /// Appends membership entries (with their provenance stamps) as an `m`
-    /// section (`m-count` + `m{i}-*`).
-    fn push_membership_section(&self, snapshot: &mut Message, entries: Vec<(GroupId, PeerId)>) {
-        snapshot.push_element("m-count", entries.len().to_string().into_bytes());
-        for (i, (group, member)) in entries.into_iter().enumerate() {
-            let version = self.membership_stamp(&group, &member);
-            snapshot.push_element(format!("m{i}-group"), group.as_str().as_bytes().to_vec());
-            snapshot.push_element(format!("m{i}-peer"), member.to_urn().into_bytes());
-            snapshot.push_element(format!("m{i}-vseq"), version.0.to_string().into_bytes());
-            snapshot.push_element(format!("m{i}-vrank"), version.1.to_string().into_bytes());
-            snapshot.push_element(format!("m{i}-vorigin"), version.2.to_urn().into_bytes());
-        }
-    }
-
-    /// Appends the full presence/routing register as a `p` section.
-    fn push_presence_section(&self, snapshot: &mut Message) {
-        let entries = self.repair_presence_entries();
-        snapshot.push_element("p-count", entries.len().to_string().into_bytes());
-        for (i, (peer_id, version, home)) in entries.into_iter().enumerate() {
-            snapshot.push_element(format!("p{i}-peer"), peer_id.to_urn().into_bytes());
-            snapshot.push_element(format!("p{i}-vseq"), version.0.to_string().into_bytes());
-            snapshot.push_element(format!("p{i}-vrank"), version.1.to_string().into_bytes());
-            snapshot.push_element(format!("p{i}-vorigin"), version.2.to_urn().into_bytes());
-            if let Some(home) = home {
-                snapshot.push_element(format!("p{i}-home"), home.to_urn().into_bytes());
-            }
-        }
-    }
-
-    /// Advertisement entries shared with `peer` whose shard key falls in
-    /// `[lo, hi]`, sorted by key.
-    fn repair_adv_entries_in(&self, peer: &PeerId, lo: u64, hi: u64) -> Vec<(u64, FlatEntry)> {
-        let advertisements = self.advertisements.read();
-        let mut out: Vec<(u64, FlatEntry)> = Vec::new();
-        for (group, index) in advertisements.iter() {
-            for ((owner, doc_type), adv) in index.iter() {
-                let key = crate::shard::shard_key(group, owner);
-                if key < lo || key > hi || !self.is_shared_replica(group, owner, peer) {
-                    continue;
-                }
-                out.push((
-                    key,
-                    (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version),
-                ));
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Membership entries shared with `peer` whose shard key falls in
-    /// `[lo, hi]`, sorted by key.
-    fn repair_membership_entries_in(
-        &self,
-        peer: &PeerId,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<(u64, (GroupId, PeerId))> {
-        let mut out = Vec::new();
-        for (group, members) in self.groups.snapshot() {
-            for member in members {
-                let key = crate::shard::shard_key(&group, &member);
-                if key < lo || key > hi || !self.is_membership_shared(&group, &member, peer) {
-                    continue;
-                }
-                out.push((key, (group.clone(), member)));
-            }
-        }
-        out.sort();
-        out
     }
 
     /// Ships the shared entries of the divergent key range `[lo, hi]` of
@@ -2912,19 +1753,20 @@ impl Broker {
     fn send_range_pages(&self, peer: PeerId, section: char, lo: u64, hi: u64, want: bool) {
         match section {
             'a' => {
-                let entries = self.repair_adv_entries_in(&peer, lo, hi);
+                let entries = self.replica.read().repair_adv_entries_in(&peer, lo, hi);
                 self.send_pages(peer, section, (lo, hi), want, entries, |_, snapshot, page| {
-                    Self::push_adv_section(snapshot, page.to_vec());
+                    push_adv_section(snapshot, page.to_vec());
                 });
             }
             _ => {
-                let entries = self.repair_membership_entries_in(&peer, lo, hi);
+                let entries = self.replica.read().repair_membership_entries_in(&peer, lo, hi);
                 self.send_pages(peer, section, (lo, hi), want, entries, |broker, snapshot, page| {
-                    broker.push_membership_section(snapshot, page.to_vec());
+                    let replica = broker.replica.read();
+                    push_membership_section(&replica, snapshot, page.to_vec());
                     // Membership deletions compare against the *sender's*
                     // presence versions, so every m page travels with the
                     // full p section, exactly like a flat m snapshot does.
-                    broker.push_presence_section(snapshot);
+                    push_presence_section(&replica, snapshot);
                 });
             }
         }
@@ -3016,12 +1858,12 @@ impl Broker {
     /// actually brought up to date (stale snapshot content merges to zero —
     /// the no-regression property the repair proptests assert).
     fn merge_repair_snapshot(&self, origin: PeerId, message: &Message) -> u64 {
-        let mut repaired = 0u64;
         // Index the elements once: with up to six `a{i}-*` lookups per entry,
         // the linear `Message::element` scan made merging an n-entry snapshot
         // O(n²) element visits.
         let index = message.index();
         let text = |name: &str| index.get_str(name);
+        let peer = |name: &str| text(name).and_then(|u| PeerId::from_urn(&u));
         // Range-scoped pages (the final legs of a tree descent) only speak
         // for `[lo, hi]` of the shard-key space: an entry the page lacks is
         // evidence of deletion only if its key is inside the page's range.
@@ -3035,181 +1877,77 @@ impl Broker {
         };
 
         // The presence section is parsed up front: the membership deletion
-        // rule below compares against the *sender's* versions.
-        let presence: Option<Vec<(PeerId, PresenceVersion, Option<PeerId>)>> =
-            message.entry_count("p-count").map(|n| {
-                (0..n)
-                    .filter_map(|i| {
-                        let peer =
-                            text(&format!("p{i}-peer")).and_then(|u| PeerId::from_urn(&u))?;
-                        let seq =
-                            text(&format!("p{i}-vseq")).and_then(|s| s.parse::<u64>().ok())?;
-                        let rank =
-                            text(&format!("p{i}-vrank")).and_then(|r| r.parse::<u8>().ok())?;
-                        let vorigin =
-                            text(&format!("p{i}-vorigin")).and_then(|u| PeerId::from_urn(&u))?;
-                        let home = text(&format!("p{i}-home")).and_then(|u| PeerId::from_urn(&u));
-                        Some((peer, (seq, rank, vorigin), home))
-                    })
-                    .collect()
-            });
-
-        // Presence/routing first: merge each entry if its version is newer,
-        // mirroring the join/leave gossip application (including the
-        // live-session arbitration and the shadow/resurrect dance).  It must
-        // run before the membership sections — those store the same versions,
-        // and a version that arrives via membership first would make the
-        // presence merge skip the entry as already-known, leaving the
-        // routing table unhealed.
-        if let Some(presence) = presence.as_ref() {
-            for &(peer, version, home) in presence {
-                if !self.try_version_presence(peer, version) {
-                    continue;
-                }
-                repaired += 1;
-                if version.1 == PRESENCE_JOIN {
-                    if self.yield_to_remote_join(peer, version.2) {
-                        continue;
-                    }
-                    // Unlike a gossiped join (which carries the full group
-                    // list), the snapshot's membership section reconciles
-                    // groups separately, so memberships are left untouched
-                    // here.
-                    match home {
-                        Some(home) if home != self.id => {
-                            self.peer_homes.write().insert(peer, home);
-                        }
-                        _ => {
-                            self.peer_homes.write().remove(&peer);
-                        }
-                    }
-                } else {
-                    if self.absorb_remote_leave(peer) {
-                        continue;
-                    }
-                    self.groups.leave_all(&peer);
-                    self.forget_membership_stamps(&peer);
-                    self.peer_homes.write().remove(&peer);
-                }
-            }
-        }
-
-        // Membership: deletions first — an entry we hold, shared with the
-        // sender, that the sender no longer has, *and* whose provenance
-        // stamp is strictly older than what the sender knows about the
-        // member, means we missed a leave or a re-join with a smaller group
-        // set.  An equal version proves the entry current instead (the same
-        // join event implies the same group list), which keeps a half-healed
-        // replica from talking a healed one out of a correct entry.  Then
-        // additions, carrying the sender's provenance stamps.
-        if let (Some(m_count), Some(presence)) = (message.entry_count("m-count"), presence.as_ref())
-        {
-            let sender_versions: HashMap<PeerId, PresenceVersion> =
-                presence.iter().map(|(peer, version, _)| (*peer, *version)).collect();
+        // rule compares against the *sender's* versions.
+        let presence: Option<Vec<PresenceEntry>> = message.entry_count("p-count").map(|n| {
+            (0..n)
+                .filter_map(|i| {
+                    let seq = text(&format!("p{i}-vseq")).as_deref().and_then(counter::parse)?;
+                    let rank = text(&format!("p{i}-vrank")).and_then(|r| r.parse::<u8>().ok())?;
+                    let version = (seq, rank, peer(&format!("p{i}-vorigin"))?);
+                    Some((peer(&format!("p{i}-peer"))?, version, peer(&format!("p{i}-home"))))
+                })
+                .collect()
+        });
+        let memberships = message.entry_count("m-count").map(|m_count| {
             // A forged m-count must not reserve memory the message cannot
             // back: each membership entry occupies at least five elements.
-            let m_cap = m_count.min(message.element_count() / 5 + 1);
-            let mut sender_members: std::collections::HashSet<(GroupId, PeerId)> =
-                std::collections::HashSet::with_capacity(m_cap);
-            let mut additions = Vec::with_capacity(m_cap);
-            for i in 0..m_count {
-                let (Some(group), Some(member), Some(seq), Some(rank), Some(vorigin)) = (
-                    text(&format!("m{i}-group")),
-                    text(&format!("m{i}-peer")).and_then(|u| PeerId::from_urn(&u)),
-                    text(&format!("m{i}-vseq")).and_then(|s| s.parse::<u64>().ok()),
-                    text(&format!("m{i}-vrank")).and_then(|r| r.parse::<u8>().ok()),
-                    text(&format!("m{i}-vorigin")).and_then(|u| PeerId::from_urn(&u)),
-                ) else {
-                    continue;
-                };
-                let group = GroupId::new(group);
-                sender_members.insert((group.clone(), member));
-                additions.push((group, member, (seq, rank, vorigin)));
-            }
-            for (group, member) in self.repair_membership_entries(&origin) {
-                if !in_range(crate::shard::shard_key(&group, &member))
-                    || sender_members.contains(&(group.clone(), member))
-                {
-                    continue;
-                }
-                if self.sessions.read().contains_key(&member) {
-                    // Local ground truth: a live session's membership is
-                    // never deleted on a peer's say-so.
-                    continue;
-                }
-                let Some(sender_version) = sender_versions.get(&member) else {
-                    continue; // the sender knows nothing about this peer
-                };
-                if *sender_version > self.membership_stamp(&group, &member) {
-                    self.groups.leave(&group, &member);
-                    self.membership_versions
-                        .write()
-                        .remove(&(group.clone(), member));
-                    repaired += 1;
-                }
-            }
-            for (group, member, carried) in additions {
-                if carried.1 != PRESENCE_JOIN || !self.is_local_replica(&group, &member) {
-                    continue;
-                }
-                if self
-                    .peer_versions
-                    .read()
-                    .get(&member)
-                    .is_some_and(|stored| *stored > carried)
-                {
-                    // The member's presence moved past this entry's
-                    // provenance (a later leave or re-join); only a sender
-                    // with an equally current stamp may assert it.
-                    continue;
-                }
-                if self.groups.is_member(&group, &member) {
-                    if carried > self.membership_stamp(&group, &member) {
-                        self.stamp_membership(&group, member, carried);
-                    }
-                } else {
-                    self.stamp_membership(&group, member, carried);
-                    self.groups.join(group, member);
-                    repaired += 1;
-                }
-            }
-        }
+            let mut entries = Vec::with_capacity(m_count.min(message.element_count() / 5 + 1));
+            entries.extend((0..m_count).filter_map(|i| {
+                let (group, member) = (text(&format!("m{i}-group"))?, peer(&format!("m{i}-peer"))?);
+                let seq = text(&format!("m{i}-vseq"))?.parse::<u64>().ok()?;
+                let rank = text(&format!("m{i}-vrank"))?.parse::<u8>().ok()?;
+                Some((GroupId::new(group), member, (seq, rank, peer(&format!("m{i}-vorigin"))?)))
+            }));
+            entries
+        });
+        let adverts: Vec<FlatEntry> = (0..message.entry_count("a-count").unwrap_or(0))
+            .filter_map(|i| {
+                Some((
+                    GroupId::new(text(&format!("a{i}-group"))?),
+                    peer(&format!("a{i}-owner"))?,
+                    text(&format!("a{i}-type"))?,
+                    text(&format!("a{i}-xml"))?,
+                    (
+                        text(&format!("a{i}-vseq")).and_then(|s| s.parse::<u64>().ok())?,
+                        peer(&format!("a{i}-vorigin"))?,
+                    ),
+                ))
+            })
+            .collect();
 
-        // Advertisements: pure LWW merge — repair only ever *adds* missed
-        // writes (reshard handles ownership moves deterministically on every
-        // broker, so there are no deletions to reconcile).
-        if let Some(n) = message.entry_count("a-count") {
-            for i in 0..n {
-                let (Some(group), Some(owner), Some(doc_type), Some(xml), Some(vseq), Some(vorigin)) = (
-                    text(&format!("a{i}-group")),
-                    text(&format!("a{i}-owner")).and_then(|u| PeerId::from_urn(&u)),
-                    text(&format!("a{i}-type")),
-                    text(&format!("a{i}-xml")),
-                    text(&format!("a{i}-vseq")).and_then(|s| s.parse::<u64>().ok()),
-                    text(&format!("a{i}-vorigin")).and_then(|u| PeerId::from_urn(&u)),
-                ) else {
-                    continue;
-                };
-                let group = GroupId::new(group);
-                if !self.is_local_replica(&group, &owner) {
-                    continue;
-                }
-                if self.store_advertisement(owner, &group, &doc_type, &xml, (vseq, vorigin)) {
-                    // The members homed here missed the original push along
-                    // with the gossip; deliver it now that the entry healed.
-                    self.push_to_local_members(owner, &group, &doc_type, &xml);
-                    repaired += 1;
+        let mut joins = Vec::new();
+        let mut repaired = 0u64;
+        let healed = {
+            let mut replica = self.replica.write();
+            // Presence/routing first: it must run before the membership
+            // section — that stores the same versions, and a version that
+            // arrived via membership first would make the presence merge
+            // skip the entry as already known, leaving routing unhealed.
+            if let Some(presence) = &presence {
+                repaired += replica.merge_presence(presence, &mut joins);
+                if let Some(entries) = memberships {
+                    let sender_versions: HashMap<PeerId, PresenceVersion> =
+                        presence.iter().map(|(peer, version, _)| (*peer, *version)).collect();
+                    repaired +=
+                        replica.merge_membership(&origin, entries, &sender_versions, in_range);
                 }
             }
+            // Advertisements: pure LWW merge — repair only ever *adds* missed
+            // writes (reshard moves ownership identically everywhere).
+            replica.merge_advertisements(adverts)
+        };
+        // The members homed here missed the original pushes along with the
+        // gossip; deliver them now that the entries healed.
+        for ((group, _, doc_type, xml, _), members) in &healed {
+            self.push_advertisement(members, group, doc_type, xml);
         }
+        repaired += healed.len() as u64;
+        self.gossip_joins(joins);
 
         // Extension state (e.g. signed revocation lists): the extension
         // authenticates and merges the blob itself.
-        if let Some(blob) = index.get("ext") {
-            let extension = self.extension.read().clone();
-            if let Some(extension) = extension {
-                repaired += extension.apply_repair_snapshot(self, blob);
-            }
+        if let (Some(blob), Some(extension)) = (index.get("ext"), self.extension()) {
+            repaired += extension.apply_repair_snapshot(self, blob);
         }
         repaired
     }
@@ -3233,8 +1971,12 @@ impl Broker {
         let Some(dest) = PeerId::from_urn(&to_urn) else {
             return Some(self.reject(message, "malformed destination identifier"));
         };
+        let (local, home) = {
+            let replica = self.replica.read();
+            (replica.session(&dest).is_some(), replica.remote_home(&dest))
+        };
 
-        if self.sessions.read().contains_key(&dest) {
+        if local {
             // lint:allow(accounted-send, relay leaf delivery to a locally attached peer)
             return match self.network.forward(self.id, dest, payload.to_vec(), carried_wire) {
                 Ok(_) => {
@@ -3252,7 +1994,7 @@ impl Broker {
             };
         }
 
-        let Some(home) = self.peer_homes.read().get(&dest).copied() else {
+        let Some(home) = home else {
             self.federation.count_relay_failed();
             return Some(self.reject(message, "unknown destination peer"));
         };
@@ -3285,7 +2027,7 @@ impl Broker {
             self.federation.count_relay_failed();
             return;
         };
-        if !self.sessions.read().contains_key(&dest) {
+        if self.replica.read().session(&dest).is_none() {
             self.federation.count_relay_failed();
             return;
         }
@@ -3304,35 +2046,12 @@ impl Broker {
         doc_type: &str,
         owner: Option<PeerId>,
     ) -> Vec<String> {
-        self.lookup_versioned(group, doc_type, owner)
+        self.replica
+            .read()
+            .lookup(group, doc_type, owner)
             .into_iter()
             .map(|(_, _, xml)| xml)
             .collect()
-    }
-
-    /// Like [`Broker::lookup`] but returning each entry's owner and
-    /// last-writer-wins version — what shard replicas exchange so that
-    /// scatter-gather responses deduplicate to the same winner everywhere.
-    fn lookup_versioned(
-        &self,
-        group: &GroupId,
-        doc_type: &str,
-        owner: Option<PeerId>,
-    ) -> Vec<(PeerId, (u64, PeerId), String)> {
-        let advertisements = self.advertisements.read();
-        let Some(index) = advertisements.get(group) else {
-            return Vec::new();
-        };
-        let mut results: Vec<(PeerId, (u64, PeerId), String)> = index
-            .iter()
-            .filter(|((adv_owner, adv_type), _)| {
-                adv_type == doc_type && owner.is_none_or(|o| *adv_owner == o)
-            })
-            .map(|((adv_owner, _), adv)| (*adv_owner, adv.version, adv.xml.clone()))
-            .collect();
-        // Deterministic order keeps experiments and tests reproducible.
-        results.sort_by_key(|(owner, _, _)| *owner);
-        results
     }
 
     /// Starts the broker's event loop.
@@ -3662,8 +2381,7 @@ impl Broker {
     /// undecodable traffic.
     pub fn decode_and_preverify(&self, net_message: &NetMessage) -> Option<Message> {
         let message = Message::from_bytes(&net_message.payload).ok()?;
-        let extension = self.extension.read().clone();
-        if let Some(extension) = extension {
+        if let Some(extension) = self.extension() {
             extension.preverify(self, &message);
         }
         Some(message)
@@ -3734,14 +2452,20 @@ impl Broker {
             MessageKind::AntiEntropyDigest => self.handle_anti_entropy_digest(message),
             MessageKind::AntiEntropySnapshot => self.handle_anti_entropy_snapshot(message),
             MessageKind::AntiEntropyRange => self.handle_anti_entropy_range(message),
-            MessageKind::MembershipShuffle => self.handle_membership_shuffle(message),
-            MessageKind::MembershipShuffleReply => self.handle_membership_shuffle_reply(message),
+            MessageKind::MembershipShuffle | MessageKind::MembershipShuffleReply => {
+                self.handle_membership_shuffle(message)
+            }
             MessageKind::PlumtreeIHave => self.handle_plumtree_ihave(message),
             MessageKind::PlumtreeGraft => self.handle_plumtree_graft(message),
-            MessageKind::PlumtreePrune => self.handle_plumtree_prune(message),
-            MessageKind::SwimPing => self.handle_swim_ping(message),
-            MessageKind::SwimPingReq => self.handle_swim_ping_req(message),
-            MessageKind::SwimAck => self.handle_swim_ack(message),
+            // Our pushes duplicate what the sender already has: demote the
+            // edge to lazy (digests only) until a graft re-earns it.
+            MessageKind::PlumtreePrune => self.fabric.lock().prune(message.sender),
+            MessageKind::SwimPing | MessageKind::SwimPingReq => self.handle_swim_probe(message),
+            // A probe ack clears the outstanding probe (direct or relayed)
+            // and refreshes the acking broker as alive.
+            MessageKind::SwimAck => {
+                self.fabric.lock().contact(message.sender, Self::incarnation_of(message), true)
+            }
             // `is_inter_broker` holds for exactly the kinds above.
             _ => {}
         }
@@ -3765,8 +2489,7 @@ impl Broker {
             MessageKind::RelayViaBroker => self.handle_relay_request(message, Duration::ZERO),
             MessageKind::SecureConnectChallenge
             | MessageKind::SecureLoginRequest => {
-                let extension = self.extension.read().clone();
-                match extension {
+                match self.extension() {
                     Some(ext) => ext.handle(self, message).or_else(|| {
                         Some(self.reject(message, "secure primitive not handled by extension"))
                     }),
@@ -3844,8 +2567,7 @@ impl Broker {
         }
         // Give the security extension a veto: a signed advertisement whose
         // embedded credential is expired or revoked must not enter the index.
-        let extension = self.extension.read().clone();
-        if let Some(extension) = extension {
+        if let Some(extension) = self.extension() {
             if let Err(reason) =
                 extension.vet_publish(self, message.sender, &group, &doc_type, &xml)
             {
@@ -3887,15 +2609,16 @@ impl Broker {
             };
             // Local ground truth (the member's session is here) or local
             // replica: answer directly.
-            if self.sessions.read().contains_key(&member) || self.is_local_replica(&group, &member)
-            {
+            let local = {
+                let replica = self.replica.read();
+                (replica.session(&member).is_some() || replica.is_local_replica(&group, &member))
+                    .then(|| replica.groups().is_member(&group, &member))
+            };
+            if let Some(is_member) = local {
                 if self.is_sharded() {
                     self.federation.count_shard_hit();
                 }
-                return Some(self.membership_response(
-                    message.request_id,
-                    self.groups.is_member(&group, &member),
-                ));
+                return Some(self.membership_response(message.request_id, is_member));
             }
             self.federation.count_shard_miss();
             return self.route_shard_query(message, &group, None, Some(member));
@@ -3910,14 +2633,14 @@ impl Broker {
 
         match owner {
             // Keyed search: one shard owns (group, owner).
-            Some(owner) if !self.is_local_replica(&group, &owner) => {
+            Some(owner) if !self.replica.read().is_local_replica(&group, &owner) => {
                 self.federation.count_shard_miss();
                 self.route_shard_query(message, &group, Some(&doc_type), Some(owner))
             }
             // Group-wide search in sharded mode: the owners (and hence the
             // owning shards) are unknown — scatter over the backbone and
             // merge.
-            None if self.is_sharded() && !self.peer_brokers.read().is_empty() => {
+            None if self.is_sharded() && !self.fabric.lock().peers().is_empty() => {
                 self.federation.count_shard_miss();
                 self.route_shard_scatter(message, &group, &doc_type)
             }
@@ -3976,8 +2699,10 @@ impl Broker {
                     message.request_id,
                     self.lookup(group, doc_type, Some(key)),
                 ),
-                None => self
-                    .membership_response(message.request_id, self.groups.is_member(group, &key)),
+                None => self.membership_response(
+                    message.request_id,
+                    self.replica.read().groups().is_member(group, &key),
+                ),
             });
         }
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
@@ -4043,10 +2768,10 @@ impl Broker {
         group: &GroupId,
         doc_type: &str,
     ) -> Option<Message> {
-        let peers = self.peer_brokers.read().clone();
+        let peers = self.peer_brokers();
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
         let mut adv_results = BTreeMap::new();
-        for (owner, version, xml) in self.lookup_versioned(group, doc_type, None) {
+        for (owner, version, xml) in self.replica.read().lookup(group, doc_type, None) {
             adv_results.insert(owner, (version, xml));
         }
         let mut remaining = 0usize;
@@ -4097,14 +2822,8 @@ impl Broker {
             .element_str("member")
             .and_then(|urn| PeerId::from_urn(&urn))
         {
-            response = response.with_str(
-                "member",
-                if self.groups.is_member(&group, &member) {
-                    "true"
-                } else {
-                    "false"
-                },
-            );
+            let is_member = self.replica.read().groups().is_member(&group, &member);
+            response = response.with_str("member", if is_member { "true" } else { "false" });
         } else {
             let Some(doc_type) = message.element_str("doc-type") else {
                 return;
@@ -4112,7 +2831,7 @@ impl Broker {
             let owner = message
                 .element_str("owner")
                 .and_then(|urn| PeerId::from_urn(&urn));
-            let results = self.lookup_versioned(&group, &doc_type, owner);
+            let results = self.replica.read().lookup(&group, &doc_type, owner);
             response = response.with_str("count", &results.len().to_string());
             for (i, (owner, version, xml)) in results.into_iter().enumerate() {
                 response.push_element(format!("r{i}-owner"), owner.to_urn().into_bytes());
@@ -4201,6 +2920,52 @@ impl Broker {
     }
 }
 
+/// Appends advertisement entries as an `a` section (`a-count` + `a{i}-*`).
+fn push_adv_section(snapshot: &mut Message, entries: Vec<FlatEntry>) {
+    snapshot.push_element("a-count", entries.len().to_string().into_bytes());
+    for (i, (group, owner, doc_type, xml, version)) in entries.into_iter().enumerate() {
+        snapshot.push_element(format!("a{i}-group"), group.as_str().as_bytes().to_vec());
+        snapshot.push_element(format!("a{i}-owner"), owner.to_urn().into_bytes());
+        snapshot.push_element(format!("a{i}-type"), doc_type.into_bytes());
+        snapshot.push_element(format!("a{i}-xml"), xml.into_bytes());
+        snapshot.push_element(format!("a{i}-vseq"), version.0.to_string().into_bytes());
+        snapshot.push_element(format!("a{i}-vorigin"), version.1.to_urn().into_bytes());
+    }
+}
+
+/// Appends membership entries (with their provenance stamps) as an `m`
+/// section (`m-count` + `m{i}-*`).
+fn push_membership_section(
+    replica: &Replica,
+    snapshot: &mut Message,
+    entries: Vec<(GroupId, PeerId)>,
+) {
+    snapshot.push_element("m-count", entries.len().to_string().into_bytes());
+    for (i, (group, member)) in entries.into_iter().enumerate() {
+        let version = replica.membership_stamp(&group, &member);
+        snapshot.push_element(format!("m{i}-group"), group.as_str().as_bytes().to_vec());
+        snapshot.push_element(format!("m{i}-peer"), member.to_urn().into_bytes());
+        snapshot.push_element(format!("m{i}-vseq"), version.0.to_string().into_bytes());
+        snapshot.push_element(format!("m{i}-vrank"), version.1.to_string().into_bytes());
+        snapshot.push_element(format!("m{i}-vorigin"), version.2.to_urn().into_bytes());
+    }
+}
+
+/// Appends the full presence/routing register as a `p` section.
+fn push_presence_section(replica: &Replica, snapshot: &mut Message) {
+    let entries = replica.repair_presence_entries();
+    snapshot.push_element("p-count", entries.len().to_string().into_bytes());
+    for (i, (peer_id, version, home)) in entries.into_iter().enumerate() {
+        snapshot.push_element(format!("p{i}-peer"), peer_id.to_urn().into_bytes());
+        snapshot.push_element(format!("p{i}-vseq"), version.0.to_string().into_bytes());
+        snapshot.push_element(format!("p{i}-vrank"), version.1.to_string().into_bytes());
+        snapshot.push_element(format!("p{i}-vorigin"), version.2.to_urn().into_bytes());
+        if let Some(home) = home {
+            snapshot.push_element(format!("p{i}-home"), home.to_urn().into_bytes());
+        }
+    }
+}
+
 /// Handle of a running broker: the classic single event-loop thread, or the
 /// ingress/verify/apply threads of a pipelined broker.
 pub struct BrokerHandle {
@@ -4247,9 +3012,6 @@ impl Drop for BrokerHandle {
     }
 }
 
-/// Default timeout used by client primitives waiting for a broker response.
-pub const DEFAULT_REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Nominal shard-query size used to price replica links against each other
 /// (queries are small; only the relative order of the links matters).
 const SHARD_QUERY_NOMINAL_BYTES: usize = 512;
@@ -4258,6 +3020,7 @@ const SHARD_QUERY_NOMINAL_BYTES: usize = 512;
 mod tests {
     use super::*;
     use crate::net::LinkModel;
+    use crate::swim::PeerState;
     use jxta_crypto::drbg::HmacDrbg;
 
     fn setup() -> (Arc<SimNetwork>, Arc<UserDatabase>, Arc<Broker>, HmacDrbg) {
@@ -4307,14 +3070,14 @@ mod tests {
         let peer = PeerId::random(&mut rng);
         let origin = PeerId::random(&mut rng);
         let group = GroupId::new("math");
-        let epoch = |b: &Broker| b.repair_epoch.load(Ordering::Acquire);
+        let epoch = |b: &Broker| b.replica.epoch();
 
         let before = epoch(&broker);
-        broker.stamp_membership(&group, peer, (1, PRESENCE_JOIN, origin));
+        broker.replica.write().stamp_membership(&group, peer, (1, PRESENCE_JOIN, origin));
         assert!(epoch(&broker) > before, "stamp_membership must touch");
 
         let before = epoch(&broker);
-        broker.forget_membership_stamps(&peer);
+        broker.replica.write().forget_membership_stamps(&peer);
         assert!(epoch(&broker) > before, "forget_membership_stamps must touch");
 
         // An all-zero origin orders below any random broker id, forcing the
@@ -4323,14 +3086,14 @@ mod tests {
         connect_and_login(&broker, peer, "alice", "pw-a");
         let low_origin = PeerId::from_bytes([0u8; 16]);
         let before = epoch(&broker);
-        assert!(!broker.yield_to_remote_join(peer, low_origin));
+        assert!(!broker.replica.write().yield_to_remote_join(peer, low_origin, &mut Vec::new()));
         assert!(epoch(&broker) > before, "yield_to_remote_join must touch");
 
         // A peer with neither session nor shadow hits absorb's fall-through
         // branch, the other previously-uncovered path.
         let stranger = PeerId::random(&mut rng);
         let before = epoch(&broker);
-        assert!(!broker.absorb_remote_leave(stranger));
+        assert!(!broker.replica.write().absorb_remote_leave(stranger, &mut Vec::new()));
         assert!(epoch(&broker) > before, "absorb_remote_leave must touch");
         let _ = origin;
     }
@@ -4351,8 +3114,7 @@ mod tests {
             primed
         );
         // A leave applied through the primitive alone must invalidate it.
-        broker.groups.leave_all(&peer);
-        broker.forget_membership_stamps(&peer);
+        broker.replica.write().forget_memberships(&peer);
         let healed = broker.repair_section_tree('m', &own_id).root().digest();
         assert_ne!(healed, primed, "membership tree digest served stale");
     }
@@ -4368,7 +3130,7 @@ mod tests {
         let origin = PeerId::random(&mut rng);
         let group = GroupId::new("math");
         let doc_type = "jxta:PipeAdvertisement";
-        let epoch = |b: &Broker| b.repair_epoch.load(Ordering::Acquire);
+        let epoch = |b: &Broker| b.replica.epoch();
 
         let before = epoch(&broker);
         assert!(broker.load_advertisement(owner, &group, doc_type, "<v2/>", (2, origin)));
@@ -4383,8 +3145,8 @@ mod tests {
             "a stale write must not move the epoch"
         );
 
-        let guard = broker.advertisements.write();
-        assert_eq!(guard.len(), 1);
+        let guard = broker.replica.write();
+        assert_eq!(guard.advertisement_count(), 1);
         drop(guard);
         assert_eq!(
             epoch(&broker),
@@ -4398,7 +3160,12 @@ mod tests {
     /// with broker lock classes and records no violations.
     #[test]
     fn lock_order_detector_observes_broker_classes() {
-        let (_net, _db, broker, mut rng) = setup();
+        let (net, _db, broker, mut rng) = setup();
+        // With a peer broker admitted, the login gossips: the sequenced send
+        // nests `broker.send_lock → net.*`.
+        let peer_broker = PeerId::random(&mut rng);
+        let _peer_inbox = net.register(peer_broker);
+        broker.add_peer_broker(peer_broker);
         let peer = PeerId::random(&mut rng);
         connect_and_login(&broker, peer, "alice", "pw-a");
         let publish = Message::new(MessageKind::PublishAdvertisement, peer, 3)
@@ -4784,8 +3551,8 @@ mod tests {
                 b.advertisement_snapshot(),
                 b.routing_snapshot(),
                 b.groups().snapshot(),
-                b.repair_presence_entries(),
-                b.repair_epoch.load(Ordering::Acquire),
+                b.replica.read().repair_presence_entries(),
+                b.replica.epoch(),
             )
         };
         let kinds: Vec<MessageKind> = (0..=255u8)
@@ -4899,6 +3666,154 @@ mod tests {
             broker.pending_lookups.lock().is_empty(),
             "the shard response was decoded"
         );
+    }
+
+    /// The next message `inbox` holds, decoded.
+    fn next_message(inbox: &crossbeam::channel::Receiver<NetMessage>) -> Message {
+        Message::from_bytes(&inbox.try_recv().expect("a message").payload).unwrap()
+    }
+
+    /// The largest counter a peer accepts on the wire (see [`counter`]).
+    const FORGED_IN_RANGE: u64 = (1 << 63) - 1;
+
+    /// A second broker on `net` that admits `broker` (and `also`): it stands
+    /// for every peer receiving `broker`'s backbone traffic.
+    fn witness(
+        net: &Arc<SimNetwork>,
+        db: &Arc<UserDatabase>,
+        rng: &mut HmacDrbg,
+        broker: &Broker,
+        also: &[PeerId],
+    ) -> Arc<Broker> {
+        let witness =
+            Broker::new(PeerId::random(rng), BrokerConfig::default(), Arc::clone(net), Arc::clone(db));
+        for peer in std::iter::once(&broker.id()).chain(also) {
+            witness.add_peer_broker(*peer);
+        }
+        witness
+    }
+
+    /// A transport `seq` at or above 2^63 is rejected at the admission gate
+    /// like an unparseable one and leaves the sequence clock alone.  (Merged,
+    /// the clock overflows — or, wrapped, restarts at 0 and every peer
+    /// rejects the broker's traffic as replays.)  At 2^63 − 1 it is admitted
+    /// but credited with at most 2^62, so the next gossip goes out just above
+    /// 2^62 (the login's version takes 2^62 + 1), not at 2^63.  Either way a
+    /// peer admits the broker's next gossip.
+    #[test]
+    fn forged_counter_transport_seq_cannot_partition_a_broker() {
+        for (forged, rejected, next_seq) in [(u64::MAX, 1, 2), (FORGED_IN_RANGE, 0, (1u64 << 62) + 2)] {
+            let (net, db, broker, mut rng) = setup();
+            let origin = PeerId::random(&mut rng);
+            let origin_inbox = net.register(origin);
+            broker.add_peer_broker(origin);
+            let prune = Message::new(MessageKind::PlumtreePrune, origin, 0)
+                .with_str("seq", &forged.to_string());
+            deliver(&broker, origin, &prune);
+            assert_eq!(broker.federation_stats().rejected_replayed, rejected);
+
+            let peer = PeerId::random(&mut rng);
+            let resp = connect_and_login(&broker, peer, "alice", "pw-a");
+            assert_eq!(resp.element_str("status").unwrap(), "ok");
+            let gossip = next_message(&origin_inbox);
+            assert_eq!(gossip.kind, MessageKind::BrokerSync);
+            assert_eq!(gossip.element_str("seq"), Some(next_seq.to_string()));
+
+            let witness = witness(&net, &db, &mut rng, &broker, &[]);
+            deliver(&witness, broker.id(), &gossip);
+            assert_eq!(witness.federation_stats().rejected_replayed, 0);
+            assert_eq!(witness.home_of(&peer), Some(broker.id()), "the login gossip applies");
+        }
+    }
+
+    /// A gossiped join versioned at or above 2^63 is dropped, so the peer's
+    /// later login here versions its presence at a small sequence instead of
+    /// overflowing above the stored one.  Versioned at 2^63 − 1 it is
+    /// applied, and the later login is floored above it at 2^62 + 1, not
+    /// 2^63.  Either way a peer applies the login's gossip.
+    #[test]
+    fn forged_counter_join_version_cannot_overflow_a_local_login() {
+        for (forged, applied, version) in [(u64::MAX, 0, 2), (FORGED_IN_RANGE, 1, (1u64 << 62) + 1)] {
+            let (net, db, broker, mut rng) = setup();
+            let origin = PeerId::random(&mut rng);
+            let origin_inbox = net.register(origin);
+            broker.add_peer_broker(origin);
+            let peer = PeerId::random(&mut rng);
+            let join = Message::new(MessageKind::BrokerSync, origin, 0)
+                .with_str("count", "1")
+                .with_str("e0-op", "join")
+                .with_str("e0-seq", &forged.to_string())
+                .with_str("e0-peer", &peer.to_urn())
+                .with_str("e0-groups", "math")
+                .with_str("seq", "1");
+            deliver(&broker, origin, &join);
+            assert_eq!(broker.federation_stats().syncs_applied, applied);
+            assert_eq!(broker.home_of(&peer), (applied == 1).then_some(origin));
+
+            let resp = connect_and_login(&broker, peer, "alice", "pw-a");
+            assert_eq!(resp.element_str("status").unwrap(), "ok");
+            assert_eq!(broker.home_of(&peer), Some(broker.id()));
+            let gossip = next_message(&origin_inbox);
+            assert_eq!(gossip.element_str("e0-op").as_deref(), Some("join"));
+            assert_eq!(gossip.element_str("e0-seq"), Some(version.to_string()));
+
+            let witness = witness(&net, &db, &mut rng, &broker, &[]);
+            deliver(&witness, broker.id(), &gossip);
+            assert_eq!(witness.home_of(&peer), Some(broker.id()), "the login gossip applies");
+        }
+    }
+
+    /// SWIM verdicts about this broker at an incarnation at or above 2^63
+    /// are dropped; a genuine suspicion is still refuted, at an incarnation
+    /// that stays small and outranks it.  (Taken, the refutation overflows —
+    /// or, wrapped, goes out at incarnation 0, which never outranks the
+    /// accusation, so a live broker stays buried.)  Verdicts at 2^63 − 1 are
+    /// refuted at 2^62 + 1 and then 2^62 + 2, and each refutation clears the
+    /// forged verdict at a peer that took it too.
+    #[test]
+    fn forged_counter_swim_incarnation_cannot_bury_a_live_broker() {
+        let (net, db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        let origin_inbox = net.register(origin);
+        broker.add_peer_broker(origin);
+        let verdict = |seq: u64, op: &str, sinc: u64| {
+            Message::new(MessageKind::BrokerSync, origin, 0)
+                .with_str("count", "1")
+                .with_str("e0-op", op)
+                .with_str("e0-seq", &seq.to_string())
+                .with_str("e0-peer", &broker.id().to_urn())
+                .with_str("e0-sinc", &sinc.to_string())
+                .with_str("seq", &seq.to_string())
+        };
+        for (seq, op) in [(1, "swim-suspect"), (2, "swim-dead"), (3, "swim-alive")] {
+            deliver(&broker, origin, &verdict(seq, op, u64::MAX));
+        }
+        assert_eq!(broker.swim_incarnation(), 0, "the forged verdicts are dropped");
+        assert_eq!(broker.federation_stats().swim_refutations, 0);
+        assert!(origin_inbox.try_recv().is_err());
+
+        deliver(&broker, origin, &verdict(4, "swim-suspect", 0));
+        assert_eq!(broker.swim_incarnation(), 1);
+        let refutation = next_message(&origin_inbox);
+        assert_eq!(refutation.element_str("e0-op").as_deref(), Some("swim-alive"));
+        assert_eq!(refutation.element_str("e0-sinc").as_deref(), Some("1"));
+
+        let witness = witness(&net, &db, &mut rng, &broker, &[origin]);
+        for (seq, op, refuted_at) in
+            [(5, "swim-suspect", (1 << 62) + 1), (6, "swim-dead", (1u64 << 62) + 2)]
+        {
+            let forged = verdict(seq, op, FORGED_IN_RANGE);
+            deliver(&witness, origin, &forged);
+            assert_ne!(witness.swim_record(&broker.id()).unwrap().state, PeerState::Alive);
+            deliver(&broker, origin, &forged);
+            assert_eq!(broker.swim_incarnation(), refuted_at);
+            let refutation = next_message(&origin_inbox);
+            assert_eq!(refutation.element_str("e0-sinc"), Some(refuted_at.to_string()));
+            deliver(&witness, broker.id(), &refutation);
+            let record = witness.swim_record(&broker.id()).unwrap();
+            assert_eq!((record.state, record.incarnation), (PeerState::Alive, refuted_at));
+        }
+        assert_eq!(witness.federation_stats().rejected_replayed, 0);
     }
 
     /// Regression: merging an n-entry snapshot must stay O(n) element
@@ -5017,3 +3932,4 @@ mod tests {
         handle.shutdown();
     }
 }
+

@@ -1,0 +1,382 @@
+//! The broker's backbone fabric: admission, membership and dissemination
+//! behind one lock (`broker.fabric`).
+//!
+//! The admitted brokers with their replay floors, the HyParView view over
+//! them, the Plumtree edges over its active view, the SWIM detector and the
+//! gossip and `IHave` queues are derived from one another, and keeping them
+//! consistent is the [`Fabric`]'s job: [`Fabric::admit`], [`Fabric::forget`],
+//! [`Fabric::on_death`] and [`Fabric::on_alive`] change the view, then
+//! resync Plumtree and SWIM from it, and a forgotten or buried peer loses
+//! its queued traffic.  The fabric never sends: the broker drains the queues
+//! and turns SWIM plans into wire traffic after releasing the guard.
+
+use crate::broker::BrokerConfig;
+use crate::counter::SyncClock;
+use crate::id::PeerId;
+use crate::membership::PartialView;
+use crate::metrics::FederationMetrics;
+use crate::plumtree::{GossipId, PlumtreeState};
+use crate::swim::{AliveOutcome, DeadOutcome, PeerRecord, SuspectOutcome, SwimDetector, TickPlan};
+use std::collections::{BTreeMap, HashMap};
+
+/// One gossip event queued for a peer broker: the fields of a single
+/// replicated write (`op`, its version `seq`, the op-specific rest),
+/// coalesced per destination into one `BrokerSync` digest per flush.
+#[derive(Debug, Clone)]
+pub(crate) struct GossipEvent {
+    pub(crate) fields: Vec<(String, String)>,
+}
+
+impl GossipEvent {
+    pub(crate) fn new(fields: Vec<(&str, String)>) -> Self {
+        GossipEvent { fields: fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect() }
+    }
+}
+
+/// Admission, membership and dissemination state of one broker.
+pub(crate) struct Fabric {
+    own: PeerId,
+    full_mesh: bool,
+    active_capacity: usize,
+    /// The complete *known* peer set in admission order; the view below
+    /// picks the traffic targets.
+    peer_brokers: Vec<PeerId>,
+    /// Highest sequence number seen per origin broker (replay detection).
+    seen_seq: HashMap<PeerId, u64>,
+    view: PartialView,
+    plumtree: PlumtreeState,
+    /// A confirmed death evicts the member from the view and the edges but
+    /// not from the admission set: a recovered broker just answers a probe.
+    swim: SwimDetector,
+    /// Gossip events per destination; the `BTreeMap` keeps the flush order
+    /// deterministic, which the inline federation's pumping relies on.
+    outbox: BTreeMap<PeerId, Vec<GossipEvent>>,
+    /// Gossip ids pending lazy advertisement, one `IHave` per destination.
+    ihave_outbox: BTreeMap<PeerId, Vec<GossipId>>,
+}
+
+impl Fabric {
+    pub(crate) fn new(own: PeerId, config: &BrokerConfig) -> Self {
+        Fabric {
+            own,
+            full_mesh: config.full_mesh,
+            active_capacity: config.active_view,
+            peer_brokers: Vec::new(),
+            seen_seq: HashMap::new(),
+            view: PartialView::new(own, config.active_view, config.passive_view),
+            plumtree: PlumtreeState::new(crate::plumtree::DEFAULT_CACHE),
+            swim: SwimDetector::new(own),
+            outbox: BTreeMap::new(),
+            ihave_outbox: BTreeMap::new(),
+        }
+    }
+
+    /// Re-derives the Plumtree edges from the active view and the SWIM
+    /// member set from the admission set (both no-ops when unchanged).
+    fn resync(&mut self) {
+        self.plumtree.sync_active(&self.view.active());
+        self.swim.sync_members(&self.peer_brokers);
+    }
+
+    /// Admits a peer broker; `false` for this broker or a known peer.
+    pub(crate) fn admit(&mut self, peer: PeerId) -> bool {
+        if peer == self.own || self.peer_brokers.contains(&peer) {
+            return false;
+        }
+        self.peer_brokers.push(peer);
+        self.view.on_join(peer);
+        self.resync();
+        true
+    }
+
+    /// Forgets a peer broker entirely.
+    pub(crate) fn forget(&mut self, peer: &PeerId) {
+        self.peer_brokers.retain(|b| b != peer);
+        self.seen_seq.remove(peer);
+        self.on_death(peer);
+    }
+
+    /// A confirmed death: evict `peer` from the view (promotion from the
+    /// passive reservoir heals the active set), the edges and the queues.
+    pub(crate) fn on_death(&mut self, peer: &PeerId) {
+        self.view.on_failure(peer);
+        self.outbox.remove(peer);
+        self.ihave_outbox.remove(peer);
+        self.resync();
+    }
+
+    /// A cleared member (refuted, or heard from again) re-enters the view
+    /// and the edges: the inverse of [`Fabric::on_death`].
+    pub(crate) fn on_alive(&mut self, peer: PeerId) {
+        if self.peer_brokers.contains(&peer) {
+            self.view.on_join(peer);
+            self.resync();
+        }
+    }
+
+    pub(crate) fn is_admitted(&self, peer: &PeerId) -> bool {
+        self.peer_brokers.contains(peer)
+    }
+
+    pub(crate) fn peers(&self) -> &[PeerId] {
+        &self.peer_brokers
+    }
+
+    /// Whether the epidemic fabric is active: not pinned to full mesh and
+    /// the known peer set outgrew the active-view capacity.
+    pub(crate) fn engaged(&self) -> bool {
+        !self.full_mesh && self.peer_brokers.len() > self.active_capacity
+    }
+
+    /// Broadcast and repair targets: the active view once engaged, else all.
+    pub(crate) fn targets(&self) -> Vec<PeerId> {
+        if self.engaged() {
+            self.view.active()
+        } else {
+            self.peer_brokers.clone()
+        }
+    }
+
+    pub(crate) fn active(&self) -> Vec<PeerId> {
+        self.view.active()
+    }
+
+    pub(crate) fn eager(&self) -> Vec<PeerId> {
+        self.plumtree.eager()
+    }
+
+    pub(crate) fn lazy(&self) -> Vec<PeerId> {
+        self.plumtree.lazy()
+    }
+
+    /// The admission gate: `origin` must be a peer broker arriving over its
+    /// own link (`from`) with a fresh sequence number; rejections are counted.
+    /// A known origin's sequence is merged into `clock` even when stale.
+    pub(crate) fn admit_message(
+        &mut self,
+        origin: PeerId,
+        from: PeerId,
+        seq: Option<u64>,
+        clock: &SyncClock,
+        metrics: &FederationMetrics,
+    ) -> bool {
+        if from != origin || !self.is_admitted(&origin) {
+            metrics.count_rejected_unknown_origin();
+            return false;
+        }
+        let fresh = seq.is_some_and(|seq| {
+            clock.observe(seq);
+            let last = self.seen_seq.entry(origin).or_insert(0);
+            let fresh = seq > *last;
+            *last = (*last).max(seq);
+            fresh
+        });
+        if !fresh {
+            metrics.count_rejected_replayed();
+        }
+        fresh
+    }
+
+    /// Queues `event` for each of `targets` (never this broker).
+    pub(crate) fn queue(&mut self, targets: &[PeerId], event: GossipEvent) {
+        for target in targets {
+            if *target != self.own {
+                self.outbox.entry(*target).or_default().push(event.clone());
+            }
+        }
+    }
+
+    /// Queues a broadcast event and returns how many brokers it was queued
+    /// to directly: every peer on a full mesh; once epidemic, the event is
+    /// stamped with its version origin and a broadcast marker, recorded as
+    /// seen, cached for grafts, queued on the eager edges and advertised on
+    /// the lazy ones.
+    pub(crate) fn broadcast(
+        &mut self,
+        mut event: GossipEvent,
+        metrics: &FederationMetrics,
+    ) -> usize {
+        let gid = if self.engaged() {
+            event.fields.push(("vorigin".to_string(), self.own.to_urn()));
+            event.fields.push(("bcast".to_string(), "1".to_string()));
+            let seq = event.fields.iter().find(|(k, _)| k == "seq");
+            seq.and_then(|(_, v)| v.parse().ok()).map(|seq| (self.own, seq))
+        } else {
+            None
+        };
+        let Some(gid) = gid else {
+            // Direct delivery (also the fallback for an event without a
+            // parseable version, which forwarders could not dedup).
+            let peers = self.peer_brokers.clone();
+            self.queue(&peers, event);
+            return peers.len();
+        };
+        self.plumtree.note_seen(gid);
+        self.plumtree.cache_event(gid, event.fields.clone());
+        let eager = self.plumtree.eager();
+        self.queue(&eager, event);
+        metrics.count_eager_pushes(eager.len() as u64);
+        for peer in self.plumtree.lazy() {
+            self.ihave_outbox.entry(peer).or_default().push(gid);
+        }
+        eager.len()
+    }
+
+    /// Forwards a received broadcast event `gid` (arrived from `origin`,
+    /// its payload built by `fields`): eager edges get the payload, lazy
+    /// edges an `IHave`, neither the sender nor the event's origin.  Returns
+    /// `false` for a duplicate, which the caller must not apply.
+    pub(crate) fn relay(
+        &mut self,
+        gid: GossipId,
+        fields: impl FnOnce() -> Vec<(String, String)>,
+        origin: PeerId,
+        metrics: &FederationMetrics,
+    ) -> bool {
+        if !self.plumtree.note_seen(gid) {
+            return false;
+        }
+        let fields = fields();
+        self.plumtree.cache_event(gid, fields.clone());
+        let onward = |p: &PeerId| *p != origin && *p != gid.0;
+        let forward: Vec<PeerId> = self.plumtree.eager().into_iter().filter(onward).collect();
+        self.queue(&forward, GossipEvent { fields });
+        metrics.count_eager_pushes(forward.len() as u64);
+        for peer in self.plumtree.lazy().into_iter().filter(onward) {
+            self.ihave_outbox.entry(peer).or_default().push(gid);
+        }
+        true
+    }
+
+    /// The sender's edge duplicates the tree: demote it to lazy.
+    pub(crate) fn prune(&mut self, peer: PeerId) {
+        self.plumtree.demote(peer);
+    }
+
+    /// Handles an `IHave` digest: returns the advertised ids this broker
+    /// has not seen and, if any, promotes the advertising edge to eager.
+    pub(crate) fn ihave(&mut self, sender: PeerId, gids: Vec<GossipId>) -> Vec<GossipId> {
+        let missing: Vec<GossipId> =
+            gids.into_iter().filter(|gid| !self.plumtree.has_seen(gid)).collect();
+        if !missing.is_empty() {
+            self.plumtree.promote(sender);
+        }
+        missing
+    }
+
+    /// Handles a `Graft`: the edge turns eager and every requested payload
+    /// still cached is queued back (evicted ones count as graft misses).
+    pub(crate) fn graft(
+        &mut self,
+        sender: PeerId,
+        gids: Vec<GossipId>,
+        metrics: &FederationMetrics,
+    ) {
+        self.plumtree.promote(sender);
+        for gid in gids {
+            match self.plumtree.cached(&gid) {
+                Some(fields) => self.queue(&[sender], GossipEvent { fields }),
+                None => metrics.count_graft_miss(),
+            }
+        }
+    }
+
+    /// Takes every queued gossip event, per destination in id order.
+    pub(crate) fn take_outbox(&mut self) -> BTreeMap<PeerId, Vec<GossipEvent>> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Takes every pending lazy advertisement, per destination in id order.
+    pub(crate) fn take_ihaves(&mut self) -> BTreeMap<PeerId, Vec<GossipId>> {
+        std::mem::take(&mut self.ihave_outbox)
+    }
+
+    /// This round's shuffle offer: a rotating active target, a sample of our
+    /// views and our incarnation (`None` below engagement or if empty).
+    pub(crate) fn shuffle_offer(&mut self) -> Option<(PeerId, Vec<PeerId>, u64)> {
+        if !self.engaged() {
+            return None;
+        }
+        let target = self.view.shuffle_target();
+        let sample = self.view.shuffle_sample(4);
+        let target = target.filter(|_| !sample.is_empty())?;
+        Some((target, sample, self.swim.incarnation()))
+    }
+
+    /// Folds a peer's shuffle sample into the passive reservoir; when
+    /// answering a shuffle, first draws the sample of our views to send back.
+    pub(crate) fn shuffle(&mut self, incoming: &[PeerId], answer: bool) -> Vec<PeerId> {
+        let sample =
+            if answer { self.view.shuffle_sample(incoming.len().max(4)) } else { Vec::new() };
+        self.view.integrate_shuffle(incoming);
+        sample
+    }
+
+    /// This broker's own SWIM incarnation.
+    pub(crate) fn incarnation(&self) -> u64 {
+        self.swim.incarnation()
+    }
+
+    fn cleared(&mut self, peer: PeerId, outcome: AliveOutcome) {
+        if outcome == AliveOutcome::Cleared {
+            self.on_alive(peer);
+        }
+    }
+
+    /// First-hand contact from `peer` at `incarnation` (a probe ack when
+    /// `ack`, which also clears the outstanding probe).
+    pub(crate) fn contact(&mut self, peer: PeerId, incarnation: u64, ack: bool) {
+        let outcome = if ack {
+            self.swim.on_ack(peer, incarnation)
+        } else {
+            self.swim.on_contact(peer, incarnation)
+        };
+        self.cleared(peer, outcome);
+    }
+
+    /// A gossiped SWIM verdict (`op`) about `peer` at `incarnation`: a
+    /// confirmed death evicts the member, a cleared one re-enters.  Returns
+    /// the incarnation to refute at when the verdict accuses this broker.
+    pub(crate) fn verdict(
+        &mut self,
+        op: &str,
+        peer: PeerId,
+        incarnation: u64,
+        metrics: &FederationMetrics,
+    ) -> Option<u64> {
+        match op {
+            "swim-suspect" => match self.swim.on_suspect(peer, incarnation) {
+                SuspectOutcome::RefuteWith(refute) => return Some(refute),
+                SuspectOutcome::Suspected => metrics.count_swim_suspicion(),
+                SuspectOutcome::Ignored => {}
+            },
+            "swim-dead" => match self.swim.on_dead(peer, incarnation) {
+                DeadOutcome::RefuteWith(refute) => return Some(refute),
+                DeadOutcome::Confirmed => {
+                    metrics.count_swim_death();
+                    self.on_death(&peer);
+                }
+                DeadOutcome::Ignored => {}
+            },
+            _ => {
+                let outcome = self.swim.on_alive(peer, incarnation);
+                self.cleared(peer, outcome);
+            }
+        }
+        None
+    }
+
+    /// One SWIM protocol period at the given inbox backlog (Lifeguard).
+    pub(crate) fn tick(&mut self, backlog: u64, threshold: u64) -> TickPlan {
+        self.swim.set_backlog(backlog, threshold);
+        self.swim.tick()
+    }
+
+    pub(crate) fn swim_record(&self, peer: &PeerId) -> Option<PeerRecord> {
+        self.swim.record(peer)
+    }
+
+    pub(crate) fn dead_members(&self) -> Vec<PeerId> {
+        self.swim.dead_members()
+    }
+}

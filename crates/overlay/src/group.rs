@@ -6,10 +6,7 @@
 //! group the peer belongs to.
 
 use crate::id::PeerId;
-use crate::tracked::Tracked;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 /// Identifier of a peer group (a human-readable name, as in JXTA-Overlay).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,17 +42,12 @@ impl From<String> for GroupId {
     }
 }
 
-/// Thread-safe registry of groups and their current members, maintained by
-/// brokers.
-#[derive(Debug)]
+/// Registry of groups and their current members, maintained by brokers.
+/// Plain data: a broker keeps its registry inside its replicated state and
+/// hands out snapshots by value.
+#[derive(Debug, Clone, Default)]
 pub struct GroupRegistry {
-    groups: Tracked<HashMap<GroupId, HashSet<PeerId>>>,
-}
-
-impl Default for GroupRegistry {
-    fn default() -> Self {
-        Self::tracked_by(&Arc::default())
-    }
+    groups: HashMap<GroupId, HashSet<PeerId>>,
 }
 
 impl GroupRegistry {
@@ -64,37 +56,22 @@ impl GroupRegistry {
         Self::default()
     }
 
-    /// Creates an empty registry whose membership writes bump `epoch` (a
-    /// broker's repair epoch: membership is a repair-tree section).
-    pub(crate) fn tracked_by(epoch: &Arc<AtomicU64>) -> Self {
-        GroupRegistry {
-            groups: Tracked::with_class("groups.members", HashMap::new(), epoch),
-        }
-    }
-
-    /// Creates (publishes) a group if it does not exist yet.  Returns `true`
-    /// if the group was newly created.
-    pub fn publish_group(&self, group: GroupId) -> bool {
-        self.groups.write().entry(group).or_default().is_empty()
-    }
-
     /// Adds a peer to a group, creating the group if needed.
-    pub fn join(&self, group: GroupId, peer: PeerId) {
-        self.groups.write().entry(group).or_default().insert(peer);
+    pub fn join(&mut self, group: GroupId, peer: PeerId) {
+        self.groups.entry(group).or_default().insert(peer);
     }
 
     /// Removes a peer from a group.  Returns `true` if the peer was a member.
-    pub fn leave(&self, group: &GroupId, peer: &PeerId) -> bool {
+    pub fn leave(&mut self, group: &GroupId, peer: &PeerId) -> bool {
         self.groups
-            .write()
             .get_mut(group)
             .map(|members| members.remove(peer))
             .unwrap_or(false)
     }
 
     /// Removes a peer from every group (used when a peer goes offline).
-    pub fn leave_all(&self, peer: &PeerId) {
-        for members in self.groups.write().values_mut() {
+    pub fn leave_all(&mut self, peer: &PeerId) {
+        for members in self.groups.values_mut() {
             members.remove(peer);
         }
     }
@@ -102,7 +79,6 @@ impl GroupRegistry {
     /// Returns `true` if `peer` is a member of `group`.
     pub fn is_member(&self, group: &GroupId, peer: &PeerId) -> bool {
         self.groups
-            .read()
             .get(group)
             .map(|m| m.contains(peer))
             .unwrap_or(false)
@@ -113,7 +89,6 @@ impl GroupRegistry {
     pub fn members(&self, group: &GroupId) -> Vec<PeerId> {
         let mut members: Vec<PeerId> = self
             .groups
-            .read()
             .get(group)
             .map(|m| m.iter().copied().collect())
             .unwrap_or_default();
@@ -125,25 +100,12 @@ impl GroupRegistry {
     pub fn groups_of(&self, peer: &PeerId) -> Vec<GroupId> {
         let mut groups: Vec<GroupId> = self
             .groups
-            .read()
             .iter()
             .filter(|(_, members)| members.contains(peer))
             .map(|(g, _)| g.clone())
             .collect();
         groups.sort();
         groups
-    }
-
-    /// All published groups, sorted by name.
-    pub fn all_groups(&self) -> Vec<GroupId> {
-        let mut groups: Vec<GroupId> = self.groups.read().keys().cloned().collect();
-        groups.sort();
-        groups
-    }
-
-    /// Number of published groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.read().len()
     }
 
     /// Deterministic snapshot of the whole registry: every group with its
@@ -154,7 +116,6 @@ impl GroupRegistry {
     pub fn snapshot(&self) -> Vec<(GroupId, Vec<PeerId>)> {
         let mut snapshot: Vec<(GroupId, Vec<PeerId>)> = self
             .groups
-            .read()
             .iter()
             .filter(|(_, members)| !members.is_empty())
             .map(|(group, members)| {
@@ -189,7 +150,7 @@ mod tests {
 
     #[test]
     fn join_and_membership() {
-        let reg = GroupRegistry::new();
+        let mut reg = GroupRegistry::new();
         let ids = peers(3);
         let g = GroupId::new("math-101");
         reg.join(g.clone(), ids[0]);
@@ -197,24 +158,25 @@ mod tests {
         assert!(reg.is_member(&g, &ids[0]));
         assert!(!reg.is_member(&g, &ids[2]));
         assert_eq!(reg.members(&g).len(), 2);
-        assert_eq!(reg.group_count(), 1);
     }
 
     #[test]
     fn overlapping_groups() {
-        let reg = GroupRegistry::new();
+        let mut reg = GroupRegistry::new();
         let ids = peers(2);
         reg.join(GroupId::new("a"), ids[0]);
         reg.join(GroupId::new("b"), ids[0]);
         reg.join(GroupId::new("b"), ids[1]);
-        assert_eq!(reg.groups_of(&ids[0]), vec![GroupId::new("a"), GroupId::new("b")]);
+        assert_eq!(
+            reg.groups_of(&ids[0]),
+            vec![GroupId::new("a"), GroupId::new("b")]
+        );
         assert_eq!(reg.groups_of(&ids[1]), vec![GroupId::new("b")]);
-        assert_eq!(reg.all_groups().len(), 2);
     }
 
     #[test]
     fn leave_and_leave_all() {
-        let reg = GroupRegistry::new();
+        let mut reg = GroupRegistry::new();
         let ids = peers(2);
         let a = GroupId::new("a");
         let b = GroupId::new("b");
@@ -228,21 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn publish_group_reports_novelty() {
-        let reg = GroupRegistry::new();
-        assert!(reg.publish_group(GroupId::new("fresh")));
-        reg.join(GroupId::new("fresh"), peers(1)[0]);
-        assert!(!reg.publish_group(GroupId::new("fresh")));
-    }
-
-    #[test]
     fn snapshot_is_order_insensitive_and_skips_empty_groups() {
         let ids = peers(3);
-        let a = GroupRegistry::new();
+        let mut a = GroupRegistry::new();
         a.join(GroupId::new("g1"), ids[0]);
         a.join(GroupId::new("g1"), ids[1]);
         a.join(GroupId::new("g2"), ids[2]);
-        let b = GroupRegistry::new();
+        let mut b = GroupRegistry::new();
         b.join(GroupId::new("g2"), ids[2]);
         b.join(GroupId::new("g1"), ids[1]);
         b.join(GroupId::new("g1"), ids[0]);
@@ -258,7 +212,7 @@ mod tests {
 
     #[test]
     fn members_are_sorted_and_deterministic() {
-        let reg = GroupRegistry::new();
+        let mut reg = GroupRegistry::new();
         let ids = peers(10);
         let g = GroupId::new("sorted");
         for id in &ids {

@@ -65,8 +65,10 @@ pub mod advertisement;
 pub mod broker;
 pub mod client;
 pub mod clock;
+mod counter;
 pub mod database;
 pub mod error;
+mod fabric;
 pub mod federation;
 pub mod group;
 pub mod id;
@@ -75,6 +77,7 @@ pub mod message;
 pub mod metrics;
 pub mod net;
 pub mod plumtree;
+mod replica;
 pub mod shard;
 pub mod swim;
 mod tracked;

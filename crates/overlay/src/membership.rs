@@ -22,9 +22,9 @@
 //! edges therefore reaches every broker transitively, which is what makes
 //! lazy dissemination safe to adopt.
 //!
-//! The view is plain data: the [`crate::broker::Broker`] owns one behind a
-//! classed lock and drives it from `add_peer_broker` / `remove_peer_broker`
-//! and the shuffle wire messages ([`crate::message::MessageKind::MembershipShuffle`]).
+//! The view is plain data: the broker's fabric (`crate::fabric`) owns one
+//! and drives it from peer admission and removal, SWIM verdicts and the
+//! shuffle wire messages ([`crate::message::MessageKind::MembershipShuffle`]).
 
 use crate::id::PeerId;
 use crate::shard::{fnv1a, mix, FNV_OFFSET};
@@ -37,25 +37,6 @@ pub const DEFAULT_ACTIVE_VIEW: usize = 8;
 
 /// Default bound of the passive view (the healing reservoir).
 pub const DEFAULT_PASSIVE_VIEW: usize = 32;
-
-/// Time-to-live of a forward-join walk: how many active-view hops a join
-/// announcement takes through a full neighbourhood before it is accepted
-/// where it lands.
-pub const FORWARD_JOIN_TTL: u32 = 3;
-
-/// Outcome of [`PartialView::on_forward_join`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForwardJoin {
-    /// The walking peer was taken into this view's active set.
-    Accepted,
-    /// The walk continues (the walking peer itself went to the passive view).
-    Forwarded {
-        /// The active-view member to hand the announcement to.
-        next: PeerId,
-        /// The remaining time-to-live, already decremented.
-        ttl: u32,
-    },
-}
 
 /// A HyParView-style partial view: bounded active and passive sets over the
 /// known peer set, with deterministic pseudo-random eviction/promotion and a
@@ -120,14 +101,6 @@ impl PartialView {
     /// sit in the active view (evicting a pseudo-random other member to the
     /// passive view if the active set is full).
     fn pin_successor(&mut self) {
-        self.pin_successor_keeping(None);
-    }
-
-    /// [`PartialView::pin_successor`], additionally shielding `keep` from
-    /// eviction (a freshly accepted peer must survive its own admission).
-    /// When both pins exceed the capacity the view briefly widens by one
-    /// rather than break either guarantee.
-    fn pin_successor_keeping(&mut self, keep: Option<PeerId>) {
         let Some(successor) = self.successor() else {
             return;
         };
@@ -136,9 +109,7 @@ impl PartialView {
             self.active.insert(successor);
         }
         while self.active.len() > self.active_capacity {
-            let Some(evicted) = self
-                .pick_random(&self.active.clone(), |p| *p == successor || Some(*p) == keep)
-            else {
+            let Some(evicted) = self.pick_random(&self.active.clone(), |p| *p == successor) else {
                 break;
             };
             self.active.remove(&evicted);
@@ -200,33 +171,6 @@ impl PartialView {
             }
         }
         self.pin_successor();
-    }
-
-    /// One step of a forward-join walk: a join announcement travelling the
-    /// active edges.  With room (or an exhausted TTL) the walking peer is
-    /// accepted into the active view; otherwise it is remembered passively
-    /// and the walk continues at a pseudo-random active member.
-    pub fn on_forward_join(&mut self, peer: PeerId, ttl: u32) -> ForwardJoin {
-        if peer == self.own {
-            return ForwardJoin::Accepted;
-        }
-        self.known.insert(peer);
-        if ttl == 0 || self.active.len() < self.active_capacity || self.active.contains(&peer) {
-            self.passive.remove(&peer);
-            self.active.insert(peer);
-            self.pin_successor_keeping(Some(peer));
-            return ForwardJoin::Accepted;
-        }
-        self.demote_to_passive(peer);
-        match self.pick_random(&self.active.clone(), |p| *p == peer) {
-            Some(next) => ForwardJoin::Forwarded { next, ttl: ttl - 1 },
-            None => {
-                self.passive.remove(&peer);
-                self.active.insert(peer);
-                self.pin_successor_keeping(Some(peer));
-                ForwardJoin::Accepted
-            }
-        }
     }
 
     /// Removes a departed or failed peer from every set and heals the active
@@ -373,30 +317,6 @@ mod tests {
         assert!(!view.is_active(&victim));
         assert!(!view.passive().contains(&victim));
         assert!(view.is_active(&view.successor().unwrap()));
-    }
-
-    #[test]
-    fn forward_join_walks_full_views_and_lands() {
-        let ids = peers(8, 4);
-        let mut view = PartialView::new(ids[0], 2, 8);
-        for id in &ids[1..6] {
-            view.on_join(*id);
-        }
-        // Active is full: a fresh forward-join with TTL walks on.
-        let newcomer = ids[6];
-        match view.on_forward_join(newcomer, FORWARD_JOIN_TTL) {
-            ForwardJoin::Forwarded { next, ttl } => {
-                assert!(view.active().contains(&next));
-                assert_eq!(ttl, FORWARD_JOIN_TTL - 1);
-                assert!(view.passive().contains(&newcomer), "walker remembered passively");
-            }
-            ForwardJoin::Accepted => panic!("full active view must forward the walk"),
-        }
-        // TTL exhausted: accepted even into a full view.
-        let walker = ids[7];
-        assert_eq!(view.on_forward_join(walker, 0), ForwardJoin::Accepted);
-        assert!(view.is_active(&walker));
-        assert!(view.active().len() <= 2 + 1, "successor pin may briefly widen by one");
     }
 
     #[test]

@@ -550,11 +550,6 @@ impl SimNetwork {
         })
     }
 
-    /// Creates a network with the default LAN link model.
-    pub fn new_lan() -> Arc<Self> {
-        Self::new(LinkModel::lan())
-    }
-
     /// The link model used for wire-time accounting.
     pub fn link(&self) -> LinkModel {
         self.link
@@ -825,7 +820,7 @@ mod tests {
 
     #[test]
     fn send_to_unknown_peer_fails() {
-        let net = SimNetwork::new_lan();
+        let net = SimNetwork::new(LinkModel::lan());
         let ids = peers(2);
         let _rx = net.register(ids[0]);
         assert!(matches!(

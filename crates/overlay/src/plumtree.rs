@@ -14,10 +14,10 @@
 //! safety net (a graft that misses the bounded cache heals there).
 //!
 //! This module is the bookkeeping only — eager/lazy edge sets, the bounded
-//! seen-set and payload cache keyed by [`GossipId`].  The broker owns one
-//! [`PlumtreeState`] behind a classed lock and drives it from its gossip
-//! paths and the `PlumtreeIHave`/`PlumtreeGraft`/`PlumtreePrune` wire
-//! messages.
+//! seen-set and payload cache keyed by [`GossipId`].  The broker's fabric
+//! (`crate::fabric`) owns one [`PlumtreeState`], keeps its edges in step
+//! with the active view, and drives it from the gossip paths and the
+//! `PlumtreeIHave`/`PlumtreeGraft`/`PlumtreePrune` wire messages.
 
 use crate::id::PeerId;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};

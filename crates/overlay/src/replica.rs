@@ -1,0 +1,892 @@
+//! The broker's replicated state: one owner behind one lock.
+//!
+//! Everything a broker replicates or repairs lives in one [`Replica`] behind
+//! one [`crate::tracked::Tracked`] lock (`broker.replica`): advertisements,
+//! sessions, routing with its last-writer-wins presence versions, group
+//! membership with its provenance stamps, group hosts and the shard ring.
+//! Each transition applies one event under that one guard and never sends:
+//! what must be gossiped afterwards (a re-asserted join, the members to push
+//! to) is handed back for the broker to ship once the guard is released.
+//! Transitions that may turn out to be no-ops are methods of the write guard
+//! ([`ReplicaWrite`]): they compare through a shared borrow first, so a
+//! stale write leaves the repair epoch — and the cached repair trees — alone.
+
+use crate::broker::BrokerSession;
+use crate::counter::SyncClock;
+use crate::group::{GroupId, GroupRegistry};
+use crate::id::PeerId;
+use crate::shard::{self, SectionTree, ShardRing};
+use crate::tracked::TrackedWriteGuard;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// Version of a peer's replicated presence state: `(origin sequence, kind
+/// rank, origin broker)`.  Joins rank above leaves at the same sequence so a
+/// leave/re-join pair racing across the backbone resolves to the join on
+/// every broker.  Like the advertisement versions, any total order makes the
+/// replicas converge; the ranking only picks the intuitive winner.
+pub(crate) type PresenceVersion = (u64, u8, PeerId);
+
+/// Rank of a leave in a [`PresenceVersion`].
+pub(crate) const PRESENCE_LEAVE: u8 = 0;
+/// Rank of a join in a [`PresenceVersion`].
+pub(crate) const PRESENCE_JOIN: u8 = 1;
+
+/// A flattened index entry: `(group, owner, doc type, xml, version)`.
+pub(crate) type FlatEntry = (GroupId, PeerId, String, String, (u64, PeerId));
+
+/// A presence-register entry: the peer, its version and its home broker.
+pub(crate) type PresenceEntry = (PeerId, PresenceVersion, Option<PeerId>);
+
+/// One indexed advertisement: the XML document plus its last-writer-wins
+/// version `(sequence number at the origin broker, origin broker id)`.
+/// Every broker keeps the entry with the greatest version, so concurrent
+/// publishes of the same `(owner, doc type)` key converge to the same winner
+/// on every replica regardless of the order the gossip arrives in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct IndexedAdvertisement {
+    xml: String,
+    version: (u64, PeerId),
+}
+
+/// Advertisement index for one group: (owner, doc type) → versioned XML.
+type GroupAdvertisements = HashMap<(PeerId, String), IndexedAdvertisement>;
+
+/// A join the broker must gossip once the replica guard is released.
+pub(crate) struct JoinGossip {
+    pub(crate) seq: u64,
+    pub(crate) peer: PeerId,
+    pub(crate) groups: Vec<GroupId>,
+}
+
+/// What [`Replica::reshard`] decided, in gossip order: the local sessions'
+/// joins, then every advertisement and membership entry (with its version)
+/// paired with its other replicas, and the number of entries that left.
+pub(crate) struct ReshardPlan {
+    pub(crate) joins: Vec<JoinGossip>,
+    pub(crate) adverts: Vec<(FlatEntry, Vec<PeerId>)>,
+    pub(crate) memberships: Vec<(GroupId, PeerId, PresenceVersion, Vec<PeerId>)>,
+    pub(crate) migrated: u64,
+}
+
+/// The write guard of a broker's replica.
+pub(crate) type ReplicaWrite<'a> = TrackedWriteGuard<'a, Replica>;
+
+/// All repair-tracked state of one broker.
+pub(crate) struct Replica {
+    own: PeerId,
+    sharded: bool,
+    /// Advertisement index: group → (owner, doc type) → XML.
+    advertisements: HashMap<GroupId, GroupAdvertisements>,
+    /// Logged-in sessions.
+    sessions: HashMap<PeerId, BrokerSession>,
+    /// Live local sessions shadowed by a remote join this broker yielded to;
+    /// resurrected if the displacing origin later gossips the peer's leave
+    /// (the join/leave pair proves the displacing join a stale echo).
+    displaced: HashMap<PeerId, BrokerSession>,
+    /// Connected (not necessarily logged-in) peers.
+    connected: HashSet<PeerId>,
+    /// Which broker each remote peer is homed at.
+    peer_homes: HashMap<PeerId, PeerId>,
+    /// Last-writer-wins version of each peer's presence (join/leave) state.
+    peer_versions: HashMap<PeerId, PresenceVersion>,
+    /// The presence version each `(group, member)` entry was asserted under.
+    /// A sender strictly newer than it that lacks the entry proves it stale
+    /// in anti-entropy; an equal version proves it current.
+    membership_versions: HashMap<(GroupId, PeerId), PresenceVersion>,
+    /// Group → member → home broker, from the replicated join/leave gossip:
+    /// sharded publishes address member-hosting brokers with it.
+    group_hosts: HashMap<GroupId, HashMap<PeerId, PeerId>>,
+    /// The consistent-hash ring over this broker and its peers.
+    ring: ShardRing,
+    groups: GroupRegistry,
+    /// The broker's sequence clock, which versions local presence writes.
+    clock: Arc<SyncClock>,
+}
+
+/// Extends an FNV-1a state with a length-prefixed chunk (the prefix keeps
+/// adjacent variable-length fields from aliasing).
+fn hash_chunk(state: u64, bytes: &[u8]) -> u64 {
+    shard::fnv1a(shard::fnv1a(state, &(bytes.len() as u64).to_be_bytes()), bytes)
+}
+
+/// The hash of one advertisement entry as folded into the repair tree.
+/// Order-independent aggregation (XOR up the tree) needs each entry mixed
+/// on its own.
+fn adv_entry_hash(
+    group: &GroupId,
+    owner: &PeerId,
+    doc_type: &str,
+    adv: &IndexedAdvertisement,
+) -> u64 {
+    let mut h = shard::FNV_OFFSET;
+    h = hash_chunk(h, group.as_str().as_bytes());
+    h = hash_chunk(h, owner.as_bytes());
+    h = hash_chunk(h, doc_type.as_bytes());
+    h = hash_chunk(h, adv.xml.as_bytes());
+    h = hash_chunk(h, &adv.version.0.to_be_bytes());
+    h = hash_chunk(h, adv.version.1.as_bytes());
+    shard::mix(h)
+}
+
+/// The hash of one membership entry.  Provenance stamps are deliberately
+/// excluded: two replicas holding the same `(group, member)` set agree.
+fn membership_entry_hash(group: &GroupId, member: &PeerId) -> u64 {
+    let mut h = shard::FNV_OFFSET;
+    h = hash_chunk(h, group.as_str().as_bytes());
+    h = hash_chunk(h, member.as_bytes());
+    shard::mix(h)
+}
+
+/// The hash of an extension's replicated-state digest bytes.
+pub(crate) fn extension_hash(bytes: &[u8]) -> u64 {
+    shard::mix(hash_chunk(shard::FNV_OFFSET, bytes))
+}
+
+impl Replica {
+    /// An empty replica for broker `own`, sharded when `replication_factor`
+    /// is set, versioning local writes with `clock`.
+    pub(crate) fn new(
+        own: PeerId,
+        replication_factor: Option<usize>,
+        clock: Arc<SyncClock>,
+    ) -> Self {
+        let mut ring = ShardRing::new(replication_factor.unwrap_or(usize::MAX));
+        ring.insert(own);
+        Replica {
+            own,
+            sharded: replication_factor.is_some(),
+            advertisements: HashMap::new(),
+            sessions: HashMap::new(),
+            displaced: HashMap::new(),
+            connected: HashSet::new(),
+            peer_homes: HashMap::new(),
+            peer_versions: HashMap::new(),
+            membership_versions: HashMap::new(),
+            group_hosts: HashMap::new(),
+            ring,
+            groups: GroupRegistry::new(),
+            clock,
+        }
+    }
+
+    pub(crate) fn groups(&self) -> &GroupRegistry {
+        &self.groups
+    }
+
+    /// The replica set of `(group, owner)` on the shard ring.
+    pub(crate) fn replicas(&self, group: &GroupId, owner: &PeerId) -> Vec<PeerId> {
+        self.ring.replicas(group, owner)
+    }
+
+    /// Whether this broker must store the `(group, owner)` entry: always
+    /// fully replicated, only as a ring replica when sharded.
+    pub(crate) fn is_local_replica(&self, group: &GroupId, owner: &PeerId) -> bool {
+        !self.sharded || self.ring.is_replica(group, owner, &self.own)
+    }
+
+    pub(crate) fn advertisement_count(&self) -> usize {
+        self.advertisements.values().map(HashMap::len).sum()
+    }
+
+    pub(crate) fn group_host_brokers(&self, group: &GroupId) -> Vec<PeerId> {
+        let mut out: Vec<PeerId> = self
+            .group_hosts
+            .get(group)
+            .map(|members| members.values().copied().collect())
+            .unwrap_or_default();
+        out.sort();
+        out.dedup();
+        out.retain(|b| *b != self.own);
+        out
+    }
+
+    /// The brokers a sharded publish of `(group, owner)` is addressed to:
+    /// its ring replicas plus the brokers hosting live members of the group
+    /// (those push without storing), sorted, never this broker.
+    pub(crate) fn publish_targets(&self, group: &GroupId, owner: &PeerId) -> Vec<PeerId> {
+        let mut targets: Vec<PeerId> = self
+            .replicas(group, owner)
+            .into_iter()
+            .chain(self.group_host_brokers(group))
+            .filter(|broker| *broker != self.own)
+            .collect();
+        targets.sort();
+        targets.dedup();
+        targets
+    }
+
+    pub(crate) fn client_peers(&self) -> Vec<PeerId> {
+        let mut peers: Vec<PeerId> =
+            self.connected.iter().chain(self.sessions.keys()).copied().collect();
+        peers.sort();
+        peers.dedup();
+        peers
+    }
+
+    pub(crate) fn home_of(&self, peer: &PeerId) -> Option<PeerId> {
+        if self.sessions.contains_key(peer) {
+            return Some(self.own);
+        }
+        self.remote_home(peer)
+    }
+
+    /// The replicated home of a peer joined at another broker.
+    pub(crate) fn remote_home(&self, peer: &PeerId) -> Option<PeerId> {
+        self.peer_homes.get(peer).copied()
+    }
+
+    /// Every indexed advertisement as `(group, owner, doc type, f(xml,
+    /// version))`, sorted.
+    pub(crate) fn advertisements_with<T: Ord>(
+        &self,
+        f: impl Fn(&str, (u64, PeerId)) -> T,
+    ) -> Vec<(GroupId, PeerId, String, T)> {
+        let mut out = Vec::new();
+        for (group, index) in &self.advertisements {
+            for ((owner, doc_type), adv) in index {
+                out.push((group.clone(), *owner, doc_type.clone(), f(&adv.xml, adv.version)));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    pub(crate) fn routing_snapshot(&self) -> Vec<(PeerId, PeerId)> {
+        let mut out: Vec<(PeerId, PeerId)> =
+            self.sessions.keys().map(|peer| (*peer, self.own)).collect();
+        out.extend(self.peer_homes.iter().map(|(p, h)| (*p, *h)));
+        out.sort();
+        out
+    }
+
+    pub(crate) fn is_connected(&self, peer: &PeerId) -> bool {
+        self.connected.contains(peer)
+    }
+
+    pub(crate) fn session(&self, peer: &PeerId) -> Option<&BrokerSession> {
+        self.sessions.get(peer)
+    }
+
+    pub(crate) fn session_count(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Advertisements of `doc_type` in `group` (optionally of one owner)
+    /// with owner and version, sorted by owner.
+    pub(crate) fn lookup(
+        &self,
+        group: &GroupId,
+        doc_type: &str,
+        owner: Option<PeerId>,
+    ) -> Vec<(PeerId, (u64, PeerId), String)> {
+        let Some(index) = self.advertisements.get(group) else {
+            return Vec::new();
+        };
+        let mut results: Vec<(PeerId, (u64, PeerId), String)> = index
+            .iter()
+            .filter(|((adv_owner, adv_type), _)| {
+                adv_type == doc_type && owner.is_none_or(|o| *adv_owner == o)
+            })
+            .map(|((adv_owner, _), adv)| (*adv_owner, adv.version, adv.xml.clone()))
+            .collect();
+        // Deterministic order keeps experiments and tests reproducible.
+        results.sort_by_key(|(owner, _, _)| *owner);
+        results
+    }
+
+    /// The locally homed members of `group` other than `from`: the
+    /// audience of an advertisement push.
+    fn local_members(&self, group: &GroupId, from: &PeerId) -> Vec<PeerId> {
+        self.groups
+            .members(group)
+            .into_iter()
+            .filter(|member| member != from && self.sessions.contains_key(member))
+            .collect()
+    }
+
+    /// The provenance version of a stored membership entry (falling back to
+    /// the peer's presence version, then to a floor that loses every
+    /// comparison).
+    pub(crate) fn membership_stamp(&self, group: &GroupId, member: &PeerId) -> PresenceVersion {
+        if let Some(stamp) = self.membership_versions.get(&(group.clone(), *member)) {
+            return *stamp;
+        }
+        self.peer_versions.get(member).copied().unwrap_or((0, PRESENCE_LEAVE, *member))
+    }
+
+    /// `true` when both this broker and `peer` are ring replicas of
+    /// `(group, owner)` — the shared-responsibility test that keeps the two
+    /// sides of an anti-entropy exchange hashing the same entry set.
+    fn is_shared_replica(&self, group: &GroupId, owner: &PeerId, peer: &PeerId) -> bool {
+        !self.sharded
+            || (self.ring.is_replica(group, owner, &self.own)
+                && self.ring.is_replica(group, owner, peer))
+    }
+
+    /// `true` when both this broker and `peer` are responsible for the
+    /// membership entry: a ring replica of it, or the member's home (which
+    /// keeps its sessions' memberships as ground truth and can heal replicas
+    /// that all lost the join).  Both sides read the home from the fully
+    /// replicated routing table, so the sets agree whenever routing does.
+    fn is_membership_shared(&self, group: &GroupId, member: &PeerId, peer: &PeerId) -> bool {
+        if !self.sharded {
+            return true;
+        }
+        let home = self.home_of(member);
+        let responsible =
+            |broker: &PeerId| self.ring.is_replica(group, member, broker) || home == Some(*broker);
+        responsible(&self.own) && responsible(peer)
+    }
+
+    /// Sorted advertisement entries shared with `peer`.
+    pub(crate) fn repair_adv_entries(&self, peer: &PeerId) -> Vec<FlatEntry> {
+        let entries = self.repair_adv_entries_in(peer, 0, u64::MAX);
+        let mut out: Vec<FlatEntry> = entries.into_iter().map(|(_, entry)| entry).collect();
+        out.sort();
+        out
+    }
+
+    /// Advertisement entries shared with `peer` whose shard key falls in
+    /// `[lo, hi]`, sorted by key.
+    pub(crate) fn repair_adv_entries_in(
+        &self,
+        peer: &PeerId,
+        lo: u64,
+        hi: u64,
+    ) -> Vec<(u64, FlatEntry)> {
+        let mut out = Vec::new();
+        for (group, index) in &self.advertisements {
+            for ((owner, doc_type), adv) in index {
+                let key = shard::shard_key(group, owner);
+                if (lo..=hi).contains(&key) && self.is_shared_replica(group, owner, peer) {
+                    let entry =
+                        (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version);
+                    out.push((key, entry));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Sorted membership entries shared with `peer`.
+    pub(crate) fn repair_membership_entries(&self, peer: &PeerId) -> Vec<(GroupId, PeerId)> {
+        let entries = self.repair_membership_entries_in(peer, 0, u64::MAX);
+        let mut out: Vec<_> = entries.into_iter().map(|(_, entry)| entry).collect();
+        out.sort();
+        out
+    }
+
+    /// Membership entries shared with `peer` whose shard key falls in
+    /// `[lo, hi]`, sorted by key.
+    pub(crate) fn repair_membership_entries_in(
+        &self,
+        peer: &PeerId,
+        lo: u64,
+        hi: u64,
+    ) -> Vec<(u64, (GroupId, PeerId))> {
+        let mut out = Vec::new();
+        for (group, members) in self.groups.snapshot() {
+            for member in members {
+                let key = shard::shard_key(&group, &member);
+                if (lo..=hi).contains(&key) && self.is_membership_shared(&group, &member, peer) {
+                    out.push((key, (group.clone(), member)));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Sorted presence register: every peer's version plus its current home
+    /// broker.  Fully replicated, so the whole register is exchanged with
+    /// every peer.
+    pub(crate) fn repair_presence_entries(&self) -> Vec<PresenceEntry> {
+        let mut out: Vec<PresenceEntry> = self
+            .peer_versions
+            .iter()
+            .map(|(peer, version)| (*peer, *version, self.home_of(peer)))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The hash of the presence/routing register (identical towards every
+    /// peer).
+    pub(crate) fn presence_hash(&self) -> u64 {
+        let mut p = shard::FNV_OFFSET;
+        for (peer_id, version, home) in self.repair_presence_entries() {
+            p = hash_chunk(p, peer_id.as_bytes());
+            p = hash_chunk(p, &version.0.to_be_bytes());
+            p = hash_chunk(p, &[version.1]);
+            p = hash_chunk(p, version.2.as_bytes());
+            p = match home {
+                Some(home) => hash_chunk(p, home.as_bytes()),
+                None => hash_chunk(p, &[]),
+            };
+        }
+        shard::mix(p)
+    }
+
+    /// Builds the repair tree of one shard-keyed section (`'a'` or `'m'`)
+    /// over the entries shared with `peer`.
+    pub(crate) fn build_section_tree(&self, section: char, peer: &PeerId) -> SectionTree {
+        let mut tree = SectionTree::default();
+        if section == 'a' {
+            for (group, index) in &self.advertisements {
+                for ((owner, doc_type), adv) in index {
+                    if self.is_shared_replica(group, owner, peer) {
+                        let hash = adv_entry_hash(group, owner, doc_type, adv);
+                        tree.insert(shard::shard_key(group, owner), hash);
+                    }
+                }
+            }
+        } else {
+            for (key, (group, member)) in self.repair_membership_entries_in(peer, 0, u64::MAX) {
+                tree.insert(key, membership_entry_hash(&group, &member));
+            }
+        }
+        tree
+    }
+
+    /// A broker joined the federation: it joins the shard ring.
+    pub(crate) fn admit_broker(&mut self, broker: PeerId) {
+        self.ring.insert(broker);
+    }
+
+    /// A broker left: it leaves the ring, and its clients' routes and
+    /// memberships go with it (every survivor performs the same cleanup).
+    pub(crate) fn remove_broker(&mut self, broker: &PeerId) {
+        self.ring.remove(broker);
+        let orphans: Vec<PeerId> = self
+            .peer_homes
+            .iter()
+            .filter(|(_, home)| *home == broker)
+            .map(|(peer, _)| *peer)
+            .collect();
+        for peer in orphans {
+            self.forget_memberships(&peer);
+            self.connected.remove(&peer);
+            self.displaced.remove(&peer);
+        }
+        self.peer_homes.retain(|_, home| home != broker);
+        for hosts in self.group_hosts.values_mut() {
+            hosts.retain(|_, home| home != broker);
+        }
+    }
+
+    pub(crate) fn mark_connected(&mut self, peer: PeerId) {
+        self.connected.insert(peer);
+    }
+
+    pub(crate) fn stamp_membership(
+        &mut self,
+        group: &GroupId,
+        member: PeerId,
+        version: PresenceVersion,
+    ) {
+        self.membership_versions.insert((group.clone(), member), version);
+    }
+
+    pub(crate) fn forget_membership_stamps(&mut self, peer: &PeerId) {
+        self.membership_versions.retain(|(_, member), _| member != peer);
+    }
+
+    /// Drops `peer` from every group with its provenance stamps.
+    pub(crate) fn forget_memberships(&mut self, peer: &PeerId) {
+        self.groups.leave_all(peer);
+        self.forget_membership_stamps(peer);
+    }
+
+    fn set_group_hosts(&mut self, member: &PeerId, groups: &[GroupId], home: PeerId) {
+        for group in groups {
+            self.group_hosts.entry(group.clone()).or_default().insert(*member, home);
+        }
+    }
+
+    fn clear_group_hosts(&mut self, member: &PeerId) {
+        for members in self.group_hosts.values_mut() {
+            members.remove(member);
+        }
+        self.group_hosts.retain(|_, members| !members.is_empty());
+    }
+
+    /// Records a local join/leave in the presence register and returns the
+    /// sequence number it was versioned (and must be gossiped) under.  The
+    /// sequence is floored above the stored version so the local write — the
+    /// authoritative one, the client is talking to *this* broker — wins.
+    fn version_local_presence(&mut self, peer: PeerId, rank: u8) -> u64 {
+        self.clock.observe(self.peer_versions.get(&peer).map_or(0, |version| version.0));
+        let seq = self.clock.next();
+        self.peer_versions.insert(peer, (seq, rank, self.own));
+        seq
+    }
+
+    /// Records a successful login: the session, its groups and this broker
+    /// as the peer's home (a fresh login also supersedes a shadowed
+    /// session).  Returns the join to gossip.
+    pub(crate) fn establish_session(&mut self, peer: PeerId, session: BrokerSession) -> JoinGossip {
+        self.sessions.insert(peer, session.clone());
+        self.displaced.remove(&peer);
+        self.assert_local_session(peer, session)
+    }
+
+    /// Removes a peer's session, connection and memberships.  Returns the
+    /// sequence its leave is gossiped under when it had a session.
+    pub(crate) fn drop_session(&mut self, peer: &PeerId) -> Option<u64> {
+        let had_session = self.sessions.remove(peer).is_some();
+        self.connected.remove(peer);
+        self.displaced.remove(peer);
+        self.forget_memberships(peer);
+        self.clear_group_hosts(peer);
+        had_session.then(|| self.version_local_presence(*peer, PRESENCE_LEAVE))
+    }
+
+    /// Asserts a live local session: this broker *is* the peer's home (the
+    /// connection is local ground truth), so it takes the route, restores
+    /// the memberships and versions the join above any stored write — also
+    /// how a session re-asserts itself over stale remote gossip.
+    fn assert_local_session(&mut self, peer: PeerId, session: BrokerSession) -> JoinGossip {
+        self.peer_homes.remove(&peer);
+        let seq = self.version_local_presence(peer, PRESENCE_JOIN);
+        for group in &session.groups {
+            self.stamp_membership(group, peer, (seq, PRESENCE_JOIN, self.own));
+            self.groups.join(group.clone(), peer);
+        }
+        self.set_group_hosts(&peer, &session.groups, self.own);
+        JoinGossip { seq, peer, groups: session.groups }
+    }
+
+    /// The local side of a remote JOIN (the peer is homed at `origin` now).
+    /// When the peer is demonstrably logged in *here*, the lower broker id
+    /// re-asserts (a stale join arriving late cannot ghost a live client) and
+    /// the higher one yields but *shadows* the open session; exactly one side
+    /// backs down, so the exchange terminates.  Returns `true` when the event
+    /// was absorbed by a re-assert (queued on `joins`).
+    pub(crate) fn yield_to_remote_join(
+        &mut self,
+        peer: PeerId,
+        origin: PeerId,
+        joins: &mut Vec<JoinGossip>,
+    ) -> bool {
+        if let Some(session) = self.sessions.get(&peer).cloned() {
+            if self.own < origin {
+                joins.push(self.assert_local_session(peer, session));
+                return true;
+            }
+            self.displaced.insert(peer, session);
+        }
+        self.sessions.remove(&peer);
+        self.connected.remove(&peer);
+        false
+    }
+
+    /// The local side of a remote LEAVE.  A live session here is re-asserted
+    /// (a leave echoing an older home must not log it out); a *shadowed* one
+    /// is resurrected, its still-open connection proving the join we yielded
+    /// to a stale echo.  Returns `true` when absorbed (a join on `joins`).
+    pub(crate) fn absorb_remote_leave(
+        &mut self,
+        peer: PeerId,
+        joins: &mut Vec<JoinGossip>,
+    ) -> bool {
+        if let Some(session) = self.sessions.get(&peer).cloned() {
+            joins.push(self.assert_local_session(peer, session));
+            return true;
+        }
+        if let Some(session) = self.displaced.remove(&peer) {
+            self.sessions.insert(peer, session.clone());
+            joins.push(self.assert_local_session(peer, session));
+            return true;
+        }
+        self.connected.remove(&peer);
+        false
+    }
+
+    /// Plans the migration after a ring change and drops the entries this
+    /// broker no longer owns — except local sessions' memberships, which are
+    /// local ground truth.
+    pub(crate) fn reshard(&mut self) -> ReshardPlan {
+        let sessions: Vec<(PeerId, Vec<GroupId>)> =
+            self.sessions.iter().map(|(peer, session)| (*peer, session.groups.clone())).collect();
+        let joins = sessions
+            .into_iter()
+            .map(|(peer, groups)| {
+                let seq = self.version_local_presence(peer, PRESENCE_JOIN);
+                JoinGossip { seq, peer, groups }
+            })
+            .collect();
+        let mut migrated = 0u64;
+        let mut adverts = Vec::new();
+        for (group, owner, doc_type, (xml, version)) in
+            self.advertisements_with(|xml, version| (xml.to_string(), version))
+        {
+            let replicas = self.replicas(&group, &owner);
+            if !replicas.contains(&self.own) {
+                if let Some(index) = self.advertisements.get_mut(&group) {
+                    index.remove(&(owner, doc_type.clone()));
+                    if index.is_empty() {
+                        self.advertisements.remove(&group);
+                    }
+                }
+                migrated += 1;
+            }
+            let others = replicas.into_iter().filter(|r| *r != self.own).collect();
+            adverts.push(((group, owner, doc_type, xml, version), others));
+        }
+        let mut memberships = Vec::new();
+        for (group, members) in self.groups.snapshot() {
+            for peer in members {
+                let replicas = self.replicas(&group, &peer);
+                // Migrated entries carry their provenance stamp, so the
+                // receiving replica's copy stays comparable against future
+                // presence versions exactly as the original was.
+                let version = self.membership_stamp(&group, &peer);
+                if !replicas.contains(&self.own) && !self.sessions.contains_key(&peer) {
+                    self.groups.leave(&group, &peer);
+                    self.membership_versions.remove(&(group.clone(), peer));
+                    migrated += 1;
+                }
+                let others = replicas.into_iter().filter(|r| *r != self.own).collect();
+                memberships.push((group.clone(), peer, version, others));
+            }
+        }
+        ReshardPlan { joins, adverts, memberships, migrated }
+    }
+}
+
+impl ReplicaWrite<'_> {
+    /// Inserts (or LWW-replaces) an advertisement.  Returns `false` when a
+    /// greater-or-equal version is already stored.
+    pub(crate) fn store_advertisement(
+        &mut self,
+        from: PeerId,
+        group: &GroupId,
+        doc_type: &str,
+        xml: &str,
+        version: (u64, PeerId),
+    ) -> bool {
+        let key = (from, doc_type.to_string());
+        let stored =
+            self.advertisements.get(group).and_then(|index| index.get(&key)).map(|adv| adv.version);
+        if stored.is_some_and(|stored| version <= stored) {
+            return false;
+        }
+        let adv = IndexedAdvertisement { xml: xml.to_string(), version };
+        self.advertisements.entry(group.clone()).or_default().insert(key, adv);
+        true
+    }
+
+    /// Applies a publish: stores it if this broker is one of the entry's
+    /// replicas and returns the local members to push it to — `None` when a
+    /// greater version already won.
+    pub(crate) fn publish(
+        &mut self,
+        from: PeerId,
+        group: &GroupId,
+        doc_type: &str,
+        xml: &str,
+        version: (u64, PeerId),
+    ) -> Option<Vec<PeerId>> {
+        if self.is_local_replica(group, &from)
+            && !self.store_advertisement(from, group, doc_type, xml, version)
+        {
+            return None;
+        }
+        Some(self.local_members(group, &from))
+    }
+
+    /// Applies `version` to the presence register if it is newer than the
+    /// stored one.  Returns `false` when the incoming write is stale.
+    pub(crate) fn try_version_presence(&mut self, peer: PeerId, version: PresenceVersion) -> bool {
+        if self.peer_versions.get(&peer).is_some_and(|stored| version <= *stored) {
+            return false;
+        }
+        self.peer_versions.insert(peer, version);
+        true
+    }
+
+    /// Applies a remote join of `peer` (versioned `seq` at its new `home`,
+    /// comma-joined `groups`).  Returns `true` unless stale or absorbed.
+    pub(crate) fn apply_join(
+        &mut self,
+        peer: PeerId,
+        (seq, home): (u64, PeerId),
+        groups: &str,
+        joins: &mut Vec<JoinGossip>,
+    ) -> bool {
+        if !self.try_version_presence(peer, (seq, PRESENCE_JOIN, home))
+            || self.yield_to_remote_join(peer, home, joins)
+        {
+            return false;
+        }
+        // The peer is homed at `home` now; any local membership for it was
+        // stale (the peer re-homed to another broker).
+        self.forget_memberships(&peer);
+        self.clear_group_hosts(&peer);
+        self.peer_homes.insert(peer, home);
+        for group in groups.split(',').filter(|s| !s.is_empty()) {
+            let group = GroupId::new(group);
+            // Every broker records which broker hosts the member (the
+            // group-aware publish routing digest), but sharded membership
+            // entries live on their ring replicas only.
+            self.set_group_hosts(&peer, std::slice::from_ref(&group), home);
+            if self.is_local_replica(&group, &peer) {
+                self.stamp_membership(&group, peer, (seq, PRESENCE_JOIN, home));
+                self.groups.join(group, peer);
+            }
+        }
+        true
+    }
+
+    /// Applies a remote leave of `peer`.  Returns `true` unless stale or
+    /// absorbed.
+    pub(crate) fn apply_leave(
+        &mut self,
+        peer: PeerId,
+        (seq, home): (u64, PeerId),
+        joins: &mut Vec<JoinGossip>,
+    ) -> bool {
+        if !self.try_version_presence(peer, (seq, PRESENCE_LEAVE, home))
+            || self.absorb_remote_leave(peer, joins)
+        {
+            return false;
+        }
+        self.forget_memberships(&peer);
+        self.clear_group_hosts(&peer);
+        self.peer_homes.remove(&peer);
+        true
+    }
+
+    /// Applies a migrated membership entry carrying the presence version it
+    /// was observed under.  Returns `false` when a newer one superseded it.
+    pub(crate) fn apply_membership(
+        &mut self,
+        peer: PeerId,
+        group: GroupId,
+        carried: PresenceVersion,
+    ) -> bool {
+        match self.peer_versions.get(&peer) {
+            Some(stored) if carried < *stored => return false,
+            Some(stored) if carried == *stored => {}
+            _ => {
+                self.peer_versions.insert(peer, carried);
+            }
+        }
+        if carried.1 == PRESENCE_JOIN && self.is_local_replica(&group, &peer) {
+            self.stamp_membership(&group, peer, carried);
+            self.groups.join(group, peer);
+        }
+        true
+    }
+
+    /// Merges a presence section like the matching join/leave gossip,
+    /// leaving memberships to the membership section.  Returns the entries
+    /// brought up to date.
+    pub(crate) fn merge_presence(
+        &mut self,
+        entries: &[PresenceEntry],
+        joins: &mut Vec<JoinGossip>,
+    ) -> u64 {
+        let mut repaired = 0;
+        for &(peer, version, home) in entries {
+            if !self.try_version_presence(peer, version) {
+                continue;
+            }
+            repaired += 1;
+            if version.1 == PRESENCE_JOIN {
+                if self.yield_to_remote_join(peer, version.2, joins) {
+                    continue;
+                }
+                match home {
+                    Some(home) if home != self.own => {
+                        self.peer_homes.insert(peer, home);
+                    }
+                    _ => {
+                        self.peer_homes.remove(&peer);
+                    }
+                }
+            } else {
+                if self.absorb_remote_leave(peer, joins) {
+                    continue;
+                }
+                self.forget_memberships(&peer);
+                self.peer_homes.remove(&peer);
+            }
+        }
+        repaired
+    }
+
+    /// Merges a membership section.  Deletions first: an entry shared with
+    /// `origin`, `in_range` of the page, missing at the sender and stamped
+    /// strictly older than the sender's version of the member was left (an
+    /// equal version proves it current; a live local session's membership is
+    /// never deleted).  Then the sender's entries are added with their stamps.
+    /// Returns the entries brought up to date.
+    pub(crate) fn merge_membership(
+        &mut self,
+        origin: &PeerId,
+        entries: Vec<(GroupId, PeerId, PresenceVersion)>,
+        sender_versions: &HashMap<PeerId, PresenceVersion>,
+        in_range: impl Fn(u64) -> bool,
+    ) -> u64 {
+        let mut repaired = 0;
+        let sender_members: HashSet<(GroupId, PeerId)> =
+            entries.iter().map(|(group, member, _)| (group.clone(), *member)).collect();
+        for (group, member) in self.repair_membership_entries(origin) {
+            if !in_range(shard::shard_key(&group, &member))
+                || sender_members.contains(&(group.clone(), member))
+                || self.sessions.contains_key(&member)
+            {
+                continue;
+            }
+            if sender_versions
+                .get(&member)
+                .is_some_and(|theirs| *theirs > self.membership_stamp(&group, &member))
+            {
+                self.groups.leave(&group, &member);
+                self.membership_versions.remove(&(group, member));
+                repaired += 1;
+            }
+        }
+        for (group, member, carried) in entries {
+            if carried.1 != PRESENCE_JOIN
+                || !self.is_local_replica(&group, &member)
+                // The member's presence moved past this entry's provenance
+                // (a later leave or re-join); only a sender with an equally
+                // current stamp may assert it.
+                || self.peer_versions.get(&member).is_some_and(|stored| *stored > carried)
+            {
+                continue;
+            }
+            if !self.groups.is_member(&group, &member) {
+                self.stamp_membership(&group, member, carried);
+                self.groups.join(group, member);
+                repaired += 1;
+            } else if carried > self.membership_stamp(&group, &member) {
+                self.stamp_membership(&group, member, carried);
+            }
+        }
+        repaired
+    }
+
+    /// Merges advertisement entries under last-writer-wins.  Returns the
+    /// entries that healed, with the local members that missed their push.
+    pub(crate) fn merge_advertisements(
+        &mut self,
+        entries: Vec<FlatEntry>,
+    ) -> Vec<(FlatEntry, Vec<PeerId>)> {
+        let mut healed = Vec::new();
+        for entry in entries {
+            let (group, owner, doc_type, xml, version) = &entry;
+            if !self.is_local_replica(group, owner) {
+                continue;
+            }
+            if let Some(members) = self.publish(*owner, group, doc_type, xml, *version) {
+                healed.push((entry, members));
+            }
+        }
+        healed
+    }
+}

@@ -23,13 +23,14 @@
 //!   stretches every timeout while the local inbox lags, so overload degrades
 //!   to slower detection instead of a false-positive storm.
 //!
-//! The detector is plain data behind a classed lock in
-//! [`crate::broker::Broker`]; it never touches the clock or the network.
+//! The detector is plain data owned by the broker's fabric
+//! (`crate::fabric`); it never touches the clock or the network.
 //! Time is the repair-cadence tick counter, and all wire traffic
 //! ([`crate::message::MessageKind::SwimPing`] / `SwimPingReq` / `SwimAck`,
 //! plus the gossiped `swim-*` events) is sent by the broker through the
 //! sequenced admission-controlled path.
 
+use crate::counter;
 use crate::id::PeerId;
 use crate::shard::{fnv1a, mix, FNV_OFFSET};
 use std::collections::BTreeMap;
@@ -362,17 +363,19 @@ impl SwimDetector {
 
     /// A gossiped suspicion about `peer` at `incarnation`.  Second-hand:
     /// only honoured when the accused incarnation is current, and always
-    /// refuted when the accused is this broker itself.
+    /// refuted when the accused is this broker itself — in range and above
+    /// even a forged accusation (the crate's wire-counter rule).
     pub fn on_suspect(&mut self, peer: PeerId, incarnation: u64) -> SuspectOutcome {
         if peer == self.own {
             // Refute: adopt an incarnation strictly above the accusation.
-            self.incarnation = self.incarnation.max(incarnation) + 1;
+            self.incarnation = counter::above(self.incarnation, incarnation);
             return SuspectOutcome::RefuteWith(self.incarnation);
         }
         let deadline = self.tick + self.suspect_ticks * self.health;
         let Some(record) = self.members.get_mut(&peer) else {
             return SuspectOutcome::Ignored;
         };
+        let incarnation = counter::credit(incarnation, record.incarnation);
         if incarnation < record.incarnation {
             return SuspectOutcome::Ignored; // refuted already
         }
@@ -391,7 +394,7 @@ impl SwimDetector {
     /// incarnation.
     pub fn on_alive(&mut self, peer: PeerId, incarnation: u64) -> AliveOutcome {
         if peer == self.own {
-            self.incarnation = self.incarnation.max(incarnation);
+            self.incarnation = counter::merge(self.incarnation, incarnation);
             return AliveOutcome::Ignored;
         }
         let Some(record) = self.members.get_mut(&peer) else {
@@ -417,10 +420,11 @@ impl SwimDetector {
         }
     }
 
-    /// A gossiped death verdict for `peer` at `incarnation`.
+    /// A gossiped death verdict for `peer` at `incarnation` (credited and
+    /// refuted like [`SwimDetector::on_suspect`]'s suspicion).
     pub fn on_dead(&mut self, peer: PeerId, incarnation: u64) -> DeadOutcome {
         if peer == self.own {
-            self.incarnation = self.incarnation.max(incarnation) + 1;
+            self.incarnation = counter::above(self.incarnation, incarnation);
             return DeadOutcome::RefuteWith(self.incarnation);
         }
         let Some(record) = self.members.get_mut(&peer) else {
@@ -429,6 +433,7 @@ impl SwimDetector {
         if record.state == PeerState::Dead {
             return DeadOutcome::Ignored;
         }
+        let incarnation = counter::credit(incarnation, record.incarnation);
         // A death verdict outranks alive/suspect of any incarnation it has
         // seen; only a strictly newer alive announcement resurrects.
         if incarnation < record.incarnation && record.state == PeerState::Alive {
@@ -553,6 +558,40 @@ mod tests {
             DeadOutcome::RefuteWith(incarnation) => assert!(incarnation > 9),
             other => panic!("own death verdict must refute, got {other:?}"),
         }
+    }
+
+    /// Accusations forged at the top of the accepted range (2^63 − 1): each
+    /// refutation stays in range and clears the forged verdict at a detector
+    /// that took it, round after round.
+    #[test]
+    fn forged_counter_accusation_is_outranked_by_its_refutation() {
+        let (mut accused, ids) = detector(3, 0x57);
+        let mut witness = SwimDetector::new(ids[1]);
+        witness.sync_members(&ids);
+        let forged = (1 << 63) - 1;
+        for round in 1..=3u64 {
+            let refutation = if round % 2 == 0 {
+                witness.on_dead(ids[0], forged);
+                match accused.on_dead(ids[0], forged) {
+                    DeadOutcome::RefuteWith(incarnation) => incarnation,
+                    other => panic!("own death verdict must refute, got {other:?}"),
+                }
+            } else {
+                assert_eq!(witness.on_suspect(ids[0], forged), SuspectOutcome::Suspected);
+                match accused.on_suspect(ids[0], forged) {
+                    SuspectOutcome::RefuteWith(incarnation) => incarnation,
+                    other => panic!("own suspicion must refute, got {other:?}"),
+                }
+            };
+            assert_eq!(refutation, (1 << 62) + round);
+            assert_eq!(witness.on_alive(ids[0], refutation), AliveOutcome::Cleared);
+            assert_eq!(witness.record(&ids[0]).unwrap().state, PeerState::Alive);
+        }
+        // A forged alive announcement moves this broker's incarnation to at
+        // most 2^62, so its next refutation is in range too.
+        let (mut accused, ids) = detector(3, 0x58);
+        accused.on_alive(ids[0], forged);
+        assert_eq!(accused.on_suspect(ids[0], forged), SuspectOutcome::RefuteWith((1 << 62) + 1));
     }
 
     #[test]

@@ -1,34 +1,37 @@
-//! Write guards that invalidate the broker's cached repair trees.
+//! A lock whose mutating writes invalidate the broker's cached repair trees.
 //!
 //! The anti-entropy layer caches one hash tree per section and drops the
-//! cache whenever the shared `repair_epoch` counter moves.  Every map the
-//! trees are built from sits behind a [`Tracked`] lock: each write guard
-//! that was mutably dereferenced bumps the epoch when it drops, so no
-//! mutation can leave a stale tree behind, however the caller is written.
-//! A guard that only read through [`Deref`] leaves the epoch alone — a
-//! stale write that loses its last-writer-wins comparison must not cost a
-//! tree rebuild.
+//! cache whenever the repair epoch moves.  The one owner of every map the
+//! trees are built from — the broker's [`crate::replica::Replica`] — sits
+//! behind a [`Tracked`] lock that owns that epoch: each write guard that was
+//! mutably dereferenced bumps it when it drops, so no mutation can leave a
+//! stale tree behind, however the caller is written.  A guard that only read
+//! through [`Deref`] leaves the epoch alone — a stale write that loses its
+//! last-writer-wins comparison must not cost a tree rebuild.
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// A classed [`RwLock`] whose mutating writes bump a shared epoch.
+/// A classed [`RwLock`] whose mutating writes bump its own epoch.
 pub(crate) struct Tracked<T> {
     lock: RwLock<T>,
-    epoch: Arc<AtomicU64>,
+    epoch: AtomicU64,
 }
 
 impl<T> Tracked<T> {
-    /// Wraps `value` in a lock of lock-order class `class` whose writes bump
-    /// `epoch`.
-    pub(crate) fn with_class(class: &'static str, value: T, epoch: &Arc<AtomicU64>) -> Self {
+    /// Wraps `value` in a lock of lock-order class `class`.
+    pub(crate) fn with_class(class: &'static str, value: T) -> Self {
         Tracked {
             lock: RwLock::with_class(class, value),
-            epoch: Arc::clone(epoch),
+            epoch: AtomicU64::new(0),
         }
+    }
+
+    /// The number of mutating writes so far.  Loaded with `Acquire`: a
+    /// reader that sees an epoch also sees the state written before it.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Shared read access; never moves the epoch.
@@ -44,12 +47,6 @@ impl<T> Tracked<T> {
             epoch: &self.epoch,
             dirty: false,
         }
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Tracked<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.lock, f)
     }
 }
 
