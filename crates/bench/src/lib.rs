@@ -1169,8 +1169,6 @@ pub struct EpidemicFanoutResult {
     pub quick: bool,
     /// Active-view capacity the epidemic rows ran with.
     pub active_view: usize,
-    /// Passive-view capacity the epidemic rows ran with.
-    pub passive_view: usize,
     /// The measured cells.
     pub rows: Vec<EpidemicFanoutRow>,
 }
@@ -1286,7 +1284,6 @@ pub fn experiment_epidemic_fanout(config: &ExperimentConfig) -> EpidemicFanoutRe
         experiment: "e8-epidemic-fanout".to_string(),
         quick,
         active_view: jxta_overlay::membership::DEFAULT_ACTIVE_VIEW,
-        passive_view: jxta_overlay::membership::DEFAULT_PASSIVE_VIEW,
         rows,
     }
 }
@@ -1408,7 +1405,7 @@ pub fn measure_swim_detection(brokers: usize, drop_percent: u32, seed: u64) -> S
         .map(|i| {
             Broker::new(
                 PeerId::random(&mut rng),
-                BrokerConfig::named(format!("broker-{}", i + 1)).with_view_capacities(4, 12),
+                BrokerConfig::named(format!("broker-{}", i + 1)).with_view_capacities(4),
                 Arc::clone(&network),
                 Arc::clone(&database),
             )

@@ -51,7 +51,7 @@
 //!   and presence versions, membership and its stamps, group hosts, the
 //!   shard ring.  Its write guard bumps the repair epoch when it mutates.
 //! * The **fabric** (`crate::fabric::Fabric`, lock `broker.fabric`):
-//!   admission, membership (HyParView, SWIM) and dissemination (Plumtree,
+//!   admission, membership (derived view, SWIM) and dissemination (Plumtree,
 //!   the gossip and `IHave` queues), kept in step with the view by itself.
 //! * The ingress **pipeline** (see [`Broker::spawn`]) has its own locks; the
 //!   broker keeps the extension slot, the send lock, pending shard lookups
@@ -67,7 +67,7 @@
 
 use crate::counter::{self, SyncClock};
 use crate::database::UserDatabase;
-use crate::fabric::{Fabric, GossipEvent};
+use crate::fabric::{Fabric, GossipEvent, REPAIR_MARK};
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
 use crate::message::{Message, MessageKind};
@@ -169,9 +169,6 @@ pub struct BrokerConfig {
     /// degree); see [`crate::membership::PartialView`].  Defaults to
     /// [`crate::membership::DEFAULT_ACTIVE_VIEW`].
     pub active_view: usize,
-    /// Capacity of the membership layer's passive healing reservoir.
-    /// Defaults to [`crate::membership::DEFAULT_PASSIVE_VIEW`].
-    pub passive_view: usize,
 }
 
 impl Default for BrokerConfig {
@@ -185,7 +182,6 @@ impl Default for BrokerConfig {
             repair_tree: true,
             full_mesh: false,
             active_view: crate::membership::DEFAULT_ACTIVE_VIEW,
-            passive_view: crate::membership::DEFAULT_PASSIVE_VIEW,
         }
     }
 }
@@ -243,13 +239,11 @@ impl BrokerConfig {
         self
     }
 
-    /// Pins the membership view capacities (active routing degree, passive
-    /// healing reservoir).  Tests use small capacities to engage the
-    /// epidemic fabric in small federations; production brokers keep the
-    /// defaults.
-    pub fn with_view_capacities(mut self, active: usize, passive: usize) -> Self {
+    /// Pins the membership layer's active-view capacity (the routing
+    /// degree).  Tests use small capacities to engage the epidemic fabric
+    /// in small federations; production brokers keep the default.
+    pub fn with_view_capacities(mut self, active: usize) -> Self {
         self.active_view = active;
-        self.passive_view = passive;
         self
     }
 }
@@ -1000,7 +994,11 @@ impl Broker {
                     None
                 };
                 if let Some(gid) = gid {
-                    broadcasts += 1;
+                    // Only a publish's own eager wave votes on pruning: a
+                    // repair copy (marked by the graft that pulled it)
+                    // crosses lazy edges and the tree alike.
+                    let unmarked = index.get(&format!("e{i}-{REPAIR_MARK}")).is_none();
+                    broadcasts += usize::from(unmarked);
                     let prefix = format!("e{i}-");
                     let fields = || {
                         message
@@ -1016,7 +1014,7 @@ impl Broker {
                     };
                     let fresh = self.fabric.lock().relay(gid, fields, origin, &self.federation);
                     if !fresh {
-                        duplicates += 1;
+                        duplicates += usize::from(unmarked);
                         continue;
                     }
                 }
@@ -1029,8 +1027,8 @@ impl Broker {
                 message.element(field).map(<[u8]>::to_vec)
             });
         }
-        // A digest made entirely of already-seen broadcasts means this edge
-        // duplicates the tree: demote it to lazy and tell the sender to
+        // A digest whose unmarked broadcasts were all seen already means this
+        // edge duplicates the tree: demote it to lazy and tell the sender to
         // prune its side too.
         if epidemic && broadcasts > 0 && duplicates == broadcasts {
             self.fabric.lock().prune(origin);
@@ -1169,11 +1167,6 @@ impl Broker {
     // Epidemic backbone: membership shuffles and Plumtree tree repair
     // ------------------------------------------------------------------
 
-    /// Decodes a comma-joined list of peer URNs.
-    fn parse_peer_list(csv: &str) -> Vec<PeerId> {
-        csv.split(',').filter_map(PeerId::from_urn).collect()
-    }
-
     /// The SWIM incarnation a message piggybacks (0 without one in range —
     /// still proof of life, just without refutation precedence).
     fn incarnation_of(message: &Message) -> u64 {
@@ -1181,19 +1174,18 @@ impl Broker {
     }
 
     /// Handles a peer's `MembershipShuffle` or the answering
-    /// `MembershipShuffleReply`: fold the offered sample into the passive
-    /// reservoir (never widening the known set — admission stays anchored on
-    /// the admitted peers) and answer a shuffle with a sample of our own
-    /// views, so both reservoirs refresh from one exchange.  Either doubles
-    /// as a SWIM liveness signal: receiving it at all is first-hand proof the
-    /// sender lives.
+    /// `MembershipShuffleReply`.  Either is a SWIM liveness signal:
+    /// receiving it at all is first-hand proof the sender lives.  A shuffle
+    /// is answered with a sample of our known set.  The peers a sample names
+    /// never change the known set or the view — both derive from the
+    /// admitted peers and SWIM verdicts alone.
     fn handle_membership_shuffle(&self, message: &Message) {
-        let incoming = Self::parse_peer_list(&message.element_str("peers").unwrap_or_default());
         let answer = message.kind == MessageKind::MembershipShuffle;
         let (reply_sample, incarnation) = {
             let mut fabric = self.fabric.lock();
             fabric.contact(message.sender, Self::incarnation_of(message), false);
-            (fabric.shuffle(&incoming, answer), fabric.incarnation())
+            let sample = if answer { fabric.shuffle_answer() } else { Vec::new() };
+            (sample, fabric.incarnation())
         };
         if reply_sample.is_empty() {
             return;
@@ -1530,8 +1522,8 @@ impl Broker {
             self.send_repair(peer, digest);
         }
         // The repair cadence doubles as the membership layer's shuffle
-        // clock: one shuffle per round refreshes the passive reservoir so
-        // failure-triggered promotions have fresh candidates.
+        // clock: one shuffle per round, first-hand liveness evidence for
+        // SWIM at whichever view member it reaches.
         self.start_shuffle();
         // Lazy IHave digests batched across every publish since the last
         // round ship now, one digest per lazy edge (see
@@ -1542,11 +1534,11 @@ impl Broker {
         self.start_swim_probe();
     }
 
-    /// Sends one `MembershipShuffle` to a deterministically rotating active
-    /// peer: a sample of this broker's views for the target to fold into
-    /// its passive reservoir, answered with a sample of the target's own
+    /// Sends one `MembershipShuffle` to a pseudo-random active peer: a
+    /// sample of this broker's known set and its incarnation, answered with
+    /// a sample of the target's own
     /// ([`MessageKind::MembershipShuffleReply`]).  No-op below the epidemic
-    /// engagement threshold — complete views have nothing to refresh.
+    /// engagement threshold, where complete views make every edge busy.
     fn start_shuffle(&self) {
         let Some((target, sample, incarnation)) = self.fabric.lock().shuffle_offer() else {
             return;
@@ -1894,7 +1886,7 @@ impl Broker {
             let mut entries = Vec::with_capacity(m_count.min(message.element_count() / 5 + 1));
             entries.extend((0..m_count).filter_map(|i| {
                 let (group, member) = (text(&format!("m{i}-group"))?, peer(&format!("m{i}-peer"))?);
-                let seq = text(&format!("m{i}-vseq"))?.parse::<u64>().ok()?;
+                let seq = text(&format!("m{i}-vseq")).as_deref().and_then(counter::parse)?;
                 let rank = text(&format!("m{i}-vrank"))?.parse::<u8>().ok()?;
                 Some((GroupId::new(group), member, (seq, rank, peer(&format!("m{i}-vorigin"))?)))
             }));
@@ -1908,7 +1900,7 @@ impl Broker {
                     text(&format!("a{i}-type"))?,
                     text(&format!("a{i}-xml"))?,
                     (
-                        text(&format!("a{i}-vseq")).and_then(|s| s.parse::<u64>().ok())?,
+                        text(&format!("a{i}-vseq")).as_deref().and_then(counter::parse)?,
                         peer(&format!("a{i}-vorigin"))?,
                     ),
                 ))
@@ -3814,6 +3806,110 @@ mod tests {
             assert_eq!((record.state, record.incarnation), (PeerState::Alive, refuted_at));
         }
         assert_eq!(witness.federation_stats().rejected_replayed, 0);
+    }
+
+    /// A shuffle is liveness evidence, not membership: one naming peers
+    /// that were never admitted changes neither the known set nor the view,
+    /// and the reply samples admitted peers only.
+    #[test]
+    fn shuffle_naming_unadmitted_peers_changes_neither_known_nor_view() {
+        let (net, db, _, mut rng) = setup();
+        let broker = Broker::new(
+            PeerId::random(&mut rng),
+            BrokerConfig::named("small-view").with_view_capacities(2),
+            Arc::clone(&net),
+            db,
+        );
+        let admitted: Vec<PeerId> = (0..5).map(|_| PeerId::random(&mut rng)).collect();
+        for peer in &admitted {
+            broker.add_peer_broker(*peer);
+        }
+        assert!(broker.epidemic_engaged());
+        let sender = broker.active_view()[0];
+        let sender_inbox = net.register(sender);
+        let (known, view) = (broker.peer_brokers(), broker.active_view());
+        let strangers: Vec<String> = (0..4).map(|_| PeerId::random(&mut rng).to_urn()).collect();
+        let shuffle = Message::new(MessageKind::MembershipShuffle, sender, 0)
+            .with_str("seq", "1")
+            .with_str("peers", &strangers.join(","))
+            .with_str("inc", "0");
+        deliver(&broker, sender, &shuffle);
+        assert_eq!(broker.peer_brokers(), known, "a shuffle never widens the known set");
+        assert_eq!(broker.active_view(), view, "a shuffle never changes the view");
+        let reply = next_message(&sender_inbox);
+        assert_eq!(reply.kind, MessageKind::MembershipShuffleReply);
+        let named = reply.element_str("peers").unwrap_or_default();
+        assert!(!named.is_empty());
+        assert!(named.split(',').all(|urn| PeerId::from_urn(urn).is_some_and(|p| admitted.contains(&p))));
+    }
+
+    /// An anti-entropy page from an admitted peer, carrying one entry of a
+    /// section (`a` or `m`) versioned at `vseq`, plus an empty presence
+    /// section (the membership merge runs only beside one).
+    fn repair_page(origin: PeerId, seq: u64, section: char, vseq: u64, entry: &[(&str, String)]) -> Message {
+        let mut page = Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
+            .with_str("seq", &seq.to_string())
+            .with_str("want", "")
+            .with_str("p-count", "0")
+            .with_str(format!("{section}-count"), "1")
+            .with_str(format!("{section}0-vseq"), &vseq.to_string())
+            .with_str(format!("{section}0-vorigin"), &origin.to_urn());
+        for (field, value) in entry {
+            page.push_element(format!("{section}0-{field}"), value.clone().into_bytes());
+        }
+        page
+    }
+
+    /// A repair page's advertisement versioned at or above 2^63 is dropped,
+    /// as the same version is on the gossip path.  (Stored, it outranks every
+    /// later local write: the owner's honest republish at this broker loses
+    /// last-writer-wins and the forged XML stays.)
+    #[test]
+    fn forged_counter_repair_page_advertisement_is_dropped() {
+        let (_net, _db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        broker.add_peer_broker(origin);
+        let owner = PeerId::random(&mut rng);
+        let math = GroupId::new("math");
+        let entry = [
+            ("group", "math".to_string()),
+            ("owner", owner.to_urn()),
+            ("type", "jxta:PipeAdvertisement".to_string()),
+            ("xml", "<forged/>".to_string()),
+        ];
+        deliver(&broker, origin, &repair_page(origin, 1, 'a', u64::MAX, &entry));
+        assert_eq!(broker.federation_stats().rejected_replayed, 0, "the page itself is admitted");
+        assert!(broker.advertisement_snapshot().is_empty(), "the forged version is dropped");
+        assert_eq!(broker.federation_stats().entries_repaired, 0);
+
+        broker.index_and_distribute(owner, &math, "jxta:PipeAdvertisement", "<honest/>");
+        assert_eq!(
+            broker.lookup(&math, "jxta:PipeAdvertisement", Some(owner)),
+            vec!["<honest/>".to_string()],
+            "the owner's republish lands"
+        );
+    }
+
+    /// A repair page's membership versioned at or above 2^63 is dropped.
+    /// (Stored, its stamp outranks every presence version, so the repair
+    /// deletion rule could never remove it.)  The same entry in range is
+    /// merged, so only the out-of-range version is refused.
+    #[test]
+    fn forged_counter_repair_page_membership_is_dropped() {
+        for (vseq, stored) in [(u64::MAX, false), (1, true)] {
+            let (_net, _db, broker, mut rng) = setup();
+            let origin = PeerId::random(&mut rng);
+            broker.add_peer_broker(origin);
+            let member = PeerId::random(&mut rng);
+            let entry = [
+                ("group", "math".to_string()),
+                ("peer", member.to_urn()),
+                ("vrank", PRESENCE_JOIN.to_string()),
+            ];
+            deliver(&broker, origin, &repair_page(origin, 1, 'm', vseq, &entry));
+            assert_eq!(broker.groups().is_member(&GroupId::new("math"), &member), stored);
+            assert_eq!(broker.federation_stats().entries_repaired, u64::from(stored));
+        }
     }
 
     /// Regression: merging an n-entry snapshot must stay O(n) element

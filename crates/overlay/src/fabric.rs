@@ -1,14 +1,22 @@
 //! The broker's backbone fabric: admission, membership and dissemination
 //! behind one lock (`broker.fabric`).
 //!
-//! The admitted brokers with their replay floors, the HyParView view over
-//! them, the Plumtree edges over its active view, the SWIM detector and the
-//! gossip and `IHave` queues are derived from one another, and keeping them
-//! consistent is the [`Fabric`]'s job: [`Fabric::admit`], [`Fabric::forget`],
-//! [`Fabric::on_death`] and [`Fabric::on_alive`] change the view, then
-//! resync Plumtree and SWIM from it, and a forgotten or buried peer loses
-//! its queued traffic.  The fabric never sends: the broker drains the queues
-//! and turns SWIM plans into wire traffic after releasing the guard.
+//! The admitted brokers with their replay floors, the symmetric active view
+//! derived from the live ones, the Plumtree edges over that view, the SWIM
+//! detector and the gossip and `IHave` queues are derived from one another,
+//! and keeping them consistent is the [`Fabric`]'s job: [`Fabric::admit`],
+//! [`Fabric::forget`], [`Fabric::on_death`] and [`Fabric::on_alive`] change
+//! the view, then resync Plumtree and SWIM from it, and a forgotten or
+//! buried peer loses its queued traffic.  The fabric never sends: the broker
+//! drains the queues and turns SWIM plans into wire traffic after releasing
+//! the guard.
+//!
+//! Payloads re-sent to answer a `Graft` carry a `repair` mark
+//! ([`REPAIR_MARK`]) that relays copy along with every other event field, so
+//! a whole tick-time repair wave is recognisable.  The broker's all-duplicates
+//! prune rule ignores marked events (see `crate::plumtree`): a repair copy
+//! travels over lazy edges and across the tree, so a duplicate of one says
+//! nothing about which tree edge is redundant.
 
 use crate::broker::BrokerConfig;
 use crate::counter::SyncClock;
@@ -18,6 +26,13 @@ use crate::metrics::FederationMetrics;
 use crate::plumtree::{GossipId, PlumtreeState};
 use crate::swim::{AliveOutcome, DeadOutcome, PeerRecord, SuspectOutcome, SwimDetector, TickPlan};
 use std::collections::{BTreeMap, HashMap};
+
+/// Peers named by one shuffle or shuffle reply.
+const SHUFFLE_SAMPLE: usize = 4;
+
+/// The event field marking a payload re-sent for a `Graft` and every relay
+/// of it (value `1`).
+pub(crate) const REPAIR_MARK: &str = "repair";
 
 /// One gossip event queued for a peer broker: the fields of a single
 /// replicated write (`op`, its version `seq`, the op-specific rest),
@@ -38,8 +53,8 @@ pub(crate) struct Fabric {
     own: PeerId,
     full_mesh: bool,
     active_capacity: usize,
-    /// The complete *known* peer set in admission order; the view below
-    /// picks the traffic targets.
+    /// The complete admitted peer set in admission order; the view below,
+    /// derived from its live members, picks the traffic targets.
     peer_brokers: Vec<PeerId>,
     /// Highest sequence number seen per origin broker (replay detection).
     seen_seq: HashMap<PeerId, u64>,
@@ -63,7 +78,7 @@ impl Fabric {
             active_capacity: config.active_view,
             peer_brokers: Vec::new(),
             seen_seq: HashMap::new(),
-            view: PartialView::new(own, config.active_view, config.passive_view),
+            view: PartialView::new(own, config.active_view),
             plumtree: PlumtreeState::new(crate::plumtree::DEFAULT_CACHE),
             swim: SwimDetector::new(own),
             outbox: BTreeMap::new(),
@@ -96,8 +111,8 @@ impl Fabric {
         self.on_death(peer);
     }
 
-    /// A confirmed death: evict `peer` from the view (promotion from the
-    /// passive reservoir heals the active set), the edges and the queues.
+    /// A confirmed death: evict `peer` from the view (which heals by
+    /// recomputation over the remaining live set), the edges and the queues.
     pub(crate) fn on_death(&mut self, peer: &PeerId) {
         self.view.on_failure(peer);
         self.outbox.remove(peer);
@@ -265,7 +280,8 @@ impl Fabric {
     }
 
     /// Handles a `Graft`: the edge turns eager and every requested payload
-    /// still cached is queued back (evicted ones count as graft misses).
+    /// still cached is queued back with the [`REPAIR_MARK`] (evicted ones
+    /// count as graft misses).
     pub(crate) fn graft(
         &mut self,
         sender: PeerId,
@@ -275,7 +291,12 @@ impl Fabric {
         self.plumtree.promote(sender);
         for gid in gids {
             match self.plumtree.cached(&gid) {
-                Some(fields) => self.queue(&[sender], GossipEvent { fields }),
+                Some(mut fields) => {
+                    if !fields.iter().any(|(field, _)| field == REPAIR_MARK) {
+                        fields.push((REPAIR_MARK.to_string(), "1".to_string()));
+                    }
+                    self.queue(&[sender], GossipEvent { fields })
+                }
                 None => metrics.count_graft_miss(),
             }
         }
@@ -291,25 +312,24 @@ impl Fabric {
         std::mem::take(&mut self.ihave_outbox)
     }
 
-    /// This round's shuffle offer: a rotating active target, a sample of our
-    /// views and our incarnation (`None` below engagement or if empty).
+    /// This round's shuffle offer: a pseudo-random active target, a sample
+    /// of the known set and our incarnation (`None` below engagement or if
+    /// empty).
     pub(crate) fn shuffle_offer(&mut self) -> Option<(PeerId, Vec<PeerId>, u64)> {
         if !self.engaged() {
             return None;
         }
         let target = self.view.shuffle_target();
-        let sample = self.view.shuffle_sample(4);
+        let sample = self.view.shuffle_sample(SHUFFLE_SAMPLE);
         let target = target.filter(|_| !sample.is_empty())?;
         Some((target, sample, self.swim.incarnation()))
     }
 
-    /// Folds a peer's shuffle sample into the passive reservoir; when
-    /// answering a shuffle, first draws the sample of our views to send back.
-    pub(crate) fn shuffle(&mut self, incoming: &[PeerId], answer: bool) -> Vec<PeerId> {
-        let sample =
-            if answer { self.view.shuffle_sample(incoming.len().max(4)) } else { Vec::new() };
-        self.view.integrate_shuffle(incoming);
-        sample
+    /// The sample of the known set that answers a peer's shuffle.  What the
+    /// peer's own sample names is never taken in: the view derives from the
+    /// admitted live set alone.
+    pub(crate) fn shuffle_answer(&mut self) -> Vec<PeerId> {
+        self.view.shuffle_sample(SHUFFLE_SAMPLE)
     }
 
     /// This broker's own SWIM incarnation.

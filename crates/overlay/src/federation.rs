@@ -26,13 +26,13 @@
 //!   ([`crate::broker::BrokerConfig::active_view`], default 8), every
 //!   broker's view is complete and broadcast gossip goes directly to every
 //!   peer — the classic full mesh, byte-identical to the previous fabric.
-//! * Beyond it, the epidemic backbone engages: each broker keeps a bounded
-//!   HyParView-style active view ([`crate::membership`], with a pinned ring
-//!   successor guaranteeing a connected overlay) and disseminates broadcasts
-//!   Plumtree-style over it ([`crate::plumtree`]) — eager pushes along the
-//!   spanning-tree edges, lazy `IHave` digests on the rest, `Graft`/`Prune`
-//!   tree repair, anti-entropy as the last-resort safety net.  Per-broker
-//!   fan-out per publish is then O(view), not O(N).
+//! * Beyond it, the epidemic backbone engages: each broker derives a bounded,
+//!   symmetric active view from the live peer set ([`crate::membership`],
+//!   holding the ring successor, which keeps the overlay connected) and
+//!   disseminates broadcasts Plumtree-style over it ([`crate::plumtree`]) —
+//!   eager pushes along the spanning-tree edges, lazy `IHave` digests on the
+//!   rest, `Graft`/`Prune` tree repair, anti-entropy as the last-resort
+//!   safety net.  Per-broker fan-out per publish is then O(view), not O(N).
 //!   [`crate::broker::BrokerConfig::with_full_mesh`] opts a federation out.
 //!
 //! A client joined at broker A can therefore discover (via the replicated
@@ -759,7 +759,6 @@ mod tests {
     fn make_view_brokers(
         n: usize,
         active: usize,
-        passive: usize,
         seed: u64,
     ) -> (Arc<SimNetwork>, Arc<UserDatabase>, Vec<Arc<Broker>>) {
         let mut rng = HmacDrbg::from_seed_u64(seed);
@@ -772,7 +771,7 @@ mod tests {
                 Broker::new(
                     PeerId::random(&mut rng),
                     BrokerConfig::named(format!("broker-{}", i + 1))
-                        .with_view_capacities(active, passive),
+                        .with_view_capacities(active),
                     Arc::clone(&network),
                     Arc::clone(&database),
                 )
@@ -808,7 +807,7 @@ mod tests {
     #[test]
     fn lazy_ihaves_batch_across_publishes_until_the_repair_tick() {
         const N: usize = 10;
-        let (_net, _db, brokers) = make_view_brokers(N, 3, 8, 0xE840);
+        let (_net, _db, brokers) = make_view_brokers(N, 3, 0xE840);
         let federation = InlineFederation::new(brokers);
         let mut rng = HmacDrbg::from_seed_u64(0xE841);
         let group = GroupId::new("math");
@@ -872,7 +871,7 @@ mod tests {
     fn epidemic_backbone_converges_with_bounded_fanout() {
         const N: usize = 10;
         const ACTIVE: usize = 3;
-        let (_net, _db, brokers) = make_view_brokers(N, ACTIVE, 8, 0xE810);
+        let (_net, _db, brokers) = make_view_brokers(N, ACTIVE, 0xE810);
         let federation = InlineFederation::new(brokers);
         let mut rng = HmacDrbg::from_seed_u64(0xE811);
         for i in 0..N {
@@ -918,7 +917,7 @@ mod tests {
     #[test]
     fn epidemic_leave_and_rehome_converge_like_the_mesh() {
         const N: usize = 9;
-        let (_net, _db, brokers) = make_view_brokers(N, 2, 8, 0xE820);
+        let (_net, _db, brokers) = make_view_brokers(N, 2, 0xE820);
         let federation = InlineFederation::new(brokers);
         let mut rng = HmacDrbg::from_seed_u64(0xE821);
         let alice = PeerId::random(&mut rng);
@@ -956,7 +955,7 @@ mod tests {
                 Broker::new(
                     PeerId::random(&mut rng),
                     BrokerConfig::named(format!("broker-{}", i + 1))
-                        .with_view_capacities(2, 4)
+                        .with_view_capacities(2)
                         .with_full_mesh(),
                     Arc::clone(&network),
                     Arc::clone(&database),
@@ -2762,7 +2761,6 @@ mod epidemic_proptests {
     /// Small capacities so even a handful of brokers trips the epidemic
     /// engagement threshold (`peers > active`).
     const ACTIVE: usize = 2;
-    const PASSIVE: usize = 6;
     /// Brokers at start; churn adds and removes around this size.
     const START: usize = 7;
     /// Ceiling on live brokers (keeps the proptest cheap).
@@ -2799,7 +2797,7 @@ mod epidemic_proptests {
         fn make_broker(&mut self) -> Arc<Broker> {
             self.next_name += 1;
             let mut config = BrokerConfig::named(format!("broker-{}", self.next_name))
-                .with_view_capacities(ACTIVE, PASSIVE);
+                .with_view_capacities(ACTIVE);
             if self.full_mesh {
                 config = config.with_full_mesh();
             }
@@ -2944,7 +2942,7 @@ mod swim_detection {
             .map(|i| {
                 Broker::new(
                     PeerId::random(&mut rng),
-                    BrokerConfig::named(format!("b{i}")).with_view_capacities(3, 8),
+                    BrokerConfig::named(format!("b{i}")).with_view_capacities(3),
                     Arc::clone(&network),
                     Arc::clone(&database),
                 )

@@ -32,11 +32,12 @@
 //!   peer set every broker admits traffic from), gossip-based replication of
 //!   the index/membership/routing state, and cross-broker relaying of client
 //!   payloads.
-//! * [`membership`] — HyParView-style partial views over the known peer set:
-//!   a bounded active view that caps every broker's routing degree plus a
-//!   passive healing reservoir, with a pinned ring successor keeping the
-//!   overlay provably connected.  Small federations keep complete views (the
-//!   full-mesh behaviour); [`broker::BrokerConfig::with_full_mesh`] pins it.
+//! * [`membership`] — symmetric active views derived from the known live
+//!   peer set: a bounded view that caps every broker's routing degree, holds
+//!   each edge at both ends and pins the ring successor, keeping the overlay
+//!   provably connected; a death heals by recomputation.  Small federations
+//!   keep complete views (the full-mesh behaviour);
+//!   [`broker::BrokerConfig::with_full_mesh`] pins it.
 //! * [`plumtree`] — Plumtree-style dissemination over the active view: eager
 //!   push along a self-repairing spanning tree, lazy `IHave` digests on the
 //!   remaining active edges, `Graft`/`Prune` tree repair, with anti-entropy

@@ -81,9 +81,9 @@ pub enum MessageKind {
     /// level down, or with range-scoped [`MessageKind::AntiEntropySnapshot`]
     /// pages once a divergent range is small enough to ship.
     AntiEntropyRange = 46,
-    /// Broker ↔ broker: a HyParView shuffle — a pseudo-random sample of the
-    /// sender's partial view, offered so the receiver can refresh its
-    /// passive (healing) reservoir.  Answered with
+    /// Broker ↔ broker: a membership shuffle — a pseudo-random sample of the
+    /// sender's known peer set and its SWIM incarnation, sent each repair
+    /// tick to a view member as first-hand liveness evidence.  Answered with
     /// [`MessageKind::MembershipShuffleReply`].
     MembershipShuffle = 47,
     /// Broker ↔ broker: the receiver's own sample answering a

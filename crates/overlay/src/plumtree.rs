@@ -7,11 +7,25 @@
 //! remaining active edges (the *lazy* peers).  A receiver that learns about
 //! a message from a digest it never received eagerly answers `Graft`, which
 //! both pulls the missed payload and promotes the advertising edge into the
-//! tree; a receiver that keeps getting duplicates over an edge answers
-//! `Prune`, demoting it to lazy.  The tree therefore repairs itself around
-//! dropped edges and converges towards one eager path per broker pair, while
-//! the PR 4/7 anti-entropy machinery stays underneath as the last-resort
+//! tree; a receiver that gets only duplicates over an edge answers `Prune`,
+//! demoting it to lazy.  Anti-entropy stays underneath as the last-resort
 //! safety net (a graft that misses the bounded cache heals there).
+//!
+//! One eager tree serves every origin, which takes two rules:
+//!
+//! * **edges are symmetric** — the active view holds each edge at both ends
+//!   (see [`crate::membership`]), so a prune or graft changes an edge both
+//!   brokers hold and pushes flow along it both ways;
+//! * **repair copies never prune** — payloads re-sent for a `Graft`, and
+//!   every relay of them, carry a `repair` mark, and the all-duplicates
+//!   rule counts only unmarked events.  A prune then happens only inside a
+//!   publish's own eager wave, where a duplicate always arrives over an edge
+//!   outside that publish's first-arrival tree: the tree still connects
+//!   both ends, so removing the edge keeps the undirected eager graph
+//!   connected, and every origin keeps reaching every broker.  A repair
+//!   wave instead crosses lazy edges and the tree alike; pruning on its
+//!   duplicates would cut tree edges and leave a forest that points away
+//!   from whichever origin pruned last.
 //!
 //! This module is the bookkeeping only — eager/lazy edge sets, the bounded
 //! seen-set and payload cache keyed by [`GossipId`].  The broker's fabric

@@ -1,6 +1,6 @@
 //! SWIM-style failure detection for the epidemic broker backbone.
 //!
-//! PR 9's HyParView/Plumtree fabric disseminates at O(active view) cost but
+//! The partial-view/Plumtree fabric disseminates at O(active view) cost but
 //! is blind to failures: a partial view only learns a broker died through an
 //! explicit `remove_broker` call, so a crashed broker silently blackholes its
 //! eager edges until anti-entropy limps the state back.  This module supplies

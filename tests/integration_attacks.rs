@@ -484,7 +484,7 @@ mod tree_repair {
             .map(|i| {
                 Broker::new(
                     PeerId::random(&mut rng),
-                    BrokerConfig::named(format!("b{i}")).with_view_capacities(3, 8),
+                    BrokerConfig::named(format!("b{i}")).with_view_capacities(3),
                     Arc::clone(&network),
                     Arc::clone(&database),
                 )

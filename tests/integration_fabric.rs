@@ -2,7 +2,7 @@
 //! public `Broker` surface.
 //!
 //! The fabric keeps several structures derived from the admitted peer set:
-//! the HyParView active view, the Plumtree eager/lazy edge sets over it, the
+//! the symmetric active view, the Plumtree eager/lazy edge sets over it, the
 //! SWIM member set, and the per-destination gossip and `IHave` queues.  A
 //! seeded proptest admits and removes fake peer brokers, feeds the subject
 //! broker Plumtree `Prune`/`Graft`/`IHave`, SWIM acks and `swim-dead` gossip
@@ -15,10 +15,19 @@
 //!   and `eager ∩ lazy == ∅`;
 //! * SWIM tracks exactly the admitted peers;
 //! * once the gossip queues are flushed, nothing reaches a removed peer.
+//!
+//! Two multi-origin runs over 32 default-view brokers then check the eager
+//! tree itself: every broker publishes in turn, with a repair tick every 8
+//! publishes.  Without loss every publish reaches every broker
+//! through its own eager wave, and after every tick the eager edges are
+//! mutual and span the federation.  Under seeded 2% loss the eager graph
+//! still spans the federation after every tick, and a publish's own wave
+//! reaches at least 80% of the brokers on average.
 
 use jxta_crypto::drbg::HmacDrbg;
 use jxta_overlay::broker::{Broker, BrokerConfig};
-use jxta_overlay::net::{LinkModel, NetMessage, SimNetwork};
+use jxta_overlay::federation::InlineFederation;
+use jxta_overlay::net::{LinkModel, NetMessage, RandomDrop, SimNetwork};
 use jxta_overlay::{GroupId, Message, MessageKind, PeerId, UserDatabase};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -26,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Fake peer brokers in the pool (more than the active view holds, so the
-/// epidemic fabric engages and the passive view takes part).
+/// epidemic fabric engages).
 const PEERS: usize = 6;
 /// Clients that log in and out at the subject broker.
 const CLIENTS: usize = 3;
@@ -90,7 +99,7 @@ impl World {
         }
         let broker = Broker::new(
             PeerId::random(&mut rng),
-            BrokerConfig::named("subject").with_view_capacities(2, 3),
+            BrokerConfig::named("subject").with_view_capacities(2),
             Arc::clone(&network),
             database,
         );
@@ -227,4 +236,144 @@ proptest! {
         world.broker.flush_ihaves();
         world.check()?;
     }
+}
+
+/// Brokers in the multi-origin federations: four default active views, so
+/// the epidemic fabric is engaged and every view is partial.
+const BACKBONE: usize = 32;
+/// Publishes between two repair ticks.
+const TICK_EVERY: usize = 8;
+
+/// A `BACKBONE`-broker federation with default views.
+fn backbone(seed: u64) -> (Arc<SimNetwork>, InlineFederation) {
+    let mut rng = HmacDrbg::from_seed_u64(seed);
+    let network = SimNetwork::new(LinkModel::ideal());
+    let database = Arc::new(UserDatabase::new());
+    let brokers = (0..BACKBONE)
+        .map(|i| {
+            Broker::new(
+                PeerId::random(&mut rng),
+                BrokerConfig::named(format!("b{i}")),
+                Arc::clone(&network),
+                Arc::clone(&database),
+            )
+        })
+        .collect();
+    let federation = InlineFederation::new(brokers);
+    assert!(federation.broker(0).epidemic_engaged());
+    (network, federation)
+}
+
+/// Publishes `publishes` advertisements with origins taken round-robin,
+/// pumping each one and running a repair tick every `TICK_EVERY`
+/// publishes, after which `after_tick` checks the federation.  Returns, per
+/// publish, how many brokers resolve it once its own pump has drained.
+fn publish_round_robin(
+    federation: &InlineFederation,
+    publishes: usize,
+    seed: u64,
+    mut after_tick: impl FnMut(&InlineFederation),
+) -> Vec<usize> {
+    let mut rng = HmacDrbg::from_seed_u64(seed);
+    let group = GroupId::new("backbone");
+    let mut reached = Vec::with_capacity(publishes);
+    for i in 0..publishes {
+        let owner = PeerId::random(&mut rng);
+        federation.broker(i % BACKBONE).index_and_distribute(
+            owner,
+            &group,
+            "jxta:PipeAdvertisement",
+            &format!("<adv n=\"{i}\"/>"),
+        );
+        federation.pump();
+        reached.push(
+            (0..BACKBONE)
+                .filter(|&b| {
+                    !federation
+                        .broker(b)
+                        .lookup(&group, "jxta:PipeAdvertisement", Some(owner))
+                        .is_empty()
+                })
+                .count(),
+        );
+        if (i + 1) % TICK_EVERY == 0 {
+            federation.repair();
+            after_tick(federation);
+        }
+    }
+    reached
+}
+
+/// The Plumtree eager edges of every broker of `federation`, by index.
+fn eager_edges(federation: &InlineFederation) -> Vec<BTreeSet<usize>> {
+    let ids: Vec<PeerId> = (0..federation.len()).map(|i| federation.broker(i).id()).collect();
+    let index = |id: &PeerId| ids.iter().position(|other| other == id).expect("a federation id");
+    (0..federation.len())
+        .map(|i| federation.broker(i).epidemic_eager_peers().iter().map(index).collect())
+        .collect()
+}
+
+/// Eager edges whose far end does not hold them eager in return.
+fn one_way_edges(eager: &[BTreeSet<usize>]) -> Vec<(usize, usize)> {
+    let mut one_way = Vec::new();
+    for (i, edges) in eager.iter().enumerate() {
+        one_way.extend(edges.iter().filter(|&&j| !eager[j].contains(&i)).map(|&j| (i, j)));
+    }
+    one_way
+}
+
+/// Whether the eager edges, taken as undirected, connect every broker.
+fn spans(eager: &[BTreeSet<usize>]) -> bool {
+    let mut undirected = eager.to_vec();
+    for (i, edges) in eager.iter().enumerate() {
+        for &j in edges {
+            undirected[j].insert(i);
+        }
+    }
+    let mut seen = BTreeSet::from([0usize]);
+    let mut queue = vec![0usize];
+    while let Some(at) = queue.pop() {
+        for &next in &undirected[at] {
+            if seen.insert(next) {
+                queue.push(next);
+            }
+        }
+    }
+    seen.len() == eager.len()
+}
+
+#[test]
+fn every_origin_reaches_every_broker_through_its_own_eager_wave() {
+    let (_network, federation) = backbone(0x0516_0001);
+    let reached = publish_round_robin(&federation, 2 * BACKBONE, 0x0516_0002, |federation| {
+        let eager = eager_edges(federation);
+        assert_eq!(one_way_edges(&eager), vec![], "lossless prunes and grafts keep edges mutual");
+        assert!(spans(&eager), "the eager graph must span the federation");
+    });
+    for (i, count) in reached.iter().enumerate() {
+        assert_eq!(
+            *count,
+            BACKBONE,
+            "publish {i} (origin {}) reached {count} brokers",
+            i % BACKBONE
+        );
+    }
+}
+
+/// Under loss a dropped `Prune` or `Graft` can leave one eager edge one-way
+/// until the next push over it, so this run asserts the spanning eager
+/// graph and the coverage it buys; mutuality is asserted above.
+#[test]
+fn lossy_multi_origin_keeps_the_eager_graph_spanning_and_covering() {
+    let (network, federation) = backbone(0x0516_0003);
+    network.set_adversary(RandomDrop::new(0x0516_0004, 2));
+    let reached = publish_round_robin(&federation, 4 * BACKBONE, 0x0516_0005, |federation| {
+        assert!(spans(&eager_edges(federation)), "the eager graph must span the federation");
+    });
+    let coverage = reached.iter().map(|&count| count as f64 / BACKBONE as f64).sum::<f64>()
+        / reached.len() as f64;
+    assert!(
+        coverage >= 0.8,
+        "a publish's own pump reached {coverage:.3} of the brokers on average"
+    );
 }

@@ -453,7 +453,7 @@ fn swim_evicts_a_crashed_broker_from_a_128_broker_federation() {
         .map(|i| {
             Broker::new(
                 PeerId::random(&mut rng),
-                BrokerConfig::named(format!("b{i}")).with_view_capacities(4, 12),
+                BrokerConfig::named(format!("b{i}")).with_view_capacities(4),
                 Arc::clone(&network),
                 Arc::clone(&database),
             )
