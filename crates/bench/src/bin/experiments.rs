@@ -5,7 +5,7 @@
 //! cargo run --release -p jxta-bench --bin experiments -- e1        # join overhead
 //! cargo run --release -p jxta-bench --bin experiments -- e2        # Figure 2
 //! cargo run --release -p jxta-bench --bin experiments -- e3        # federation/sharding relay overhead
-//! cargo run --release -p jxta-bench --bin experiments -- e4        # anti-entropy repair vs drop rate
+//! cargo run --release -p jxta-bench --bin experiments -- e4        # anti-entropy repair vs drop rate, writes BENCH_4.json
 //! cargo run --release -p jxta-bench --bin experiments -- e6        # ingest throughput (lanes × workers × cache), writes BENCH_6.json
 //! cargo run --release -p jxta-bench --bin experiments -- e7        # delta repair: tree descent vs flat snapshots, writes BENCH_7.json
 //! cargo run --release -p jxta-bench --bin experiments -- e8        # epidemic backbone vs full mesh fan-out, writes BENCH_8.json
@@ -96,10 +96,11 @@ fn main() {
     }
 
     if which == "e4" || which == "repair" || which == "all" {
-        let rows = experiment_repair(&config);
-        println!("{}", format_repair_report(&rows));
+        let result = experiment_repair(&config);
+        println!("{}", format_repair_report(&result.rows));
+        write_bench("BENCH_4.json", &result);
         if json {
-            println!("{}\n", serde_json::to_string_pretty(&rows).unwrap());
+            println!("{}\n", serde_json::to_string_pretty(&result).unwrap());
         }
     }
 

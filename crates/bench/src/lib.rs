@@ -827,6 +827,9 @@ pub fn experiment_federation(config: &ExperimentConfig) -> FederationExperimentR
 /// federation reconverges.
 #[derive(Debug, Clone, Serialize)]
 pub struct RepairRow {
+    /// Brokers in the federation (past the default active view of 8 the
+    /// epidemic fabric is engaged).
+    pub brokers: usize,
     /// Probability (percent) that a backbone message was dropped.
     pub drop_percent: u32,
     /// `"full"` or `"k=<K>"` — the replication mode of the index.
@@ -876,6 +879,7 @@ pub fn measure_repair(
         .map(|i| federation.broker(i).federation_stats().entries_repaired)
         .sum();
     RepairRow {
+        brokers: broker_count,
         drop_percent,
         mode: mode_label(replication),
         ops,
@@ -886,32 +890,55 @@ pub fn measure_repair(
     }
 }
 
+/// The E4 result, written to `BENCH_4.json`.
+#[derive(Debug, Clone, Serialize)]
+pub struct RepairResult {
+    /// Experiment identifier (`"e4-repair"`).
+    pub experiment: String,
+    /// Whether the quick (CI smoke) sweep was run.
+    pub quick: bool,
+    /// The measured cells.
+    pub rows: Vec<RepairRow>,
+}
+
 /// Runs experiment E4: divergence-to-reconvergence across a sweep of
 /// backbone drop rates, for fully replicated and sharded (K=2) backbones of
-/// four brokers.
-pub fn experiment_repair(config: &ExperimentConfig) -> Vec<RepairRow> {
+/// four brokers, and for fully replicated default-view backbones of 32 and
+/// 64 brokers, where the epidemic fabric is engaged and anti-entropy digests
+/// one view member per round.  Sharded engaged backbones are left out: their
+/// co-replicas are rarely view neighbours, so view-edge anti-entropy never
+/// reconverges them.
+pub fn experiment_repair(config: &ExperimentConfig) -> RepairResult {
     let ops = (config.iterations * 8).max(24);
-    [0u32, 10, 25, 50, 75]
+    let rows = [0u32, 10, 25, 50, 75]
         .into_iter()
         .flat_map(|rate| {
-            [None, Some(2)].into_iter().map(move |replication| {
-                measure_repair(4, replication, rate, ops, 0xE4_5EED ^ u64::from(rate))
-            })
+            [(4, None), (4, Some(2)), (32, None), (64, None)]
+                .into_iter()
+                .map(move |(brokers, replication)| {
+                    measure_repair(brokers, replication, rate, ops, 0xE4_5EED ^ u64::from(rate))
+                })
         })
-        .collect()
+        .collect();
+    RepairResult {
+        experiment: "e4-repair".to_string(),
+        quick: config.iterations <= ExperimentConfig::quick().iterations,
+        rows,
+    }
 }
 
 /// Formats E4 as a text table.
 pub fn format_repair_report(rows: &[RepairRow]) -> String {
     let mut out = String::from(
         "E4 — anti-entropy: divergence-to-reconvergence vs backbone drop rate\n\
-         ---------------------------------------------------------------------\n\
-         drop % | mode  | ops | dropped | diverged | repair rounds | entries repaired\n",
+         -------------------------------------------------------------------------------\n\
+         drop % | brokers | mode  | ops | dropped | diverged | repair rounds | entries repaired\n",
     );
     for row in rows {
         out.push_str(&format!(
-            "{:>6} | {:<5} | {:>3} | {:>7} | {:>8} | {:>13} | {:>16}\n",
+            "{:>6} | {:>7} | {:<5} | {:>3} | {:>7} | {:>8} | {:>13} | {:>16}\n",
             row.drop_percent,
+            row.brokers,
             row.mode,
             row.ops,
             row.messages_dropped,

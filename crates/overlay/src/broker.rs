@@ -466,8 +466,8 @@ pub struct Broker {
     /// against [`SimNetwork::delivered_to`] for quiescence detection).
     processed: AtomicU64,
     /// Cached repair hash trees (see [`RepairTreeCache`]), so an idle
-    /// anti-entropy round costs one root digest per edge instead of
-    /// re-hashing O(shard) entries per peer per round.
+    /// anti-entropy round costs one root digest per digested peer instead
+    /// of re-hashing O(shard) entries per digest.
     repair_trees: Mutex<RepairTreeCache>,
 }
 
@@ -628,13 +628,6 @@ impl Broker {
     /// pushed eagerly must be able to rely on its neighbours pushing onward.
     pub fn epidemic_engaged(&self) -> bool {
         self.fabric.lock().engaged()
-    }
-
-    /// The peer brokers that broadcast gossip, anti-entropy and extension
-    /// state target: the bounded active view once the epidemic fabric is
-    /// engaged, the complete peer set otherwise.
-    fn repair_targets(&self) -> Vec<PeerId> {
-        self.fabric.lock().targets()
     }
 
     /// The membership layer's current active view (complete below the view
@@ -1368,7 +1361,8 @@ impl Broker {
         };
         // Epidemic federations send to the active view only; the x-section
         // anti-entropy exchange spreads the blob transitively from there.
-        for peer in self.repair_targets() {
+        let peers = self.fabric.lock().targets();
+        for peer in peers {
             let sync = Message::new(MessageKind::BrokerSync, self.id, 0)
                 .with_str("op", "ext")
                 .with_element("blob", blob.clone());
@@ -1434,11 +1428,13 @@ impl Broker {
     // Gossip is fire-and-forget, so a digest lost on a backbone edge (an
     // adversarial drop — the in-process channels themselves are reliable)
     // diverges the replicas permanently.  The anti-entropy protocol bounds
-    // that divergence: each broker periodically sends every peer a digest of
-    // the state the two are *jointly* responsible for (per-section hashes
-    // over the shared shard of the advertisement index, the shared group
+    // that divergence: each broker periodically sends a peer a digest of the
+    // state the two are *jointly* responsible for (per-section hashes over
+    // the shared shard of the advertisement index, the shared group
     // membership, the fully replicated presence/routing register, and the
-    // extension's replicated state).  A receiver whose own hashes disagree
+    // extension's replicated state) — every peer each round below
+    // engagement, one active-view member per round in rotation once the
+    // epidemic fabric is engaged.  A receiver whose own hashes disagree
     // answers with a snapshot of the mismatched sections and asks for the
     // sender's in return; snapshots merge under the same last-writer-wins
     // versions as gossip, so repair can never regress a newer write.
@@ -1491,35 +1487,42 @@ impl Broker {
             .map_or(0, |bytes| extension_hash(&bytes))
     }
 
-    /// Starts one anti-entropy round: sends every peer broker a digest of
-    /// the jointly held state.  Peers whose replicas disagree answer with a
-    /// snapshot exchange; a healthy backbone answers nothing, so the idle
-    /// cost of a round is one small digest per edge.
+    /// Starts one anti-entropy round: digests of the jointly held state go
+    /// to every peer broker below engagement, and to one active-view member,
+    /// round-robin, once the epidemic fabric is engaged.  Peers whose
+    /// replicas disagree answer with a snapshot exchange; a healthy backbone
+    /// answers nothing, so the idle cost of a round is one small digest per
+    /// peer below engagement and one in all once engaged.  The shuffle, the
+    /// `IHave` flush and the SWIM period run even when there is nobody to
+    /// digest: a broker that buried its whole view must keep probing to dig
+    /// its peers back out.
     pub fn start_repair_round(&self) {
         // Epidemic federations repair over the active-view edges only:
         // state flows transitively edge by edge (the view graph is
-        // connected — the pinned ring successors alone form a cycle), so
-        // the idle cost of a round is O(view) digests instead of O(N).
-        let peers = self.repair_targets();
-        if peers.is_empty() {
-            return;
-        }
-        self.federation.count_repair_round();
-        // The presence and extension sections are identical towards every
-        // peer; the shard-keyed sections come from the cached repair trees
-        // (one shared tree in full replication, one per edge sharded), so a
-        // round over an unchanged state hashes nothing and costs one small
-        // digest per edge.
-        let p = self.replica.read().presence_hash();
-        let x = self.repair_extension_hash();
-        for peer in peers {
-            let (a, m) = self.repair_shared_hashes(&peer);
-            let digest = Message::new(MessageKind::AntiEntropyDigest, self.id, 0)
-                .with_str("a-hash", &a.to_string())
-                .with_str("m-hash", &m.to_string())
-                .with_str("p-hash", &p.to_string())
-                .with_str("x-hash", &x.to_string());
-            self.send_repair(peer, digest);
+        // connected — the pinned ring successors alone form a cycle).  Once
+        // engaged, anti-entropy is the slow pass beneath Plumtree, which
+        // heals most misses within the tick through `IHave` → `Graft`, so
+        // one digest per round suffices; every view edge still carries one
+        // within `|view|` rounds.
+        let peers = self.fabric.lock().repair_round();
+        if !peers.is_empty() {
+            self.federation.count_repair_round();
+            // The presence and extension sections are identical towards
+            // every peer; the shard-keyed sections come from the cached
+            // repair trees (one shared tree in full replication, one per
+            // edge sharded), so a round over an unchanged state hashes
+            // nothing.
+            let p = self.replica.read().presence_hash();
+            let x = self.repair_extension_hash();
+            for peer in peers {
+                let (a, m) = self.repair_shared_hashes(&peer);
+                let digest = Message::new(MessageKind::AntiEntropyDigest, self.id, 0)
+                    .with_str("a-hash", &a.to_string())
+                    .with_str("m-hash", &m.to_string())
+                    .with_str("p-hash", &p.to_string())
+                    .with_str("x-hash", &x.to_string());
+                self.send_repair(peer, digest);
+            }
         }
         // The repair cadence doubles as the membership layer's shuffle
         // clock: one shuffle per round, first-hand liveness evidence for
@@ -1614,17 +1617,16 @@ impl Broker {
             let snapshot = self.build_repair_snapshot(&origin, &sections, &sections);
             self.send_repair(origin, snapshot);
         }
-        // Repair rounds are started federation-wide, so in a full mesh each
-        // broker pair exchanges digests in both directions every round.  One
-        // descent already heals both replicas (the final page legs ship
-        // entries both ways), so only the lower-id broker initiates — without
-        // the tie-break every divergence would be walked twice in mirror.
-        // Epidemic federations digest over the *asymmetric* active view: when
-        // `origin` is not among this broker's own repair targets the mirror
-        // digest never arrives, and waiting for it would wedge the repair —
-        // so a one-directional edge descends regardless of the tie-break.
-        let mirrored = self.repair_targets().contains(&origin);
-        if self.id < origin || !mirrored {
+        // One descent heals both replicas (the final page legs ship entries
+        // both ways), so a pair that digested each other this round lets
+        // only the lower-id broker initiate — without the tie-break every
+        // divergence would be walked twice in mirror.  Below engagement
+        // every pair digests both ways every round, so that is the whole
+        // rule there.  Once engaged a broker digests one view member per
+        // round, and `origin` rarely drew this broker in the same round:
+        // when this broker did not digest `origin`, the mirror digest that
+        // would let `origin` drive never comes, so it descends itself.
+        if self.id < origin || !self.fabric.lock().digested(&origin) {
             for section in descend.chars() {
                 // First descent leg: our children of the root.
                 self.send_range_children(origin, section, 0, 0);

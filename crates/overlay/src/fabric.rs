@@ -7,7 +7,8 @@
 //! and keeping them consistent is the [`Fabric`]'s job: [`Fabric::admit`],
 //! [`Fabric::forget`], [`Fabric::on_death`] and [`Fabric::on_alive`] change
 //! the view, then resync Plumtree and SWIM from it, and a forgotten or
-//! buried peer loses its queued traffic.  The fabric never sends: the broker
+//! buried peer loses its queued traffic.  [`Fabric::repair_round`] picks
+//! whom each anti-entropy round digests.  The fabric never sends: the broker
 //! drains the queues and turns SWIM plans into wire traffic after releasing
 //! the guard.
 //!
@@ -24,6 +25,7 @@ use crate::id::PeerId;
 use crate::membership::PartialView;
 use crate::metrics::FederationMetrics;
 use crate::plumtree::{GossipId, PlumtreeState};
+use crate::shard::{fnv1a, mix, FNV_OFFSET};
 use crate::swim::{AliveOutcome, DeadOutcome, PeerRecord, SuspectOutcome, SwimDetector, TickPlan};
 use std::collections::{BTreeMap, HashMap};
 
@@ -68,6 +70,10 @@ pub(crate) struct Fabric {
     outbox: BTreeMap<PeerId, Vec<GossipEvent>>,
     /// Gossip ids pending lazy advertisement, one `IHave` per destination.
     ihave_outbox: BTreeMap<PeerId, Vec<GossipId>>,
+    /// Repair rounds started: the clock of the engaged digest rotation.
+    repair_round: u64,
+    /// The view member the latest engaged repair round digested.
+    digested: Option<PeerId>,
 }
 
 impl Fabric {
@@ -83,6 +89,8 @@ impl Fabric {
             swim: SwimDetector::new(own),
             outbox: BTreeMap::new(),
             ihave_outbox: BTreeMap::new(),
+            repair_round: 0,
+            digested: None,
         }
     }
 
@@ -143,13 +151,41 @@ impl Fabric {
         !self.full_mesh && self.peer_brokers.len() > self.active_capacity
     }
 
-    /// Broadcast and repair targets: the active view once engaged, else all.
+    /// Extension-state targets: the active view once engaged, else all.
     pub(crate) fn targets(&self) -> Vec<PeerId> {
         if self.engaged() {
             self.view.active()
         } else {
             self.peer_brokers.clone()
         }
+    }
+
+    /// Starts a repair round and returns whom it digests: every admitted
+    /// peer below engagement; once engaged, the one view member at
+    /// `(h(own) + round) mod |view|`, none while the view is empty.  An
+    /// unchanged view is walked round-robin, each member once every `|view|`
+    /// rounds, from an offset hashed from this broker's id (the hash
+    /// `federation::next_repair_delay` jitters with), so neighbours do not
+    /// rotate in lockstep.
+    pub(crate) fn repair_round(&mut self) -> Vec<PeerId> {
+        let round = self.repair_round;
+        self.repair_round += 1;
+        if !self.engaged() {
+            return self.peer_brokers.clone();
+        }
+        let view = self.view.active();
+        let len = view.len() as u64;
+        self.digested = (len > 0).then(|| {
+            let h = mix(fnv1a(FNV_OFFSET, self.own.as_bytes()));
+            view[(h.wrapping_add(round) % len) as usize]
+        });
+        self.digested.into_iter().collect()
+    }
+
+    /// Whether this broker's latest repair round digested the admitted
+    /// `peer`: always below engagement, where every round digests every peer.
+    pub(crate) fn digested(&self, peer: &PeerId) -> bool {
+        !self.engaged() || self.digested == Some(*peer)
     }
 
     pub(crate) fn active(&self) -> Vec<PeerId> {

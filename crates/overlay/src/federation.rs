@@ -630,7 +630,8 @@ impl InlineFederation {
     }
 
     /// Runs one deterministic anti-entropy round: every broker digests its
-    /// shared state to every peer, and the resulting snapshot exchanges are
+    /// shared state (to every peer, or to one active-view member once the
+    /// epidemic fabric is engaged), and the resulting snapshot exchanges are
     /// pumped to quiescence.  Returns the number of entries repaired across
     /// the federation in this round (zero on a healthy backbone).
     pub fn repair(&self) -> u64 {
@@ -2935,6 +2936,15 @@ mod swim_detection {
 
     /// An epidemic inline federation over small pinned view capacities.
     fn build(n: usize, seed: u64) -> (Arc<SimNetwork>, InlineFederation, Vec<PeerId>) {
+        build_with_view(n, 3, seed)
+    }
+
+    /// An epidemic inline federation whose active views hold `view` members.
+    fn build_with_view(
+        n: usize,
+        view: usize,
+        seed: u64,
+    ) -> (Arc<SimNetwork>, InlineFederation, Vec<PeerId>) {
         let mut rng = HmacDrbg::from_seed_u64(seed);
         let network = SimNetwork::new(LinkModel::ideal());
         let database = Arc::new(UserDatabase::new());
@@ -2942,7 +2952,7 @@ mod swim_detection {
             .map(|i| {
                 Broker::new(
                     PeerId::random(&mut rng),
-                    BrokerConfig::named(format!("b{i}")).with_view_capacities(3),
+                    BrokerConfig::named(format!("b{i}")).with_view_capacities(view),
                     Arc::clone(&network),
                     Arc::clone(&database),
                 )
@@ -3077,6 +3087,48 @@ mod swim_detection {
                 "survivor {i} has not restored the recovered broker to Alive"
             );
         }
+    }
+
+    /// A broker cut off from everyone buries its whole view, and with
+    /// nobody left to digest it must still run its SWIM period: probing the
+    /// dead is the only way its peers come back once the partition lifts.
+    #[test]
+    fn isolated_broker_keeps_probing_an_empty_view_and_resurrects_its_peers() {
+        const N: usize = 10;
+        const ISOLATED_ROUNDS: u64 = 24;
+        let (network, federation, ids) = build_with_view(N, 4, 0x51E0);
+        let lone = federation.broker(0);
+        let mut plan = FaultPlan::new(0x51E1);
+        for peer in &ids[1..] {
+            plan = plan
+                .partition_one_way(ids[0], *peer, 0, ISOLATED_ROUNDS)
+                .partition_one_way(*peer, ids[0], 0, ISOLATED_ROUNDS);
+        }
+        let plan = plan.into_adversary();
+        network.set_adversary(plan.clone());
+
+        // Only the isolated broker runs its cadence.
+        let round = || {
+            lone.start_repair_round();
+            federation.pump();
+            plan.advance_tick();
+        };
+        for _ in 0..ISOLATED_ROUNDS {
+            round();
+        }
+        assert_eq!(lone.swim_dead_members().len(), N - 1, "every unreachable peer is buried");
+        assert!(lone.active_view().is_empty());
+
+        let probes_before = lone.federation_stats().swim_probes;
+        for _ in 0..40 {
+            round();
+        }
+        assert!(
+            lone.federation_stats().swim_probes > probes_before,
+            "a broker with an empty view still probes"
+        );
+        assert!(lone.swim_dead_members().is_empty(), "its own probe acks resurrect every peer");
+        assert_eq!(lone.active_view().len(), 4);
     }
 
     proptest! {

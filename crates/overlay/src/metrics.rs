@@ -314,8 +314,9 @@ pub struct FederationStats {
     /// Index/membership entries migrated off this broker when the shard ring
     /// membership changed.
     pub entries_migrated: u64,
-    /// Anti-entropy rounds this broker initiated (one digest per peer broker
-    /// per round).
+    /// Anti-entropy rounds this broker initiated that sent a digest: one
+    /// per peer broker below engagement, one to a single active-view member,
+    /// in rotation, once the epidemic fabric is engaged.
     pub repair_rounds: u64,
     /// Anti-entropy digests received whose state hashes disagreed with the
     /// local replica (each one triggers a snapshot exchange).

@@ -23,14 +23,22 @@
 //! mutual and span the federation.  Under seeded 2% loss the eager graph
 //! still spans the federation after every tick, and a publish's own wave
 //! reaches at least 80% of the brokers on average.
+//!
+//! Anti-entropy rides beneath that tree.  An observing adversary counts
+//! digests: once the fabric is engaged each broker digests one view member
+//! per repair round, walking its whole view in `|view|` rounds; below
+//! engagement it digests every peer every round.  A broker starved of all
+//! dissemination traffic still heals in one round, because its own digest
+//! always starts a descent with the peer it reaches.
 
 use jxta_crypto::drbg::HmacDrbg;
 use jxta_overlay::broker::{Broker, BrokerConfig};
 use jxta_overlay::federation::InlineFederation;
-use jxta_overlay::net::{LinkModel, NetMessage, RandomDrop, SimNetwork};
+use jxta_overlay::net::{Adversary, LinkModel, NetMessage, RandomDrop, SimNetwork, Verdict};
 use jxta_overlay::{GroupId, Message, MessageKind, PeerId, UserDatabase};
+use parking_lot::Mutex;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -246,10 +254,17 @@ const TICK_EVERY: usize = 8;
 
 /// A `BACKBONE`-broker federation with default views.
 fn backbone(seed: u64) -> (Arc<SimNetwork>, InlineFederation) {
+    let (network, federation) = federation_of(BACKBONE, seed);
+    assert!(federation.broker(0).epidemic_engaged());
+    (network, federation)
+}
+
+/// A federation of `brokers` default-view brokers.
+fn federation_of(brokers: usize, seed: u64) -> (Arc<SimNetwork>, InlineFederation) {
     let mut rng = HmacDrbg::from_seed_u64(seed);
     let network = SimNetwork::new(LinkModel::ideal());
     let database = Arc::new(UserDatabase::new());
-    let brokers = (0..BACKBONE)
+    let brokers = (0..brokers)
         .map(|i| {
             Broker::new(
                 PeerId::random(&mut rng),
@@ -259,9 +274,7 @@ fn backbone(seed: u64) -> (Arc<SimNetwork>, InlineFederation) {
             )
         })
         .collect();
-    let federation = InlineFederation::new(brokers);
-    assert!(federation.broker(0).epidemic_engaged());
-    (network, federation)
+    (network, InlineFederation::new(brokers))
 }
 
 /// Publishes `publishes` advertisements with origins taken round-robin,
@@ -376,4 +389,154 @@ fn lossy_multi_origin_keeps_the_eager_graph_spanning_and_covering() {
         coverage >= 0.8,
         "a publish's own pump reached {coverage:.3} of the brokers on average"
     );
+}
+
+/// The message kind of a wire payload, if it decodes.
+fn kind_of(message: &NetMessage) -> Option<MessageKind> {
+    Message::from_bytes(&message.payload).ok().map(|m| m.kind)
+}
+
+/// Records every `AntiEntropyDigest` on the wire as `(sender, receiver)`.
+struct DigestCounter {
+    digests: Mutex<Vec<(PeerId, PeerId)>>,
+}
+
+impl DigestCounter {
+    fn new() -> Arc<Self> {
+        Arc::new(DigestCounter { digests: Mutex::with_class("test.digests", Vec::new()) })
+    }
+
+    /// The digests seen since the last call, as receivers per sender.
+    fn take(&self) -> BTreeMap<PeerId, Vec<PeerId>> {
+        let mut by_sender: BTreeMap<PeerId, Vec<PeerId>> = BTreeMap::new();
+        for (from, to) in std::mem::take(&mut *self.digests.lock()) {
+            by_sender.entry(from).or_default().push(to);
+        }
+        by_sender
+    }
+}
+
+impl Adversary for DigestCounter {
+    fn observe(&self, message: &NetMessage) {
+        if kind_of(message) == Some(MessageKind::AntiEntropyDigest) {
+            self.digests.lock().push((message.from, message.to));
+        }
+    }
+}
+
+#[test]
+fn engaged_brokers_digest_one_view_member_per_round_in_rotation() {
+    let (network, federation) = backbone(0x0516_0010);
+    let counter = DigestCounter::new();
+    network.set_adversary(counter.clone());
+    let views: Vec<Vec<PeerId>> =
+        (0..BACKBONE).map(|i| federation.broker(i).active_view()).collect();
+    let rounds = views[0].len();
+    assert!(views.iter().all(|view| view.len() == rounds), "default views are all full");
+
+    let mut digested: Vec<Vec<PeerId>> = vec![Vec::new(); BACKBONE];
+    for round in 0..rounds {
+        federation.repair();
+        let by_sender = counter.take();
+        for (i, targets) in digested.iter_mut().enumerate() {
+            let sent = by_sender.get(&federation.broker(i).id()).cloned().unwrap_or_default();
+            assert_eq!(sent.len(), 1, "broker {i} sent {} digests in round {round}", sent.len());
+            targets.extend(sent);
+        }
+    }
+    for (i, mut targets) in digested.into_iter().enumerate() {
+        assert_eq!(federation.broker(i).active_view(), views[i], "the view held still");
+        targets.sort();
+        assert_eq!(
+            targets, views[i],
+            "broker {i} digests each view member once in {rounds} rounds"
+        );
+    }
+}
+
+#[test]
+fn brokers_below_engagement_digest_every_peer_every_round() {
+    const SMALL: usize = 6;
+    let (network, federation) = federation_of(SMALL, 0x0516_0011);
+    assert!(!federation.broker(0).epidemic_engaged());
+    let counter = DigestCounter::new();
+    network.set_adversary(counter.clone());
+    for round in 0..3 {
+        federation.repair();
+        let by_sender = counter.take();
+        for i in 0..SMALL {
+            let broker = federation.broker(i);
+            let mut sent = by_sender.get(&broker.id()).cloned().unwrap_or_default();
+            sent.sort();
+            let mut peers = broker.peer_brokers();
+            peers.sort();
+            assert_eq!(sent, peers, "broker {i} digests every peer in round {round}");
+        }
+    }
+}
+
+/// Drops every payload push, `IHave` and `Graft` addressed to one broker.
+struct Starve {
+    victim: PeerId,
+}
+
+impl Adversary for Starve {
+    fn intercept(&self, message: &NetMessage) -> Verdict {
+        let dissemination = matches!(
+            kind_of(message),
+            Some(MessageKind::BrokerSync | MessageKind::PlumtreeIHave | MessageKind::PlumtreeGraft)
+        );
+        if message.to == self.victim && dissemination {
+            Verdict::Drop
+        } else {
+            Verdict::Deliver
+        }
+    }
+}
+
+/// The starved broker learns nothing from Plumtree, so anti-entropy alone
+/// must heal it.  Every other broker completes each publish through its
+/// eager wave and one `IHave` flush, so whichever view member the starved
+/// broker's own digest reaches holds everything; the pair always descends:
+/// the member drives the descent, or, when it digested the starved broker
+/// too and holds the higher id, the starved broker drives it on that digest.
+#[test]
+fn a_broker_starved_of_dissemination_heals_in_one_round() {
+    let group = GroupId::new("backbone");
+    for seed in 0..8u64 {
+        let (network, federation) = backbone(0x0516_0020 + seed);
+        let victim = (seed as usize * 5) % BACKBONE;
+        network.set_adversary(Arc::new(Starve { victim: federation.broker(victim).id() }));
+        let mut rng = HmacDrbg::from_seed_u64(0x0516_0030 + seed);
+        let mut owners = Vec::new();
+        for i in 0..24 {
+            let owner = PeerId::random(&mut rng);
+            federation.broker(i % BACKBONE).index_and_distribute(
+                owner,
+                &group,
+                "jxta:PipeAdvertisement",
+                &format!("<adv n=\"{i}\"/>"),
+            );
+            federation.pump();
+            for b in 0..BACKBONE {
+                federation.broker(b).flush_ihaves();
+            }
+            federation.pump();
+            owners.push(owner);
+        }
+        for b in (0..BACKBONE).filter(|&b| b != victim) {
+            let resolves = |owner: &PeerId| {
+                !federation
+                    .broker(b)
+                    .lookup(&group, "jxta:PipeAdvertisement", Some(*owner))
+                    .is_empty()
+            };
+            assert!(owners.iter().all(resolves), "seed {seed}: broker {b} missed a publish");
+        }
+        assert_eq!(
+            federation.repair_until_converged(4),
+            Some(1),
+            "seed {seed}: the starved broker {victim} did not heal in one round"
+        );
+    }
 }
