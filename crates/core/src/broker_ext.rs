@@ -626,23 +626,10 @@ impl SecureBrokerExtension {
         let Ok(signature) = self.identity.sign(&credential_update_signed_content(&blob)) else {
             return 0;
         };
-        // The push is identical for every client: serialise it once.
         let push = Message::new(MessageKind::CredentialUpdate, broker.id(), 0)
             .with_element("credentials", blob)
-            .with_element("signature", signature)
-            .to_bytes();
-        let mut sent = 0;
-        for client in broker.client_peers() {
-            if broker
-                .network()
-                // lint:allow(accounted-send, credential push to an attached client peer)
-                .send(broker.id(), client, push.clone())
-                .is_ok()
-            {
-                sent += 1;
-            }
-        }
-        sent
+            .with_element("signature", signature);
+        broker.send_to_clients(&broker.client_peers(), &push)
     }
 
     /// The broker's admin-issued credential (`Cred^Adm_Br`).

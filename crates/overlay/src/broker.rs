@@ -53,20 +53,27 @@
 //! * The **fabric** (`crate::fabric::Fabric`, lock `broker.fabric`):
 //!   admission, membership (derived view, SWIM) and dissemination (Plumtree,
 //!   the gossip and `IHave` queues), kept in step with the view by itself.
+//! * The **endpoint** (`crate::endpoint::Endpoint`, lock `broker.send_lock`)
+//!   owns the network handle; no other broker code holds one.  Backbone
+//!   messages leave through it stamped with the next sequence number, in
+//!   allocation order, and counted by kind; replies, pushes and relay leaves
+//!   leave through its client paths, which refuse inter-broker kinds.
 //! * The ingress **pipeline** (see [`Broker::spawn`]) has its own locks; the
-//!   broker keeps the extension slot, the send lock, pending shard lookups
-//!   and the repair-tree cache.
+//!   broker keeps the extension slot, pending shard lookups and the
+//!   repair-tree cache.
 //! * The lock-free sequence clock (`crate::counter`) stamps messages and
 //!   local writes; that module's rule keeps every counter sent in range.
 //!
 //! Lock discipline: hold at most one of `replica` and `fabric`, and neither
-//! across a send, an extension hook or a [`SimNetwork`] call.  A replica
+//! across a send, an extension hook or an endpoint call.  A replica
 //! transition returns what must be gossiped or pushed, and the broker ships
 //! it after releasing the guard — so there is no order between the two
-//! locks to get wrong.
+//! locks to get wrong.  The endpoint takes `broker.send_lock` before the
+//! network's `net.*` locks, and nothing else while holding it.
 
 use crate::counter::{self, SyncClock};
 use crate::database::UserDatabase;
+use crate::endpoint::Endpoint;
 use crate::fabric::{Fabric, GossipEvent, REPAIR_MARK};
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
@@ -438,7 +445,8 @@ struct PendingLookup {
 pub struct Broker {
     id: PeerId,
     config: BrokerConfig,
-    network: Arc<SimNetwork>,
+    /// The only way onto the network (see `crate::endpoint`).
+    endpoint: Endpoint,
     database: Arc<UserDatabase>,
     /// Replicated, repair-tracked state (see the module docs).
     replica: Tracked<Replica>,
@@ -446,14 +454,9 @@ pub struct Broker {
     fabric: Mutex<Fabric>,
     extension: RwLock<Option<Arc<dyn BrokerExtension>>>,
     /// Sequence number stamped on outgoing inter-broker messages (shared
-    /// with the replica, which versions local writes with it).
+    /// with the endpoint and the replica, which versions local writes
+    /// with it).
     sync_seq: Arc<SyncClock>,
-    /// Serialises sequence allocation with the wire send (see
-    /// [`Broker::send_sequenced`]): several threads send on a broker's
-    /// behalf (its event loop, the federation repair loop, in-process
-    /// callers), and the receiver's replay protection requires their
-    /// sequence numbers to arrive in allocation order.
-    send_lock: Mutex<()>,
     /// Federation activity counters.
     federation: FederationMetrics,
     /// Ingress-pipeline activity counters (all zero without a pipeline).
@@ -463,7 +466,7 @@ pub struct Broker {
     /// Next shard-query identifier.
     next_query: AtomicU64,
     /// Network messages fully processed by this broker (monotone; compared
-    /// against [`SimNetwork::delivered_to`] for quiescence detection).
+    /// against [`Broker::delivered_count`] for quiescence detection).
     processed: AtomicU64,
     /// Cached repair hash trees (see [`RepairTreeCache`]), so an idle
     /// anti-entropy round costs one root digest per digested peer instead
@@ -502,11 +505,10 @@ impl Broker {
             replica: Tracked::with_class("broker.replica", replica),
             fabric: Mutex::with_class("broker.fabric", Fabric::new(id, &config)),
             config,
-            network,
+            endpoint: Endpoint::new(id, network, Arc::clone(&sync_seq)),
             database,
             extension: RwLock::with_class("broker.extension", None),
             sync_seq,
-            send_lock: Mutex::with_class("broker.send_lock", ()),
             federation: FederationMetrics::new(),
             pipeline: PipelineMetrics::new(),
             pending_lookups: Mutex::with_class("broker.pending_lookups", HashMap::new()),
@@ -524,11 +526,6 @@ impl Broker {
     /// The broker's configuration.
     pub fn config(&self) -> &BrokerConfig {
         &self.config
-    }
-
-    /// The network this broker is attached to.
-    pub fn network(&self) -> &Arc<SimNetwork> {
-        &self.network
     }
 
     /// The central user database (brokers are the only entities allowed to
@@ -827,43 +824,26 @@ impl Broker {
         doc_type: &str,
         xml: &str,
     ) -> usize {
-        let mut pushed = 0;
-        for member in members {
-            let push = Message::new(MessageKind::AdvertisementPush, self.id, 0)
-                .with_str("group", group.as_str())
-                .with_str("doc-type", doc_type)
-                .with_str("xml", xml);
-            // lint:allow(accounted-send, client-facing push to a locally attached member)
-            if self.network.send(self.id, *member, push.to_bytes()).is_ok() {
-                pushed += 1;
-            }
+        // Nothing to build for a publish no local member hears.
+        if members.is_empty() {
+            return 0;
         }
-        pushed
+        let push = Message::new(MessageKind::AdvertisementPush, self.id, 0)
+            .with_str("group", group.as_str())
+            .with_str("doc-type", doc_type)
+            .with_str("xml", xml);
+        self.endpoint.to_clients(members, &push)
     }
 
     // ------------------------------------------------------------------
     // Federation gossip
     // ------------------------------------------------------------------
 
-    /// Stamps `message` with the next inter-broker sequence number and sends
-    /// it, holding the send lock so allocation order and wire order agree.
-    /// Without the lock, two threads sending on this broker's behalf could
-    /// allocate seqs S and S+1 yet deliver S+1 first — the receiver's replay
-    /// protection would then reject the genuine message carrying S.
-    /// Returns the wire size of the sent message, `None` when the send
-    /// failed — callers attributing bandwidth (repair accounting) need the
-    /// size *after* the sequence element was appended.
-    fn send_sequenced(&self, to: PeerId, mut message: Message, carried_wire: Duration) -> Option<usize> {
-        let _guard = self.send_lock.lock();
-        let seq = self.sync_seq.next();
-        message.push_element("seq", seq.to_string().into_bytes());
-        let bytes = message.to_bytes();
-        let size = bytes.len();
-        self.network
-            // lint:allow(accounted-send, the sequencing choke point itself)
-            .forward(self.id, to, bytes, carried_wire)
-            .ok()
-            .map(|_| size)
+    /// Sends a backbone message to the peer broker `to` through the
+    /// endpoint, which stamps its sequence number and counts it by kind.
+    /// Returns whether the send succeeded.
+    fn to_broker(&self, to: PeerId, message: Message) -> bool {
+        self.endpoint.to_broker(to, message, Duration::ZERO, &self.federation).is_some()
     }
 
     /// Queues a broadcast gossip event and returns the origin's fan-out (see
@@ -904,9 +884,7 @@ impl Broker {
                     digest.push_element(format!("e{i}-{field}"), value.as_bytes().to_vec());
                 }
             }
-            if self.send_sequenced(destination, digest, Duration::ZERO).is_some() {
-                self.federation.count_sync_sent();
-            }
+            self.to_broker(destination, digest);
         }
     }
 
@@ -931,9 +909,7 @@ impl Broker {
             self.federation
                 .count_ihave_digests_saved(gids.len().saturating_sub(1) as u64);
             let digest = self.gossip_id_digest(MessageKind::PlumtreeIHave, &gids);
-            if self.send_sequenced(destination, digest, Duration::ZERO).is_some() {
-                self.federation.count_ihave_sent();
-            }
+            self.to_broker(destination, digest);
         }
     }
 
@@ -1025,10 +1001,7 @@ impl Broker {
         // prune its side too.
         if epidemic && broadcasts > 0 && duplicates == broadcasts {
             self.fabric.lock().prune(origin);
-            let prune = Message::new(MessageKind::PlumtreePrune, self.id, 0);
-            if self.send_sequenced(origin, prune, Duration::ZERO).is_some() {
-                self.federation.count_prune_sent();
-            }
+            self.to_broker(origin, Message::new(MessageKind::PlumtreePrune, self.id, 0));
         }
         // Applying events may have re-asserted live local sessions; ship the
         // resulting gossip (and any forwarded broadcasts) in one digest per
@@ -1184,12 +1157,12 @@ impl Broker {
             return;
         }
         let urns: Vec<String> = reply_sample.iter().map(PeerId::to_urn).collect();
-        // Replied through the sequencing choke point, not `apply_net`'s
-        // response path: inter-broker admission requires a fresh `seq`.
+        // Replied as backbone traffic, not on `apply_net`'s response path:
+        // inter-broker admission requires a fresh `seq`.
         let reply = Message::new(MessageKind::MembershipShuffleReply, self.id, 0)
             .with_str("peers", &urns.join(","))
             .with_str("inc", &incarnation.to_string());
-        self.send_sequenced(message.sender, reply, Duration::ZERO);
+        self.to_broker(message.sender, reply);
     }
 
     /// The gossip ids an `IHave` or `Graft` digest lists (`count` plus
@@ -1227,9 +1200,7 @@ impl Broker {
             return;
         }
         let graft = self.gossip_id_digest(MessageKind::PlumtreeGraft, &missing);
-        if self.send_sequenced(message.sender, graft, Duration::ZERO).is_some() {
-            self.federation.count_graft_sent();
-        }
+        self.to_broker(message.sender, graft);
     }
 
     /// Handles a `Graft`: the sender missed payloads we advertised — the
@@ -1274,13 +1245,7 @@ impl Broker {
         if relay {
             probe.push_element("reply-to", message.sender.to_urn().into_bytes());
         }
-        if self.send_sequenced(to, probe, Duration::ZERO).is_some() {
-            if relay {
-                self.federation.count_swim_probe();
-            } else {
-                self.federation.count_swim_ack();
-            }
-        }
+        self.to_broker(to, probe);
     }
 
     /// One SWIM protocol period, driven by the repair cadence: advance the
@@ -1295,10 +1260,7 @@ impl Broker {
         if self.fabric.lock().peers().is_empty() {
             return;
         }
-        let backlog = self
-            .network
-            .delivered_to(&self.id)
-            .saturating_sub(self.processed_count());
+        let backlog = self.delivered_count().saturating_sub(self.processed_count());
         let plan = self.fabric.lock().tick(backlog, SWIM_BACKLOG_THRESHOLD);
         for (peer, incarnation) in plan.new_dead {
             self.federation.count_swim_death();
@@ -1314,16 +1276,12 @@ impl Broker {
             let incarnation = self.swim_incarnation();
             let ping = Message::new(MessageKind::SwimPing, self.id, 0)
                 .with_str("inc", &incarnation.to_string());
-            if self.send_sequenced(target, ping, Duration::ZERO).is_some() {
-                self.federation.count_swim_probe();
-            }
+            self.to_broker(target, ping);
         }
         for (relay, target) in plan.indirect {
             let request = Message::new(MessageKind::SwimPingReq, self.id, 0)
                 .with_str("target", &target.to_urn());
-            if self.send_sequenced(relay, request, Duration::ZERO).is_some() {
-                self.federation.count_swim_indirect_probe();
-            }
+            self.to_broker(relay, request);
         }
         self.flush_gossip();
     }
@@ -1366,9 +1324,7 @@ impl Broker {
             let sync = Message::new(MessageKind::BrokerSync, self.id, 0)
                 .with_str("op", "ext")
                 .with_element("blob", blob.clone());
-            if self.send_sequenced(peer, sync, Duration::ZERO).is_some() {
-                self.federation.count_sync_sent();
-            }
+            self.to_broker(peer, sync);
         }
     }
 
@@ -1521,7 +1477,7 @@ impl Broker {
                     .with_str("m-hash", &m.to_string())
                     .with_str("p-hash", &p.to_string())
                     .with_str("x-hash", &x.to_string());
-                self.send_repair(peer, digest);
+                self.to_broker(peer, digest);
             }
         }
         // The repair cadence doubles as the membership layer's shuffle
@@ -1550,24 +1506,7 @@ impl Broker {
         let shuffle = Message::new(MessageKind::MembershipShuffle, self.id, 0)
             .with_str("peers", &urns.join(","))
             .with_str("inc", &incarnation.to_string());
-        self.send_sequenced(target, shuffle, Duration::ZERO);
-    }
-
-    /// Sends one repair-protocol message, attributing its wire bytes (and,
-    /// for descent legs, the leg count) to the federation metrics — the
-    /// global network counters cannot separate repair from gossip.
-    fn send_repair(&self, to: PeerId, message: Message) -> bool {
-        let is_descent = message.kind == MessageKind::AntiEntropyRange;
-        match self.send_sequenced(to, message, Duration::ZERO) {
-            Some(size) => {
-                self.federation.count_repair_bytes(size as u64);
-                if is_descent {
-                    self.federation.count_descent_round();
-                }
-                true
-            }
-            None => false,
-        }
+        self.to_broker(target, shuffle);
     }
 
     /// Membership repair needs the sender's presence versions to decide
@@ -1615,7 +1554,7 @@ impl Broker {
         if !flat.is_empty() {
             let sections = Self::normalize_sections(&flat);
             let snapshot = self.build_repair_snapshot(&origin, &sections, &sections);
-            self.send_repair(origin, snapshot);
+            self.to_broker(origin, snapshot);
         }
         // One descent heals both replicas (the final page legs ship entries
         // both ways), so a pair that digested each other this round lets
@@ -1649,7 +1588,7 @@ impl Broker {
         let message = Message::new(MessageKind::AntiEntropyRange, self.id, 0)
             .with_str("section", &section.to_string())
             .with_element("nodes", nodes);
-        self.send_repair(peer, message);
+        self.to_broker(peer, message);
     }
 
     /// Handles one descent leg of a hash-tree repair: compares the peer's
@@ -1705,7 +1644,7 @@ impl Broker {
             let next = Message::new(MessageKind::AntiEntropyRange, self.id, 0)
                 .with_str("section", &section.to_string())
                 .with_element("nodes", reply);
-            self.send_repair(origin, next);
+            self.to_broker(origin, next);
         }
         for (lo, hi) in pages {
             self.send_range_pages(origin, section, lo, hi, true);
@@ -1812,7 +1751,7 @@ impl Broker {
             }
             fill(self, &mut snapshot, &page);
             self.federation.count_repair_page();
-            self.send_repair(peer, snapshot);
+            self.to_broker(peer, snapshot);
         }
     }
 
@@ -1829,7 +1768,7 @@ impl Broker {
         if !want.is_empty() {
             let sections = Self::normalize_sections(&want);
             let reply = self.build_repair_snapshot(&origin, &sections, "");
-            self.send_repair(origin, reply);
+            self.to_broker(origin, reply);
         }
         // A range page asking for our side of its sub-range: reply with our
         // entries (want-range unset), which ends the descent for that range.
@@ -1971,20 +1910,16 @@ impl Broker {
         };
 
         if local {
-            // lint:allow(accounted-send, relay leaf delivery to a locally attached peer)
-            return match self.network.forward(self.id, dest, payload.to_vec(), carried_wire) {
-                Ok(_) => {
-                    self.federation.count_relay_delivered();
-                    Some(
-                        Message::new(MessageKind::Ack, self.id, message.request_id)
-                            .with_str("status", "ok")
-                            .with_str("route", "local"),
-                    )
-                }
-                Err(_) => {
-                    self.federation.count_relay_failed();
-                    Some(self.reject(message, "destination unreachable"))
-                }
+            return if self.endpoint.relay_leaf(dest, payload, carried_wire) {
+                self.federation.count_relay_delivered();
+                Some(
+                    Message::new(MessageKind::Ack, self.id, message.request_id)
+                        .with_str("status", "ok")
+                        .with_str("route", "local"),
+                )
+            } else {
+                self.federation.count_relay_failed();
+                Some(self.reject(message, "destination unreachable"))
             };
         }
 
@@ -1995,8 +1930,7 @@ impl Broker {
         let relay = Message::new(MessageKind::BrokerRelay, self.id, message.request_id)
             .with_str("to", &to_urn)
             .with_element("payload", payload.to_vec());
-        if self.send_sequenced(home, relay, carried_wire).is_some() {
-            self.federation.count_relay_forwarded();
+        if self.endpoint.to_broker(home, relay, carried_wire, &self.federation).is_some() {
             Some(
                 Message::new(MessageKind::Ack, self.id, message.request_id)
                     .with_str("status", "ok")
@@ -2025,10 +1959,10 @@ impl Broker {
             self.federation.count_relay_failed();
             return;
         }
-        // lint:allow(accounted-send, relay leaf delivery to a locally attached peer)
-        match self.network.forward(self.id, dest, payload.to_vec(), carried_wire) {
-            Ok(_) => self.federation.count_relay_delivered(),
-            Err(_) => self.federation.count_relay_failed(),
+        if self.endpoint.relay_leaf(dest, payload, carried_wire) {
+            self.federation.count_relay_delivered();
+        } else {
+            self.federation.count_relay_failed();
         }
     }
 
@@ -2086,10 +2020,7 @@ impl Broker {
     /// the inbox drain, which (with [`BrokerConfig::inbox_capacity`]) pushes
     /// back on senders instead of queueing without bound.
     pub fn spawn(self: &Arc<Self>) -> BrokerHandle {
-        let receiver = match self.config.inbox_capacity {
-            Some(capacity) => self.network.register_bounded(self.id, capacity),
-            None => self.network.register(self.id),
-        };
+        let receiver = self.endpoint.register(self.config.inbox_capacity);
         let (shutdown_tx, shutdown_rx) = crossbeam::channel::bounded::<()>(1);
         let mut threads = Vec::new();
 
@@ -2419,10 +2350,7 @@ impl Broker {
         // produced events of its own.
         self.flush_gossip();
         if let Some(response) = response {
-            let _ = self
-                .network
-                // lint:allow(accounted-send, direct response to the requesting peer)
-                .send(self.id, net_message.from, response.to_bytes());
+            self.endpoint.to_client(net_message.from, &response);
         }
         // Only now — with every side effect applied and sent — does this
         // message count as processed (quiescence detection).
@@ -2432,6 +2360,30 @@ impl Broker {
     /// Number of network messages this broker has fully processed.
     pub fn processed_count(&self) -> u64 {
         self.processed.load(Ordering::Acquire)
+    }
+
+    /// Number of network messages ever delivered to this broker's inbox:
+    /// the broker is idle once [`Broker::processed_count`] has caught up.
+    pub fn delivered_count(&self) -> u64 {
+        self.endpoint.delivered()
+    }
+
+    /// Registers this broker's unbounded inbox, for a driver that feeds
+    /// [`Broker::process_net`] itself instead of spawning the event loop.
+    pub fn register(&self) -> crossbeam::channel::Receiver<NetMessage> {
+        self.endpoint.register(None)
+    }
+
+    /// Closes this broker's inbox: it becomes unreachable, as after a crash.
+    pub fn unregister(&self) {
+        self.endpoint.unregister();
+    }
+
+    /// Pushes a client-facing `message`, serialised once, to each of
+    /// `peers`; returns how many sends succeeded.  An inter-broker kind is
+    /// refused: backbone traffic leaves only sequenced and counted.
+    pub fn send_to_clients(&self, peers: &[PeerId], message: &Message) -> usize {
+        self.endpoint.to_clients(peers, message)
     }
 
     /// Dispatches an admitted inter-broker message ([`MessageKind::is_inter_broker`])
@@ -2681,13 +2633,16 @@ impl Broker {
         let Some(key) = key_peer else {
             return Some(self.reject(message, "malformed shard query"));
         };
+        // A replica SWIM holds dead would never answer: route around it.
+        let live = self.fabric.lock().live_peers();
         let candidates: Vec<PeerId> = self
             .shard_replicas(group, &key)
             .into_iter()
-            .filter(|replica| *replica != self.id)
+            .filter(|replica| live.contains(replica))
             .collect();
         if candidates.is_empty() {
-            // No remote replica (degenerate ring) — answer from what we have.
+            // No live remote replica (a degenerate ring, or every other
+            // replica is dead) — answer from what we have.
             return Some(match doc_type {
                 Some(doc_type) => self.lookup_response(
                     message.request_id,
@@ -2709,11 +2664,7 @@ impl Broker {
         // original full rotation.
         let costs: Vec<Duration> = candidates
             .iter()
-            .map(|replica| {
-                self.network
-                    .link_between(self.id, *replica)
-                    .transfer_time(SHARD_QUERY_NOMINAL_BYTES)
-            })
+            .map(|replica| self.endpoint.link_to(*replica).transfer_time(SHARD_QUERY_NOMINAL_BYTES))
             .collect();
         let cheapest_cost = *costs.iter().min().expect("candidates is non-empty");
         let cheapest: Vec<PeerId> = candidates
@@ -2735,7 +2686,7 @@ impl Broker {
             }
             None => query = query.with_str("member", &key.to_urn()),
         }
-        if self.send_sequenced(target, query, Duration::ZERO).is_none() {
+        if !self.to_broker(target, query) {
             // The replica is gone; fail the query towards the client rather
             // than leaving it waiting for a response that cannot come.
             return Some(self.reject(message, "shard replica unreachable"));
@@ -2754,15 +2705,16 @@ impl Broker {
         None
     }
 
-    /// Scatters a group-wide advertisement search to every peer broker and
-    /// seeds the merge state with this broker's own shard.
+    /// Scatters a group-wide advertisement search to every peer broker SWIM
+    /// does not hold dead (a dead one would leave the merge waiting forever)
+    /// and seeds the merge state with this broker's own shard.
     fn route_shard_scatter(
         &self,
         message: &Message,
         group: &GroupId,
         doc_type: &str,
     ) -> Option<Message> {
-        let peers = self.peer_brokers();
+        let peers = self.fabric.lock().live_peers();
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
         let mut adv_results = BTreeMap::new();
         for (owner, version, xml) in self.replica.read().lookup(group, doc_type, None) {
@@ -2774,12 +2726,10 @@ impl Broker {
                 .with_str("query", &query_id.to_string())
                 .with_str("group", group.as_str())
                 .with_str("doc-type", doc_type);
-            if self.send_sequenced(target, query, Duration::ZERO).is_some() {
-                remaining += 1;
-            }
+            remaining += usize::from(self.to_broker(target, query));
         }
         if remaining == 0 {
-            // Every peer unreachable: answer from the local shard alone.
+            // No live peer reachable: answer from the local shard alone.
             let results = adv_results.into_values().map(|(_, xml)| xml).collect();
             return Some(self.lookup_response(message.request_id, results));
         }
@@ -2834,7 +2784,7 @@ impl Broker {
                 response.push_element(format!("r{i}-xml"), xml.into_bytes());
             }
         }
-        self.send_sequenced(message.sender, response, Duration::ZERO);
+        self.to_broker(message.sender, response);
     }
 
     /// Merges a replica's `ShardResponse` into the pending lookup it answers
@@ -2909,8 +2859,7 @@ impl Broker {
                 .collect();
             self.lookup_response(state.client_request, results)
         };
-        // lint:allow(accounted-send, lookup response to the requesting client)
-        let _ = self.network.send(self.id, state.client, response.to_bytes());
+        self.endpoint.to_client(state.client, &response);
     }
 }
 
@@ -2991,7 +2940,7 @@ impl BrokerHandle {
         // the messages it already stamped before exiting, and the last one
         // out drops the lane senders — so every in-flight message still
         // reaches the apply stage before the pipeline winds down.
-        self.broker.network.unregister(&self.broker.id);
+        self.broker.endpoint.unregister();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }

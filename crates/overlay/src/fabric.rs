@@ -26,7 +26,9 @@ use crate::membership::PartialView;
 use crate::metrics::FederationMetrics;
 use crate::plumtree::{GossipId, PlumtreeState};
 use crate::shard::{fnv1a, mix, FNV_OFFSET};
-use crate::swim::{AliveOutcome, DeadOutcome, PeerRecord, SuspectOutcome, SwimDetector, TickPlan};
+use crate::swim::{
+    AliveOutcome, DeadOutcome, PeerRecord, PeerState, SuspectOutcome, SwimDetector, TickPlan,
+};
 use std::collections::{BTreeMap, HashMap};
 
 /// Peers named by one shuffle or shuffle reply.
@@ -143,6 +145,15 @@ impl Fabric {
 
     pub(crate) fn peers(&self) -> &[PeerId] {
         &self.peer_brokers
+    }
+
+    /// The admitted peers SWIM does not hold dead, in admission order: the
+    /// brokers a routed lookup may wait on for an answer.
+    pub(crate) fn live_peers(&self) -> Vec<PeerId> {
+        let dead = |peer: &PeerId| {
+            self.swim.record(peer).is_some_and(|record| record.state == PeerState::Dead)
+        };
+        self.peer_brokers.iter().filter(|peer| !dead(peer)).copied().collect()
     }
 
     /// Whether the epidemic fabric is active: not pinned to full mesh and

@@ -379,7 +379,7 @@ impl BrokerNetwork {
         let deadline = crate::clock::now() + Duration::from_millis(500);
         while crate::clock::now() < deadline {
             let drained = self.brokers.read().iter().all(|broker| {
-                broker.processed_count() == broker.network().delivered_to(&broker.id())
+                broker.processed_count() == broker.delivered_count()
             });
             if drained {
                 break;
@@ -436,10 +436,7 @@ impl BrokerNetwork {
     pub fn converged(&self) -> bool {
         let brokers: Vec<Arc<Broker>> =
             self.handles.iter().map(|h| Arc::clone(h.broker())).collect();
-        let delivered_before: Vec<u64> = brokers
-            .iter()
-            .map(|b| b.network().delivered_to(&b.id()))
-            .collect();
+        let delivered_before: Vec<u64> = brokers.iter().map(|b| b.delivered_count()).collect();
         if brokers
             .iter()
             .zip(&delivered_before)
@@ -455,7 +452,7 @@ impl BrokerNetwork {
         brokers
             .iter()
             .zip(&delivered_before)
-            .all(|(b, delivered)| b.network().delivered_to(&b.id()) == *delivered)
+            .all(|(b, delivered)| b.delivered_count() == *delivered)
     }
 
     /// Polls until the brokers converge or the timeout expires.  Returns
@@ -499,10 +496,7 @@ impl InlineFederation {
     /// spawning threads.
     pub fn new(brokers: Vec<Arc<Broker>>) -> Self {
         interconnect(&brokers);
-        let inboxes = brokers
-            .iter()
-            .map(|broker| broker.network().register(broker.id()))
-            .collect();
+        let inboxes = brokers.iter().map(|broker| broker.register()).collect();
         InlineFederation { brokers, inboxes }
     }
 
@@ -578,7 +572,7 @@ impl InlineFederation {
     /// the entries the newcomer now owns migrate onto it.  The migration is
     /// pumped to quiescence before returning.
     pub fn add_broker(&mut self, broker: Arc<Broker>) {
-        let inbox = broker.network().register(broker.id());
+        let inbox = broker.register();
         for existing in &self.brokers {
             existing.add_peer_broker(broker.id());
             broker.add_peer_broker(existing.id());
@@ -613,7 +607,7 @@ impl InlineFederation {
         }
         // Let the departure gossip drain while the leaver is still a peer.
         self.pump();
-        removed.network().unregister(&removed.id());
+        removed.unregister();
         for survivor in &self.brokers {
             survivor.remove_peer_broker(&removed.id());
         }
@@ -1336,17 +1330,14 @@ mod tests {
     /// Sends `message` from a registered client endpoint into `broker` and
     /// pumps until the client's inbox yields a `LookupResponse`.
     fn query_via_network(
+        net: &SimNetwork,
         federation: &InlineFederation,
         rx: &Receiver<NetMessage>,
         client: PeerId,
         broker: usize,
         message: crate::message::Message,
     ) -> crate::message::Message {
-        federation
-            .broker(broker)
-            .network()
-            .send(client, federation.broker(broker).id(), message.to_bytes())
-            .unwrap();
+        net.send(client, federation.broker(broker).id(), message.to_bytes()).unwrap();
         federation.pump();
         while let Ok(delivered) = rx.try_recv() {
             if let Ok(parsed) = crate::message::Message::from_bytes(&delivered.payload) {
@@ -1414,7 +1405,7 @@ mod tests {
             .with_str("group", "math")
             .with_str("doc-type", "jxta:PipeAdvertisement")
             .with_str("owner", &remote_owner.to_urn());
-        let response = query_via_network(&federation, &rx, client, 0, lookup);
+        let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
         assert_eq!(response.request_id, 71);
         assert_eq!(response.element_str("count").unwrap(), "1");
         assert_eq!(response.element_str("adv-0").unwrap(), "<remote/>");
@@ -1425,7 +1416,7 @@ mod tests {
             .with_str("group", "math")
             .with_str("doc-type", "jxta:PipeAdvertisement")
             .with_str("owner", &local_owner.to_urn());
-        let response = query_via_network(&federation, &rx, client, 0, lookup);
+        let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
         assert_eq!(response.element_str("adv-0").unwrap(), "<local/>");
         assert_eq!(federation.broker(0).federation_stats().shard_hits, 1);
 
@@ -1433,8 +1424,71 @@ mod tests {
         let lookup = Message::new(MessageKind::LookupRequest, client, 73)
             .with_str("group", "math")
             .with_str("doc-type", "jxta:PipeAdvertisement");
-        let response = query_via_network(&federation, &rx, client, 0, lookup);
+        let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
         assert_eq!(response.element_str("count").unwrap(), "2");
+    }
+
+    #[test]
+    fn sharded_lookups_route_around_a_broker_swim_holds_dead() {
+        use crate::message::{Message, MessageKind};
+        use crate::net::FaultPlan;
+        use crate::swim::{PeerState, PROBE_BUDGET_TICKS};
+        let (net, _db, brokers) = make_sharded_brokers(4, 2, 0xBA);
+        let federation = InlineFederation::new(brokers);
+        let ids: Vec<PeerId> = (0..4).map(|i| federation.broker(i).id()).collect();
+        let mut rng = HmacDrbg::from_seed_u64(0xBB);
+        let group = GroupId::new("math");
+        let client = PeerId::random(&mut rng);
+        let rx = net.register(client);
+        federation.broker(0).establish_session(client, "alice");
+        let owners: Vec<PeerId> = (0..40).map(|_| PeerId::random(&mut rng)).collect();
+        for (i, owner) in owners.iter().enumerate() {
+            let xml = format!("<adv-{i}/>");
+            federation.broker(1).index_and_distribute(*owner, &group, "jxta:PipeAdvertisement", &xml);
+        }
+        federation.pump();
+        assert!(federation.converged());
+
+        // Broker 3 crash-stops.  It stays admitted and on the shard ring;
+        // only SWIM at the survivors learns that it is dead.
+        let plan = FaultPlan::new(0xBC).crash_stop(ids[3], 0).into_adversary();
+        net.set_adversary(plan.clone());
+        for _ in 0..PROBE_BUDGET_TICKS {
+            for i in 0..3 {
+                federation.broker(i).start_repair_round();
+            }
+            federation.pump();
+            plan.advance_tick();
+        }
+        let record = federation.broker(0).swim_record(&ids[3]);
+        assert!(matches!(record.map(|r| r.state), Some(PeerState::Dead)), "{record:?}");
+        assert!(federation.broker(0).is_peer_broker(&ids[3]));
+
+        // Every keyed lookup routed past broker 0 is answered by a live
+        // replica, those the dead broker co-owns included.
+        let replicas = |owner: &PeerId| federation.broker(0).shard_replicas(&group, owner);
+        let routed: Vec<usize> =
+            (0..owners.len()).filter(|&i| !replicas(&owners[i]).contains(&ids[0])).collect();
+        assert!(routed.iter().any(|&i| replicas(&owners[i]).contains(&ids[3])));
+        for i in routed {
+            let request = 100 + i as u64;
+            let lookup = Message::new(MessageKind::LookupRequest, client, request)
+                .with_str("group", "math")
+                .with_str("doc-type", "jxta:PipeAdvertisement")
+                .with_str("owner", &owners[i].to_urn());
+            let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
+            assert_eq!(response.request_id, request);
+            assert_eq!(response.element_str("adv-0").unwrap(), format!("<adv-{i}/>"));
+        }
+
+        // A group-wide search scatters to the live brokers only and still
+        // merges every entry.
+        let lookup = Message::new(MessageKind::LookupRequest, client, 99)
+            .with_str("group", "math")
+            .with_str("doc-type", "jxta:PipeAdvertisement");
+        let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
+        assert_eq!(response.request_id, 99);
+        assert_eq!(response.element_str("count").unwrap(), "40");
     }
 
     #[test]
@@ -1456,7 +1510,7 @@ mod tests {
         let query = Message::new(MessageKind::LookupRequest, client, 80)
             .with_str("group", "math")
             .with_str("member", &bob.to_urn());
-        let response = query_via_network(&federation, &rx, client, 0, query);
+        let response = query_via_network(&net, &federation, &rx, client, 0, query);
         assert_eq!(response.element_str("member").unwrap(), "true");
 
         // A stranger is not a member anywhere.
@@ -1464,7 +1518,7 @@ mod tests {
         let query = Message::new(MessageKind::LookupRequest, client, 81)
             .with_str("group", "math")
             .with_str("member", &stranger.to_urn());
-        let response = query_via_network(&federation, &rx, client, 0, query);
+        let response = query_via_network(&net, &federation, &rx, client, 0, query);
         assert_eq!(response.element_str("member").unwrap(), "false");
     }
 
@@ -1769,7 +1823,7 @@ mod tests {
                 .with_str("group", "math")
                 .with_str("doc-type", "jxta:PipeAdvertisement")
                 .with_str("owner", &owner.to_urn());
-            let response = query_via_network(&federation, &rx, client, 0, lookup);
+            let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
             assert_eq!(response.element_str("adv-0").unwrap(), "<hot/>");
         }
         let deltas: Vec<u64> = replicas
@@ -1904,7 +1958,7 @@ mod tests {
                 .with_str("group", "math")
                 .with_str("doc-type", "jxta:PipeAdvertisement")
                 .with_str("owner", &owner.to_urn());
-            let response = query_via_network(&federation, &rx, client, 0, lookup);
+            let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
             assert_eq!(response.element_str("adv-0").unwrap(), "<hot/>");
         }
         let deltas: Vec<u64> = replicas
@@ -2037,7 +2091,7 @@ mod tests {
         // gossiped anything (bypassing remove_broker's graceful
         // drop_session path).
         let dead = federation.broker(2).id();
-        federation.broker(2).network().unregister(&dead);
+        federation.broker(2).unregister();
         for i in 0..2 {
             federation.broker(i).remove_peer_broker(&dead);
         }
@@ -2539,6 +2593,7 @@ mod shard_proptests {
 
     struct World {
         federation: InlineFederation,
+        network: Arc<SimNetwork>,
         peers: Vec<PeerId>,
         querier: PeerId,
         querier_rx: Receiver<NetMessage>,
@@ -2589,6 +2644,7 @@ mod shard_proptests {
 
         World {
             federation,
+            network,
             peers,
             querier,
             querier_rx,
@@ -2601,9 +2657,7 @@ mod shard_proptests {
     fn query(world: &World, message: Message) -> Message {
         let request_id = message.request_id;
         world
-            .federation
-            .broker(0)
-            .network()
+            .network
             .send(world.querier, world.federation.broker(0).id(), message.to_bytes())
             .unwrap();
         world.federation.pump();

@@ -68,6 +68,7 @@ pub mod client;
 pub mod clock;
 mod counter;
 pub mod database;
+mod endpoint;
 pub mod error;
 mod fabric;
 pub mod federation;

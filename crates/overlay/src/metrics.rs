@@ -15,6 +15,7 @@
 //! An [`OperationTiming`] combines both, and [`overhead_percent`] computes the
 //! relative overhead between a secure and a plain run of the same operation.
 
+use crate::message::MessageKind;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -420,19 +421,38 @@ impl FederationMetrics {
         Self::default()
     }
 
-    /// Records a gossip message sent to a peer broker.
-    pub fn count_sync_sent(&self) {
-        self.syncs_sent.fetch_add(1, Ordering::Relaxed);
+    /// Records one successful backbone send of `kind`, `bytes` long on the
+    /// wire: the one kind → counter table, called only by the broker's
+    /// network endpoint once the send succeeded.  Repair traffic counts its
+    /// bytes (and a descent leg its leg); shuffles and shard queries and
+    /// responses count nothing.
+    pub fn count_sent(&self, kind: MessageKind, bytes: u64) {
+        let counter = match kind {
+            MessageKind::BrokerSync => &self.syncs_sent,
+            MessageKind::BrokerRelay => &self.relays_forwarded,
+            MessageKind::PlumtreeIHave => &self.ihaves_sent,
+            MessageKind::PlumtreeGraft => &self.grafts_sent,
+            MessageKind::PlumtreePrune => &self.prunes_sent,
+            // Direct probes and relayed pings alike.
+            MessageKind::SwimPing => &self.swim_probes,
+            MessageKind::SwimPingReq => &self.swim_indirect_probes,
+            MessageKind::SwimAck => &self.swim_acks,
+            MessageKind::AntiEntropyRange => {
+                self.repair_bytes.fetch_add(bytes, Ordering::Relaxed);
+                &self.descent_rounds
+            }
+            MessageKind::AntiEntropyDigest | MessageKind::AntiEntropySnapshot => {
+                self.repair_bytes.fetch_add(bytes, Ordering::Relaxed);
+                return;
+            }
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a gossip message applied to local state.
     pub fn count_sync_applied(&self) {
         self.syncs_applied.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a relay forwarded across the backbone.
-    pub fn count_relay_forwarded(&self) {
-        self.relays_forwarded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a relay delivered to a locally homed peer.
@@ -485,16 +505,6 @@ impl FederationMetrics {
         self.entries_repaired.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` wire bytes of repair-protocol traffic sent.
-    pub fn count_repair_bytes(&self, n: u64) {
-        self.repair_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a hash-tree descent leg sent.
-    pub fn count_descent_round(&self) {
-        self.descent_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a range-scoped snapshot page sent.
     pub fn count_repair_page(&self) {
         self.repair_pages.fetch_add(1, Ordering::Relaxed);
@@ -503,21 +513,6 @@ impl FederationMetrics {
     /// Records `n` eager pushes of one broadcast event (one per tree edge).
     pub fn count_eager_pushes(&self, n: u64) {
         self.eager_pushes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a lazy `IHave` digest sent.
-    pub fn count_ihave_sent(&self) {
-        self.ihaves_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a `Graft` pull sent.
-    pub fn count_graft_sent(&self) {
-        self.grafts_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a `Prune` demotion sent.
-    pub fn count_prune_sent(&self) {
-        self.prunes_sent.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a grafted gossip id whose payload was no longer cached.
@@ -536,21 +531,6 @@ impl FederationMetrics {
     /// across publishes into one digest per repair tick.
     pub fn count_ihave_digests_saved(&self, n: u64) {
         self.ihave_digests_saved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a SWIM direct probe sent.
-    pub fn count_swim_probe(&self) {
-        self.swim_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a SWIM indirect ping-request sent.
-    pub fn count_swim_indirect_probe(&self) {
-        self.swim_indirect_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a SWIM ack sent.
-    pub fn count_swim_ack(&self) {
-        self.swim_acks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a member newly marked `Suspect`.
@@ -660,10 +640,10 @@ mod tests {
     fn federation_metrics_count_and_snapshot() {
         let metrics = FederationMetrics::new();
         assert_eq!(metrics.snapshot(), FederationStats::default());
-        metrics.count_sync_sent();
-        metrics.count_sync_sent();
+        metrics.count_sent(MessageKind::BrokerSync, 100);
+        metrics.count_sent(MessageKind::BrokerSync, 100);
         metrics.count_sync_applied();
-        metrics.count_relay_forwarded();
+        metrics.count_sent(MessageKind::BrokerRelay, 100);
         metrics.count_relay_delivered();
         metrics.count_relay_failed();
         metrics.count_rejected_unknown_origin();
@@ -676,23 +656,22 @@ mod tests {
         metrics.count_repair_mismatch();
         metrics.count_repair_mismatch();
         metrics.count_entries_repaired(5);
-        metrics.count_repair_bytes(128);
-        metrics.count_repair_bytes(64);
-        metrics.count_descent_round();
+        metrics.count_sent(MessageKind::AntiEntropySnapshot, 128);
+        metrics.count_sent(MessageKind::AntiEntropyRange, 64);
         metrics.count_repair_page();
         metrics.count_repair_page();
         metrics.count_eager_pushes(4);
-        metrics.count_ihave_sent();
-        metrics.count_graft_sent();
-        metrics.count_prune_sent();
+        metrics.count_sent(MessageKind::PlumtreeIHave, 100);
+        metrics.count_sent(MessageKind::PlumtreeGraft, 100);
+        metrics.count_sent(MessageKind::PlumtreePrune, 100);
         metrics.count_graft_miss();
         metrics.count_publish_fanout(3);
         metrics.count_publish_fanout(7);
         metrics.count_ihave_digests_saved(4);
-        metrics.count_swim_probe();
-        metrics.count_swim_probe();
-        metrics.count_swim_indirect_probe();
-        metrics.count_swim_ack();
+        metrics.count_sent(MessageKind::SwimPing, 100);
+        metrics.count_sent(MessageKind::SwimPing, 100);
+        metrics.count_sent(MessageKind::SwimPingReq, 100);
+        metrics.count_sent(MessageKind::SwimAck, 100);
         metrics.count_swim_suspicion();
         metrics.count_swim_refutation();
         metrics.count_swim_death();
