@@ -29,12 +29,12 @@ use jxta_crypto::drbg::HmacDrbg;
 use jxta_crypto::error::CryptoError;
 use jxta_crypto::rsa::RsaPublicKey;
 use jxta_crypto::sigcache::{DigestCache, SigCacheStats, VerifiedSigCache};
-use jxta_overlay::broker::{Broker, BrokerExtension};
+use crate::signed_adv::TrustAnchors;
+use jxta_overlay::broker::{carried_advertisements, Broker, BrokerExtension};
 use jxta_overlay::{GroupId, Message, MessageKind, OverlayError, PeerId};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Length of the random session identifier in bytes ("sufficiently long", per
 /// the paper; 32 bytes makes guessing or collision attacks irrelevant).
@@ -175,67 +175,238 @@ enum VetVerdict {
     Verified(Box<Credential>),
 }
 
-/// The broker-side secure extension.
+impl VetVerdict {
+    /// Parses `xml`, extracts the embedded credential and checks the
+    /// XMLdsig signature, every RSA operation going through `verify`.
+    fn compute<V>(xml: &str, verify: V) -> VetVerdict
+    where
+        V: Fn(&RsaPublicKey, &[u8], &[u8]) -> Result<(), CryptoError>,
+    {
+        let Ok(element) = jxta_xmldoc::parse(xml) else {
+            return VetVerdict::Unsigned;
+        };
+        if !jxta_xmldoc::dsig::is_signed(&element) {
+            return VetVerdict::Unsigned;
+        }
+        let Ok(credential_bytes) = jxta_xmldoc::dsig::key_info(&element) else {
+            return VetVerdict::SignatureInvalid;
+        };
+        let Ok(credential) = Credential::from_bytes(&credential_bytes) else {
+            return VetVerdict::MalformedCredential;
+        };
+        if jxta_xmldoc::dsig::verify_element_with(&element, &credential.public_key, verify).is_err() {
+            return VetVerdict::SignatureInvalid;
+        }
+        VetVerdict::Verified(Box::new(credential))
+    }
+}
+
+/// What this broker trusts: the administrator anchor and the broker
+/// credentials admitted under it, plus the administrator-signed revocation
+/// lists it has verified and the subjects they revoke.  Its methods keep
+/// the invariants: a broker credential or revocation list enters only once
+/// it verifies under the administrator key, the revoked sets are the union
+/// of the stored lists, and nothing leaves.
+struct Trust {
+    /// The administrator, this broker's own credential, then every
+    /// admitted peer broker's in admission order.
+    anchors: TrustAnchors,
+    /// The verified revocation lists, kept so they can be re-gossiped over
+    /// the backbone and carried in anti-entropy snapshots — each list is
+    /// admin-signed, so transit needs no extra trust and a late-joining
+    /// broker can verify them from scratch.
+    lists: Vec<RevocationList>,
+    /// Peer identifiers revoked by `lists`.
+    revoked_peers: HashSet<PeerId>,
+    /// Usernames revoked by `lists`.
+    revoked_users: HashSet<String>,
+}
+
+impl Trust {
+    /// The issuer-set epoch: the number of broker anchors.  The anchor set
+    /// only grows, so a credential that failed to chain at one epoch may
+    /// chain at a later one, and one that chained keeps chaining.
+    fn epoch(&self) -> u64 {
+        self.anchors.brokers().len() as u64
+    }
+
+    /// The peer broker credentials: every broker anchor but this broker's
+    /// own, which entered first.
+    fn peer_brokers(&self) -> &[Credential] {
+        &self.anchors.brokers()[1..]
+    }
+
+    fn is_revoked(&self, id: &PeerId, name: Option<&str>) -> bool {
+        self.revoked_peers.contains(id) || name.is_some_and(|n| self.revoked_users.contains(n))
+    }
+
+    /// Verifies `list` against the administrator key (through `verify`)
+    /// and merges it.  Returns the number of subjects it newly revoked.
+    fn install<V>(&mut self, list: &RevocationList, verify: V) -> Result<u64, OverlayError>
+    where
+        V: Fn(&RsaPublicKey, &[u8], &[u8]) -> Result<(), CryptoError>,
+    {
+        list.verify_with(&self.anchors.admin().public_key, verify).map_err(|_| {
+            OverlayError::SecurityViolation("revocation list not signed by the administrator".into())
+        })?;
+        let mut added = 0u64;
+        for id in &list.revoked_ids {
+            added += u64::from(self.revoked_peers.insert(*id));
+        }
+        for name in &list.revoked_names {
+            added += u64::from(self.revoked_users.insert(name.clone()));
+        }
+        if !self.lists.contains(list) {
+            self.lists.push(list.clone());
+        }
+        Ok(added)
+    }
+
+    /// Canonical summary of the revoked sets: the sorted identifiers, then
+    /// the sorted length-prefixed usernames.
+    fn digest(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut ids: Vec<&PeerId> = self.revoked_peers.iter().collect();
+        ids.sort();
+        for id in ids {
+            out.extend_from_slice(id.as_bytes());
+        }
+        let mut names: Vec<&String> = self.revoked_users.iter().collect();
+        names.sort();
+        for name in names {
+            out.extend_from_slice(&(name.len() as u32).to_be_bytes());
+            out.extend_from_slice(name.as_bytes());
+        }
+        out
+    }
+}
+
+/// The verification memo: successful RSA verifications, plus digest-level
+/// memos of stateless advertisement verdicts and of credential-chain
+/// verdicts.  Advertisement signatures, credential chains and revocation
+/// lists verified once (typically on an ingress verify worker) are
+/// recognised by digest everywhere else — re-publishes, gossip and
+/// anti-entropy snapshots skip RSA entirely.
+struct Memo {
+    signatures: VerifiedSigCache,
+    verdicts: Mutex<Verdicts>,
+    /// Signature checks the verdict memos answered.
+    hits: AtomicU64,
+    /// Signature checks the verdict memos had to compute.
+    misses: AtomicU64,
+}
+
+/// The two digest-keyed verdict memos, behind one lock.
+struct Verdicts {
+    /// Stateless verdicts by the SHA-256 of the advertisement XML: a
+    /// re-published or re-gossiped advertisement skips the parse and the
+    /// RSA, leaving only the stateful expiry / revocation / issuer checks.
+    adverts: DigestCache<VetVerdict>,
+    /// Chain verdicts by the SHA-256 of the credential's encoding, each
+    /// stamped with the [`Trust::epoch`] it was computed at.  A positive
+    /// verdict holds at any epoch; a negative one only at its own, so the
+    /// every-issuer-fails case (a flood of foreign credentials) is cached
+    /// between admissions without ever outliving one.
+    chains: DigestCache<(u64, bool)>,
+}
+
+impl Memo {
+    fn new(capacity: usize) -> Self {
+        Memo {
+            signatures: VerifiedSigCache::new(capacity),
+            verdicts: Mutex::with_class(
+                "secure.memo",
+                Verdicts {
+                    adverts: DigestCache::new(capacity),
+                    chains: DigestCache::new(capacity),
+                },
+            ),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The verdict over `xml`, from the memo or else from `compute`.
+    /// Unsigned content is memoised but is no signature check, so it counts
+    /// neither as a hit nor as a miss.
+    fn advert(&self, xml: &str, compute: impl FnOnce() -> VetVerdict) -> VetVerdict {
+        let digest = jxta_crypto::sha2::sha256(xml.as_bytes());
+        let cached = self.verdicts.lock().adverts.get(&digest);
+        let hit = cached.is_some();
+        let verdict = cached.unwrap_or_else(compute);
+        if !matches!(verdict, VetVerdict::Unsigned) {
+            self.count(hit);
+        }
+        if !hit {
+            self.verdicts.lock().adverts.insert(digest, verdict.clone());
+        }
+        verdict
+    }
+
+    /// Whether `credential` chains at `epoch`, from the memo or else from
+    /// `compute`.
+    fn chain(&self, credential: &Credential, epoch: u64, compute: impl FnOnce() -> bool) -> bool {
+        let digest = jxta_crypto::sha2::sha256(&credential.to_bytes());
+        let cached = self.verdicts.lock().chains.get(&digest);
+        if let Some((stamped, chains)) = cached {
+            if chains || stamped == epoch {
+                self.count(true);
+                return chains;
+            }
+        }
+        let chains = compute();
+        self.count(false);
+        self.verdicts.lock().chains.insert(digest, (epoch, chains));
+        chains
+    }
+}
+
+/// The outstanding `secureConnection` session identifiers and the DRBG
+/// that mints them.
+struct Sessions {
+    outstanding: HashSet<Vec<u8>>,
+    drbg: HmacDrbg,
+}
+
+impl Sessions {
+    /// Mints a fresh identifier and records it as outstanding.
+    fn mint(&mut self) -> Vec<u8> {
+        let sid = self.drbg.generate_vec(SESSION_ID_LEN);
+        self.outstanding.insert(sid.clone());
+        sid
+    }
+
+    /// Consumes an outstanding identifier; `false` if it was never issued
+    /// or is already used.
+    fn consume(&mut self, sid: &[u8]) -> bool {
+        self.outstanding.remove(sid)
+    }
+}
+
+/// The broker-side secure extension.  Its mutable state has four owners:
+/// the trust anchors and revocations (behind one `RwLock`), the
+/// verification memo (fixed at construction, absent when caching is off),
+/// the login sessions and the stats.  Lock order: `secure.trust` before `secure.memo` and
+/// `sigcache.verified` (a chain check runs under the trust read lock); the
+/// memo and session locks are never held across another lock, and no
+/// secure lock is held across a call into the broker.
 pub struct SecureBrokerExtension {
     identity: PeerIdentity,
     credential: Credential,
     credential_lifetime: u64,
-    sessions: Mutex<HashSet<Vec<u8>>>,
-    rng: Mutex<HmacDrbg>,
-    stats: Mutex<SecureBrokerStats>,
-    /// Admin-issued credentials of the other brokers in the federation,
-    /// beaconed to clients during `secureConnection`.
-    peer_credentials: Mutex<Vec<Credential>>,
     /// The broker's deployment clock: seconds since the deployment epoch
     /// (virtual — the simulation has no wall clock), used to evaluate
     /// credential expiry.
     now: AtomicU64,
-    /// Administrator public key, required to verify pushed revocation lists.
-    admin_key: Mutex<Option<RsaPublicKey>>,
-    /// Revoked peer identifiers (merged from installed revocation lists).
-    revoked_ids: Mutex<HashSet<PeerId>>,
-    /// Revoked usernames (merged from installed revocation lists).
-    revoked_names: Mutex<HashSet<String>>,
-    /// The verified revocation lists themselves, kept so they can be
-    /// re-gossiped over the backbone and carried in anti-entropy snapshots —
-    /// each list is admin-signed, so transit needs no extra trust and a
-    /// late-joining broker can verify them from scratch.
-    revocation_lists: Mutex<Vec<RevocationList>>,
-    /// Cache of successful RSA verifications: advertisement signatures,
-    /// credential chains and revocation lists verified once (typically on an
-    /// ingress verify worker) are recognised by digest everywhere else —
-    /// re-publishes, gossip and anti-entropy snapshots skip RSA entirely.
-    /// `None` disables caching (the bench ablation's baseline).
-    verify_cache: Mutex<Option<Arc<VerifiedSigCache>>>,
-    /// Memo table of stateless advertisement verdicts keyed by the XML's
-    /// SHA-256 digest: a re-published or re-gossiped advertisement skips the
-    /// XML parse *and* the RSA, leaving only the stateful expiry /
-    /// revocation / issuer checks on the hot path.  Enabled and disabled
-    /// together with [`SecureBrokerExtension::verify_cache`].
-    vet_cache: Mutex<DigestCache<VetVerdict>>,
-    /// Chain verdicts (by digest of the credential's encoding), each stamped
-    /// with the [`SecureBrokerExtension::issuer_epoch`] it was computed in.
-    /// A **positive** verdict is valid at any epoch: the issuer set grows
-    /// monotonically (broker admissions add peer credentials, nothing
-    /// removes a trust anchor), so a success can never become stale.  A
-    /// **negative** verdict can go stale the moment a new issuer is learned,
-    /// so it is honoured only while its stamp equals the current epoch and
-    /// recomputed after any bump — which makes the expensive
-    /// every-issuer-fails case (e.g. a flood of foreign credentials)
-    /// cacheable between admissions instead of re-running RSA every time.
-    chain_cache: Mutex<DigestCache<(u64, bool)>>,
-    /// Issuer-set epoch: bumped whenever this broker learns a new trust
-    /// anchor (a beaconed peer-broker credential on admission, or the
-    /// provisioned admin key), invalidating every cached *negative* chain
-    /// verdict at once.
-    issuer_epoch: AtomicU64,
-    /// Signature verifications avoided by the digest-level memo tables
-    /// (`vet_cache` + `chain_cache`); aggregated with the RSA-level
-    /// [`VerifiedSigCache`] counters in
-    /// [`SecureBrokerExtension::verify_cache_stats`].
-    memo_hits: AtomicU64,
-    /// Signature verifications that had to be computed at the digest level.
-    memo_misses: AtomicU64,
+    trust: RwLock<Trust>,
+    memo: Option<Memo>,
+    sessions: Mutex<Sessions>,
+    stats: Mutex<SecureBrokerStats>,
 }
 
 /// Serialises a set of revocation lists into one opaque blob (2-byte count,
@@ -284,61 +455,62 @@ pub fn decode_revocation_lists(bytes: &[u8]) -> Result<Vec<RevocationList>, Over
 }
 
 impl SecureBrokerExtension {
-    /// Creates the extension from the broker's identity and its admin-issued
-    /// credential.
+    /// Creates the extension from the broker's identity, its admin-issued
+    /// credential and the administrator's self-signed credential, the trust
+    /// anchor every check ends at.
     ///
-    /// `rng_seed` seeds the extension's internal DRBG (session identifiers);
     /// `credential_lifetime` is the expiry offset of issued client
-    /// credentials, in seconds since the deployment epoch.
+    /// credentials, in seconds since the deployment epoch; `rng_seed` seeds
+    /// the DRBG that mints session identifiers; `cache_capacity` sizes the
+    /// verification memo, and `0` disables it (every verification runs RSA
+    /// — the baseline of the `ingest_throughput` ablation).
+    ///
+    /// Fails unless `admin` is a valid administrator credential and
+    /// `credential` a broker credential it issued over `identity`'s key.
     pub fn new(
         identity: PeerIdentity,
         credential: Credential,
+        admin: Credential,
         credential_lifetime: u64,
         rng_seed: u64,
-    ) -> Self {
-        debug_assert_eq!(credential.role, CredentialRole::Broker);
-        SecureBrokerExtension {
+        cache_capacity: usize,
+    ) -> Result<Self, OverlayError> {
+        if credential.public_key != *identity.public_key() {
+            return Err(OverlayError::SecurityViolation(
+                "broker credential does not certify the broker's own key".into(),
+            ));
+        }
+        let mut anchors = TrustAnchors::new(admin)?;
+        anchors.add_broker(credential.clone())?;
+        Ok(SecureBrokerExtension {
             identity,
             credential,
             credential_lifetime,
-            sessions: Mutex::with_class("secure.sessions", HashSet::new()),
-            rng: Mutex::with_class("secure.rng", HmacDrbg::from_seed_u64(rng_seed)),
-            stats: Mutex::with_class("secure.stats", SecureBrokerStats::default()),
-            peer_credentials: Mutex::with_class("secure.peer_credentials", Vec::new()),
             now: AtomicU64::new(0),
-            admin_key: Mutex::with_class("secure.admin_key", None),
-            revoked_ids: Mutex::with_class("secure.revoked_ids", HashSet::new()),
-            revoked_names: Mutex::with_class("secure.revoked_names", HashSet::new()),
-            revocation_lists: Mutex::with_class("secure.revocation_lists", Vec::new()),
-            verify_cache: Mutex::with_class("secure.verify_cache", Some(Arc::new(VerifiedSigCache::default()))),
-            vet_cache: Mutex::with_class("secure.vet_cache", DigestCache::new(
-                jxta_crypto::sigcache::DEFAULT_SIG_CACHE_CAPACITY,
-            )),
-            chain_cache: Mutex::with_class("secure.chain_cache", DigestCache::new(
-                jxta_crypto::sigcache::DEFAULT_SIG_CACHE_CAPACITY,
-            )),
-            issuer_epoch: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-        }
+            trust: RwLock::with_class(
+                "secure.trust",
+                Trust {
+                    anchors,
+                    lists: Vec::new(),
+                    revoked_peers: HashSet::new(),
+                    revoked_users: HashSet::new(),
+                },
+            ),
+            memo: (cache_capacity > 0).then(|| Memo::new(cache_capacity)),
+            sessions: Mutex::with_class(
+                "secure.sessions",
+                Sessions {
+                    outstanding: HashSet::new(),
+                    drbg: HmacDrbg::from_seed_u64(rng_seed),
+                },
+            ),
+            stats: Mutex::with_class("secure.stats", SecureBrokerStats::default()),
+        })
     }
 
     // ------------------------------------------------------------------
-    // Verified-signature cache
+    // Verification
     // ------------------------------------------------------------------
-
-    /// Replaces the verified-signature cache: `capacity` entries, or `0` to
-    /// disable caching entirely (every verification runs RSA — the baseline
-    /// of the `ingest_throughput` ablation).  Resets the hit/miss counters.
-    pub fn set_verify_cache_capacity(&self, capacity: usize) {
-        *self.verify_cache.lock() = if capacity == 0 {
-            None
-        } else {
-            Some(Arc::new(VerifiedSigCache::new(capacity)))
-        };
-        *self.vet_cache.lock() = DigestCache::new(capacity.max(1));
-        *self.chain_cache.lock() = DigestCache::new(capacity.max(1));
-    }
 
     /// Hit/miss counters of the verification-caching layers combined: the
     /// digest-level memo tables (advertisement verdicts, credential chains)
@@ -346,159 +518,61 @@ impl SecureBrokerExtension {
     /// check answered without recomputation; zeros when caching is
     /// disabled.
     pub fn verify_cache_stats(&self) -> SigCacheStats {
-        let rsa = self
-            .verify_cache
-            .lock()
-            .as_ref()
-            .map(|cache| cache.stats())
-            .unwrap_or_default();
+        let Some(memo) = &self.memo else {
+            return SigCacheStats::default();
+        };
+        let rsa = memo.signatures.stats();
         SigCacheStats {
-            hits: rsa.hits + self.memo_hits.load(Ordering::Relaxed),
-            misses: rsa.misses + self.memo_misses.load(Ordering::Relaxed),
+            hits: rsa.hits + memo.hits.load(Ordering::Relaxed),
+            misses: rsa.misses + memo.misses.load(Ordering::Relaxed),
             entries: rsa.entries,
         }
     }
 
-    /// Verifies through the cache when one is installed, directly otherwise.
-    fn cached_verify(
-        &self,
-        key: &RsaPublicKey,
-        message: &[u8],
-        signature: &[u8],
-    ) -> Result<(), CryptoError> {
-        let cache = self.verify_cache.lock().clone();
-        match cache {
-            Some(cache) => cache.verify(key, message, signature),
+    /// Verifies through the signature cache when there is one, directly
+    /// otherwise.
+    fn verify(&self, key: &RsaPublicKey, message: &[u8], signature: &[u8]) -> Result<(), CryptoError> {
+        match &self.memo {
+            Some(memo) => memo.signatures.verify(key, message, signature),
             None => key.verify(message, signature),
         }
     }
 
-    /// Verifies `credential` against this broker's known issuers — its own
-    /// identity, the beaconed peer-broker credentials and the administrator
-    /// anchor — through the caches.  A credential chaining to none of them
-    /// is not one this federation issued.  Verdicts are memoised by
-    /// credential digest, stamped with the issuer-set epoch (see the
-    /// `chain_cache` field for the validity rules); without the positive
-    /// memo, a credential issued by a *peer* broker would pay a full —
-    /// failing — RSA verification against this broker's own key on every
-    /// single gossip message it rides in, and without the epoch-stamped
-    /// negative memo a credential this federation never issued would pay
-    /// the full every-issuer walk on every sighting.
-    fn credential_chains(&self, credential: &Credential) -> bool {
-        let caching = self.verify_cache.lock().is_some();
-        let digest = jxta_crypto::sha2::sha256(&credential.to_bytes());
-        // Load the epoch *before* computing: if an issuer arrives while the
-        // verdict is being computed, the stored stamp is already stale and
-        // the next sighting recomputes — conservative, never wrong.
-        let epoch = self.issuer_epoch.load(Ordering::Acquire);
-        if caching {
-            if let Some((stamped, chains)) = self.chain_cache.lock().get(&digest) {
-                if chains || stamped == epoch {
-                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    return chains;
-                }
-            }
+    /// Whether `credential` chains to the anchors of `trust` (see
+    /// [`TrustAnchors::verify_credential_with`]), memoised by credential
+    /// digest and stamped with the trust epoch.  Without the positive memo,
+    /// a credential issued by a *peer* broker would pay a failing RSA
+    /// verification against this broker's own key on every gossip message
+    /// it rides in.
+    fn credential_chains(&self, trust: &Trust, credential: &Credential) -> bool {
+        let chains = || {
+            trust
+                .anchors
+                .verify_credential_with(credential, |k, m, s| self.verify(k, m, s))
+                .is_ok()
+        };
+        match &self.memo {
+            Some(memo) => memo.chain(credential, trust.epoch(), chains),
+            None => chains(),
         }
-        let chains = self.credential_chains_uncached(credential);
-        if caching {
-            self.memo_misses.fetch_add(1, Ordering::Relaxed);
-            self.chain_cache.lock().insert(digest, (epoch, chains));
-        }
-        chains
     }
 
-    /// Invalidates all cached negative chain verdicts: the issuer set just
-    /// grew, so "chains to nobody" may no longer hold.
-    fn bump_issuer_epoch(&self) {
-        self.issuer_epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Current issuer-set epoch (bumped per newly learned trust anchor).
+    /// Current issuer-set epoch: the number of broker credentials this
+    /// broker trusts, its own included.  It only grows.
     pub fn issuer_epoch(&self) -> u64 {
-        self.issuer_epoch.load(Ordering::Acquire)
+        self.trust.read().epoch()
     }
 
-    /// The chain check proper, one issuer key at a time.
-    fn credential_chains_uncached(&self, credential: &Credential) -> bool {
-        if credential
-            .verify_with(self.identity.public_key(), |k, m, s| {
-                self.cached_verify(k, m, s)
-            })
-            .is_ok()
-        {
-            return true;
-        }
-        let peers = self.peer_credentials.lock().clone();
-        for peer in &peers {
-            if credential
-                .verify_with(&peer.public_key, |k, m, s| self.cached_verify(k, m, s))
-                .is_ok()
-            {
-                return true;
-            }
-        }
-        let admin_key = self.admin_key.lock().clone();
-        if let Some(admin_key) = admin_key {
-            if credential
-                .verify_with(&admin_key, |k, m, s| self.cached_verify(k, m, s))
-                .is_ok()
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The stateless verdict over `xml` (see [`VetVerdict`]): parse, extract
-    /// the embedded credential and verify the XMLdsig signature, memoised by
+    /// The stateless verdict over `xml` (see [`VetVerdict`]), memoised by
     /// the XML's SHA-256 digest so repeated sightings of the same bytes —
     /// re-publishes, gossip replicas, anti-entropy snapshots — skip both the
-    /// parse and the RSA.  With caching disabled the verdict is computed
-    /// from scratch every time.
+    /// parse and the RSA.
     fn vet_verdict_for(&self, xml: &str) -> VetVerdict {
-        let caching = self.verify_cache.lock().is_some();
-        let digest = jxta_crypto::sha2::sha256(xml.as_bytes());
-        if caching {
-            if let Some(verdict) = self.vet_cache.lock().get(&digest) {
-                if !matches!(verdict, VetVerdict::Unsigned) {
-                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return verdict;
-            }
+        let compute = || VetVerdict::compute(xml, |k, m, s| self.verify(k, m, s));
+        match &self.memo {
+            Some(memo) => memo.advert(xml, compute),
+            None => compute(),
         }
-        let verdict = self.compute_vet_verdict(xml);
-        if caching {
-            if !matches!(verdict, VetVerdict::Unsigned) {
-                self.memo_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            self.vet_cache.lock().insert(digest, verdict.clone());
-        }
-        verdict
-    }
-
-    /// Computes the stateless verdict without consulting the memo table
-    /// (the RSA inside still goes through the signature cache when enabled).
-    fn compute_vet_verdict(&self, xml: &str) -> VetVerdict {
-        let Ok(element) = jxta_xmldoc::parse(xml) else {
-            return VetVerdict::Unsigned;
-        };
-        if !jxta_xmldoc::dsig::is_signed(&element) {
-            return VetVerdict::Unsigned;
-        }
-        let Ok(credential_bytes) = jxta_xmldoc::dsig::key_info(&element) else {
-            return VetVerdict::SignatureInvalid;
-        };
-        let Ok(credential) = Credential::from_bytes(&credential_bytes) else {
-            return VetVerdict::MalformedCredential;
-        };
-        if jxta_xmldoc::dsig::verify_element_with(&element, &credential.public_key, |k, m, s| {
-            self.cached_verify(k, m, s)
-        })
-        .is_err()
-        {
-            return VetVerdict::SignatureInvalid;
-        }
-        VetVerdict::Verified(Box::new(credential))
     }
 
     // ------------------------------------------------------------------
@@ -517,94 +591,42 @@ impl SecureBrokerExtension {
         self.now.store(now, Ordering::Relaxed);
     }
 
-    /// Provisions the administrator's public key, the trust anchor against
-    /// which pushed revocation lists are verified.  A new anchor can turn a
-    /// previously failing credential chain into a passing one, so the
-    /// issuer-set epoch is bumped.
-    pub fn set_admin_public_key(&self, key: RsaPublicKey) {
-        *self.admin_key.lock() = Some(key);
-        self.bump_issuer_epoch();
-    }
-
     /// Installs a revocation list pushed by the administrator.  The list's
-    /// signature must verify against the provisioned admin key; verified
+    /// signature must verify against the administrator key; verified
     /// entries are merged into the broker's revocation state (revocation is
     /// monotone — there is no un-revoke short of a new credential for a new
-    /// identity).
+    /// identity).  Routed through the signature cache: the same list
+    /// travels in every extension-state gossip and anti-entropy snapshot,
+    /// so only its first sighting pays for RSA.
     pub fn install_revocation_list(&self, list: &RevocationList) -> Result<(), OverlayError> {
-        self.merge_revocation_list(list).map(|_| ())
-    }
-
-    /// Like [`SecureBrokerExtension::install_revocation_list`], but reports
-    /// how many previously unknown subjects the list added (what the repair
-    /// metrics count).
-    fn merge_revocation_list(&self, list: &RevocationList) -> Result<u64, OverlayError> {
-        let admin_key = self.admin_key.lock().clone().ok_or_else(|| {
-            OverlayError::SecurityViolation(
-                "no administrator key provisioned; cannot verify revocation list".into(),
-            )
-        })?;
-        // Routed through the verified-signature cache: the same admin-signed
-        // list travels in every extension-state gossip and anti-entropy
-        // snapshot, so only its first sighting pays for RSA.
-        list.verify_with(&admin_key, |k, m, s| self.cached_verify(k, m, s))
-            .map_err(|_| {
-                OverlayError::SecurityViolation(
-                    "revocation list not signed by the administrator".into(),
-                )
-            })?;
-        let mut added = 0u64;
-        {
-            let mut ids = self.revoked_ids.lock();
-            for id in &list.revoked_ids {
-                if ids.insert(*id) {
-                    added += 1;
-                }
-            }
-        }
-        {
-            let mut names = self.revoked_names.lock();
-            for name in &list.revoked_names {
-                if names.insert(name.clone()) {
-                    added += 1;
-                }
-            }
-        }
-        let mut lists = self.revocation_lists.lock();
-        if !lists.iter().any(|stored| stored == list) {
-            lists.push(list.clone());
-        }
-        Ok(added)
+        self.trust
+            .write()
+            .install(list, |k, m, s| self.verify(k, m, s))
+            .map(|_| ())
     }
 
     /// The verified revocation lists installed on this broker.
     pub fn revocation_lists(&self) -> Vec<RevocationList> {
-        self.revocation_lists.lock().clone()
+        self.trust.read().lists.clone()
     }
 
     /// Returns `true` if the peer identifier or username is revoked.
     pub fn is_revoked(&self, id: &PeerId, name: Option<&str>) -> bool {
-        self.revoked_ids.lock().contains(id)
-            || name.is_some_and(|n| self.revoked_names.lock().contains(n))
+        self.trust.read().is_revoked(id, name)
     }
 
-    /// Registers the admin-issued credential of a peer broker so this broker
-    /// can beacon it to connecting clients.  Admission grows the issuer set,
-    /// so a genuinely new credential bumps the issuer-set epoch and thereby
-    /// invalidates every cached negative chain verdict.
-    pub fn add_peer_broker_credential(&self, credential: Credential) {
-        debug_assert_eq!(credential.role, CredentialRole::Broker);
-        let mut peers = self.peer_credentials.lock();
-        if !peers.iter().any(|c| c == &credential) {
-            peers.push(credential);
-            drop(peers);
-            self.bump_issuer_epoch();
-        }
+    /// Admits the admin-issued credential of a peer broker: this broker
+    /// then accepts credentials it issued and beacons it to connecting
+    /// clients.  Refused unless it is a broker credential the administrator
+    /// signed over a key that hashes to its subject; admitting a known one
+    /// again changes nothing.
+    pub fn add_peer_broker_credential(&self, credential: Credential) -> Result<(), OverlayError> {
+        self.trust.write().anchors.add_broker(credential)
     }
 
     /// The peer broker credentials this broker beacons.
     pub fn peer_broker_credentials(&self) -> Vec<Credential> {
-        self.peer_credentials.lock().clone()
+        self.trust.read().peer_brokers().to_vec()
     }
 
     /// Pushes a signed update of the federation's current credential set
@@ -620,9 +642,7 @@ impl SecureBrokerExtension {
     /// administrator anchor, so a forged push teaches them nothing.
     /// Returns the number of clients the update was delivered to.
     pub fn push_credential_update(&self, broker: &Broker) -> usize {
-        let mut credentials = vec![self.credential.clone()];
-        credentials.extend(self.peer_credentials.lock().iter().cloned());
-        let blob = encode_credential_list(&credentials);
+        let blob = encode_credential_list(self.trust.read().anchors.brokers());
         let Ok(signature) = self.identity.sign(&credential_update_signed_content(&blob)) else {
             return 0;
         };
@@ -645,7 +665,7 @@ impl SecureBrokerExtension {
     /// Number of session identifiers currently outstanding (issued but not
     /// yet consumed by a login).
     pub fn outstanding_sessions(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.lock().outstanding.len()
     }
 
     /// Activity counters.
@@ -686,8 +706,7 @@ impl SecureBrokerExtension {
             return self.error_response(broker, message, MessageKind::SecureConnectResponse, "missing challenge");
         };
         // Generate and remember a fresh session identifier.
-        let sid = self.rng.lock().generate_vec(SESSION_ID_LEN);
-        self.sessions.lock().insert(sid.clone());
+        let sid = self.sessions.lock().mint();
 
         let Ok(signature) = self.identity.sign(challenge) else {
             return self.error_response(broker, message, MessageKind::SecureConnectResponse, "signing failure");
@@ -703,10 +722,11 @@ impl SecureBrokerExtension {
                 .with_element("broker-credential", self.credential.to_bytes());
         // Beacon the rest of the federation; absent for a single broker, so
         // the single-broker wire format stays unchanged.
-        let peers = self.peer_credentials.lock();
-        if !peers.is_empty() {
-            response.push_element("federation-credentials", encode_credential_list(&peers));
+        let trust = self.trust.read();
+        if !trust.peer_brokers().is_empty() {
+            response.push_element("federation-credentials", encode_credential_list(trust.peer_brokers()));
         }
+        drop(trust);
         response
     }
 
@@ -741,7 +761,7 @@ impl SecureBrokerExtension {
 
         // Step 5: the session identifier must be outstanding; consume it so a
         // replayed request can never succeed.
-        if !self.sessions.lock().remove(&sid.to_vec()) {
+        if !self.sessions.lock().consume(sid) {
             self.stats.lock().replays_rejected += 1;
             return reply_err("unknown or already-used session identifier");
         }
@@ -829,50 +849,24 @@ impl BrokerExtension for SecureBrokerExtension {
     /// anti-entropy snapshots are walked for embedded signed advertisements;
     /// nothing here mutates broker state.
     fn preverify(&self, _broker: &Broker, message: &Message) {
-        if self.verify_cache.lock().is_none() {
+        if self.memo.is_none() {
             // Without a cache to warm, pre-verification would only duplicate
             // the apply-stage checks — skip it (the ablation baseline).
             return;
         }
-        let warm = |xml: &str| match self.vet_verdict_for(xml) {
-            VetVerdict::Verified(credential) => {
-                // Warm the credential-chain verdict too, so the apply-stage
-                // policy check is pure cache lookups.
-                let _ = self.credential_chains(&credential);
-                self.stats.lock().ingress_preverified += 1;
-            }
-            VetVerdict::SignatureInvalid | VetVerdict::MalformedCredential => {
-                self.stats.lock().ingress_sig_failures += 1;
-            }
-            VetVerdict::Unsigned => {}
-        };
-        match message.kind {
-            MessageKind::PublishAdvertisement => {
-                if let Some(xml) = message.element_str("xml") {
-                    warm(&xml);
+        for xml in carried_advertisements(message) {
+            match self.vet_verdict_for(&xml) {
+                VetVerdict::Verified(credential) => {
+                    // Warm the credential-chain verdict too, so the
+                    // apply-stage policy check is pure cache lookups.
+                    let _ = self.credential_chains(&self.trust.read(), &credential);
+                    self.stats.lock().ingress_preverified += 1;
                 }
-            }
-            MessageKind::BrokerSync => {
-                if let Some(count) = message.entry_count("count") {
-                    for i in 0..count {
-                        if let Some(xml) = message.element_str(&format!("e{i}-xml")) {
-                            warm(&xml);
-                        }
-                    }
-                } else if let Some(xml) = message.element_str("xml") {
-                    warm(&xml);
+                VetVerdict::SignatureInvalid | VetVerdict::MalformedCredential => {
+                    self.stats.lock().ingress_sig_failures += 1;
                 }
+                VetVerdict::Unsigned => {}
             }
-            MessageKind::AntiEntropySnapshot => {
-                if let Some(count) = message.entry_count("a-count") {
-                    for i in 0..count {
-                        if let Some(xml) = message.element_str(&format!("a{i}-xml")) {
-                            warm(&xml);
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
     }
 
@@ -916,13 +910,16 @@ impl BrokerExtension for SecureBrokerExtension {
             self.stats.lock().expired_rejected += 1;
             return Err("credential expired".to_string());
         }
-        if self.is_revoked(&credential.subject_id, Some(&credential.subject_name))
-            || self.is_revoked(&from, None)
+        let trust = self.trust.read();
+        if trust.is_revoked(&credential.subject_id, Some(&credential.subject_name))
+            || trust.is_revoked(&from, None)
         {
+            drop(trust);
             self.stats.lock().revoked_rejected += 1;
             return Err("credential revoked".to_string());
         }
-        if !self.credential_chains(&credential) {
+        if !self.credential_chains(&trust, &credential) {
+            drop(trust);
             self.stats.lock().forged_rejected += 1;
             return Err("credential does not chain to a known issuer".to_string());
         }
@@ -934,26 +931,14 @@ impl BrokerExtension for SecureBrokerExtension {
     /// revocations hash equal even if they received them via different
     /// lists, so healthy backbones exchange nothing.
     fn repair_digest(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut ids: Vec<PeerId> = self.revoked_ids.lock().iter().copied().collect();
-        ids.sort();
-        for id in ids {
-            out.extend_from_slice(id.as_bytes());
-        }
-        let mut names: Vec<String> = self.revoked_names.lock().iter().cloned().collect();
-        names.sort();
-        for name in names {
-            out.extend_from_slice(&(name.len() as u32).to_be_bytes());
-            out.extend_from_slice(name.as_bytes());
-        }
-        Some(out)
+        Some(self.trust.read().digest())
     }
 
     /// The installed admin-signed lists, encoded for transit.  Signed
     /// content needs no transport trust — a receiving broker re-verifies
     /// every list against its own administrator key.
     fn repair_snapshot(&self) -> Option<Vec<u8>> {
-        Some(encode_revocation_lists(&self.revocation_lists.lock()))
+        Some(encode_revocation_lists(&self.trust.read().lists))
     }
 
     /// Verifies and merges a peer broker's revocation lists.  Unverifiable
@@ -963,13 +948,11 @@ impl BrokerExtension for SecureBrokerExtension {
         let Ok(lists) = decode_revocation_lists(blob) else {
             return 0;
         };
-        let mut added = 0u64;
-        for list in lists {
-            if let Ok(n) = self.merge_revocation_list(&list) {
-                added += n;
-            }
-        }
-        added
+        let mut trust = self.trust.write();
+        lists
+            .iter()
+            .filter_map(|list| trust.install(list, |k, m, s| self.verify(k, m, s)).ok())
+            .sum()
     }
 }
 
@@ -1011,12 +994,17 @@ mod tests {
             network,
             database,
         );
-        let extension = Arc::new(SecureBrokerExtension::new(
-            broker_identity,
-            broker_credential,
-            3600,
-            0x5EED,
-        ));
+        let extension = Arc::new(
+            SecureBrokerExtension::new(
+                broker_identity,
+                broker_credential,
+                admin.credential().clone(),
+                3600,
+                0x5EED,
+                jxta_crypto::sigcache::DEFAULT_SIG_CACHE_CAPACITY,
+            )
+            .unwrap(),
+        );
         broker.set_extension(extension.clone() as Arc<dyn BrokerExtension>);
         World {
             broker,
@@ -1132,8 +1120,8 @@ mod tests {
                 u64::MAX,
             )
             .unwrap();
-        w.extension.add_peer_broker_credential(other_credential.clone());
-        w.extension.add_peer_broker_credential(other_credential.clone());
+        w.extension.add_peer_broker_credential(other_credential.clone()).unwrap();
+        w.extension.add_peer_broker_credential(other_credential.clone()).unwrap();
         assert_eq!(w.extension.peer_broker_credentials().len(), 1, "no duplicates");
 
         let challenge = w.rng.generate_vec(32);
@@ -1295,7 +1283,17 @@ mod tests {
             .admin
             .issue_broker_credential("short-lived", identity.peer_id(), identity.public_key(), 100)
             .unwrap();
-        let extension = Arc::new(SecureBrokerExtension::new(identity, credential, 3600, 1));
+        let extension = Arc::new(
+            SecureBrokerExtension::new(
+                identity,
+                credential,
+                w.admin.credential().clone(),
+                3600,
+                1,
+                jxta_crypto::sigcache::DEFAULT_SIG_CACHE_CAPACITY,
+            )
+            .unwrap(),
+        );
         w.broker.set_extension(extension.clone() as Arc<dyn BrokerExtension>);
 
         extension.set_now(99);
@@ -1336,21 +1334,11 @@ mod tests {
             .issue_revocation_list(&[victim.peer_id()], &["alice"], 7)
             .unwrap();
 
-        // Without a provisioned admin key the broker cannot verify anything.
-        let bare = SecureBrokerExtension::new(
-            PeerIdentity::generate(&mut w.rng, 512).unwrap(),
-            w.extension.credential().clone(),
-            3600,
-            2,
-        );
-        assert!(bare.install_revocation_list(&list).is_err());
-
         // A list signed by someone other than the admin is rejected.
         let impostor = crate::admin::Administrator::new(&mut w.rng, "impostor", 512).unwrap();
         let forged = impostor
             .issue_revocation_list(&[victim.peer_id()], &[], 7)
             .unwrap();
-        w.extension.set_admin_public_key(w.admin.public_key().clone());
         assert!(w.extension.install_revocation_list(&forged).is_err());
         assert!(!w.extension.is_revoked(&victim.peer_id(), Some("alice")));
 
@@ -1364,7 +1352,6 @@ mod tests {
     #[test]
     fn revoked_peer_is_refused_login_and_connect() {
         let mut w = world();
-        w.extension.set_admin_public_key(w.admin.public_key().clone());
         let client = client_identity(&mut w.rng);
 
         // Revoked by username: the login (with a fresh sid and valid
@@ -1397,7 +1384,6 @@ mod tests {
         use crate::signed_adv::signed_pipe_advertisement;
         use jxta_overlay::advertisement::PipeAdvertisement;
         let mut w = world();
-        w.extension.set_admin_public_key(w.admin.public_key().clone());
         let client = client_identity(&mut w.rng);
         let group = jxta_overlay::GroupId::new("math");
         let credential = Credential::issue(
@@ -1483,43 +1469,152 @@ mod tests {
             )
             .unwrap();
 
+        let memo = w.extension.memo.as_ref().unwrap();
+        let chains = |credential: &Credential| {
+            w.extension.credential_chains(&w.extension.trust.read(), credential)
+        };
         let epoch0 = w.extension.issuer_epoch();
-        let hits0 = w.extension.memo_hits.load(Ordering::Relaxed);
-        let misses0 = w.extension.memo_misses.load(Ordering::Relaxed);
+        let hits0 = memo.hits.load(Ordering::Relaxed);
+        let misses0 = memo.misses.load(Ordering::Relaxed);
 
         // First sighting computes the failing chain walk and memoises the
         // negative verdict; the second is answered from the memo.
-        assert!(!w.extension.credential_chains(&foreign));
-        assert!(!w.extension.credential_chains(&foreign));
-        assert_eq!(w.extension.memo_misses.load(Ordering::Relaxed), misses0 + 1);
-        assert_eq!(w.extension.memo_hits.load(Ordering::Relaxed), hits0 + 1);
+        assert!(!chains(&foreign));
+        assert!(!chains(&foreign));
+        assert_eq!(memo.misses.load(Ordering::Relaxed), misses0 + 1);
+        assert_eq!(memo.hits.load(Ordering::Relaxed), hits0 + 1);
 
         // Admission of a broker whose credential binds the foreign admin's
         // key grows the issuer set: the epoch bumps, the stale negative
-        // verdict is recomputed — and now chains.
+        // verdict is recomputed — and now chains.  (The bridge's subject is
+        // the identifier that key hashes to, or admission refuses it.)
         let bridge = w
             .admin
             .issue_broker_credential(
                 "bridge",
-                foreign_identity.peer_id(),
+                foreign_admin.identity().peer_id(),
                 foreign_admin.public_key(),
                 u64::MAX,
             )
             .unwrap();
-        w.extension.add_peer_broker_credential(bridge.clone());
+        w.extension.add_peer_broker_credential(bridge.clone()).unwrap();
         assert_eq!(w.extension.issuer_epoch(), epoch0 + 1);
         assert!(
-            w.extension.credential_chains(&foreign),
+            chains(&foreign),
             "the epoch bump must invalidate the cached negative verdict"
         );
-        assert_eq!(w.extension.memo_misses.load(Ordering::Relaxed), misses0 + 2);
+        assert_eq!(memo.misses.load(Ordering::Relaxed), misses0 + 2);
 
         // The now-positive verdict is epoch-independent, and re-adding a
         // known credential does not bump the epoch.
-        w.extension.add_peer_broker_credential(bridge);
+        w.extension.add_peer_broker_credential(bridge).unwrap();
         assert_eq!(w.extension.issuer_epoch(), epoch0 + 1);
-        assert!(w.extension.credential_chains(&foreign));
-        assert_eq!(w.extension.memo_hits.load(Ordering::Relaxed), hits0 + 2);
+        assert!(chains(&foreign));
+        assert_eq!(memo.hits.load(Ordering::Relaxed), hits0 + 2);
+    }
+
+    /// A signed pipe advertisement of `client` under `credential`, and the
+    /// `PublishAdvertisement` carrying it into group `math`.
+    fn signed_publish(client: &PeerIdentity, credential: &Credential) -> (String, Message) {
+        use crate::signed_adv::signed_pipe_advertisement;
+        use jxta_overlay::advertisement::PipeAdvertisement;
+        let advertisement = PipeAdvertisement {
+            owner: client.peer_id(),
+            group: GroupId::new("math"),
+            name: "inbox".into(),
+        };
+        let xml = signed_pipe_advertisement(&advertisement, client, credential).unwrap();
+        let publish = Message::new(MessageKind::PublishAdvertisement, client.peer_id(), 3)
+            .with_str("group", "math")
+            .with_str("doc-type", "jxta:PipeAdvertisement")
+            .with_str("xml", &xml);
+        (xml, publish)
+    }
+
+    /// A broker credential the administrator did not sign never becomes an
+    /// issuer: admission refuses it, and a client credential issued under
+    /// its key is refused at publish as chaining to no known issuer.
+    #[test]
+    fn trust_model_refuses_a_peer_broker_the_administrator_did_not_sign() {
+        let mut w = world();
+        let rogue_admin = Administrator::new(&mut w.rng, "rogue-admin", 512).unwrap();
+        let rogue = PeerIdentity::generate(&mut w.rng, 512).unwrap();
+        let rogue_credential = rogue_admin
+            .issue_broker_credential("rogue", rogue.peer_id(), rogue.public_key(), u64::MAX)
+            .unwrap();
+        assert!(w.extension.add_peer_broker_credential(rogue_credential).is_err());
+        assert!(w.extension.peer_broker_credentials().is_empty());
+
+        let client = client_identity(&mut w.rng);
+        let credential = Credential::issue(
+            CredentialRole::Client,
+            "alice",
+            client.peer_id(),
+            client.public_key().clone(),
+            "rogue",
+            u64::MAX,
+            rogue.private_key(),
+        )
+        .unwrap();
+        let (xml, _) = signed_publish(&client, &credential);
+        let err = w
+            .extension
+            .vet_publish(&w.broker, client.peer_id(), &GroupId::new("math"), "jxta:PipeAdvertisement", &xml)
+            .unwrap_err();
+        assert!(err.contains("does not chain"), "{err}");
+        assert_eq!(w.extension.stats().forged_rejected, 1);
+    }
+
+    /// The secure owners' locks under the lock-order detector in panic
+    /// mode: a secure join, a signed publish through `preverify` and
+    /// `vet_publish`, a revocation install and a peer-broker admission.  A
+    /// chain check holds the trust lock while it takes the memo and the
+    /// signature cache; nothing takes them the other way round.
+    #[test]
+    fn lock_order_detector_observes_secure_classes() {
+        use parking_lot::lock_order::{self, CycleMode};
+        let mut w = world();
+        lock_order::with_thread_mode(CycleMode::Panic, || {
+            let client = client_identity(&mut w.rng);
+            let sid = do_secure_connect(&w, &client, b"challenge").element("sid").unwrap().to_vec();
+            let login = build_login_request(&mut w, &client, "alice", "pw-a", &sid);
+            let response = w.broker.handle_message(&login).unwrap();
+            assert_eq!(response.element_str("status").unwrap(), "ok");
+            let credential = Credential::from_bytes(response.element("credential").unwrap()).unwrap();
+
+            let (xml, publish) = signed_publish(&client, &credential);
+            w.broker.process_net(NetMessage {
+                from: client.peer_id(),
+                to: w.broker.id(),
+                payload: publish.to_bytes(),
+                wire_time: std::time::Duration::ZERO,
+            });
+            assert_eq!(w.extension.stats().ingress_preverified, 1);
+            assert_eq!(
+                w.broker.lookup(&GroupId::new("math"), "jxta:PipeAdvertisement", Some(client.peer_id())),
+                vec![xml],
+                "the publish passed vet_publish"
+            );
+
+            let list = w.admin.issue_revocation_list(&[], &["mallory"], 0).unwrap();
+            w.extension.install_revocation_list(&list).unwrap();
+            let other = PeerIdentity::generate(&mut w.rng, 512).unwrap();
+            let other_credential = w
+                .admin
+                .issue_broker_credential("broker-2", other.peer_id(), other.public_key(), u64::MAX)
+                .unwrap();
+            w.extension.add_peer_broker_credential(other_credential).unwrap();
+        });
+
+        let edges = lock_order::graph_edges();
+        for edge in [("secure.trust", "secure.memo"), ("secure.trust", "sigcache.verified")] {
+            assert!(edges.contains(&edge), "{edge:?} not observed: {edges:?}");
+        }
+        let secure = |class: &str| class.starts_with("secure.") || class.starts_with("sigcache.");
+        assert!(
+            lock_order::violations().iter().all(|v| !secure(v.held) && !secure(v.acquired)),
+            "secure workload produced lock-order violations"
+        );
     }
 
     /// A forged gossip count cannot stall pre-verification: a

@@ -785,6 +785,35 @@ mod tests {
         (setup, alice, bob)
     }
 
+    /// Checking the broker keys before the administrator key: once one of
+    /// bob's advertisements validated, a second one under the same
+    /// broker-issued credential costs a single new signature-cache miss, for
+    /// its own XMLdsig.  (With the administrator key first, every check of
+    /// the credential repeats one failing verify, which is never cached.)
+    #[test]
+    fn trust_model_revalidation_under_a_known_credential_pays_only_its_xmldsig() {
+        let mut setup = SecureNetworkBuilder::new(0x7A57)
+            .with_key_bits(512)
+            .with_user("alice", "pw-a", &["math", "chem"])
+            .with_user("bob", "pw-b", &["math", "chem"])
+            .build();
+        let (math, chem) = (GroupId::new("math"), GroupId::new("chem"));
+        let mut alice = setup.secure_client("alice-pc");
+        let mut bob = setup.secure_client("bob-pc");
+        alice.secure_join(setup.broker_id(), "alice", "pw-a").unwrap();
+        bob.secure_join(setup.broker_id(), "bob", "pw-b").unwrap();
+        bob.publish_secure_pipe(&math).unwrap();
+        bob.publish_secure_pipe(&chem).unwrap();
+
+        alice.resolve_secure_pipe(&math, bob.id()).unwrap();
+        let first = alice.sig_cache_stats();
+        alice.resolve_secure_pipe(&chem, bob.id()).unwrap();
+        let second = alice.sig_cache_stats();
+        assert_eq!(second.misses, first.misses + 1, "{first:?} -> {second:?}");
+        assert_eq!(second.hits, first.hits + 1, "the credential chain is a cache hit");
+        setup.shutdown();
+    }
+
     #[test]
     fn secure_connection_authenticates_broker() {
         let (setup, mut alice, _bob) = two_peer_setup();

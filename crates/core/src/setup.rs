@@ -16,11 +16,12 @@
 //! verify that broker's credential against the same administrator trust
 //! anchor.
 
-use crate::admin::Administrator;
+use crate::admin::{Administrator, DEFAULT_CREDENTIAL_LIFETIME};
 use crate::broker_ext::SecureBrokerExtension;
 use crate::identity::PeerIdentity;
 use crate::secure_client::SecureClient;
 use jxta_crypto::drbg::HmacDrbg;
+use jxta_crypto::sigcache::DEFAULT_SIG_CACHE_CAPACITY;
 use jxta_overlay::broker::{Broker, BrokerConfig};
 use jxta_overlay::client::{ClientConfig, ClientPeer};
 use jxta_overlay::federation::BrokerNetwork;
@@ -181,7 +182,6 @@ impl SecureNetworkBuilder {
     /// Performs the system setup and spawns the broker.
     pub fn build(self) -> SecureNetwork {
         let mut rng = HmacDrbg::from_seed_u64(self.seed);
-        let network = SimNetwork::new(self.link);
         let database = Arc::new(UserDatabase::new());
 
         // Administrator: key pair + self-signed credential + user registry.
@@ -190,100 +190,123 @@ impl SecureNetworkBuilder {
         for (username, password, groups) in &self.users {
             admin.register_user(&mut rng, &database, username, password, groups);
         }
+        let mut deployment = Deployment {
+            network: SimNetwork::new(self.link),
+            database,
+            admin,
+            rng,
+            key_bits: self.key_bits,
+            verify_cache_capacity: self.verify_cache_capacity.unwrap_or(DEFAULT_SIG_CACHE_CAPACITY),
+            extensions: Vec::with_capacity(self.broker_names.len()),
+        };
 
-        // Brokers: one key pair + admin-issued credential + secure extension
-        // each; the federation module interconnects them into a full mesh.
-        let mut brokers = Vec::with_capacity(self.broker_names.len());
-        let mut extensions = Vec::with_capacity(self.broker_names.len());
-        for name in &self.broker_names {
-            let broker_identity =
-                PeerIdentity::generate(&mut rng, self.key_bits).expect("broker key generation");
-            let broker_credential = admin
-                .issue_broker_credential(
-                    name,
-                    broker_identity.peer_id(),
-                    broker_identity.public_key(),
-                    crate::admin::DEFAULT_CREDENTIAL_LIFETIME,
-                )
-                .expect("broker credential issuance");
-            let broker = Broker::new(
-                broker_identity.peer_id(),
-                BrokerConfig {
+        // Brokers; the federation module interconnects them into a full mesh.
+        let brokers = self
+            .broker_names
+            .iter()
+            .map(|name| {
+                deployment.provision_broker(BrokerConfig {
                     name: name.clone(),
                     replication_factor: self.replication_factor,
                     verify_workers: self.verify_workers,
                     inbox_capacity: self.inbox_capacity,
                     apply_lanes: self.apply_lanes,
                     ..BrokerConfig::default()
-                },
-                Arc::clone(&network),
-                Arc::clone(&database),
-            );
-            let extension = Arc::new(SecureBrokerExtension::new(
-                broker_identity,
-                broker_credential,
-                crate::admin::DEFAULT_CREDENTIAL_LIFETIME,
-                rng.next_u64(),
-            ));
-            // Brokers verify admin-pushed revocation lists against this key.
-            extension.set_admin_public_key(admin.public_key().clone());
-            if let Some(capacity) = self.verify_cache_capacity {
-                extension.set_verify_cache_capacity(capacity);
-            }
-            broker.set_extension(extension.clone());
-            brokers.push(broker);
-            extensions.push(extension);
-        }
-        // Every broker beacons its peers' credentials to connecting clients.
-        for (i, extension) in extensions.iter().enumerate() {
-            for (j, other) in extensions.iter().enumerate() {
-                if i != j {
-                    extension.add_peer_broker_credential(other.credential().clone());
-                }
-            }
-        }
+                })
+            })
+            .collect();
         let federation = BrokerNetwork::spawn_with_repair(brokers, self.repair_interval);
-
         SecureNetwork {
-            network,
-            database,
-            admin,
+            deployment,
             federation,
-            extensions,
-            rng,
-            key_bits: self.key_bits,
-            verify_cache_capacity: self.verify_cache_capacity,
         }
+    }
+}
+
+/// What provisioning a broker draws on, shared by
+/// [`SecureNetworkBuilder::build`] and [`SecureNetwork::add_broker`]: the
+/// network, the user database, the administrator, the seeded DRBG and the
+/// secure extensions of the brokers provisioned so far.
+struct Deployment {
+    network: Arc<SimNetwork>,
+    database: Arc<UserDatabase>,
+    admin: Administrator,
+    rng: HmacDrbg,
+    key_bits: usize,
+    verify_cache_capacity: usize,
+    extensions: Vec<Arc<SecureBrokerExtension>>,
+}
+
+impl Deployment {
+    /// Provisions one broker: a key pair, its admin-issued credential and a
+    /// secure extension on the deployment clock.  The newcomer and every
+    /// broker provisioned before it admit each other's credentials, so each
+    /// accepts credentials the other issues and beacons it to its clients.
+    fn provision_broker(&mut self, config: BrokerConfig) -> Arc<Broker> {
+        let identity = PeerIdentity::generate(&mut self.rng, self.key_bits)
+            .expect("broker key generation");
+        let credential = self
+            .admin
+            .issue_broker_credential(
+                &config.name,
+                identity.peer_id(),
+                identity.public_key(),
+                DEFAULT_CREDENTIAL_LIFETIME,
+            )
+            .expect("broker credential issuance");
+        let broker = Broker::new(
+            identity.peer_id(),
+            config,
+            Arc::clone(&self.network),
+            Arc::clone(&self.database),
+        );
+        let extension = Arc::new(
+            SecureBrokerExtension::new(
+                identity,
+                credential,
+                self.admin.credential().clone(),
+                DEFAULT_CREDENTIAL_LIFETIME,
+                self.rng.next_u64(),
+                self.verify_cache_capacity,
+            )
+            .expect("admin-issued broker credential"),
+        );
+        if let Some(first) = self.extensions.first() {
+            extension.set_now(first.now());
+        }
+        for existing in &self.extensions {
+            let admitted = existing
+                .add_peer_broker_credential(extension.credential().clone())
+                .and_then(|()| extension.add_peer_broker_credential(existing.credential().clone()));
+            admitted.expect("admin-issued broker credentials");
+        }
+        broker.set_extension(extension.clone());
+        self.extensions.push(extension);
+        broker
     }
 }
 
 /// A running secured deployment: network, central database, administrator and
 /// a federation of one or more brokers with the secure extension installed.
 pub struct SecureNetwork {
-    network: Arc<SimNetwork>,
-    database: Arc<UserDatabase>,
-    admin: Administrator,
+    deployment: Deployment,
     federation: BrokerNetwork,
-    extensions: Vec<Arc<SecureBrokerExtension>>,
-    rng: HmacDrbg,
-    key_bits: usize,
-    verify_cache_capacity: Option<usize>,
 }
 
 impl SecureNetwork {
     /// The simulated network.
     pub fn network(&self) -> &Arc<SimNetwork> {
-        &self.network
+        &self.deployment.network
     }
 
     /// The central user database.
     pub fn database(&self) -> &Arc<UserDatabase> {
-        &self.database
+        &self.deployment.database
     }
 
     /// The administrator (trust anchor).
     pub fn admin(&self) -> &Administrator {
-        &self.admin
+        &self.deployment.admin
     }
 
     /// The first broker's peer identifier (its well-known address).
@@ -298,7 +321,7 @@ impl SecureNetwork {
 
     /// The first broker's secure extension (exposes its statistics).
     pub fn broker_extension(&self) -> &Arc<SecureBrokerExtension> {
-        &self.extensions[0]
+        &self.deployment.extensions[0]
     }
 
     /// Number of brokers in the deployment's federation.
@@ -318,7 +341,7 @@ impl SecureNetwork {
 
     /// The `index`-th broker's secure extension.
     pub fn broker_extension_at(&self, index: usize) -> &Arc<SecureBrokerExtension> {
-        &self.extensions[index]
+        &self.deployment.extensions[index]
     }
 
     /// The broker federation backbone.
@@ -328,23 +351,23 @@ impl SecureNetwork {
 
     /// The RSA key size used by this deployment's identities.
     pub fn key_bits(&self) -> usize {
-        self.key_bits
+        self.deployment.key_bits
     }
 
     /// Creates a plain (insecure) client peer — the baseline of every
     /// experiment.
     pub fn plain_client(&mut self, nickname: &str) -> ClientPeer {
         ClientPeer::with_random_id(
-            Arc::clone(&self.network),
+            Arc::clone(&self.deployment.network),
             ClientConfig::named(nickname),
-            &mut self.rng,
+            &mut self.deployment.rng,
         )
     }
 
     /// Creates a secure client peer: generates its boot-time key pair and
     /// provisions it with the administrator credential.
     pub fn secure_client(&mut self, nickname: &str) -> SecureClient {
-        let identity = PeerIdentity::generate(&mut self.rng, self.key_bits)
+        let identity = PeerIdentity::generate(&mut self.deployment.rng, self.deployment.key_bits)
             .expect("client key generation");
         self.secure_client_with_identity(nickname, identity)
     }
@@ -357,11 +380,11 @@ impl SecureNetwork {
         identity: PeerIdentity,
     ) -> SecureClient {
         SecureClient::new(
-            Arc::clone(&self.network),
+            Arc::clone(&self.deployment.network),
             ClientConfig::named(nickname),
             identity,
-            self.admin.credential().clone(),
-            self.rng.next_u64(),
+            self.deployment.admin.credential().clone(),
+            self.deployment.rng.next_u64(),
         )
         .expect("secure client construction")
     }
@@ -370,7 +393,7 @@ impl SecureNetwork {
     /// credential lifetimes are expressed in).  The simulation advances time
     /// explicitly; brokers evaluate credential expiry against this clock.
     pub fn set_time(&self, now: u64) {
-        for extension in &self.extensions {
+        for extension in &self.deployment.extensions {
             extension.set_now(now);
         }
     }
@@ -384,16 +407,14 @@ impl SecureNetwork {
     /// anti-entropy extension section instead of depending on a push made
     /// before they existed.
     pub fn revoke(&self, revoked_ids: &[PeerId], revoked_names: &[&str]) {
-        let issued_at = self
-            .extensions
-            .first()
-            .map(|e| e.now())
-            .unwrap_or_default();
+        let extensions = &self.deployment.extensions;
+        let issued_at = extensions.first().map(|e| e.now()).unwrap_or_default();
         let list = self
+            .deployment
             .admin
             .issue_revocation_list(revoked_ids, revoked_names, issued_at)
             .expect("revocation list issuance");
-        for extension in &self.extensions {
+        for extension in extensions {
             extension
                 .install_revocation_list(&list)
                 .expect("revocation list installation");
@@ -401,12 +422,13 @@ impl SecureNetwork {
         self.federation.broker(0).gossip_extension_state();
     }
 
-    /// Admits a new broker into the running deployment: generates its
-    /// identity, issues its admin credential, installs a secure extension
-    /// (deployment clock, admin key and peer-credential beacons included),
-    /// spawns it into the federation full mesh and migrates its shard onto
-    /// it.  Prior revocations reach it via the backbone (anti-entropy, or
-    /// the next gossiped list) rather than any in-process push.
+    /// Admits a new broker into the running deployment: provisions it like
+    /// the brokers [`SecureNetworkBuilder::build`] deploys (identity, admin
+    /// credential, secure extension on the deployment clock, credentials
+    /// admitted both ways), spawns it into the federation full mesh and
+    /// migrates its shard onto it.  Prior revocations reach it via the
+    /// backbone (anti-entropy, or the next gossiped list) rather than any
+    /// in-process push.
     ///
     /// Every pre-existing broker then pushes a signed credential-set update
     /// to its *live* clients: peers that ran `secureConnection` before this
@@ -415,56 +437,20 @@ impl SecureNetwork {
     /// (clients joining later get the current beacon list anyway).  Returns
     /// the new broker's index.
     pub fn add_broker(&mut self, name: &str) -> usize {
-        let identity = PeerIdentity::generate(&mut self.rng, self.key_bits)
-            .expect("broker key generation");
-        let credential = self
-            .admin
-            .issue_broker_credential(
-                name,
-                identity.peer_id(),
-                identity.public_key(),
-                crate::admin::DEFAULT_CREDENTIAL_LIFETIME,
-            )
-            .expect("broker credential issuance");
         // The newcomer inherits the deployment's broker configuration
         // (sharding mode, ingress pipeline, inbox bound) with its own name.
         let config = BrokerConfig {
             name: name.to_string(),
             ..self.federation.broker(0).config().clone()
         };
-        let broker = Broker::new(
-            identity.peer_id(),
-            config,
-            Arc::clone(&self.network),
-            Arc::clone(&self.database),
-        );
-        let extension = Arc::new(SecureBrokerExtension::new(
-            identity,
-            credential,
-            crate::admin::DEFAULT_CREDENTIAL_LIFETIME,
-            self.rng.next_u64(),
-        ));
-        extension.set_admin_public_key(self.admin.public_key().clone());
-        if let Some(capacity) = self.verify_cache_capacity {
-            extension.set_verify_cache_capacity(capacity);
-        }
-        if let Some(first) = self.extensions.first() {
-            extension.set_now(first.now());
-        }
-        for existing in &self.extensions {
-            existing.add_peer_broker_credential(extension.credential().clone());
-            extension.add_peer_broker_credential(existing.credential().clone());
-        }
-        broker.set_extension(extension.clone());
-        self.extensions.push(extension);
+        let broker = self.deployment.provision_broker(config);
         self.federation.add_broker(broker);
         // Re-beacon the grown credential set to every already-connected
-        // client, from its own (authenticated) home broker.
-        for (index, existing) in self.extensions.iter().enumerate() {
-            if index + 1 == self.extensions.len() {
-                continue; // the newcomer has no clients yet
-            }
-            existing.push_credential_update(self.federation.broker(index));
+        // client, from its own (authenticated) home broker; the newcomer
+        // has no clients yet.
+        let existing = &self.deployment.extensions[..self.federation.len() - 1];
+        for (index, extension) in existing.iter().enumerate() {
+            extension.push_credential_update(self.federation.broker(index));
         }
         self.federation.len() - 1
     }
@@ -472,15 +458,17 @@ impl SecureNetwork {
     /// Removes the `index`-th broker from the running deployment (see
     /// [`BrokerNetwork::remove_broker`]); its extension is dropped with it.
     pub fn remove_broker(&mut self, index: usize) -> Arc<Broker> {
-        self.extensions.remove(index);
+        self.deployment.extensions.remove(index);
         self.federation.remove_broker(index)
     }
 
     /// Registers an additional end user after construction.
     pub fn register_user(&mut self, username: &str, password: &str, groups: &[&str]) -> bool {
         let groups: Vec<GroupId> = groups.iter().map(|g| GroupId::new(*g)).collect();
-        self.admin
-            .register_user(&mut self.rng, &self.database, username, password, &groups)
+        let deployment = &mut self.deployment;
+        deployment
+            .admin
+            .register_user(&mut deployment.rng, &deployment.database, username, password, &groups)
     }
 
     /// Shuts every broker down (otherwise done on drop).

@@ -28,14 +28,16 @@ use jxta_overlay::advertisement::{Advertisement, PipeAdvertisement};
 use jxta_overlay::{OverlayError, PeerId};
 use jxta_xmldoc::{dsig, Element};
 
-/// The trust anchors a peer uses to validate credentials.
+/// The trust anchors a peer uses to validate credentials: clients, and
+/// brokers checking the credentials embedded in signed publishes.
 #[derive(Debug, Clone)]
 pub struct TrustAnchors {
     /// The administrator's self-signed credential (`Cred^Adm_Adm`), copied to
     /// every peer at deployment time.
     admin: Credential,
-    /// Broker credentials this peer has verified (learned during
-    /// `secureConnection`).
+    /// Broker credentials this peer has verified, in the order it learned
+    /// them (a client during `secureConnection`; a broker its own first,
+    /// then each admitted peer's).  Never shrinks.
     brokers: Vec<Credential>,
 }
 
@@ -91,8 +93,8 @@ impl TrustAnchors {
         &self.brokers
     }
 
-    /// Verifies an arbitrary credential against the trust anchors: the
-    /// administrator key or any trusted broker key.
+    /// Verifies an arbitrary credential against the trust anchors: any
+    /// trusted broker key or the administrator key.
     pub fn verify_credential(&self, credential: &Credential) -> Result<(), OverlayError> {
         self.verify_credential_with(credential, |key, message, signature| {
             key.verify(message, signature)
@@ -103,6 +105,11 @@ impl TrustAnchors {
     /// operation to `verify` — so callers can route the chain walk through a
     /// [`jxta_crypto::sigcache::VerifiedSigCache`] and pay for each
     /// (key, bytes, signature) triple only once.
+    ///
+    /// Broker keys are tried before the administrator key: brokers issue
+    /// the client credentials checked most often, and a cache keeps only
+    /// successes, so trying the administrator first would repeat one failed
+    /// RSA verification on every check of a broker-issued credential.
     pub fn verify_credential_with<V>(
         &self,
         credential: &Credential,
@@ -111,16 +118,9 @@ impl TrustAnchors {
     where
         V: Fn(&RsaPublicKey, &[u8], &[u8]) -> Result<(), CryptoError>,
     {
-        if credential
-            .verify_with(&self.admin.public_key, &verify)
-            .is_ok()
-        {
+        let mut issuers = self.brokers.iter().chain(std::iter::once(&self.admin));
+        if issuers.any(|issuer| credential.verify_with(&issuer.public_key, &verify).is_ok()) {
             return Ok(());
-        }
-        for broker in &self.brokers {
-            if credential.verify_with(&broker.public_key, &verify).is_ok() {
-                return Ok(());
-            }
         }
         Err(OverlayError::SecurityViolation(
             "credential does not chain to any trust anchor".into(),

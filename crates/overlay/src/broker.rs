@@ -87,6 +87,7 @@ use crate::replica::{
 use crate::shard::{self, SectionTree};
 use crate::tracked::Tracked;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -346,7 +347,7 @@ struct PipelineIngress {
 
 /// Stage-3 state shared by the verify workers: the ticket reorder buffer.
 /// Whichever worker holds this lock is *the* dispatcher for that moment —
-/// the single-router invariant the lane fast-path and barriers rely on.
+/// the single-router invariant the lane routing and barriers rely on.
 struct PipelineRouter {
     next_ticket: u64,
     reorder: BTreeMap<u64, (NetMessage, Option<Message>)>,
@@ -1998,8 +1999,8 @@ impl Broker {
     ///               ▼ (shard_key % lanes)           ▼
     ///       apply lanes (parallel,          barrier: drain all lanes,
     ///        FIFO per partition;             then apply on the routing
-    ///        idle lane → apply on            worker
-    ///        the routing worker)
+    ///        single-core host →              worker
+    ///        apply on the routing worker)
     /// ```
     ///
     /// Each verify worker carries a message end to end: it stamps monotone
@@ -2008,11 +2009,11 @@ impl Broker {
     /// which makes it the sole dispatcher for that moment — restores exact
     /// arrival order through the ticket reorder buffer and routes each
     /// message *in that order*.  A partition-local message ([`apply_route`])
-    /// goes to the FIFO lane owning its `(group, owner)` shard key (or, when
-    /// that lane is idle, applies directly on the routing worker — the lane
-    /// handoff only pays for itself when there is queued work to overlap
-    /// with), so same-partition messages keep their relative order while
-    /// different partitions apply in parallel.  A partition-spanning message
+    /// goes to the FIFO lane owning its `(group, owner)` shard key (or, on
+    /// a single-core host, applies directly on the routing worker — there
+    /// the lane handoff cannot buy concurrency that does not exist), so
+    /// same-partition messages keep their relative order while different
+    /// partitions apply in parallel.  A partition-spanning message
     /// waits for every busy lane to quiesce (a barrier) and then applies on
     /// the routing worker itself, so it observes — and is observed by — all
     /// lane traffic in ticket order.  Lane queues are bounded, so a
@@ -2098,8 +2099,8 @@ impl Broker {
         // lock (stamp order == arrival order), decodes and cryptographically
         // pre-verifies outside any lock (the parallel stage), then takes the
         // router lock to restore global ticket order and route — so exactly
-        // one thread routes at any moment, which is what keeps the lane
-        // fast-path and the barrier protocol sound.  Compared to dedicated
+        // one thread routes at any moment, which is what keeps lane FIFO
+        // and the barrier protocol sound.  Compared to dedicated
         // ingress/dispatcher threads this costs two short critical sections
         // instead of two channel handoffs per message, and the batching
         // amortises both locks when the inbox runs deep.
@@ -2789,6 +2790,8 @@ impl Broker {
 
     /// Merges a replica's `ShardResponse` into the pending lookup it answers
     /// and, once every replica reported, replies to the waiting client.
+    /// The entries are decoded through one index pass before the pending
+    /// lookups are locked.
     fn handle_shard_response(&self, message: &Message) {
         let Some(query) = message
             .element_str("query")
@@ -2796,31 +2799,24 @@ impl Broker {
         else {
             return;
         };
+        let is_member = message.element_str("member").is_some_and(|member| member == "true");
+        let index = message.index();
+        let field = |i: usize, name: &str| index.get_str(&format!("r{i}-{name}"));
+        let results: Vec<(PeerId, (u64, PeerId), String)> = (0..message.entry_count("count").unwrap_or(0))
+            .filter_map(|i| {
+                let owner = field(i, "owner").and_then(|urn| PeerId::from_urn(&urn))?;
+                let vseq = field(i, "vseq").as_deref().and_then(counter::parse)?;
+                let vorigin = field(i, "vorigin").and_then(|urn| PeerId::from_urn(&urn))?;
+                Some((owner, (vseq, vorigin), field(i, "xml")?))
+            })
+            .collect();
         let finished = {
             let mut pending = self.pending_lookups.lock();
             let Some(state) = pending.get_mut(&query) else {
                 return; // unknown or already-answered query
             };
-            if let Some(member) = message.element_str("member") {
-                state.is_member |= member == "true";
-            }
-            let count = message.entry_count("count").unwrap_or(0);
-            for i in 0..count {
-                let (Some(owner), Some(vseq), Some(vorigin), Some(xml)) = (
-                    message
-                        .element_str(&format!("r{i}-owner"))
-                        .and_then(|urn| PeerId::from_urn(&urn)),
-                    message
-                        .element_str(&format!("r{i}-vseq"))
-                        .and_then(|s| s.parse::<u64>().ok()),
-                    message
-                        .element_str(&format!("r{i}-vorigin"))
-                        .and_then(|urn| PeerId::from_urn(&urn)),
-                    message.element_str(&format!("r{i}-xml")),
-                ) else {
-                    continue;
-                };
-                let version = (vseq, vorigin);
+            state.is_member |= is_member;
+            for (owner, version, xml) in results {
                 match state.adv_results.entry(owner) {
                     std::collections::btree_map::Entry::Occupied(mut stored) => {
                         // Replicas may race a re-publish: last writer wins,
@@ -2874,6 +2870,37 @@ fn push_adv_section(snapshot: &mut Message, entries: Vec<FlatEntry>) {
         snapshot.push_element(format!("a{i}-vseq"), version.0.to_string().into_bytes());
         snapshot.push_element(format!("a{i}-vorigin"), version.1.to_urn().into_bytes());
     }
+}
+
+/// The advertisement documents `message` carries: a client publish's
+/// `xml`, every event of a `BrokerSync` (the coalesced `count` + `e{i}-xml`
+/// layout [`Broker::flush_gossip`] sends, or the single-event top-level
+/// `xml`), and every entry of an anti-entropy snapshot's `a` section (the
+/// `a-count`/`a{i}-xml` layout repair pages are built with).  Other kinds
+/// carry none.  Each section is read through one [`Message::index`] pass,
+/// and its wire count is capped by [`Message::entry_count`], so the walk is
+/// linear in the message size — it runs at ingress, before the sender is
+/// admitted.
+pub fn carried_advertisements(message: &Message) -> Vec<Cow<'_, str>> {
+    let section = match message.kind {
+        MessageKind::BrokerSync => message.entry_count("count").map(|count| (count, 'e')),
+        MessageKind::AntiEntropySnapshot => message.entry_count("a-count").map(|count| (count, 'a')),
+        _ => None,
+    };
+    let Some((count, prefix)) = section else {
+        let top_level = matches!(message.kind, MessageKind::PublishAdvertisement | MessageKind::BrokerSync);
+        return top_level
+            .then(|| message.element("xml"))
+            .flatten()
+            .map(String::from_utf8_lossy)
+            .into_iter()
+            .collect();
+    };
+    let index = message.index();
+    (0..count)
+        .filter_map(|i| index.get(&format!("{prefix}{i}-xml")))
+        .map(String::from_utf8_lossy)
+        .collect()
 }
 
 /// Appends membership entries (with their provenance stamps) as an `m`
@@ -3861,6 +3888,84 @@ mod tests {
             assert_eq!(broker.groups().is_member(&GroupId::new("math"), &member), stored);
             assert_eq!(broker.federation_stats().entries_repaired, u64::from(stored));
         }
+    }
+
+    /// A replica's answer versioned at or above 2^63 is dropped from the
+    /// merged lookup, as the same version is on every other wire path.
+    /// (Kept, it outranks the honest replica's entry in the last-writer-wins
+    /// dedup, and the client receives the forged XML.)
+    #[test]
+    fn forged_counter_shard_response_version_cannot_win_the_merged_lookup() {
+        let (net, _db, broker, mut rng) = setup();
+        let (liar, honest) = (PeerId::random(&mut rng), PeerId::random(&mut rng));
+        broker.add_peer_broker(liar);
+        broker.add_peer_broker(honest);
+        let client = PeerId::random(&mut rng);
+        let client_inbox = net.register(client);
+        broker.pending_lookups.lock().insert(
+            7,
+            PendingLookup {
+                client,
+                client_request: 1,
+                remaining: 2,
+                adv_results: BTreeMap::new(),
+                is_member: false,
+                membership: false,
+            },
+        );
+        let owner = PeerId::random(&mut rng);
+        let answer = |from: PeerId, vseq: u64, xml: &str| {
+            Message::new(MessageKind::ShardResponse, from, 0)
+                .with_str("seq", "1")
+                .with_str("query", "7")
+                .with_str("count", "1")
+                .with_str("r0-owner", &owner.to_urn())
+                .with_str("r0-vseq", &vseq.to_string())
+                .with_str("r0-vorigin", &from.to_urn())
+                .with_str("r0-xml", xml)
+        };
+        deliver(&broker, liar, &answer(liar, u64::MAX, "<forged/>"));
+        deliver(&broker, honest, &answer(honest, 5, "<honest/>"));
+        let response = next_message(&client_inbox);
+        assert_eq!(response.kind, MessageKind::LookupResponse);
+        assert_eq!(response.element_str("count").as_deref(), Some("1"));
+        assert_eq!(response.element_str("adv-0").as_deref(), Some("<honest/>"));
+    }
+
+    /// The advertisements a backbone message carries are found in work
+    /// linear in its element count: for an n-event sync, an n-entry
+    /// snapshot page, and a forged count far beyond the elements present
+    /// (which could make the walk quadratic before the sender is admitted).
+    #[test]
+    fn forged_or_bulk_counts_keep_the_carried_advertisement_walk_linear() {
+        let mut rng = HmacDrbg::from_seed_u64(0xC0A7);
+        let origin = PeerId::random(&mut rng);
+        let n = 5_000usize;
+        let mut sync = Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", &n.to_string());
+        let mut page = Message::new(MessageKind::AntiEntropySnapshot, origin, 0).with_str("a-count", &n.to_string());
+        for i in 0..n {
+            sync.push_element(format!("e{i}-op"), b"publish".to_vec());
+            sync.push_element(format!("e{i}-xml"), format!("<adv-{i}/>").into_bytes());
+            page.push_element(format!("a{i}-group"), b"math".to_vec());
+            page.push_element(format!("a{i}-xml"), format!("<adv-{i}/>").into_bytes());
+        }
+        let mut forged = Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", &u64::MAX.to_string());
+        for i in 0..n {
+            forged.push_element(format!("x{i}"), Vec::new());
+        }
+        for (message, carried) in [(&sync, n), (&page, n), (&forged, 0)] {
+            let before = crate::message::scan_probe::visited();
+            let documents = carried_advertisements(message);
+            let visited = crate::message::scan_probe::visited() - before;
+            assert_eq!(documents.len(), carried, "{:?}", message.kind);
+            let elements = message.element_count() as u64;
+            assert!(
+                visited <= 4 * elements,
+                "{:?}: {visited} element visits for {elements} elements",
+                message.kind
+            );
+        }
+        assert_eq!(carried_advertisements(&sync)[7], "<adv-7/>");
     }
 
     /// Regression: merging an n-entry snapshot must stay O(n) element

@@ -496,13 +496,10 @@ impl ClientPeer {
         // The count is broker-asserted text, capped by the elements the
         // response actually carries.
         let count = response.entry_count("count").unwrap_or(0);
-        let mut results = Vec::with_capacity(count);
-        for i in 0..count {
-            if let Some(xml) = response.element_str(&format!("adv-{i}")) {
-                results.push(xml);
-            }
-        }
-        Ok(results)
+        let index = response.index();
+        Ok((0..count)
+            .filter_map(|i| index.get_str(&format!("adv-{i}")))
+            .collect())
     }
 
     /// Asks the broker whether `peer` is currently a member of `group`.

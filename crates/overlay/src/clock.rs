@@ -2,9 +2,9 @@
 //!
 //! Determinism discipline: simulation results must be a function of seeds
 //! and message order, never of wall-clock readings, so raw
-//! `Instant::now()` calls are banned from library crates (`jxta-lint`'s
-//! `raw-clock` rule; the bench crate, whose whole job is timing, is
-//! exempt).  Code that legitimately needs real time — spawned-thread
+//! `Instant::now()` calls are banned from library crates (`clippy.toml`'s
+//! `disallowed-methods`; the bench crate, whose whole job is timing, opts
+//! out).  Code that legitimately needs real time — spawned-thread
 //! deadline waits, CPU metering — routes through this module instead,
 //! which keeps every clock read greppable and gives a future virtual
 //! clock a single seam to patch.
@@ -14,7 +14,6 @@ use std::time::{Duration, Instant};
 /// Reads the monotonic clock.
 #[allow(clippy::disallowed_methods)]
 pub fn now() -> Instant {
-    // lint:allow(raw-clock, the clock abstraction itself)
     Instant::now()
 }
 

@@ -243,9 +243,10 @@ impl PipelineMetrics {
         counters
     }
 
-    /// Records a partition-local message applied on the dispatcher via the
-    /// idle-lane fast path; it still counts against the lane that owns the
-    /// partition, so lane-load metrics reflect routing, not thread identity.
+    /// Records a partition-local message the router applied itself, which
+    /// it does only on a single-core host (see [`crate::Broker::spawn`]); it
+    /// still counts against the lane that owns the partition, so lane-load
+    /// metrics reflect routing, not thread identity.
     pub fn count_lane_message(&self, lane: usize) {
         if let Some(counter) = self.lane_counters.lock().get(lane) {
             counter.fetch_add(1, Ordering::Relaxed);
