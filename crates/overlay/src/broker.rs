@@ -80,7 +80,7 @@ use crate::id::PeerId;
 use crate::message::{Message, MessageKind};
 use crate::metrics::{FederationMetrics, FederationStats, PipelineMetrics, PipelineStats};
 use crate::net::{NetMessage, SimNetwork};
-use crate::plumtree::GossipId;
+use crate::plumtree::{self, GossipId};
 use crate::replica::{
     extension_hash, FlatEntry, JoinGossip, PresenceEntry, PresenceVersion, Replica, PRESENCE_JOIN,
 };
@@ -945,8 +945,11 @@ impl Broker {
         let mut duplicates = 0usize;
         if let Some(count) = message.entry_count("count") {
             // One name→content index up front: per-field `element` scans
-            // would make applying an n-event digest O(n²).
+            // would make applying an n-event digest O(n²).  The events'
+            // field lists for relaying are sliced out of one more pass, on
+            // the first fresh broadcast.
             let index = message.index();
+            let events = std::cell::OnceCell::new();
             for i in 0..count {
                 // Epidemic bookkeeping first: a broadcast event (it carries
                 // its gossip id in `vorigin`/`seq` plus the `bcast` marker)
@@ -969,16 +972,11 @@ impl Broker {
                     // crosses lazy edges and the tree alike.
                     let unmarked = index.get(&format!("e{i}-{REPAIR_MARK}")).is_none();
                     broadcasts += usize::from(unmarked);
-                    let prefix = format!("e{i}-");
                     let fields = || {
-                        message
-                            .elements
+                        events.get_or_init(|| message.entries("e", count))[i]
                             .iter()
-                            .filter_map(|element| {
-                                element.name.strip_prefix(&prefix).map(|field| {
-                                    let value = String::from_utf8_lossy(&element.content);
-                                    (field.to_string(), value.into_owned())
-                                })
+                            .map(|(field, value)| {
+                                (field.to_string(), String::from_utf8_lossy(value).into_owned())
                             })
                             .collect()
                     };
@@ -1166,32 +1164,24 @@ impl Broker {
         self.to_broker(message.sender, reply);
     }
 
-    /// The gossip ids an `IHave` or `Graft` digest lists (`count` plus
-    /// `g{i}-origin`/`g{i}-seq`), unparseable entries skipped.
+    /// The gossip ids an `IHave` or `Graft` digest lists in its `ids`
+    /// element (see [`plumtree::decode_gossip_ids`]).
     fn gossip_ids(message: &Message) -> Option<Vec<GossipId>> {
-        let count = message.entry_count("count")?;
-        let index = message.index();
-        let gid = |i: usize| {
-            let origin = PeerId::from_urn(&index.get_str(&format!("g{i}-origin"))?)?;
-            Some((origin, index.get_str(&format!("g{i}-seq"))?.parse::<u64>().ok()?))
-        };
-        Some((0..count).filter_map(gid).collect())
+        message.element("ids").map(plumtree::decode_gossip_ids)
     }
 
     /// An `IHave` or `Graft` digest listing `gids`.
     fn gossip_id_digest(&self, kind: MessageKind, gids: &[GossipId]) -> Message {
-        let mut digest = Message::new(kind, self.id, 0).with_str("count", &gids.len().to_string());
-        for (i, (origin, seq)) in gids.iter().enumerate() {
-            digest.push_element(format!("g{i}-origin"), origin.to_urn().into_bytes());
-            digest.push_element(format!("g{i}-seq"), seq.to_string().into_bytes());
-        }
-        digest
+        Message::new(kind, self.id, 0).with_element("ids", plumtree::encode_gossip_ids(gids))
     }
 
-    /// Handles a lazy-edge `IHave` digest: any advertised gossip id this
+    /// Handles a lazy-edge `IHave` digest: an advertised gossip id this
     /// broker has not received means the eager tree failed to reach us
-    /// first — promote the advertising edge and pull the payloads with a
-    /// `Graft`.  Ids already seen need nothing: the tree worked.
+    /// first.  It is pulled with one `Graft` per round, from the first lazy
+    /// peer that advertises it, whose edge is promoted; later announcers
+    /// are kept as fallbacks that [`Broker::start_repair_round`] grafts from
+    /// if the id is still missing then.  Ids already seen need nothing: the
+    /// tree worked.
     fn handle_plumtree_ihave(&self, message: &Message) {
         let Some(gids) = Self::gossip_ids(message) else {
             return;
@@ -1449,10 +1439,12 @@ impl Broker {
     /// round-robin, once the epidemic fabric is engaged.  Peers whose
     /// replicas disagree answer with a snapshot exchange; a healthy backbone
     /// answers nothing, so the idle cost of a round is one small digest per
-    /// peer below engagement and one in all once engaged.  The shuffle, the
-    /// `IHave` flush and the SWIM period run even when there is nobody to
-    /// digest: a broker that buried its whole view must keep probing to dig
-    /// its peers back out.
+    /// peer below engagement and one in all once engaged.  The round also
+    /// re-grafts every id last round's `Graft` did not deliver from the next
+    /// lazy peer that advertised it (ids nobody else advertised are left to
+    /// anti-entropy).  The shuffle, the re-grafts, the `IHave` flush and the
+    /// SWIM period run even when there is nobody to digest: a broker that
+    /// buried its whole view must keep probing to dig its peers back out.
     pub fn start_repair_round(&self) {
         // Epidemic federations repair over the active-view edges only:
         // state flows transitively edge by edge (the view graph is
@@ -1485,6 +1477,13 @@ impl Broker {
         // clock: one shuffle per round, first-hand liveness evidence for
         // SWIM at whichever view member it reaches.
         self.start_shuffle();
+        // Grafts that went unanswered since the last round retry from a
+        // fallback announcer, one `Graft` per announcer.
+        let regrafts = self.fabric.lock().regrafts();
+        for (announcer, gids) in regrafts {
+            let graft = self.gossip_id_digest(MessageKind::PlumtreeGraft, &gids);
+            self.to_broker(announcer, graft);
+        }
         // Lazy IHave digests batched across every publish since the last
         // round ship now, one digest per lazy edge (see
         // [`Broker::flush_ihaves`]).
@@ -3580,7 +3579,9 @@ mod tests {
     /// Every decoder loop driven by a wire count stops at the elements the
     /// message carries: a forged count of 10⁶ on a handful of elements costs
     /// a handful of element lookups, where an uncapped loop costs at least
-    /// one lookup per claimed entry.
+    /// one lookup per claimed entry.  The gossip-id lists of `IHave` and
+    /// `Graft` carry no count: a forged `ids` blob, a truncated record or a
+    /// long one, is read as the whole records it holds.
     #[test]
     fn forged_entry_counts_are_capped_by_element_count() {
         let (_net, _db, broker, mut rng) = setup();
@@ -3601,10 +3602,16 @@ mod tests {
             },
         );
         let forged = "1000000";
+        let truncated = vec![0xA5; plumtree::GOSSIP_ID_LEN - 1];
+        let long: Vec<u8> = (0..(plumtree::GOSSIP_ID_LEN << 16) + 7)
+            .map(|i: usize| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+            .collect();
         let messages = [
             Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", forged),
-            Message::new(MessageKind::PlumtreeIHave, origin, 0).with_str("count", forged),
-            Message::new(MessageKind::PlumtreeGraft, origin, 0).with_str("count", forged),
+            Message::new(MessageKind::PlumtreeIHave, origin, 0).with_element("ids", &truncated[..]),
+            Message::new(MessageKind::PlumtreeIHave, origin, 0).with_element("ids", &long[..]),
+            Message::new(MessageKind::PlumtreeGraft, origin, 0).with_element("ids", truncated),
+            Message::new(MessageKind::PlumtreeGraft, origin, 0).with_element("ids", long),
             Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
                 .with_str("want", "")
                 .with_str("p-count", forged)
@@ -3949,7 +3956,8 @@ mod tests {
             page.push_element(format!("a{i}-group"), b"math".to_vec());
             page.push_element(format!("a{i}-xml"), format!("<adv-{i}/>").into_bytes());
         }
-        let mut forged = Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", &u64::MAX.to_string());
+        let mut forged = Message::new(MessageKind::BrokerSync, origin, 0)
+            .with_str("count", &u64::MAX.to_string());
         for i in 0..n {
             forged.push_element(format!("x{i}"), Vec::new());
         }
@@ -4003,6 +4011,222 @@ mod tests {
             "merge visited {visited} elements for {entries} entries — \
              the O(n²) linear-scan merge is back"
         );
+    }
+
+    /// A coalesced sync's fresh broadcasts are relayed with each event's
+    /// fields sliced out of one pass over the message: for an n-event bulk
+    /// digest, and for a forged one whose count far exceeds its elements
+    /// and whose junk names (`e01-`, indices past the count) belong to no
+    /// event.  Walking the whole message once per fresh event, as the relay
+    /// used to, costs O(n²) element visits.
+    #[test]
+    fn forged_or_bulk_digests_keep_the_relay_walk_linear() {
+        let (net, _db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        broker.add_peer_broker(origin);
+        let peers: Vec<PeerId> = (0..crate::membership::DEFAULT_ACTIVE_VIEW)
+            .map(|_| PeerId::random(&mut rng))
+            .collect();
+        let inboxes: Vec<_> = peers
+            .iter()
+            .map(|peer| {
+                broker.add_peer_broker(*peer);
+                net.register(*peer)
+            })
+            .collect();
+        assert!(broker.epidemic_engaged());
+        let vorigin = PeerId::random(&mut rng);
+        let n = 2_000usize;
+        let mut bulk =
+            Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", &n.to_string());
+        for i in 0..n {
+            let fields = [
+                ("op", "publish".to_string()),
+                ("seq", (i + 1).to_string()),
+                ("group", "math".to_string()),
+                ("doc-type", "jxta:PipeAdvertisement".to_string()),
+                ("owner", PeerId::random(&mut rng).to_urn()),
+                ("xml", format!("<adv-{i}/>")),
+                ("vorigin", vorigin.to_urn()),
+                ("bcast", "1".to_string()),
+            ];
+            for (field, value) in fields {
+                bulk.push_element(format!("e{i}-{field}"), value.into_bytes());
+            }
+        }
+        let mut forged = Message::new(MessageKind::BrokerSync, origin, 0)
+            .with_str("count", &u64::MAX.to_string());
+        for i in 0..n {
+            forged.push_element(format!("e{i}-bcast"), b"1".to_vec());
+            forged.push_element(format!("e{i}-vorigin"), vorigin.to_urn().into_bytes());
+            forged.push_element(format!("e{i}-seq"), (n + i + 1).to_string().into_bytes());
+            forged.push_element(format!("e0{i}-xml"), b"<junk/>".to_vec());
+            forged.push_element(format!("e{}-xml", 10 * n + i), b"<junk/>".to_vec());
+        }
+        let count = forged.entry_count("count").unwrap();
+        let before = crate::message::scan_probe::visited();
+        let sliced = forged.entries("e", count);
+        let visited = crate::message::scan_probe::visited() - before;
+        assert_eq!(visited, forged.element_count() as u64, "one pass");
+        let fields: Vec<&str> = sliced[7].iter().map(|(field, _)| *field).collect();
+        assert_eq!(fields, ["bcast", "vorigin", "seq"]);
+        assert!(sliced[n..].iter().all(Vec::is_empty), "junk names belong to no event");
+        assert_eq!(bulk.entries("e", n)[7][5], ("xml", b"<adv-7/>".as_slice()));
+
+        for (seq, message) in [bulk, forged].into_iter().enumerate() {
+            let message = message.with_str("seq", &(seq + 1).to_string());
+            let elements = message.element_count() as u64;
+            let before = crate::message::scan_probe::visited();
+            deliver(&broker, origin, &message);
+            let visited = crate::message::scan_probe::visited() - before;
+            assert!(
+                visited <= 8 * elements,
+                "{visited} element visits for {elements} elements"
+            );
+            // Every fresh event goes onward to the eager peers, with the
+            // fields it arrived with.
+            let relayed = next_message(&inboxes[0]);
+            assert_eq!(relayed.entry_count("count"), Some(n));
+            let relayed = relayed.entries("e", n);
+            let original = message.entries("e", n);
+            for i in [0, 7, n - 1] {
+                assert_eq!(relayed[i], original[i], "event {i}");
+            }
+        }
+    }
+
+    /// An `IHave` listing `gids`, stamped with transport `seq`.
+    fn ihave(from: PeerId, gids: &[GossipId], seq: u64) -> Message {
+        Message::new(MessageKind::PlumtreeIHave, from, 0)
+            .with_element("ids", plumtree::encode_gossip_ids(gids))
+            .with_str("seq", &seq.to_string())
+    }
+
+    type Inbox = crossbeam::channel::Receiver<NetMessage>;
+
+    /// The id lists of the `Graft`s waiting in `inbox` (other traffic is
+    /// drained and ignored).
+    fn grafts_in(inbox: &Inbox) -> Vec<Vec<GossipId>> {
+        inbox
+            .try_iter()
+            .filter_map(|delivery| Message::from_bytes(&delivery.payload).ok())
+            .filter(|message| message.kind == MessageKind::PlumtreeGraft)
+            .map(|graft| plumtree::decode_gossip_ids(graft.element("ids").unwrap()))
+            .collect()
+    }
+
+    /// An engaged broker (twelve admitted peers, each with an inbox) whose
+    /// first `lazy` view members pruned their edges: those peers, in view
+    /// order, with their inboxes.  Each has used transport `seq` 1.
+    fn engaged_with_lazy_edges(lazy: usize) -> (Arc<Broker>, Vec<(PeerId, Inbox)>, HmacDrbg) {
+        let (net, _db, broker, mut rng) = setup();
+        let mut inboxes: HashMap<PeerId, _> = (0..12)
+            .map(|_| {
+                let peer = PeerId::random(&mut rng);
+                broker.add_peer_broker(peer);
+                (peer, net.register(peer))
+            })
+            .collect();
+        assert!(broker.epidemic_engaged());
+        let mut peers = Vec::new();
+        for peer in broker.active_view().into_iter().take(lazy) {
+            let prune = Message::new(MessageKind::PlumtreePrune, peer, 0).with_str("seq", "1");
+            deliver(&broker, peer, &prune);
+            peers.push((peer, inboxes.remove(&peer).unwrap()));
+        }
+        assert_eq!(broker.epidemic_lazy_peers().len(), lazy);
+        (broker, peers, rng)
+    }
+
+    /// Plumtree's missing-message rule: an id three lazy peers advertise in
+    /// one round is grafted once, from the first, and only that edge turns
+    /// eager; the later announcers are kept as fallbacks.
+    #[test]
+    fn graft_once_per_missing_id_from_the_first_announcer() {
+        let (broker, lazy, mut rng) = engaged_with_lazy_edges(3);
+        let gid = (PeerId::random(&mut rng), 7);
+        for (peer, _) in &lazy {
+            deliver(&broker, *peer, &ihave(*peer, &[gid], 2));
+        }
+        let grafts: Vec<_> = lazy.iter().map(|(_, inbox)| grafts_in(inbox)).collect();
+        assert_eq!(grafts, [vec![vec![gid]], vec![], vec![]], "one Graft, to the first announcer");
+        assert_eq!(broker.federation_stats().grafts_sent, 1);
+        assert!(broker.epidemic_eager_peers().contains(&lazy[0].0));
+        assert_eq!(broker.epidemic_lazy_peers().len(), 2, "the fallbacks' edges stay lazy");
+        assert_eq!(broker.fabric.lock().pending_grafts(), 1);
+    }
+
+    /// The first announcer never delivers (its `Graft` or the reply was
+    /// lost): the next round grafts the id from the second announcer, whose
+    /// copy applies without anti-entropy.  An id with no other announcer is
+    /// dropped at that round, and a delivered one needs no further graft.
+    #[test]
+    fn graft_once_per_missing_id_retries_a_fallback_next_round() {
+        let (broker, lazy, mut rng) = engaged_with_lazy_edges(3);
+        let origin = PeerId::random(&mut rng);
+        let (retried, lone) = ((origin, 7), (origin, 8));
+        for (peer, _) in &lazy {
+            deliver(&broker, *peer, &ihave(*peer, &[retried], 2));
+        }
+        deliver(&broker, lazy[2].0, &ihave(lazy[2].0, &[lone], 3));
+        let grafts: Vec<_> = lazy.iter().map(|(_, inbox)| grafts_in(inbox)).collect();
+        assert_eq!(grafts, [vec![vec![retried]], vec![], vec![vec![lone]]]);
+
+        broker.start_repair_round();
+        let grafts: Vec<_> = lazy.iter().map(|(_, inbox)| grafts_in(inbox)).collect();
+        assert_eq!(grafts, [vec![], vec![vec![retried]], vec![]], "retried from the fallback only");
+        assert!(broker.epidemic_eager_peers().contains(&lazy[1].0));
+
+        let owner = PeerId::random(&mut rng);
+        let group = GroupId::new("math");
+        let copy = Message::new(MessageKind::BrokerSync, lazy[1].0, 0)
+            .with_str("count", "1")
+            .with_str("e0-op", "publish")
+            .with_str("e0-seq", "7")
+            .with_str("e0-group", group.as_str())
+            .with_str("e0-doc-type", "jxta:PipeAdvertisement")
+            .with_str("e0-owner", &owner.to_urn())
+            .with_str("e0-xml", "<adv/>")
+            .with_str("e0-vorigin", &origin.to_urn())
+            .with_str("e0-bcast", "1")
+            .with_str("e0-repair", "1")
+            .with_str("seq", "3");
+        deliver(&broker, lazy[1].0, &copy);
+        assert_eq!(broker.lookup(&group, "jxta:PipeAdvertisement", Some(owner)).len(), 1);
+        assert_eq!(broker.federation_stats().entries_repaired, 0, "no anti-entropy involved");
+        assert_eq!(broker.fabric.lock().pending_grafts(), 0, "seen, and the lone id dropped");
+
+        broker.start_repair_round();
+        assert!(lazy.iter().all(|(_, inbox)| grafts_in(inbox).is_empty()));
+        assert_eq!(broker.federation_stats().grafts_sent, 3);
+    }
+
+    /// An admitted peer advertising made-up ids fills the pending grafts to
+    /// their FIFO bound and no further; the next round, with no fallback to
+    /// retry from, empties them.
+    #[test]
+    fn graft_once_per_missing_id_bounds_the_pending_set() {
+        let (broker, lazy, mut rng) = engaged_with_lazy_edges(1);
+        let forger = PeerId::random(&mut rng);
+        let made_up: Vec<GossipId> = (1..=100_000).map(|seq| (forger, seq)).collect();
+        deliver(&broker, lazy[0].0, &ihave(lazy[0].0, &made_up, 2));
+        assert_eq!(broker.fabric.lock().pending_grafts(), plumtree::DEFAULT_CACHE);
+        broker.start_repair_round();
+        assert_eq!(broker.fabric.lock().pending_grafts(), 0);
+    }
+
+    /// A gossip-id record whose seq breaks the wire-counter rule (at or
+    /// above 2^63) is dropped by the decoder, so it is never grafted; the
+    /// largest in-range seq still is.
+    #[test]
+    fn forged_counter_gossip_id_seq_is_dropped() {
+        let (broker, lazy, mut rng) = engaged_with_lazy_edges(1);
+        let origin = PeerId::random(&mut rng);
+        let gids = [(origin, 1 << 63), (origin, u64::MAX), (origin, FORGED_IN_RANGE)];
+        assert_eq!(plumtree::decode_gossip_ids(&plumtree::encode_gossip_ids(&gids)), [gids[2]]);
+        deliver(&broker, lazy[0].0, &ihave(lazy[0].0, &gids, 2));
+        assert_eq!(grafts_in(&lazy[0].1), [vec![(origin, FORGED_IN_RANGE)]]);
+        assert_eq!(broker.fabric.lock().pending_grafts(), 1);
     }
 
     #[test]

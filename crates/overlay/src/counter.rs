@@ -16,7 +16,12 @@ const MERGE_CAP: u64 = 1 << 62;
 
 /// Parses a received counter: `None` when unparseable or not below 2^63.
 pub(crate) fn parse(text: &str) -> Option<u64> {
-    text.parse::<u64>().ok().filter(|value| *value < CEILING)
+    text.parse::<u64>().ok().and_then(received)
+}
+
+/// A received binary counter: `None` when not below 2^63.
+pub(crate) fn received(value: u64) -> Option<u64> {
+    (value < CEILING).then_some(value)
 }
 
 /// `own` pulled up to a received counter `seen`, credited with at most 2^62.

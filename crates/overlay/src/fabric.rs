@@ -8,7 +8,8 @@
 //! [`Fabric::forget`], [`Fabric::on_death`] and [`Fabric::on_alive`] change
 //! the view, then resync Plumtree and SWIM from it, and a forgotten or
 //! buried peer loses its queued traffic.  [`Fabric::repair_round`] picks
-//! whom each anti-entropy round digests.  The fabric never sends: the broker
+//! whom each anti-entropy round digests, and [`Fabric::regrafts`] which
+//! missing gossip ids it grafts again.  The fabric never sends: the broker
 //! drains the queues and turns SWIM plans into wire traffic after releasing
 //! the guard.
 //!
@@ -315,15 +316,36 @@ impl Fabric {
         self.plumtree.demote(peer);
     }
 
-    /// Handles an `IHave` digest: returns the advertised ids this broker
-    /// has not seen and, if any, promotes the advertising edge to eager.
+    /// Handles an `IHave` digest: returns the advertised ids to graft from
+    /// `sender` (unseen, and not grafted from another peer this round) and,
+    /// if any, promotes the advertising edge to eager.  An id already
+    /// grafted this round keeps `sender` as a fallback for
+    /// [`Fabric::regrafts`], and the edge stays lazy.
     pub(crate) fn ihave(&mut self, sender: PeerId, gids: Vec<GossipId>) -> Vec<GossipId> {
-        let missing: Vec<GossipId> =
-            gids.into_iter().filter(|gid| !self.plumtree.has_seen(gid)).collect();
-        if !missing.is_empty() {
+        let graft: Vec<GossipId> =
+            gids.into_iter().filter(|gid| self.plumtree.announced(*gid, sender)).collect();
+        if !graft.is_empty() {
             self.plumtree.promote(sender);
         }
-        missing
+        graft
+    }
+
+    /// Starts a graft round: the ids grafted last round and still unseen,
+    /// per fallback to graft them from now (each id's next announcer still
+    /// in the active view).  Each such edge is promoted, as a first graft's
+    /// is; ids without one are left to anti-entropy.
+    pub(crate) fn regrafts(&mut self) -> BTreeMap<PeerId, Vec<GossipId>> {
+        let view = self.view.active();
+        let regrafts = self.plumtree.regraft(|peer| view.contains(peer));
+        for peer in regrafts.keys() {
+            self.plumtree.promote(*peer);
+        }
+        regrafts
+    }
+
+    #[cfg(test)]
+    pub(crate) fn pending_grafts(&self) -> usize {
+        self.plumtree.pending_grafts()
     }
 
     /// Handles a `Graft`: the edge turns eager and every requested payload

@@ -237,6 +237,32 @@ impl Message {
         ElementIndex::new(self)
     }
 
+    /// The fields of entries `0..count` of a bulk message, sliced out of one
+    /// pass over the elements: entry `i` gets every element named
+    /// `{prefix}{i}-{field}`, as `(field, content)` in message order.  This
+    /// is exactly what a `strip_prefix` of `{prefix}{i}-` per entry finds
+    /// (the index must be written canonically: `e7-` is entry 7, `e07-` no
+    /// entry), without that walk's O(n²) cost over an n-entry message.
+    pub fn entries(&self, prefix: &str, count: usize) -> Vec<Vec<(&str, &[u8])>> {
+        #[cfg(test)]
+        scan_probe::record(self.elements.len());
+        let mut entries = vec![Vec::new(); count.min(self.elements.len())];
+        for element in &self.elements {
+            let Some((index, field)) =
+                element.name.strip_prefix(prefix).and_then(|rest| rest.split_once('-'))
+            else {
+                continue;
+            };
+            let canonical = index.bytes().all(|b| b.is_ascii_digit())
+                && (index == "0" || !index.starts_with('0'));
+            let entry = index.parse::<usize>().ok().filter(|_| canonical);
+            if let Some(fields) = entry.and_then(|i| entries.get_mut(i)) {
+                fields.push((field, element.content.as_slice()));
+            }
+        }
+        entries
+    }
+
     /// Number of elements this message carries.  Bulk decoders use it to cap
     /// allocations sized by a count that arrived on the wire: entries cannot
     /// outnumber the elements that encode them.

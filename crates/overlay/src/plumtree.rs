@@ -11,6 +11,18 @@
 //! demoting it to lazy.  Anti-entropy stays underneath as the last-resort
 //! safety net (a graft that misses the bounded cache heals there).
 //!
+//! A missed id is grafted once per round (Plumtree's missing-message rule):
+//! only from the first lazy peer that advertises it.  Later announcers are
+//! kept as fallbacks, their edges left lazy.  An id still missing when the
+//! next round starts is grafted from its next fallback, one per round, and
+//! an id with no fallback left is left to anti-entropy.  Grafting from
+//! every announcer would pull one copy per announcer and promote one edge
+//! per announcer, each of which the next eager wave prunes again.
+//!
+//! On the wire an `IHave` or `Graft` carries its ids as one `ids` element of
+//! fixed [`GOSSIP_ID_LEN`]-byte records ([`encode_gossip_ids`],
+//! [`decode_gossip_ids`]).
+//!
 //! One eager tree serves every origin, which takes two rules:
 //!
 //! * **edges are symmetric** — the active view holds each edge at both ends
@@ -28,13 +40,15 @@
 //!   from whichever origin pruned last.
 //!
 //! This module is the bookkeeping only — eager/lazy edge sets, the bounded
-//! seen-set and payload cache keyed by [`GossipId`].  The broker's fabric
-//! (`crate::fabric`) owns one [`PlumtreeState`], keeps its edges in step
-//! with the active view, and drives it from the gossip paths and the
+//! seen-set, payload cache and pending grafts keyed by [`GossipId`], and the
+//! id codec.  The broker's fabric (`crate::fabric`) owns one
+//! [`PlumtreeState`], keeps its edges in step with the active view, and
+//! drives it from the gossip paths and the
 //! `PlumtreeIHave`/`PlumtreeGraft`/`PlumtreePrune` wire messages.
 
-use crate::id::PeerId;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use crate::counter;
+use crate::id::{PeerId, PEER_ID_LEN};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Identity of one broadcast gossip event: the version origin that created
 /// it and the sequence number it was versioned under.  The pair is exactly
@@ -42,9 +56,38 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 /// and travels in the event's existing `vorigin`/`seq` fields.
 pub type GossipId = (PeerId, u64);
 
-/// Default bound of the seen-set and the graft cache.  Eviction is FIFO;
-/// an evicted entry can only cost a redundant application (the LWW merge
-/// rejects it) or a graft miss (anti-entropy heals it).
+/// Bytes of one gossip id on the wire: the 16-byte origin, then the
+/// sequence number as 8 big-endian bytes.
+pub const GOSSIP_ID_LEN: usize = PEER_ID_LEN + 8;
+
+/// Encodes `gids` as the `ids` element of an `IHave` or `Graft`: one
+/// [`GOSSIP_ID_LEN`]-byte record per id, in order.
+pub fn encode_gossip_ids(gids: &[GossipId]) -> Vec<u8> {
+    let mut ids = Vec::with_capacity(gids.len() * GOSSIP_ID_LEN);
+    for (origin, seq) in gids {
+        ids.extend_from_slice(origin.as_bytes());
+        ids.extend_from_slice(&seq.to_be_bytes());
+    }
+    ids
+}
+
+/// Decodes an `ids` element.  A trailing partial record is ignored, and so
+/// is a record whose sequence number breaks the wire-counter rule (at or
+/// above 2^63, see `crate::counter`), as every received counter is.
+pub fn decode_gossip_ids(ids: &[u8]) -> Vec<GossipId> {
+    ids.chunks_exact(GOSSIP_ID_LEN)
+        .filter_map(|record| {
+            let (origin, seq) = record.split_at(PEER_ID_LEN);
+            let seq = counter::received(u64::from_be_bytes(seq.try_into().ok()?))?;
+            Some((PeerId::from_bytes(origin.try_into().ok()?), seq))
+        })
+        .collect()
+}
+
+/// Default bound of the seen-set, the graft cache and the pending grafts.
+/// Eviction is FIFO; an evicted entry can only cost a redundant application
+/// (the LWW merge rejects it), a graft miss or a lost fallback (anti-entropy
+/// heals both).
 pub const DEFAULT_CACHE: usize = 4096;
 
 /// Plumtree bookkeeping for one broker.
@@ -60,6 +103,10 @@ pub struct PlumtreeState {
     /// Recently seen payloads, kept to answer `Graft` pulls.
     cache: HashMap<GossipId, Vec<(String, String)>>,
     cache_order: VecDeque<GossipId>,
+    /// Unseen ids grafted this round, each with its announcers in order:
+    /// the peer grafted from first, then the fallbacks.
+    pending: HashMap<GossipId, Vec<PeerId>>,
+    pending_order: VecDeque<GossipId>,
     capacity: usize,
 }
 
@@ -73,6 +120,8 @@ impl PlumtreeState {
             seen_order: VecDeque::new(),
             cache: HashMap::new(),
             cache_order: VecDeque::new(),
+            pending: HashMap::new(),
+            pending_order: VecDeque::new(),
             capacity: capacity.max(1),
         }
     }
@@ -91,12 +140,14 @@ impl PlumtreeState {
         }
     }
 
-    /// Records `gid` as seen.  Returns `true` when it was fresh — the caller
-    /// applies and forwards the event only then.
+    /// Records `gid` as seen, which ends any graft pending for it.  Returns
+    /// `true` when it was fresh — the caller applies and forwards the event
+    /// only then.
     pub fn note_seen(&mut self, gid: GossipId) -> bool {
         if !self.seen.insert(gid) {
             return false;
         }
+        self.pending.remove(&gid);
         self.seen_order.push_back(gid);
         while self.seen_order.len() > self.capacity {
             if let Some(evicted) = self.seen_order.pop_front() {
@@ -126,6 +177,65 @@ impl PlumtreeState {
     /// The cached field list of `gid`, if it has not been evicted.
     pub fn cached(&self, gid: &GossipId) -> Option<Vec<(String, String)>> {
         self.cache.get(gid).cloned()
+    }
+
+    /// `peer` advertised `gid`.  Returns `true` when this broker should
+    /// graft it from `peer`: the id is unseen and no graft for it is pending
+    /// this round.  A later announcer of a pending id is kept as a fallback.
+    pub fn announced(&mut self, gid: GossipId, peer: PeerId) -> bool {
+        if self.has_seen(&gid) {
+            return false;
+        }
+        if let Some(announcers) = self.pending.get_mut(&gid) {
+            if !announcers.contains(&peer) {
+                announcers.push(peer);
+            }
+            return false;
+        }
+        self.pend(gid, vec![peer]);
+        true
+    }
+
+    /// Ends a graft round.  Each pending id still unseen is grafted again
+    /// from its first fallback that `reachable` accepts, returned per
+    /// fallback, and stays pending for the new round with that fallback
+    /// first; every other pending graft is dropped.
+    pub fn regraft(
+        &mut self,
+        reachable: impl Fn(&PeerId) -> bool,
+    ) -> BTreeMap<PeerId, Vec<GossipId>> {
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut regrafts: BTreeMap<PeerId, Vec<GossipId>> = BTreeMap::new();
+        for gid in std::mem::take(&mut self.pending_order) {
+            let Some(mut fallbacks) = pending.remove(&gid) else {
+                continue;
+            };
+            fallbacks.remove(0);
+            fallbacks.retain(|peer| reachable(peer));
+            if let Some(fallback) = fallbacks.first() {
+                regrafts.entry(*fallback).or_default().push(gid);
+                self.pend(gid, fallbacks);
+            }
+        }
+        regrafts
+    }
+
+    /// Records a graft pending for `gid` from the first of `announcers`,
+    /// evicting the oldest pending graft beyond the bound.
+    fn pend(&mut self, gid: GossipId, announcers: Vec<PeerId>) {
+        self.pending.insert(gid, announcers);
+        self.pending_order.push_back(gid);
+        while self.pending_order.len() > self.capacity {
+            if let Some(evicted) = self.pending_order.pop_front() {
+                self.pending.remove(&evicted);
+            }
+        }
+    }
+
+    /// How many ids have a graft pending.
+    #[cfg(test)]
+    pub(crate) fn pending_grafts(&self) -> usize {
+        self.pending.len()
     }
 
     /// Demotes an edge to lazy (a duplicate arrived over it, or the peer
@@ -209,6 +319,67 @@ mod tests {
         state.cache_event((ids[0], 3), vec![]);
         assert_eq!(state.cached(&(ids[0], 1)), None, "FIFO eviction");
         assert!(state.cached(&(ids[0], 3)).is_some());
+    }
+
+    #[test]
+    fn gossip_ids_round_trip_as_fixed_records() {
+        let ids = peers(2, 5);
+        let gids = [(ids[0], 0), (ids[1], (1 << 63) - 1), (ids[0], 42)];
+        let encoded = encode_gossip_ids(&gids);
+        assert_eq!(encoded.len(), 3 * GOSSIP_ID_LEN);
+        assert_eq!(&encoded[..PEER_ID_LEN], ids[0].as_bytes());
+        assert_eq!(
+            &encoded[2 * GOSSIP_ID_LEN + PEER_ID_LEN..],
+            &42u64.to_be_bytes()
+        );
+        assert_eq!(decode_gossip_ids(&encoded), gids);
+        assert_eq!(decode_gossip_ids(&[]), []);
+    }
+
+    #[test]
+    fn gossip_id_decoder_ignores_a_partial_trailing_record() {
+        let ids = peers(1, 6);
+        let gids = [(ids[0], 1), (ids[0], 2)];
+        let mut encoded = encode_gossip_ids(&gids);
+        encoded.extend_from_slice(&encode_gossip_ids(&[(ids[0], 3)])[..GOSSIP_ID_LEN - 1]);
+        assert_eq!(decode_gossip_ids(&encoded), gids);
+        assert_eq!(decode_gossip_ids(&encoded[..GOSSIP_ID_LEN - 1]), []);
+    }
+
+    #[test]
+    fn graft_once_per_missing_id_keeps_later_announcers_as_fallbacks() {
+        let ids = peers(4, 7);
+        let mut state = PlumtreeState::new(8);
+        let (gid, seen) = ((ids[0], 1), (ids[0], 2));
+        assert!(
+            state.announced(gid, ids[1]),
+            "the first announcer is grafted from"
+        );
+        assert!(!state.announced(gid, ids[2]), "a later one is a fallback");
+        assert!(!state.announced(gid, ids[1]), "a repeat is neither");
+        assert!(!state.announced(gid, ids[3]));
+        assert!(state.announced(seen, ids[1]));
+        state.note_seen(seen);
+        assert_eq!(state.pending_grafts(), 1, "a seen id needs no graft");
+        let reachable = |peer: &PeerId| *peer != ids[2];
+        assert_eq!(
+            state.regraft(reachable),
+            BTreeMap::from([(ids[3], vec![gid])])
+        );
+        assert!(
+            !state.announced(gid, ids[1]),
+            "one graft per round, the retry included"
+        );
+        assert_eq!(
+            state.regraft(reachable),
+            BTreeMap::from([(ids[1], vec![gid])])
+        );
+        assert_eq!(
+            state.regraft(reachable),
+            BTreeMap::new(),
+            "no fallback left"
+        );
+        assert_eq!(state.pending_grafts(), 0);
     }
 
     #[test]

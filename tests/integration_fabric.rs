@@ -35,6 +35,7 @@ use jxta_crypto::drbg::HmacDrbg;
 use jxta_overlay::broker::{Broker, BrokerConfig};
 use jxta_overlay::federation::InlineFederation;
 use jxta_overlay::net::{Adversary, LinkModel, NetMessage, RandomDrop, SimNetwork, Verdict};
+use jxta_overlay::plumtree::encode_gossip_ids;
 use jxta_overlay::{GroupId, Message, MessageKind, PeerId, UserDatabase};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -162,17 +163,14 @@ impl World {
             }
             Step::Graft(i, n) => {
                 let graft = Message::new(MessageKind::PlumtreeGraft, self.peers[i], 0)
-                    .with_str("count", "1")
-                    .with_str("g0-origin", &broker.id().to_urn())
-                    .with_str("g0-seq", &(n + 1).to_string());
+                    .with_element("ids", encode_gossip_ids(&[(broker.id(), n + 1)]));
                 self.deliver(i, graft);
             }
             Step::IHave(i, n) => {
                 self.version += 1;
+                let origin = self.peers[(i + n as usize) % PEERS];
                 let ihave = Message::new(MessageKind::PlumtreeIHave, self.peers[i], 0)
-                    .with_str("count", "1")
-                    .with_str("g0-origin", &self.peers[(i + n as usize) % PEERS].to_urn())
-                    .with_str("g0-seq", &self.version.to_string());
+                    .with_element("ids", encode_gossip_ids(&[(origin, self.version)]));
                 self.deliver(i, ihave);
             }
             Step::SwimAck(i, n) => {
