@@ -2,8 +2,8 @@
 //! express, run as a CI gate (`cargo run -p jxta-lint`).
 //!
 //! One rule is left.  Invariants the structure or clippy enforces need no
-//! rule: the repair epoch moves in the tracked write guards; every backbone
-//! send is sequenced and counted because the broker's network endpoint is
+//! rule: the repair summaries are updated by the one writer of each
+//! replicated map, under the same guard; every backbone send is sequenced and counted because the broker's network endpoint is
 //! the only code holding the network; every lock carries a lock-order class
 //! because the vendored `parking_lot` locks have no other constructor; and
 //! `clippy.toml` bans `std::sync` locks and raw clock reads.

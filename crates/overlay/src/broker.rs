@@ -49,7 +49,7 @@
 //! * The **replica** (`crate::replica::Replica`, lock `broker.replica`):
 //!   everything replicated or repaired — advertisements, sessions, routing
 //!   and presence versions, membership and its stamps, group hosts, the
-//!   shard ring.  Its write guard bumps the repair epoch when it mutates.
+//!   shard ring, with the anti-entropy summaries its writers keep current.
 //! * The **fabric** (`crate::fabric::Fabric`, lock `broker.fabric`):
 //!   admission, membership (derived view, SWIM) and dissemination (Plumtree,
 //!   the gossip and `IHave` queues), kept in step with the view by itself.
@@ -59,8 +59,7 @@
 //!   allocation order, and counted by kind; replies, pushes and relay leaves
 //!   leave through its client paths, which refuse inter-broker kinds.
 //! * The ingress **pipeline** (see [`Broker::spawn`]) has its own locks; the
-//!   broker keeps the extension slot, pending shard lookups and the
-//!   repair-tree cache.
+//!   broker keeps the extension slot and pending shard lookups.
 //! * The lock-free sequence clock (`crate::counter`) stamps messages and
 //!   local writes; that module's rule keeps every counter sent in range.
 //!
@@ -81,11 +80,9 @@ use crate::message::{Message, MessageKind};
 use crate::metrics::{FederationMetrics, FederationStats, PipelineMetrics, PipelineStats};
 use crate::net::{NetMessage, SimNetwork};
 use crate::plumtree::{self, GossipId};
-use crate::replica::{
-    extension_hash, FlatEntry, JoinGossip, PresenceEntry, PresenceVersion, Replica, PRESENCE_JOIN,
-};
-use crate::shard::{self, SectionTree};
-use crate::tracked::Tracked;
+use crate::repair::extension_hash;
+use crate::replica::{FlatEntry, JoinGossip, PresenceEntry, PresenceVersion, Replica, PRESENCE_JOIN};
+use crate::shard;
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -449,8 +446,8 @@ pub struct Broker {
     /// The only way onto the network (see `crate::endpoint`).
     endpoint: Endpoint,
     database: Arc<UserDatabase>,
-    /// Replicated, repair-tracked state (see the module docs).
-    replica: Tracked<Replica>,
+    /// Replicated state and its repair summaries (see the module docs).
+    replica: RwLock<Replica>,
     /// Admission, membership and dissemination state (see the module docs).
     fabric: Mutex<Fabric>,
     extension: RwLock<Option<Arc<dyn BrokerExtension>>>,
@@ -469,26 +466,6 @@ pub struct Broker {
     /// Network messages fully processed by this broker (monotone; compared
     /// against [`Broker::delivered_count`] for quiescence detection).
     processed: AtomicU64,
-    /// Cached repair hash trees (see [`RepairTreeCache`]), so an idle
-    /// anti-entropy round costs one root digest per digested peer instead
-    /// of re-hashing O(shard) entries per digest.
-    repair_trees: Mutex<RepairTreeCache>,
-}
-
-/// Cached [`SectionTree`]s of the two shard-keyed anti-entropy sections,
-/// keyed by the peer whose shared-entry filter shaped them (in full
-/// replication the filter is peer-invariant, so one tree keyed by the
-/// broker's own id serves every edge).  Invalidated wholesale when the
-/// replica's epoch moves: state writes are the common case and a coarse
-/// epoch keeps every write O(1).
-#[derive(Default)]
-struct RepairTreeCache {
-    /// The replica epoch the cached trees were built at.
-    epoch: u64,
-    /// Advertisement-section trees per peer filter.
-    adv: HashMap<PeerId, Arc<SectionTree>>,
-    /// Membership-section trees per peer filter.
-    membership: HashMap<PeerId, Arc<SectionTree>>,
 }
 
 impl Broker {
@@ -503,7 +480,7 @@ impl Broker {
         let replica = Replica::new(id, config.replication_factor, Arc::clone(&sync_seq));
         Arc::new(Broker {
             id,
-            replica: Tracked::with_class("broker.replica", replica),
+            replica: RwLock::with_class("broker.replica", replica),
             fabric: Mutex::with_class("broker.fabric", Fabric::new(id, &config)),
             config,
             endpoint: Endpoint::new(id, network, Arc::clone(&sync_seq)),
@@ -515,7 +492,6 @@ impl Broker {
             pending_lookups: Mutex::with_class("broker.pending_lookups", HashMap::new()),
             next_query: AtomicU64::new(1),
             processed: AtomicU64::new(0),
-            repair_trees: Mutex::with_class("broker.repair_trees", RepairTreeCache::default()),
         })
     }
 
@@ -1384,47 +1360,11 @@ impl Broker {
     // epidemic fabric is engaged.  A receiver whose own hashes disagree
     // answers with a snapshot of the mismatched sections and asks for the
     // sender's in return; snapshots merge under the same last-writer-wins
-    // versions as gossip, so repair can never regress a newer write.
-
-    /// The hashes of the two ring-filtered sections (advertisements and
-    /// membership) shared with `peer`: the root digests of the cached repair
-    /// trees, so both the flat and the tree strategy compare the identical
-    /// quantity and a healthy round costs no re-hashing at all.
-    fn repair_shared_hashes(&self, peer: &PeerId) -> (u64, u64) {
-        (
-            self.repair_section_tree('a', peer).root().digest(),
-            self.repair_section_tree('m', peer).root().digest(),
-        )
-    }
-
-    /// The cached repair tree of one shard-keyed section (`'a'` or `'m'`)
-    /// towards `peer`, rebuilt when the replica's epoch moved.  In full
-    /// replication the shared-entry filter passes everything, so a single
-    /// tree — cached under this broker's own id — serves every edge; sharded
-    /// mode keys the cache by peer because each edge shares a different
-    /// slice of the ring.
-    fn repair_section_tree(&self, section: char, peer: &PeerId) -> Arc<SectionTree> {
-        let cache_key = if self.is_sharded() { *peer } else { self.id };
-        // The epoch is read *before* the state: a write racing with the
-        // build bumps past this value, so the next round rebuilds.
-        let epoch = self.replica.epoch();
-        let mut cache = self.repair_trees.lock();
-        if cache.epoch != epoch {
-            cache.adv.clear();
-            cache.membership.clear();
-            cache.epoch = epoch;
-        }
-        let slot = match section {
-            'a' => &mut cache.adv,
-            _ => &mut cache.membership,
-        };
-        if let Some(tree) = slot.get(&cache_key) {
-            return Arc::clone(tree);
-        }
-        let tree = Arc::new(self.replica.read().build_section_tree(section, &cache_key));
-        slot.insert(cache_key, Arc::clone(&tree));
-        tree
-    }
+    // versions as gossip, so repair can never regress a newer write.  The
+    // replica keeps the section summaries current on write
+    // (`crate::repair`): a digest reads them under `broker.replica`, a
+    // descent leg reads the tree's nodes under it, and both send after the
+    // guard is released.
 
     /// The hash of the extension's replicated state (peer-independent; zero
     /// when no extension is installed or it replicates nothing).
@@ -1456,15 +1396,19 @@ impl Broker {
         let peers = self.fabric.lock().repair_round();
         if !peers.is_empty() {
             self.federation.count_repair_round();
-            // The presence and extension sections are identical towards
-            // every peer; the shard-keyed sections come from the cached
-            // repair trees (one shared tree in full replication, one per
-            // edge sharded), so a round over an unchanged state hashes
-            // nothing.
-            let p = self.replica.read().presence_hash();
+            // Every section's digest is read off the summaries the replica's
+            // writes keep current, so a round hashes no entry: the presence
+            // and extension digests are the same towards every peer, the
+            // shard-keyed ones one root each in full replication and a
+            // combination of shared arcs sharded.
+            let (p, digests) = {
+                let replica = self.replica.read();
+                let digests: Vec<_> =
+                    peers.into_iter().map(|peer| (peer, replica.repair_digests(&peer))).collect();
+                (replica.presence_hash(), digests)
+            };
             let x = self.repair_extension_hash();
-            for peer in peers {
-                let (a, m) = self.repair_shared_hashes(&peer);
+            for (peer, (a, m)) in digests {
                 let digest = Message::new(MessageKind::AntiEntropyDigest, self.id, 0)
                     .with_str("a-hash", &a.to_string())
                     .with_str("m-hash", &m.to_string())
@@ -1530,8 +1474,11 @@ impl Broker {
     /// baseline).
     fn handle_anti_entropy_digest(&self, message: &Message) {
         let origin = message.sender;
-        let (a, m) = self.repair_shared_hashes(&origin);
-        let (p, x) = (self.replica.read().presence_hash(), self.repair_extension_hash());
+        let ((a, m), p) = {
+            let replica = self.replica.read();
+            (replica.repair_digests(&origin), replica.presence_hash())
+        };
+        let x = self.repair_extension_hash();
         let theirs = |name: &str| message.element_str(name).and_then(|h| h.parse::<u64>().ok());
         let mut flat = String::new();
         let mut descend = String::new();
@@ -1579,10 +1526,10 @@ impl Broker {
     /// [`shard::REPAIR_TREE_ARITY`] children travel, empty ones included —
     /// the peer needs the zero summaries to notice entries only it holds.
     fn send_range_children(&self, peer: PeerId, section: char, depth: u32, prefix: u64) {
-        let tree = self.repair_section_tree(section, &peer);
+        let children = self.replica.read().section_tree(section, &peer).children(depth, prefix);
         let mut nodes =
             Vec::with_capacity(crate::shard::REPAIR_TREE_ARITY * crate::shard::NODE_RECORD_BYTES);
-        for (child, summary) in tree.children(depth, prefix).into_iter().enumerate() {
+        for (child, summary) in children.into_iter().enumerate() {
             shard::encode_node(&mut nodes, depth + 1, (prefix << 4) | child as u64, summary);
         }
         let message = Message::new(MessageKind::AntiEntropyRange, self.id, 0)
@@ -1610,7 +1557,8 @@ impl Broker {
         let Some(blob) = message.element("nodes") else {
             return;
         };
-        let tree = self.repair_section_tree(section, &origin);
+        let replica = self.replica.read();
+        let tree = replica.section_tree(section, &origin);
         let mut reply = Vec::new();
         let mut reply_nodes = 0usize;
         let mut pages: Vec<(u64, u64)> = Vec::new();
@@ -1640,6 +1588,9 @@ impl Broker {
                 pages.push(shard::node_range(depth, prefix));
             }
         }
+        // The guard is released before anything is sent.
+        drop(tree);
+        drop(replica);
         if !reply.is_empty() {
             let next = Message::new(MessageKind::AntiEntropyRange, self.id, 0)
                 .with_str("section", &section.to_string())
@@ -3028,100 +2979,215 @@ mod tests {
         });
     }
 
-    /// Every membership/session mutation primitive must bump the repair
-    /// epoch on its own: the tracked write guards bump it whenever a
-    /// primitive mutates repair-tracked state, which makes the
-    /// stale-tree-digest bug (a forgetful future caller serving old section
-    /// digests forever) structurally impossible.
+    /// Checks `broker`'s repair summaries against a from-scratch build,
+    /// towards itself and `peer`.
+    fn summaries_fresh(broker: &Broker, peer: PeerId) -> Result<(), String> {
+        broker.replica.read().check_summaries(&[broker.id(), peer])
+    }
+
+    /// The digests `broker` would send `peer`: advertisement, membership
+    /// and presence.
+    fn digests_towards(broker: &Broker, peer: &PeerId) -> ((u64, u64), u64) {
+        let replica = broker.replica.read();
+        (replica.repair_digests(peer), replica.presence_hash())
+    }
+
+    /// Every membership/session mutation primitive keeps the repair
+    /// summaries equal to a from-scratch build on its own: each writer of
+    /// the replica swaps its entries' hashes under the same guard, which
+    /// makes the stale-digest bug (a forgetful future caller serving old
+    /// section digests forever) structurally impossible.
     #[test]
-    fn mutation_primitives_bump_the_repair_epoch() {
+    fn repair_summary_follows_every_mutation_primitive() {
         let (_net, _db, broker, mut rng) = setup();
         let peer = PeerId::random(&mut rng);
         let origin = PeerId::random(&mut rng);
         let group = GroupId::new("math");
-        let epoch = |b: &Broker| b.replica.epoch();
 
-        let before = epoch(&broker);
         broker.replica.write().stamp_membership(&group, peer, (1, PRESENCE_JOIN, origin));
-        assert!(epoch(&broker) > before, "stamp_membership must touch");
+        summaries_fresh(&broker, origin).expect("stamp_membership");
 
-        let before = epoch(&broker);
         broker.replica.write().forget_membership_stamps(&peer);
-        assert!(epoch(&broker) > before, "forget_membership_stamps must touch");
+        summaries_fresh(&broker, origin).expect("forget_membership_stamps");
 
         // An all-zero origin orders below any random broker id, forcing the
-        // yield (non-re-assert) branch — the path that had no touch of its
-        // own before this PR.
+        // yield (non-re-assert) branch: the session closes, so the peer's
+        // home and with it the presence digest move.
         connect_and_login(&broker, peer, "alice", "pw-a");
         let low_origin = PeerId::from_bytes([0u8; 16]);
-        let before = epoch(&broker);
+        let before = digests_towards(&broker, &origin);
         assert!(!broker.replica.write().yield_to_remote_join(peer, low_origin, &mut Vec::new()));
-        assert!(epoch(&broker) > before, "yield_to_remote_join must touch");
+        summaries_fresh(&broker, origin).expect("yield_to_remote_join");
+        assert_ne!(digests_towards(&broker, &origin).1, before.1, "yield_to_remote_join must move p");
 
         // A peer with neither session nor shadow hits absorb's fall-through
-        // branch, the other previously-uncovered path.
+        // branch.
         let stranger = PeerId::random(&mut rng);
-        let before = epoch(&broker);
         assert!(!broker.replica.write().absorb_remote_leave(stranger, &mut Vec::new()));
-        assert!(epoch(&broker) > before, "absorb_remote_leave must touch");
-        let _ = origin;
+        summaries_fresh(&broker, origin).expect("absorb_remote_leave");
     }
 
-    /// The digest-level regression: prime the cached membership tree, then
-    /// mutate through a primitive alone (with no explicit invalidation by the
-    /// caller) and verify the next tree is rebuilt rather than served stale.
+    /// The digest-level regression: read the membership digest, then mutate
+    /// through a primitive alone (with no call by the caller to refresh
+    /// anything) and check the next digest moved and is current.
     #[test]
-    fn repair_tree_never_serves_stale_digests_after_primitive_mutation() {
+    fn repair_summary_never_serves_a_stale_digest_after_primitive_mutation() {
         let (_net, _db, broker, mut rng) = setup();
         let peer = PeerId::random(&mut rng);
         connect_and_login(&broker, peer, "alice", "pw-a");
         let own_id = broker.id();
-        let primed = broker.repair_section_tree('m', &own_id).root().digest();
-        // Re-reading without a mutation serves the cached tree.
-        assert_eq!(
-            broker.repair_section_tree('m', &own_id).root().digest(),
-            primed
-        );
-        // A leave applied through the primitive alone must invalidate it.
+        let primed = digests_towards(&broker, &own_id);
+        // Re-reading without a mutation reads the same summaries.
+        assert_eq!(digests_towards(&broker, &own_id), primed);
+        // A leave applied through the primitive alone must show.
         broker.replica.write().forget_memberships(&peer);
-        let healed = broker.repair_section_tree('m', &own_id).root().digest();
-        assert_ne!(healed, primed, "membership tree digest served stale");
+        let healed = digests_towards(&broker, &own_id);
+        assert_ne!(healed.0 .1, primed.0 .1, "membership digest served stale");
+        summaries_fresh(&broker, own_id).expect("forget_memberships");
     }
 
-    /// A write guard moves the repair epoch only when it mutated: a stale
-    /// replicated write, which loses its last-writer-wins comparison, and a
-    /// guard that only read must keep the cached repair trees valid —
-    /// otherwise every no-op anti-entropy page would force a rebuild.
+    /// A winning write moves the summaries and stores its entry's hash; a
+    /// stale replicated write, which loses its last-writer-wins comparison,
+    /// leaves the whole replica (the summaries and the stored hash
+    /// included) as it was.
     #[test]
-    fn stale_writes_leave_the_repair_epoch_unchanged() {
+    fn repair_summary_ignores_stale_writes() {
         let (_net, _db, broker, mut rng) = setup();
         let owner = PeerId::random(&mut rng);
         let origin = PeerId::random(&mut rng);
         let group = GroupId::new("math");
         let doc_type = "jxta:PipeAdvertisement";
-        let epoch = |b: &Broker| b.replica.epoch();
+        let state = |b: &Broker| b.replica.read().state_dump();
 
-        let before = epoch(&broker);
+        let before = state(&broker);
         assert!(broker.load_advertisement(owner, &group, doc_type, "<v2/>", (2, origin)));
-        assert!(epoch(&broker) > before, "a winning write moves the epoch");
+        let after = state(&broker);
+        assert_ne!(after.1, before.1, "a winning write moves the summaries");
+        summaries_fresh(&broker, origin).expect("a winning load_advertisement");
 
-        let before = epoch(&broker);
         assert!(!broker.load_advertisement(owner, &group, doc_type, "<v1/>", (1, origin)));
         assert!(!broker.load_advertisement(owner, &group, doc_type, "<v2/>", (2, origin)));
-        assert_eq!(
-            epoch(&broker),
-            before,
-            "a stale write must not move the epoch"
-        );
+        assert_eq!(state(&broker), after, "a stale write must change nothing");
+        summaries_fresh(&broker, origin).expect("a stale load_advertisement");
+    }
 
-        let guard = broker.replica.write();
-        assert_eq!(guard.advertisement_count(), 1);
-        drop(guard);
-        assert_eq!(
-            epoch(&broker),
-            before,
-            "a read-only write guard must not move the epoch"
-        );
+    /// Two brokers of a three-broker federation (the third is an inbox
+    /// only) holding the same state: `entries` advertisements, and the
+    /// remote joins of `entries / 100` peers homed at the third broker, in
+    /// two groups.  Returns them with their inboxes.
+    fn identical_pair(
+        replication: Option<usize>,
+        entries: usize,
+    ) -> [(Arc<Broker>, Inbox); 2] {
+        let mut rng = HmacDrbg::from_seed_u64(0x5A11);
+        let net = SimNetwork::new(LinkModel::ideal());
+        let db = Arc::new(UserDatabase::new());
+        let ids: Vec<PeerId> = (0..3).map(|_| PeerId::random(&mut rng)).collect();
+        let config = BrokerConfig { replication_factor: replication, ..BrokerConfig::default() };
+        let _third = net.register(ids[2]);
+        let pair = [ids[0], ids[1]].map(|id| {
+            let broker = Broker::new(id, config.clone(), Arc::clone(&net), Arc::clone(&db));
+            for peer in &ids {
+                if *peer != id {
+                    broker.add_peer_broker(*peer);
+                }
+            }
+            (broker, net.register(id))
+        });
+        let group = GroupId::new("math");
+        for i in 0..entries {
+            let owner = PeerId::random(&mut rng);
+            for (broker, _) in &pair {
+                let xml = format!("<adv n='{i}'/>");
+                assert!(broker.load_advertisement(owner, &group, "t", &xml, (1, ids[2])));
+            }
+        }
+        for _ in 0..entries / 100 {
+            let peer = PeerId::random(&mut rng);
+            for (broker, _) in &pair {
+                let mut joins = Vec::new();
+                assert!(broker.replica.write().apply_join(peer, (1, ids[2]), "math,chem", &mut joins));
+            }
+        }
+        pair
+    }
+
+    /// A healthy anti-entropy round hashes no entry, however many are held:
+    /// the initiator's `start_repair_round` and the receiver's handling of
+    /// the matching digest both read the summaries, in both replication
+    /// modes, at 100 and at 10 000 advertisements held.
+    #[test]
+    fn healthy_repair_round_hashes_no_entry_at_any_size() {
+        use crate::repair::hash_probe;
+        for replication in [None, Some(2)] {
+            for entries in [100, 10_000] {
+                let [(a, a_inbox), (b, b_inbox)] = identical_pair(replication, entries);
+                let shared = a.replica.read().section_tree('a', &b.id()).root().count;
+                assert!(shared > 0, "{replication:?}: the pair shares advertisements");
+
+                let before = hash_probe::hashed();
+                a.start_repair_round();
+                let round = hash_probe::hashed() - before;
+                let digest = b_inbox
+                    .try_iter()
+                    .find(|delivery| {
+                        Message::from_bytes(&delivery.payload)
+                            .is_ok_and(|m| m.kind == MessageKind::AntiEntropyDigest)
+                    })
+                    .expect("a digests b");
+                let before = hash_probe::hashed();
+                b.process_net(digest);
+                let handled = hash_probe::hashed() - before;
+
+                assert_eq!((round, handled), (0, 0), "{replication:?} at {entries} entries held");
+                assert_eq!(b.federation_stats().repair_mismatches, 0, "the digest matched");
+                assert!(a_inbox.try_recv().is_err(), "a matching digest is not answered");
+            }
+        }
+    }
+
+    /// A write hashes only the entries it changes, however many are held: a
+    /// new or overwriting advertisement hashes itself once and a stale one
+    /// nothing; each presence write hashes the peer's old and new `(peer,
+    /// version, home)` entry, and each membership entry joined or left is
+    /// hashed once (sharded, a re-homed peer's entries are re-filed too).
+    #[test]
+    fn a_write_hashes_only_the_entries_it_changes() {
+        use crate::repair::hash_probe;
+        for replication in [None, Some(2)] {
+            let counts = [100, 10_000].map(|entries| {
+                let [(a, _), _] = identical_pair(replication, entries);
+                let mut rng = HmacDrbg::from_seed_u64(0xC0DE);
+                let (owner, peer) = (PeerId::random(&mut rng), PeerId::random(&mut rng));
+                let home = a.peer_brokers()[0];
+                let group = GroupId::new("math");
+                let hashed = |write: &dyn Fn()| {
+                    let before = hash_probe::hashed();
+                    write();
+                    hash_probe::hashed() - before
+                };
+                let new = hashed(&|| assert!(a.load_advertisement(owner, &group, "t", "<a/>", (5, home))));
+                let overwrite =
+                    hashed(&|| assert!(a.load_advertisement(owner, &group, "t", "<b/>", (6, home))));
+                let stale =
+                    hashed(&|| assert!(!a.load_advertisement(owner, &group, "t", "<c/>", (4, home))));
+                let join = hashed(&|| {
+                    let mut joins = Vec::new();
+                    assert!(a.replica.write().apply_join(peer, (9, home), "math,chem", &mut joins));
+                });
+                let joined = a.groups().groups_of(&peer).len() as u64;
+                let leave =
+                    hashed(&|| assert!(a.replica.write().apply_leave(peer, (10, home), &mut Vec::new())));
+                // The join: its first version, then its home (old and new),
+                // then each membership stored; the leave: its version (old
+                // and new), each membership left, then its home (old and
+                // new).
+                let counts = [new, overwrite, stale, join, leave];
+                assert_eq!(counts, [1, 1, 0, 1 + 2 + joined, 2 + joined + 2], "{replication:?}");
+                counts
+            });
+            assert_eq!(counts[0], counts[1], "{replication:?}: the count grew with the entries held");
+        }
     }
 
     /// End-to-end sanity that the lock-order detector is live inside broker
@@ -3521,7 +3587,7 @@ mod tests {
                 b.routing_snapshot(),
                 b.groups().snapshot(),
                 b.replica.read().repair_presence_entries(),
-                b.replica.epoch(),
+                b.replica.read().state_dump(),
             )
         };
         let kinds: Vec<MessageKind> = (0..=255u8)

@@ -79,10 +79,10 @@ pub mod message;
 pub mod metrics;
 pub mod net;
 pub mod plumtree;
+mod repair;
 mod replica;
 pub mod shard;
 pub mod swim;
-mod tracked;
 
 pub use broker::{Broker, BrokerConfig, BrokerHandle};
 pub use federation::BrokerNetwork;

@@ -1,22 +1,30 @@
 //! The broker's replicated state: one owner behind one lock.
 //!
 //! Everything a broker replicates or repairs lives in one [`Replica`] behind
-//! one [`crate::tracked::Tracked`] lock (`broker.replica`): advertisements,
-//! sessions, routing with its last-writer-wins presence versions, group
-//! membership with its provenance stamps, group hosts and the shard ring.
-//! Each transition applies one event under that one guard and never sends:
-//! what must be gossiped afterwards (a re-asserted join, the members to push
-//! to) is handed back for the broker to ship once the guard is released.
-//! Transitions that may turn out to be no-ops are methods of the write guard
-//! ([`ReplicaWrite`]): they compare through a shared borrow first, so a
-//! stale write leaves the repair epoch — and the cached repair trees — alone.
+//! one lock (`broker.replica`): advertisements, sessions, routing with its
+//! last-writer-wins presence versions, group membership with its provenance
+//! stamps, group hosts, the shard ring and the anti-entropy summaries over
+//! them ([`RepairSummaries`]).  Each transition applies one event under that
+//! one guard and never sends: what must be gossiped afterwards (a
+//! re-asserted join, the members to push to) is handed back for the broker
+//! to ship once the guard is released.
+//!
+//! The summaries are kept current by the writes themselves.  Each replicated
+//! map has one writer: [`Replica::store_advertisement`] and
+//! `remove_advertisement` for the index, `join_group` and `leave_group` for
+//! membership, and `write_presence` for a peer's version, session and home.
+//! Each swaps the entry's old hash out of its summary and the new one in, so
+//! a digest reads the summaries and a healthy repair round hashes nothing.
+//! A stale write, which loses its last-writer-wins comparison, changes
+//! neither the state nor the summaries.
 
 use crate::broker::BrokerSession;
 use crate::counter::SyncClock;
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
+use crate::repair::{self, Edit, RepairSummaries};
 use crate::shard::{self, SectionTree, ShardRing};
-use crate::tracked::TrackedWriteGuard;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -47,6 +55,9 @@ pub(crate) type PresenceEntry = (PeerId, PresenceVersion, Option<PeerId>);
 struct IndexedAdvertisement {
     xml: String,
     version: (u64, PeerId),
+    /// The entry's repair hash, kept so that overwriting or removing it
+    /// never re-hashes the XML.
+    hash: u64,
 }
 
 /// Advertisement index for one group: (owner, doc type) → versioned XML.
@@ -69,10 +80,20 @@ pub(crate) struct ReshardPlan {
     pub(crate) migrated: u64,
 }
 
-/// The write guard of a broker's replica.
-pub(crate) type ReplicaWrite<'a> = TrackedWriteGuard<'a, Replica>;
+/// One write to a peer's presence state, applied by
+/// [`Replica::write_presence`].
+enum PresenceWrite {
+    /// Stores its last-writer-wins version.
+    Version(PresenceVersion),
+    /// Opens (or resurrects) its session here.
+    Open(BrokerSession),
+    /// Closes its session here.
+    Close,
+    /// Records (or clears) its home at another broker.
+    RemoteHome(Option<PeerId>),
+}
 
-/// All repair-tracked state of one broker.
+/// All replicated state of one broker, with its repair summaries.
 pub(crate) struct Replica {
     own: PeerId,
     sharded: bool,
@@ -100,47 +121,11 @@ pub(crate) struct Replica {
     /// The consistent-hash ring over this broker and its peers.
     ring: ShardRing,
     groups: GroupRegistry,
+    /// The anti-entropy summaries of everything above, kept current by the
+    /// writers (see the module docs).
+    summaries: RepairSummaries,
     /// The broker's sequence clock, which versions local presence writes.
     clock: Arc<SyncClock>,
-}
-
-/// Extends an FNV-1a state with a length-prefixed chunk (the prefix keeps
-/// adjacent variable-length fields from aliasing).
-fn hash_chunk(state: u64, bytes: &[u8]) -> u64 {
-    shard::fnv1a(shard::fnv1a(state, &(bytes.len() as u64).to_be_bytes()), bytes)
-}
-
-/// The hash of one advertisement entry as folded into the repair tree.
-/// Order-independent aggregation (XOR up the tree) needs each entry mixed
-/// on its own.
-fn adv_entry_hash(
-    group: &GroupId,
-    owner: &PeerId,
-    doc_type: &str,
-    adv: &IndexedAdvertisement,
-) -> u64 {
-    let mut h = shard::FNV_OFFSET;
-    h = hash_chunk(h, group.as_str().as_bytes());
-    h = hash_chunk(h, owner.as_bytes());
-    h = hash_chunk(h, doc_type.as_bytes());
-    h = hash_chunk(h, adv.xml.as_bytes());
-    h = hash_chunk(h, &adv.version.0.to_be_bytes());
-    h = hash_chunk(h, adv.version.1.as_bytes());
-    shard::mix(h)
-}
-
-/// The hash of one membership entry.  Provenance stamps are deliberately
-/// excluded: two replicas holding the same `(group, member)` set agree.
-fn membership_entry_hash(group: &GroupId, member: &PeerId) -> u64 {
-    let mut h = shard::FNV_OFFSET;
-    h = hash_chunk(h, group.as_str().as_bytes());
-    h = hash_chunk(h, member.as_bytes());
-    shard::mix(h)
-}
-
-/// The hash of an extension's replicated-state digest bytes.
-pub(crate) fn extension_hash(bytes: &[u8]) -> u64 {
-    shard::mix(hash_chunk(shard::FNV_OFFSET, bytes))
 }
 
 impl Replica {
@@ -153,6 +138,7 @@ impl Replica {
     ) -> Self {
         let mut ring = ShardRing::new(replication_factor.unwrap_or(usize::MAX));
         ring.insert(own);
+        let summaries = RepairSummaries::new(replication_factor.is_some(), &ring);
         Replica {
             own,
             sharded: replication_factor.is_some(),
@@ -166,6 +152,7 @@ impl Replica {
             group_hosts: HashMap::new(),
             ring,
             groups: GroupRegistry::new(),
+            summaries,
             clock,
         }
     }
@@ -319,9 +306,11 @@ impl Replica {
     /// `(group, owner)` — the shared-responsibility test that keeps the two
     /// sides of an anti-entropy exchange hashing the same entry set.
     fn is_shared_replica(&self, group: &GroupId, owner: &PeerId, peer: &PeerId) -> bool {
-        !self.sharded
-            || (self.ring.is_replica(group, owner, &self.own)
-                && self.ring.is_replica(group, owner, peer))
+        if !self.sharded {
+            return true;
+        }
+        let arc = self.ring.arc_of(shard::shard_key(group, owner));
+        self.ring.arc_holds(arc, &self.own) && self.ring.arc_holds(arc, peer)
     }
 
     /// `true` when both this broker and `peer` are responsible for the
@@ -334,8 +323,8 @@ impl Replica {
             return true;
         }
         let home = self.home_of(member);
-        let responsible =
-            |broker: &PeerId| self.ring.is_replica(group, member, broker) || home == Some(*broker);
+        let arc = self.ring.arc_of(shard::shard_key(group, member));
+        let responsible = |broker: &PeerId| self.ring.arc_holds(arc, broker) || home == Some(*broker);
         responsible(&self.own) && responsible(peer)
     }
 
@@ -412,53 +401,55 @@ impl Replica {
         out
     }
 
-    /// The hash of the presence/routing register (identical towards every
+    /// The digest of the presence/routing register (identical towards every
     /// peer).
     pub(crate) fn presence_hash(&self) -> u64 {
-        let mut p = shard::FNV_OFFSET;
-        for (peer_id, version, home) in self.repair_presence_entries() {
-            p = hash_chunk(p, peer_id.as_bytes());
-            p = hash_chunk(p, &version.0.to_be_bytes());
-            p = hash_chunk(p, &[version.1]);
-            p = hash_chunk(p, version.2.as_bytes());
-            p = match home {
-                Some(home) => hash_chunk(p, home.as_bytes()),
-                None => hash_chunk(p, &[]),
-            };
-        }
-        shard::mix(p)
+        self.summaries.presence_digest()
     }
 
-    /// Builds the repair tree of one shard-keyed section (`'a'` or `'m'`)
-    /// over the entries shared with `peer`.
-    pub(crate) fn build_section_tree(&self, section: char, peer: &PeerId) -> SectionTree {
+    /// The advertisement and membership digests towards `peer`, read off the
+    /// summaries: no entry is hashed.
+    pub(crate) fn repair_digests(&self, peer: &PeerId) -> (u64, u64) {
+        self.summaries.digests(&self.ring, &self.own, peer)
+    }
+
+    /// The repair tree of one shard-keyed section (`'a'` or `'m'`) over the
+    /// entries shared with `peer`: the live tree in full replication, where
+    /// every peer shares everything.  Sharded, a descent builds the filtered
+    /// tree from the stored advertisement hashes (membership hashes are
+    /// short and recomputed), re-hashing no XML.
+    pub(crate) fn section_tree(&self, section: char, peer: &PeerId) -> Cow<'_, SectionTree> {
+        if let Some(tree) = self.summaries.tree(section) {
+            return Cow::Borrowed(tree);
+        }
         let mut tree = SectionTree::default();
         if section == 'a' {
             for (group, index) in &self.advertisements {
-                for ((owner, doc_type), adv) in index {
+                for ((owner, _), adv) in index {
                     if self.is_shared_replica(group, owner, peer) {
-                        let hash = adv_entry_hash(group, owner, doc_type, adv);
-                        tree.insert(shard::shard_key(group, owner), hash);
+                        tree.insert(shard::shard_key(group, owner), adv.hash);
                     }
                 }
             }
         } else {
             for (key, (group, member)) in self.repair_membership_entries_in(peer, 0, u64::MAX) {
-                tree.insert(key, membership_entry_hash(&group, &member));
+                tree.insert(key, repair::membership_entry_hash(&group, &member));
             }
         }
-        tree
+        Cow::Owned(tree)
     }
 
     /// A broker joined the federation: it joins the shard ring.
     pub(crate) fn admit_broker(&mut self, broker: PeerId) {
         self.ring.insert(broker);
+        self.resummarise_arcs();
     }
 
     /// A broker left: it leaves the ring, and its clients' routes and
     /// memberships go with it (every survivor performs the same cleanup).
     pub(crate) fn remove_broker(&mut self, broker: &PeerId) {
         self.ring.remove(broker);
+        self.resummarise_arcs();
         let orphans: Vec<PeerId> = self
             .peer_homes
             .iter()
@@ -469,11 +460,98 @@ impl Replica {
             self.forget_memberships(&peer);
             self.connected.remove(&peer);
             self.displaced.remove(&peer);
+            self.write_presence(peer, PresenceWrite::RemoteHome(None));
         }
-        self.peer_homes.retain(|_, home| home != broker);
         for hosts in self.group_hosts.values_mut() {
             hosts.retain(|_, home| home != broker);
         }
+    }
+
+    /// A ring change moved keys between arcs: a sharded replica re-files
+    /// every entry under its new arc, from the stored advertisement hashes.
+    fn resummarise_arcs(&mut self) {
+        if !self.sharded {
+            return;
+        }
+        self.summaries.reset_arcs(&self.ring);
+        for (group, index) in &self.advertisements {
+            for ((owner, _), adv) in index {
+                let key = shard::shard_key(group, owner);
+                self.summaries.edit_adv(&self.ring, key, adv.hash, Edit::Insert);
+            }
+        }
+        for (group, members) in self.groups.snapshot() {
+            for member in members {
+                let entry = Self::membership_entry(&group, &member);
+                let home = self.home_of(&member);
+                self.summaries.edit_membership(&self.ring, entry, home, Edit::Insert);
+            }
+        }
+    }
+
+    /// The shard key and repair hash of a membership entry.
+    fn membership_entry(group: &GroupId, member: &PeerId) -> (u64, u64) {
+        (shard::shard_key(group, member), repair::membership_entry_hash(group, member))
+    }
+
+    /// The one writer of the membership registry's joins: `member` joins
+    /// `group` and its summary.
+    fn join_group(&mut self, group: GroupId, member: PeerId) {
+        if self.groups.is_member(&group, &member) {
+            return;
+        }
+        let entry = Self::membership_entry(&group, &member);
+        let home = self.home_of(&member);
+        self.summaries.edit_membership(&self.ring, entry, home, Edit::Insert);
+        self.groups.join(group, member);
+    }
+
+    /// The one writer of the membership registry's leaves.
+    fn leave_group(&mut self, group: &GroupId, member: &PeerId) {
+        if self.groups.leave(group, member) {
+            let entry = Self::membership_entry(group, member);
+            let home = self.home_of(member);
+            self.summaries.edit_membership(&self.ring, entry, home, Edit::Remove);
+        }
+    }
+
+    /// The one writer of a peer's presence state: its version, its session
+    /// here and its remote home.  Swaps the peer's presence hash when its
+    /// `(version, home)` moved and, sharded, re-files its membership
+    /// entries under their new home.  Returns the session a write closed or
+    /// replaced.
+    fn write_presence(&mut self, peer: PeerId, write: PresenceWrite) -> Option<BrokerSession> {
+        let (version, home) = (self.peer_versions.get(&peer).copied(), self.home_of(&peer));
+        let closed = match write {
+            PresenceWrite::Version(version) => {
+                self.peer_versions.insert(peer, version);
+                None
+            }
+            PresenceWrite::Open(session) => self.sessions.insert(peer, session),
+            PresenceWrite::Close => self.sessions.remove(&peer),
+            PresenceWrite::RemoteHome(Some(home)) => {
+                self.peer_homes.insert(peer, home);
+                None
+            }
+            PresenceWrite::RemoteHome(None) => {
+                self.peer_homes.remove(&peer);
+                None
+            }
+        };
+        let (new_version, new_home) = (self.peer_versions.get(&peer).copied(), self.home_of(&peer));
+        if (version, home) != (new_version, new_home) {
+            let hash = |version: Option<PresenceVersion>, home| {
+                version.map(|version| repair::presence_entry_hash(&peer, version, home))
+            };
+            self.summaries.swap_presence(hash(version, home), hash(new_version, new_home));
+        }
+        if self.sharded && home != new_home {
+            for group in self.groups.groups_of(&peer) {
+                let entry = Self::membership_entry(&group, &peer);
+                self.summaries.rehome_membership(&self.ring, entry, (home, new_home));
+            }
+        }
+        closed
     }
 
     pub(crate) fn mark_connected(&mut self, peer: PeerId) {
@@ -495,7 +573,9 @@ impl Replica {
 
     /// Drops `peer` from every group with its provenance stamps.
     pub(crate) fn forget_memberships(&mut self, peer: &PeerId) {
-        self.groups.leave_all(peer);
+        for group in self.groups.groups_of(peer) {
+            self.leave_group(&group, peer);
+        }
         self.forget_membership_stamps(peer);
     }
 
@@ -519,7 +599,7 @@ impl Replica {
     fn version_local_presence(&mut self, peer: PeerId, rank: u8) -> u64 {
         self.clock.observe(self.peer_versions.get(&peer).map_or(0, |version| version.0));
         let seq = self.clock.next();
-        self.peer_versions.insert(peer, (seq, rank, self.own));
+        self.write_presence(peer, PresenceWrite::Version((seq, rank, self.own)));
         seq
     }
 
@@ -527,7 +607,7 @@ impl Replica {
     /// as the peer's home (a fresh login also supersedes a shadowed
     /// session).  Returns the join to gossip.
     pub(crate) fn establish_session(&mut self, peer: PeerId, session: BrokerSession) -> JoinGossip {
-        self.sessions.insert(peer, session.clone());
+        self.write_presence(peer, PresenceWrite::Open(session.clone()));
         self.displaced.remove(&peer);
         self.assert_local_session(peer, session)
     }
@@ -535,7 +615,7 @@ impl Replica {
     /// Removes a peer's session, connection and memberships.  Returns the
     /// sequence its leave is gossiped under when it had a session.
     pub(crate) fn drop_session(&mut self, peer: &PeerId) -> Option<u64> {
-        let had_session = self.sessions.remove(peer).is_some();
+        let had_session = self.write_presence(*peer, PresenceWrite::Close).is_some();
         self.connected.remove(peer);
         self.displaced.remove(peer);
         self.forget_memberships(peer);
@@ -548,11 +628,11 @@ impl Replica {
     /// the memberships and versions the join above any stored write — also
     /// how a session re-asserts itself over stale remote gossip.
     fn assert_local_session(&mut self, peer: PeerId, session: BrokerSession) -> JoinGossip {
-        self.peer_homes.remove(&peer);
+        self.write_presence(peer, PresenceWrite::RemoteHome(None));
         let seq = self.version_local_presence(peer, PRESENCE_JOIN);
         for group in &session.groups {
             self.stamp_membership(group, peer, (seq, PRESENCE_JOIN, self.own));
-            self.groups.join(group.clone(), peer);
+            self.join_group(group.clone(), peer);
         }
         self.set_group_hosts(&peer, &session.groups, self.own);
         JoinGossip { seq, peer, groups: session.groups }
@@ -577,7 +657,7 @@ impl Replica {
             }
             self.displaced.insert(peer, session);
         }
-        self.sessions.remove(&peer);
+        self.write_presence(peer, PresenceWrite::Close);
         self.connected.remove(&peer);
         false
     }
@@ -596,7 +676,7 @@ impl Replica {
             return true;
         }
         if let Some(session) = self.displaced.remove(&peer) {
-            self.sessions.insert(peer, session.clone());
+            self.write_presence(peer, PresenceWrite::Open(session.clone()));
             joins.push(self.assert_local_session(peer, session));
             return true;
         }
@@ -624,12 +704,7 @@ impl Replica {
         {
             let replicas = self.replicas(&group, &owner);
             if !replicas.contains(&self.own) {
-                if let Some(index) = self.advertisements.get_mut(&group) {
-                    index.remove(&(owner, doc_type.clone()));
-                    if index.is_empty() {
-                        self.advertisements.remove(&group);
-                    }
-                }
+                self.remove_advertisement(&group, &owner, &doc_type);
                 migrated += 1;
             }
             let others = replicas.into_iter().filter(|r| *r != self.own).collect();
@@ -644,7 +719,7 @@ impl Replica {
                 // presence versions exactly as the original was.
                 let version = self.membership_stamp(&group, &peer);
                 if !replicas.contains(&self.own) && !self.sessions.contains_key(&peer) {
-                    self.groups.leave(&group, &peer);
+                    self.leave_group(&group, &peer);
                     self.membership_versions.remove(&(group.clone(), peer));
                     migrated += 1;
                 }
@@ -654,10 +729,9 @@ impl Replica {
         }
         ReshardPlan { joins, adverts, memberships, migrated }
     }
-}
 
-impl ReplicaWrite<'_> {
-    /// Inserts (or LWW-replaces) an advertisement.  Returns `false` when a
+    /// Inserts (or LWW-replaces) an advertisement: the one writer of the
+    /// index's inserts, hashing the new entry once.  Returns `false` when a
     /// greater-or-equal version is already stored.
     pub(crate) fn store_advertisement(
         &mut self,
@@ -673,9 +747,28 @@ impl ReplicaWrite<'_> {
         if stored.is_some_and(|stored| version <= stored) {
             return false;
         }
-        let adv = IndexedAdvertisement { xml: xml.to_string(), version };
-        self.advertisements.entry(group.clone()).or_default().insert(key, adv);
+        let shard_key = shard::shard_key(group, &from);
+        let hash = repair::adv_entry_hash(group, &from, doc_type, xml, version);
+        let adv = IndexedAdvertisement { xml: xml.to_string(), version, hash };
+        if let Some(old) = self.advertisements.entry(group.clone()).or_default().insert(key, adv) {
+            self.summaries.edit_adv(&self.ring, shard_key, old.hash, Edit::Remove);
+        }
+        self.summaries.edit_adv(&self.ring, shard_key, hash, Edit::Insert);
         true
+    }
+
+    /// Removes an advertisement: the one writer of the index's removals.
+    fn remove_advertisement(&mut self, group: &GroupId, owner: &PeerId, doc_type: &str) {
+        let Some(index) = self.advertisements.get_mut(group) else {
+            return;
+        };
+        if let Some(old) = index.remove(&(*owner, doc_type.to_string())) {
+            if index.is_empty() {
+                self.advertisements.remove(group);
+            }
+            let key = shard::shard_key(group, owner);
+            self.summaries.edit_adv(&self.ring, key, old.hash, Edit::Remove);
+        }
     }
 
     /// Applies a publish: stores it if this broker is one of the entry's
@@ -703,7 +796,7 @@ impl ReplicaWrite<'_> {
         if self.peer_versions.get(&peer).is_some_and(|stored| version <= *stored) {
             return false;
         }
-        self.peer_versions.insert(peer, version);
+        self.write_presence(peer, PresenceWrite::Version(version));
         true
     }
 
@@ -725,7 +818,7 @@ impl ReplicaWrite<'_> {
         // stale (the peer re-homed to another broker).
         self.forget_memberships(&peer);
         self.clear_group_hosts(&peer);
-        self.peer_homes.insert(peer, home);
+        self.write_presence(peer, PresenceWrite::RemoteHome(Some(home)));
         for group in groups.split(',').filter(|s| !s.is_empty()) {
             let group = GroupId::new(group);
             // Every broker records which broker hosts the member (the
@@ -734,7 +827,7 @@ impl ReplicaWrite<'_> {
             self.set_group_hosts(&peer, std::slice::from_ref(&group), home);
             if self.is_local_replica(&group, &peer) {
                 self.stamp_membership(&group, peer, (seq, PRESENCE_JOIN, home));
-                self.groups.join(group, peer);
+                self.join_group(group, peer);
             }
         }
         true
@@ -755,7 +848,7 @@ impl ReplicaWrite<'_> {
         }
         self.forget_memberships(&peer);
         self.clear_group_hosts(&peer);
-        self.peer_homes.remove(&peer);
+        self.write_presence(peer, PresenceWrite::RemoteHome(None));
         true
     }
 
@@ -771,12 +864,12 @@ impl ReplicaWrite<'_> {
             Some(stored) if carried < *stored => return false,
             Some(stored) if carried == *stored => {}
             _ => {
-                self.peer_versions.insert(peer, carried);
+                self.write_presence(peer, PresenceWrite::Version(carried));
             }
         }
         if carried.1 == PRESENCE_JOIN && self.is_local_replica(&group, &peer) {
             self.stamp_membership(&group, peer, carried);
-            self.groups.join(group, peer);
+            self.join_group(group, peer);
         }
         true
     }
@@ -799,20 +892,14 @@ impl ReplicaWrite<'_> {
                 if self.yield_to_remote_join(peer, version.2, joins) {
                     continue;
                 }
-                match home {
-                    Some(home) if home != self.own => {
-                        self.peer_homes.insert(peer, home);
-                    }
-                    _ => {
-                        self.peer_homes.remove(&peer);
-                    }
-                }
+                let home = home.filter(|home| *home != self.own);
+                self.write_presence(peer, PresenceWrite::RemoteHome(home));
             } else {
                 if self.absorb_remote_leave(peer, joins) {
                     continue;
                 }
                 self.forget_memberships(&peer);
-                self.peer_homes.remove(&peer);
+                self.write_presence(peer, PresenceWrite::RemoteHome(None));
             }
         }
         repaired
@@ -845,7 +932,7 @@ impl ReplicaWrite<'_> {
                 .get(&member)
                 .is_some_and(|theirs| *theirs > self.membership_stamp(&group, &member))
             {
-                self.groups.leave(&group, &member);
+                self.leave_group(&group, &member);
                 self.membership_versions.remove(&(group, member));
                 repaired += 1;
             }
@@ -862,7 +949,7 @@ impl ReplicaWrite<'_> {
             }
             if !self.groups.is_member(&group, &member) {
                 self.stamp_membership(&group, member, carried);
-                self.groups.join(group, member);
+                self.join_group(group, member);
                 repaired += 1;
             } else if carried > self.membership_stamp(&group, &member) {
                 self.stamp_membership(&group, member, carried);
@@ -888,5 +975,201 @@ impl ReplicaWrite<'_> {
             }
         }
         healed
+    }
+}
+
+#[cfg(test)]
+impl Replica {
+    /// The repair tree of `section` towards `peer`, built from scratch:
+    /// every shared entry re-hashed, the advertisements from their XML.
+    fn scratch_tree(&self, section: char, peer: &PeerId) -> SectionTree {
+        let mut tree = SectionTree::default();
+        if section == 'a' {
+            for (group, index) in &self.advertisements {
+                for ((owner, doc_type), adv) in index {
+                    if self.is_shared_replica(group, owner, peer) {
+                        let hash = repair::adv_entry_hash(group, owner, doc_type, &adv.xml, adv.version);
+                        tree.insert(shard::shard_key(group, owner), hash);
+                    }
+                }
+            }
+        } else {
+            for (key, (group, member)) in self.repair_membership_entries_in(peer, 0, u64::MAX) {
+                tree.insert(key, repair::membership_entry_hash(&group, &member));
+            }
+        }
+        tree
+    }
+
+    /// Checks every summary against a from-scratch build: the presence
+    /// digest, and towards each of `peers` the advertisement and membership
+    /// digests and trees.
+    pub(crate) fn check_summaries(&self, peers: &[PeerId]) -> Result<(), String> {
+        let mut presence = shard::NodeSummary::default();
+        for (peer, version, home) in self.repair_presence_entries() {
+            presence.insert(repair::presence_entry_hash(&peer, version, home));
+        }
+        if self.presence_hash() != presence.digest() {
+            return Err("presence summary differs from a from-scratch build".into());
+        }
+        for peer in peers {
+            let (a, m) = (self.scratch_tree('a', peer), self.scratch_tree('m', peer));
+            if self.repair_digests(peer) != (a.root().digest(), m.root().digest()) {
+                return Err(format!("digests towards {peer:?} differ from a from-scratch build"));
+            }
+            if *self.section_tree('a', peer) != a || *self.section_tree('m', peer) != m {
+                return Err(format!("trees towards {peer:?} differ from a from-scratch build"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Everything the replica holds but its clock, in a deterministic order,
+    /// stored hashes included, plus its summaries: equal before and after a
+    /// message exactly when the message wrote nothing.
+    pub(crate) fn state_dump(&self) -> (String, RepairSummaries) {
+        fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+            let mut items: Vec<T> = items.collect();
+            items.sort();
+            items
+        }
+        let adverts = sorted(self.advertisements.iter().flat_map(|(group, index)| {
+            index.iter().map(move |((owner, doc_type), adv)| {
+                (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version, adv.hash)
+            })
+        }));
+        let sessions = sorted(self.sessions.iter().map(|(peer, s)| (*peer, format!("{s:?}"))));
+        let displaced = sorted(self.displaced.iter().map(|(peer, s)| (*peer, format!("{s:?}"))));
+        let connected = sorted(self.connected.iter().copied());
+        let homes = sorted(self.peer_homes.iter().map(|(peer, home)| (*peer, *home)));
+        let versions = sorted(self.peer_versions.iter().map(|(peer, version)| (*peer, *version)));
+        let stamps = sorted(self.membership_versions.iter().map(|(key, stamp)| (key.clone(), *stamp)));
+        let hosts = sorted(self.group_hosts.iter().map(|(group, members)| {
+            (group.clone(), sorted(members.iter().map(|(member, home)| (*member, *home))))
+        }));
+        let dump = format!(
+            "{adverts:?}\n{sessions:?}\n{displaced:?}\n{connected:?}\n{homes:?}\n{versions:?}\n\
+             {stamps:?}\n{hosts:?}\n{:?}\n{:?}",
+            self.ring.brokers(),
+            self.groups.snapshot(),
+        );
+        (dump, self.summaries.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jxta_crypto::drbg::HmacDrbg;
+    use proptest::prelude::*;
+
+    const GROUPS: [&str; 3] = ["g0", "g1", "g2"];
+
+    fn ids(n: usize, seed: u64) -> Vec<PeerId> {
+        let mut rng = HmacDrbg::from_seed_u64(seed);
+        (0..n).map(|_| PeerId::random(&mut rng)).collect()
+    }
+
+    /// The groups whose bit is set in `mask`.
+    fn groups_of(mask: u64) -> Vec<GroupId> {
+        (0..GROUPS.len()).filter(|bit| mask >> bit & 1 == 1).map(|bit| GroupId::new(GROUPS[bit])).collect()
+    }
+
+    /// Applies one step, decoded from `(op, a, b, c)`, to `replica`.  The
+    /// small id, group and version spaces make overwrites, stale writes,
+    /// re-homes and shadowed sessions common.
+    fn apply(replica: &mut Replica, brokers: &[PeerId], peers: &[PeerId], (op, a, b, c): (u8, u64, u64, u64)) {
+        let peer = peers[a as usize % peers.len()];
+        let broker = brokers[b as usize % brokers.len()];
+        let group = GroupId::new(GROUPS[c as usize % GROUPS.len()]);
+        let version = (c % 7 + 1, broker);
+        let presence = (c % 7 + 1, (b / 7 % 2) as u8, broker);
+        let mut joins = Vec::new();
+        match op {
+            // Advertisement writes, overwrites and stale writes, stored
+            // directly or through the replica-filtered publish.
+            0 => {
+                replica.store_advertisement(peer, &group, "t", &format!("<x{}/>", b % 3), version);
+            }
+            1 => {
+                replica.publish(peer, &group, ["t", "u"][b as usize % 2], "<p/>", version);
+            }
+            // A login and a logout here.
+            2 => {
+                let session = BrokerSession { username: format!("u{a}"), groups: groups_of(b) };
+                replica.establish_session(peer, session);
+            }
+            3 => {
+                replica.drop_session(&peer);
+            }
+            // Remote joins and leaves: they re-home the peer, and a live or
+            // shadowed session here re-asserts, yields or resurrects.
+            4 => {
+                let groups: Vec<String> = groups_of(c).iter().map(|g| g.as_str().to_string()).collect();
+                replica.apply_join(peer, (c % 7 + 1, broker), &groups.join(","), &mut joins);
+            }
+            5 => {
+                replica.apply_leave(peer, (c % 7 + 1, broker), &mut joins);
+            }
+            // Snapshot merges: presence, membership (deletions in a range
+            // included), advertisements, and a migrated membership entry.
+            6 => {
+                let home = (b % 3 != 0).then_some(broker);
+                replica.merge_presence(&[(peer, presence, home)], &mut joins);
+            }
+            7 => {
+                let entries = (c % 2 == 0).then(|| (group.clone(), peer, presence)).into_iter().collect();
+                let versions = HashMap::from([(peer, presence)]);
+                let split = a.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                replica.merge_membership(&broker, entries, &versions, |key| key <= split);
+            }
+            8 => {
+                let entry = (group, peer, "t".to_string(), format!("<x{}/>", b % 3), version);
+                replica.merge_advertisements(vec![entry]);
+            }
+            9 => {
+                replica.apply_membership(peer, group, presence);
+            }
+            // Broker admissions and removals, each followed by the reshard.
+            10 => {
+                replica.admit_broker(broker);
+                replica.reshard();
+            }
+            _ => {
+                if broker != replica.own {
+                    replica.remove_broker(&broker);
+                    replica.reshard();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The oracle: after every step of a random history, in both
+        /// replication modes, the incrementally kept summaries equal a
+        /// from-scratch build: the presence digest, and the advertisement
+        /// and membership digests and trees towards every broker.
+        #[test]
+        fn incremental_summaries_match_a_from_scratch_build(
+            steps in proptest::collection::vec((0u8..12, any::<u64>(), any::<u64>(), any::<u64>()), 1..48),
+            seed in any::<u64>(),
+        ) {
+            let brokers = ids(6, seed);
+            let peers = ids(5, seed ^ 0x5EED);
+            for replication in [None, Some(2)] {
+                let mut replica = Replica::new(brokers[0], replication, Arc::new(SyncClock::default()));
+                for broker in &brokers[1..4] {
+                    replica.admit_broker(*broker);
+                }
+                for (i, step) in steps.iter().enumerate() {
+                    apply(&mut replica, &brokers, &peers, *step);
+                    if let Err(fault) = replica.check_summaries(&brokers) {
+                        prop_assert!(false, "{replication:?}, step {i} {step:?}: {fault}");
+                    }
+                }
+            }
+        }
     }
 }

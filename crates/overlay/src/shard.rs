@@ -93,33 +93,70 @@ impl NodeSummary {
     pub fn digest(&self) -> u64 {
         mix(self.xor ^ mix(self.count ^ FNV_OFFSET))
     }
+
+    /// Folds one entry hash in.
+    pub fn insert(&mut self, entry_hash: u64) {
+        self.xor ^= entry_hash;
+        self.count += 1;
+    }
+
+    /// Takes one entry hash out again (XOR is self-inverse).  The entry must
+    /// have been folded in.
+    pub fn remove(&mut self, entry_hash: u64) {
+        self.xor ^= entry_hash;
+        self.count -= 1;
+    }
+
+    /// Folds every entry of `other` in: the summary of the union of two
+    /// disjoint entry sets.
+    pub fn merge(&mut self, other: NodeSummary) {
+        self.xor ^= other.xor;
+        self.count += other.count;
+    }
 }
 
 /// A sparse hash tree over the 64-bit shard-key space for one replicated
-/// section.  Only non-empty leaves are stored; interior nodes are aggregated
-/// on demand with a range scan, which keeps inserts O(log leaves) and the
-/// structure cheap enough to cache per peer.
+/// section.  Only non-empty leaves are stored, and the root is kept as a
+/// running total, so an insert or a removal is O(log leaves) and the root
+/// O(1): a replica keeps its tree current on every write.  Interior nodes
+/// are aggregated on demand with a range scan; only a descent reads them,
+/// and only after the roots disagreed.
 ///
 /// A node at `depth` is addressed by `prefix`: the top `4·depth` bits of the
 /// keys it covers.  Depth 0 is the root (prefix 0); depth
 /// [`REPAIR_TREE_DEPTH`] is the leaf level.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SectionTree {
     /// Leaf summaries keyed by leaf prefix (top [`LEAF_BITS`] bits of key).
     leaves: std::collections::BTreeMap<u64, NodeSummary>,
+    /// Summary of every leaf.
+    root: NodeSummary,
 }
 
 impl SectionTree {
     /// Folds one entry (its shard key and mixed entry hash) into the tree.
     pub fn insert(&mut self, key: u64, entry_hash: u64) {
-        let leaf = self.leaves.entry(key >> (64 - LEAF_BITS)).or_default();
-        leaf.xor ^= entry_hash;
-        leaf.count += 1;
+        self.leaves.entry(key >> (64 - LEAF_BITS)).or_default().insert(entry_hash);
+        self.root.insert(entry_hash);
+    }
+
+    /// Takes one entry out of the tree again: `key` and `entry_hash` must be
+    /// what it was inserted with.  A leaf left empty is dropped, so a tree
+    /// equals one built from scratch over the entries it still holds.
+    pub fn remove(&mut self, key: u64, entry_hash: u64) {
+        let prefix = key >> (64 - LEAF_BITS);
+        if let Some(leaf) = self.leaves.get_mut(&prefix) {
+            leaf.remove(entry_hash);
+            if leaf.count == 0 {
+                self.leaves.remove(&prefix);
+            }
+            self.root.remove(entry_hash);
+        }
     }
 
     /// Summary of the whole tree.
     pub fn root(&self) -> NodeSummary {
-        self.node(0, 0)
+        self.root
     }
 
     /// Summary of the node at `(depth, prefix)`.  Depths beyond the leaf
@@ -199,6 +236,12 @@ pub fn decode_nodes(bytes: &[u8]) -> Vec<(u32, u64, NodeSummary)> {
 }
 
 /// A deterministic consistent-hash ring over the brokers of a federation.
+///
+/// Every key whose first ring point at or after it (wrapping past the last
+/// point to the first) is point `i` walks the same way, so it has the same
+/// replica set: the keys of one **arc**.  The ring computes every arc's
+/// replica set once per membership change, so placing a key is a binary
+/// search plus a table read.
 #[derive(Debug, Clone)]
 pub struct ShardRing {
     /// Number of replicas per entry (K).
@@ -207,6 +250,10 @@ pub struct ShardRing {
     points: Vec<(u64, PeerId)>,
     /// Sorted distinct members.
     brokers: Vec<PeerId>,
+    /// The replica set of every arc in walk order, K wide: arc `i` is
+    /// replicated on `arcs[i * K..][..K]`.  Empty while K is at least the
+    /// number of members: then every broker replicates every key.
+    arcs: Vec<PeerId>,
 }
 
 impl ShardRing {
@@ -219,6 +266,7 @@ impl ShardRing {
             replication: replication.max(1),
             points: Vec::new(),
             brokers: Vec::new(),
+            arcs: Vec::new(),
         }
     }
 
@@ -255,12 +303,61 @@ impl ShardRing {
             self.points.push((position, broker));
         }
         self.points.sort();
+        self.place_arcs();
     }
 
     /// Removes a broker and its virtual nodes (idempotent).
     pub fn remove(&mut self, broker: &PeerId) {
+        if !self.brokers.contains(broker) {
+            return;
+        }
         self.brokers.retain(|b| b != broker);
         self.points.retain(|(_, b)| b != broker);
+        self.place_arcs();
+    }
+
+    /// Recomputes every arc's replica set by the clockwise walk.
+    fn place_arcs(&mut self) {
+        self.arcs.clear();
+        if self.replication >= self.brokers.len() {
+            return;
+        }
+        for start in 0..self.points.len() {
+            let from = self.arcs.len();
+            for i in 0..self.points.len() {
+                let (_, broker) = self.points[(start + i) % self.points.len()];
+                if !self.arcs[from..].contains(&broker) {
+                    self.arcs.push(broker);
+                    if self.arcs.len() - from == self.replication {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Number of arcs: one per ring point.
+    pub(crate) fn arc_count(&self) -> usize {
+        self.points.len()
+    }
+
+    /// The arc `key` falls in (0 on an empty ring).
+    pub(crate) fn arc_of(&self, key: u64) -> usize {
+        let start = self.points.partition_point(|(position, _)| *position < key);
+        start % self.points.len().max(1)
+    }
+
+    /// Whether `broker` replicates the keys of `arc`.
+    pub(crate) fn arc_holds(&self, arc: usize, broker: &PeerId) -> bool {
+        if self.arcs.is_empty() {
+            return self.brokers.binary_search(broker).is_ok();
+        }
+        self.arc_replicas(arc).contains(broker)
+    }
+
+    /// The replica set of `arc` in walk order, from a non-empty table.
+    fn arc_replicas(&self, arc: usize) -> &[PeerId] {
+        &self.arcs[arc * self.replication..][..self.replication]
     }
 
     /// The replica set of `(group, owner)`: the first `min(K, members)`
@@ -273,17 +370,17 @@ impl ShardRing {
 
     /// Replica set for a raw ring position (see [`ShardRing::replicas`]).
     pub fn replicas_for_key(&self, key: u64) -> Vec<PeerId> {
-        let want = self.replication.min(self.brokers.len());
-        let mut replicas = Vec::with_capacity(want);
-        if want == 0 {
-            return replicas;
+        let arc = self.arc_of(key);
+        if !self.arcs.is_empty() {
+            return self.arc_replicas(arc).to_vec();
         }
-        let start = self.points.partition_point(|(position, _)| *position < key);
+        // Every member replicates every key; only the walk order is left.
+        let mut replicas = Vec::with_capacity(self.brokers.len());
         for i in 0..self.points.len() {
-            let (_, broker) = self.points[(start + i) % self.points.len()];
+            let (_, broker) = self.points[(arc + i) % self.points.len()];
             if !replicas.contains(&broker) {
                 replicas.push(broker);
-                if replicas.len() == want {
+                if replicas.len() == self.brokers.len() {
                     break;
                 }
             }
@@ -293,7 +390,7 @@ impl ShardRing {
 
     /// Returns `true` if `broker` is one of the replicas of `(group, owner)`.
     pub fn is_replica(&self, group: &GroupId, owner: &PeerId, broker: &PeerId) -> bool {
-        self.replicas(group, owner).contains(broker)
+        self.arc_holds(self.arc_of(shard_key(group, owner)), broker)
     }
 }
 
@@ -301,6 +398,7 @@ impl ShardRing {
 mod tests {
     use super::*;
     use jxta_crypto::drbg::HmacDrbg;
+    use proptest::prelude::*;
 
     fn brokers(n: usize) -> Vec<PeerId> {
         let mut rng = HmacDrbg::from_seed_u64(0x51A2);
@@ -556,6 +654,100 @@ mod tests {
         // A truncated trailing record is dropped, not misparsed.
         blob.truncate(2 * NODE_RECORD_BYTES - 1);
         assert_eq!(decode_nodes(&blob).len(), 1);
+    }
+
+    /// The replica set of `key` by the clockwise walk the arc table
+    /// replaces: the first `min(K, members)` distinct brokers from the key's
+    /// first ring point at or after it, wrapping past the last.
+    fn walk(ring: &ShardRing, key: u64) -> Vec<PeerId> {
+        let want = ring.replication.min(ring.brokers.len());
+        let mut replicas = Vec::new();
+        let start = ring.points.partition_point(|(position, _)| *position < key);
+        for i in 0..ring.points.len() {
+            let (_, broker) = ring.points[(start + i) % ring.points.len()];
+            if replicas.len() < want && !replicas.contains(&broker) {
+                replicas.push(broker);
+            }
+        }
+        replicas
+    }
+
+    /// Checks the table's answers at `keys` for each of `probes` against
+    /// the walk: the replica set, and whether each probe replicates the key.
+    fn check_arcs(ring: &ShardRing, keys: &[u64], probes: &[PeerId]) -> TestCaseResult {
+        for &key in keys {
+            let walked = walk(ring, key);
+            prop_assert_eq!(ring.replicas_for_key(key), walked.clone(), "key {:#x}", key);
+            for broker in probes {
+                let held = ring.arc_holds(ring.arc_of(key), broker);
+                prop_assert_eq!(held, walked.contains(broker), "key {:#x}", key);
+            }
+        }
+        let group = GroupId::new("g");
+        for owner in probes {
+            let walked = walk(ring, shard_key(&group, owner));
+            for broker in probes {
+                prop_assert_eq!(ring.is_replica(&group, owner, broker), walked.contains(broker));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The arc table answers exactly what the clockwise walk answers:
+        /// random rings with K below, at and above the member count, at
+        /// random keys, at every ring point and one either side of it, and
+        /// at both ends of the key space (keys past the last point wrap to
+        /// the first arc), after every insert and after every removal.
+        #[test]
+        fn arc_table_answers_what_the_clockwise_walk_answers(
+            n in 1usize..=10,
+            k in 1usize..=12,
+            seed in any::<u64>(),
+            random_keys in proptest::collection::vec(any::<u64>(), 8),
+            removals in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let mut rng = HmacDrbg::from_seed_u64(seed);
+            let probes: Vec<PeerId> = (0..=n).map(|_| PeerId::random(&mut rng)).collect();
+            let members = &probes[..n];
+            let keys = |ring: &ShardRing| {
+                let mut keys = random_keys.clone();
+                keys.extend([0, u64::MAX]);
+                for (position, _) in &ring.points {
+                    keys.extend([*position, position.wrapping_add(1), position.wrapping_sub(1)]);
+                }
+                keys
+            };
+            let mut ring = ShardRing::new(k);
+            for member in members {
+                ring.insert(*member);
+                check_arcs(&ring, &keys(&ring), &probes)?;
+            }
+            for removal in removals {
+                ring.remove(&members[removal % n]);
+                check_arcs(&ring, &keys(&ring), &probes)?;
+            }
+        }
+    }
+
+    #[test]
+    fn tree_root_is_a_running_total_of_inserts_and_removals() {
+        let entries = random_entries(400, 0x7EE4);
+        let mut kept = SectionTree::default();
+        let mut churned = SectionTree::default();
+        for (i, (key, hash)) in entries.iter().enumerate() {
+            churned.insert(*key, *hash);
+            if i % 3 == 0 {
+                churned.remove(*key, *hash);
+            } else {
+                kept.insert(*key, *hash);
+            }
+        }
+        assert_eq!(churned, kept, "removed entries leave no empty leaves behind");
+        assert_eq!(churned.root(), churned.node(0, 0));
+        assert_eq!(churned.root().count, kept.root().count);
     }
 
     #[test]
