@@ -82,10 +82,10 @@ use crate::net::{NetMessage, SimNetwork};
 use crate::plumtree::{self, GossipId};
 use crate::repair::extension_hash;
 use crate::replica::{FlatEntry, JoinGossip, PresenceEntry, PresenceVersion, Replica, PRESENCE_JOIN};
-use crate::shard;
+use crate::shard::{self, SectionTree};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -307,8 +307,15 @@ enum LaneJob {
 
 /// A divergent repair-tree node whose entry count (on both sides) is at or
 /// below this threshold stops the hash-tree descent: shipping the entries
-/// outright is cheaper than another narrowing leg.
+/// outright is cheaper than another narrowing leg.  A leg lists the entry
+/// hashes of every advertisement child at or below it, so the page for
+/// that child can skip what the leg's sender holds already.
 const REPAIR_PAGE_ENTRIES: u64 = 256;
+
+/// Size of an anti-entropy digest's one `digests` element: the
+/// advertisement, membership, presence and extension digests as four
+/// big-endian hash records.
+const DIGEST_BYTES: usize = 4 * shard::HASH_RECORD_BYTES;
 
 /// Entries per range-scoped snapshot page.  Pages bound the size of a repair
 /// message: healing a million-entry divergence ships many pages, never one
@@ -1359,11 +1366,15 @@ impl Broker {
     // engagement, one active-view member per round in rotation once the
     // epidemic fabric is engaged.  A receiver whose own hashes disagree
     // answers with a snapshot of the mismatched sections and asks for the
-    // sender's in return; snapshots merge under the same last-writer-wins
-    // versions as gossip, so repair can never regress a newer write.  The
-    // replica keeps the section summaries current on write
-    // (`crate::repair`): a digest reads them under `broker.replica`, a
-    // descent leg reads the tree's nodes under it, and both send after the
+    // sender's in return, or, for the shard-keyed sections, descends the
+    // hash tree to the divergent key ranges; snapshots merge under the same
+    // last-writer-wins versions as gossip, so repair can never regress a
+    // newer write.  An advertisement leg lists the entry hashes of its
+    // small children, so the final pages ship only what each side lacks.
+    // The replica keeps the section summaries and its shard-key-ordered
+    // indexes current on write (`crate::repair`, `crate::replica`): a
+    // digest reads the summaries under `broker.replica`, a descent leg the
+    // tree's nodes and the index's key ranges, and both send after the
     // guard is released.
 
     /// The hash of the extension's replicated state (peer-independent; zero
@@ -1409,11 +1420,12 @@ impl Broker {
             };
             let x = self.repair_extension_hash();
             for (peer, (a, m)) in digests {
+                let mut hashes = Vec::with_capacity(DIGEST_BYTES);
+                for hash in [a, m, p, x] {
+                    shard::encode_hash(&mut hashes, hash);
+                }
                 let digest = Message::new(MessageKind::AntiEntropyDigest, self.id, 0)
-                    .with_str("a-hash", &a.to_string())
-                    .with_str("m-hash", &m.to_string())
-                    .with_str("p-hash", &p.to_string())
-                    .with_str("x-hash", &x.to_string());
+                    .with_element("digests", hashes);
                 self.to_broker(peer, digest);
             }
         }
@@ -1472,26 +1484,33 @@ impl Broker {
     /// descent instead, narrowing to the divergent key ranges before any
     /// entry is shipped; without it they join the full snapshot (the PR 4
     /// baseline).
+    ///
+    /// A digest whose `digests` element is missing or not exactly
+    /// [`DIGEST_BYTES`] long is ignored: read as a mismatch, one garbled
+    /// digest would start a descent plus full snapshots both ways.
     fn handle_anti_entropy_digest(&self, message: &Message) {
         let origin = message.sender;
+        let Some(theirs) = message.element("digests").filter(|d| d.len() == DIGEST_BYTES) else {
+            return;
+        };
+        let theirs: Vec<u64> = shard::decode_hashes(theirs).collect();
         let ((a, m), p) = {
             let replica = self.replica.read();
             (replica.repair_digests(&origin), replica.presence_hash())
         };
         let x = self.repair_extension_hash();
-        let theirs = |name: &str| message.element_str(name).and_then(|h| h.parse::<u64>().ok());
         let mut flat = String::new();
         let mut descend = String::new();
-        if theirs("a-hash") != Some(a) {
+        if theirs[0] != a {
             if self.config.repair_tree { descend.push('a') } else { flat.push('a') }
         }
-        if theirs("m-hash") != Some(m) {
+        if theirs[1] != m {
             if self.config.repair_tree { descend.push('m') } else { flat.push('m') }
         }
-        if theirs("p-hash") != Some(p) {
+        if theirs[2] != p {
             flat.push('p');
         }
-        if theirs("x-hash") != Some(x) {
+        if theirs[3] != x {
             flat.push('x');
         }
         if flat.is_empty() && descend.is_empty() {
@@ -1520,22 +1539,17 @@ impl Broker {
         }
     }
 
-    /// Sends one descent leg: this broker's child summaries of the repair-
-    /// tree node `(depth, prefix)` of `section`, for the peer to compare
-    /// against its own tree in [`Broker::handle_anti_entropy_range`].  All
-    /// [`shard::REPAIR_TREE_ARITY`] children travel, empty ones included —
-    /// the peer needs the zero summaries to notice entries only it holds.
+    /// Sends one descent leg: this broker's children of the repair-tree
+    /// node `(depth, prefix)` of `section` (see [`DescentLeg`]), for the
+    /// peer to compare against its own tree in
+    /// [`Broker::handle_anti_entropy_range`].
     fn send_range_children(&self, peer: PeerId, section: char, depth: u32, prefix: u64) {
-        let children = self.replica.read().section_tree(section, &peer).children(depth, prefix);
-        let mut nodes =
-            Vec::with_capacity(crate::shard::REPAIR_TREE_ARITY * crate::shard::NODE_RECORD_BYTES);
-        for (child, summary) in children.into_iter().enumerate() {
-            shard::encode_node(&mut nodes, depth + 1, (prefix << 4) | child as u64, summary);
+        let mut leg = DescentLeg::new(section);
+        {
+            let replica = self.replica.read();
+            leg.push_children(&replica, &replica.section_tree(section, &peer), &peer, (depth, prefix));
         }
-        let message = Message::new(MessageKind::AntiEntropyRange, self.id, 0)
-            .with_str("section", &section.to_string())
-            .with_element("nodes", nodes);
-        self.to_broker(peer, message);
+        self.to_broker(peer, leg.into_message(self.id));
     }
 
     /// Handles one descent leg of a hash-tree repair: compares the peer's
@@ -1543,9 +1557,12 @@ impl Broker {
     /// divergent node either descends one more level (its children go into
     /// the reply leg) or — at the leaf level, once both sides' counts fit a
     /// page, or past the per-message node budget — has its key range shipped
-    /// as range-scoped snapshot pages.  The exchange is stateless and the
-    /// depth strictly increases leg over leg, so a descent terminates within
-    /// [`shard::REPAIR_TREE_DEPTH`] range legs however the trees differ.
+    /// as range-scoped snapshot pages.  A node the leg lists the entry
+    /// hashes of is paged against that list: the pages ship only what the
+    /// peer lacks, and list this broker's own hashes for the peer's reply.
+    /// The exchange is stateless and the depth strictly increases leg over
+    /// leg, so a descent terminates within [`shard::REPAIR_TREE_DEPTH`]
+    /// range legs however the trees differ.
     fn handle_anti_entropy_range(&self, message: &Message) {
         let origin = message.sender;
         let Some(section) = message.element_str("section").and_then(|s| s.chars().next()) else {
@@ -1557,12 +1574,21 @@ impl Broker {
         let Some(blob) = message.element("nodes") else {
             return;
         };
+        // Only advertisement legs carry hash lists: a membership page must
+        // list its range in full, since its deletion rule reads the sender's
+        // whole listing.
+        let mut lists = LegHashLists(
+            (section == 'a').then(|| message.element("hashes").unwrap_or_default()),
+        );
         let replica = self.replica.read();
         let tree = replica.section_tree(section, &origin);
-        let mut reply = Vec::new();
+        let mut reply = DescentLeg::new(section);
         let mut reply_nodes = 0usize;
-        let mut pages: Vec<(u64, u64)> = Vec::new();
+        let mut pages = Vec::new();
         for (depth, prefix, theirs) in shard::decode_nodes(blob) {
+            // Taken before the node is checked, so the lists after a
+            // malformed node stay aligned with their nodes.
+            let listed = lists.next_list(theirs.count);
             if depth == 0
                 || depth > shard::REPAIR_TREE_DEPTH
                 || prefix >= 1u64 << (4 * depth).min(63)
@@ -1577,28 +1603,24 @@ impl Broker {
                 && ours.count.max(theirs.count) > REPAIR_PAGE_ENTRIES
                 && reply_nodes + shard::REPAIR_TREE_ARITY <= REPAIR_MAX_RANGE_NODES;
             if descend {
-                for (child, summary) in tree.children(depth, prefix).into_iter().enumerate() {
-                    shard::encode_node(&mut reply, depth + 1, (prefix << 4) | child as u64, summary);
-                }
+                reply.push_children(&replica, &tree, &origin, (depth, prefix));
                 reply_nodes += shard::REPAIR_TREE_ARITY;
             } else {
                 // Small enough to ship (or the node budget is spent —
                 // massive divergence degrades to shipping coarser ranges,
                 // never to an unbounded message).
-                pages.push(shard::node_range(depth, prefix));
+                pages.push((shard::node_range(depth, prefix), listed));
             }
         }
         // The guard is released before anything is sent.
         drop(tree);
         drop(replica);
         if !reply.is_empty() {
-            let next = Message::new(MessageKind::AntiEntropyRange, self.id, 0)
-                .with_str("section", &section.to_string())
-                .with_element("nodes", reply);
-            self.to_broker(origin, next);
+            self.to_broker(origin, reply.into_message(self.id));
         }
-        for (lo, hi) in pages {
-            self.send_range_pages(origin, section, lo, hi, true);
+        for (range, listed) in pages {
+            let listed: Option<HashSet<u64>> = listed.map(|list| shard::decode_hashes(list).collect());
+            self.send_range_pages(origin, section, range, true, listed.as_ref());
         }
     }
 
@@ -1629,24 +1651,45 @@ impl Broker {
         snapshot
     }
 
-    /// Ships the shared entries of the divergent key range `[lo, hi]` of
-    /// `section` to `peer` as bounded snapshot pages.  `want` asks the peer
-    /// to send its own entries of each page's sub-range back (the final legs
-    /// of a descent); the peer's replies travel with `want` unset, which
+    /// Ships the shared entries of the divergent key `range` of `section`
+    /// to `peer` as bounded snapshot pages.  `want` asks the peer to send
+    /// its own entries of each page's sub-range back (the final legs of a
+    /// descent); the peer's replies travel with `want` unset, which
     /// terminates the exchange.
-    fn send_range_pages(&self, peer: PeerId, section: char, lo: u64, hi: u64, want: bool) {
+    ///
+    /// An advertisement page ships only the entries whose hashes `listed`
+    /// lacks (every entry without a list), and a `want` page built against
+    /// a list also lists this broker's hashes of its sub-range, so the
+    /// reply ships only what this broker lacks in turn.  Membership pages
+    /// ignore `listed`: they always carry the whole range.
+    fn send_range_pages(
+        &self,
+        peer: PeerId,
+        section: char,
+        range: (u64, u64),
+        want: bool,
+        listed: Option<&HashSet<u64>>,
+    ) {
         match section {
             'a' => {
-                let entries = self.replica.read().repair_adv_entries_in(&peer, lo, hi);
-                self.send_pages(peer, section, (lo, hi), want, entries, |_, snapshot, page| {
-                    push_adv_section(snapshot, page.to_vec());
+                let entries = self.replica.read().repair_adv_entries_in(&peer, range, listed);
+                let list_own = want && listed.is_some();
+                self.send_pages(peer, section, range, want, entries, |_, snapshot, page| {
+                    if list_own {
+                        let mut hashes = Vec::new();
+                        for (hash, _) in &page {
+                            shard::encode_hash(&mut hashes, *hash);
+                        }
+                        snapshot.push_element("hashes", hashes);
+                    }
+                    push_adv_section(snapshot, page.into_iter().filter_map(|(_, entry)| entry).collect());
                 });
             }
             _ => {
-                let entries = self.replica.read().repair_membership_entries_in(&peer, lo, hi);
-                self.send_pages(peer, section, (lo, hi), want, entries, |broker, snapshot, page| {
+                let entries = self.replica.read().repair_membership_entries_in(&peer, range);
+                self.send_pages(peer, section, range, want, entries, |broker, snapshot, page| {
                     let replica = broker.replica.read();
-                    push_membership_section(&replica, snapshot, page.to_vec());
+                    push_membership_section(&replica, snapshot, page);
                     // Membership deletions compare against the *sender's*
                     // presence versions, so every m page travels with the
                     // full p section, exactly like a flat m snapshot does.
@@ -1658,24 +1701,27 @@ impl Broker {
 
     /// Splits `entries` (sorted by shard key) into pages of at most
     /// [`REPAIR_PAGE_MAX`] entries — never splitting one shard key across
-    /// pages — and sends one range-scoped snapshot per page.  The page
-    /// sub-ranges partition `[lo, hi]` exactly, so a `want` request pulls
-    /// every peer-side entry of the divergent range exactly once; an entry-
-    /// less range still sends one empty page, because the peer may hold
-    /// entries this broker lacks, and for the membership section the empty
-    /// page is also what authorises deletions in the range.
-    fn send_pages<T: Clone>(
+    /// pages — and sends one range-scoped snapshot per page, `fill`ing it
+    /// with its entries.  The page sub-ranges partition `[lo, hi]` exactly,
+    /// so a `want` request reaches every peer-side entry of the divergent
+    /// range exactly once; an entry-less range still sends one empty page,
+    /// because the peer may hold entries this broker lacks, and for the
+    /// membership section the empty page is also what authorises deletions
+    /// in the range.  The split counts every entry held, so a page whose
+    /// entries the peer's hash list names all still goes out, empty: the
+    /// lists move an exchange's bytes, never its messages.
+    fn send_pages<T>(
         &self,
         peer: PeerId,
         section: char,
         (lo, hi): (u64, u64),
         want: bool,
         entries: Vec<(u64, T)>,
-        fill: impl Fn(&Broker, &mut Message, &[T]),
+        fill: impl Fn(&Broker, &mut Message, Vec<T>),
     ) {
-        let mut bounds: Vec<(u64, u64, std::ops::Range<usize>)> = Vec::new();
+        let mut bounds: Vec<(u64, u64, usize)> = Vec::new();
         if entries.is_empty() {
-            bounds.push((lo, hi, 0..0));
+            bounds.push((lo, hi, 0));
         } else {
             let mut page_lo = lo;
             let mut start = 0usize;
@@ -1685,13 +1731,14 @@ impl Broker {
                     end += 1;
                 }
                 let page_hi = if end == entries.len() { hi } else { entries[end - 1].0 };
-                bounds.push((page_lo, page_hi, start..end));
+                bounds.push((page_lo, page_hi, end - start));
                 page_lo = page_hi.wrapping_add(1);
                 start = end;
             }
         }
-        for (page_lo, page_hi, span) in bounds {
-            let page: Vec<T> = entries[span].iter().map(|(_, entry)| entry.clone()).collect();
+        let mut entries = entries.into_iter().map(|(_, entry)| entry);
+        for (page_lo, page_hi, len) in bounds {
+            let page: Vec<T> = entries.by_ref().take(len).collect();
             let mut snapshot = Message::new(MessageKind::AntiEntropySnapshot, self.id, 0)
                 .with_str("want", "")
                 .with_str("rsec", &section.to_string())
@@ -1700,7 +1747,7 @@ impl Broker {
             if want {
                 snapshot.push_element("want-range", b"1".to_vec());
             }
-            fill(self, &mut snapshot, &page);
+            fill(self, &mut snapshot, page);
             self.federation.count_repair_page();
             self.to_broker(peer, snapshot);
         }
@@ -1730,7 +1777,11 @@ impl Broker {
                 message.element_str("range-hi").and_then(|s| s.parse::<u64>().ok()),
             ) {
                 if section == 'a' || section == 'm' {
-                    self.send_range_pages(origin, section, lo, hi, false);
+                    // The page lists what its sender holds (nothing, when
+                    // it lists nothing): the reply ships the rest.
+                    let listed: HashSet<u64> =
+                        shard::decode_hashes(message.element("hashes").unwrap_or_default()).collect();
+                    self.send_range_pages(origin, section, (lo, hi), false, Some(&listed));
                 }
             }
         }
@@ -1751,13 +1802,12 @@ impl Broker {
         // Range-scoped pages (the final legs of a tree descent) only speak
         // for `[lo, hi]` of the shard-key space: an entry the page lacks is
         // evidence of deletion only if its key is inside the page's range.
-        let range = (
+        let range = match (
             text("range-lo").and_then(|s| s.parse::<u64>().ok()),
             text("range-hi").and_then(|s| s.parse::<u64>().ok()),
-        );
-        let in_range = |key: u64| match range {
-            (Some(lo), Some(hi)) => key >= lo && key <= hi,
-            _ => true,
+        ) {
+            (Some(lo), Some(hi)) => (lo, hi),
+            _ => (0, u64::MAX),
         };
 
         // The presence section is parsed up front: the membership deletion
@@ -1813,7 +1863,7 @@ impl Broker {
                     let sender_versions: HashMap<PeerId, PresenceVersion> =
                         presence.iter().map(|(peer, version, _)| (*peer, *version)).collect();
                     repaired +=
-                        replica.merge_membership(&origin, entries, &sender_versions, in_range);
+                        replica.merge_membership(&origin, entries, &sender_versions, range);
                 }
             }
             // Advertisements: pure LWW merge — repair only ever *adds* missed
@@ -2809,6 +2859,84 @@ impl Broker {
     }
 }
 
+/// One descent leg under construction: the node summaries it carries and,
+/// on an advertisement leg, the hash lists of its small children.
+struct DescentLeg {
+    section: char,
+    nodes: Vec<u8>,
+    hashes: Vec<u8>,
+}
+
+impl DescentLeg {
+    fn new(section: char) -> Self {
+        DescentLeg { section, nodes: Vec::new(), hashes: Vec::new() }
+    }
+
+    /// Appends the children of the repair-tree node `(depth, prefix)`, as
+    /// `replica` holds them towards `peer`.  All
+    /// [`shard::REPAIR_TREE_ARITY`] summaries travel, empty ones included —
+    /// the peer needs the zero summaries to notice entries only it holds.
+    /// On an advertisement leg, each child the peer may page (at most
+    /// [`REPAIR_PAGE_ENTRIES`] entries here) also lists its stored entry
+    /// hashes, `count` records in child order: a range read of the
+    /// replica's ordered index.
+    fn push_children(
+        &mut self,
+        replica: &Replica,
+        tree: &SectionTree,
+        peer: &PeerId,
+        (depth, prefix): (u32, u64),
+    ) {
+        for (child, summary) in tree.children(depth, prefix).into_iter().enumerate() {
+            let child = (depth + 1, (prefix << 4) | child as u64);
+            shard::encode_node(&mut self.nodes, child.0, child.1, summary);
+            if self.section == 'a' && summary.count > 0 && summary.count <= REPAIR_PAGE_ENTRIES {
+                for hash in replica.repair_adv_hashes_in(peer, shard::node_range(child.0, child.1)) {
+                    shard::encode_hash(&mut self.hashes, hash);
+                }
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    fn into_message(self, sender: PeerId) -> Message {
+        let mut leg = Message::new(MessageKind::AntiEntropyRange, sender, 0)
+            .with_str("section", &self.section.to_string())
+            .with_element("nodes", self.nodes);
+        if !self.hashes.is_empty() {
+            leg.push_element("hashes", self.hashes);
+        }
+        leg
+    }
+}
+
+/// The hash lists of an advertisement leg, read in node order: a node of at
+/// most [`REPAIR_PAGE_ENTRIES`] entries at the leg's sender takes the next
+/// `count` records.  Everything is sized from the element's length: a list
+/// the element cannot back reads as absent, and so does every list after
+/// it, which pages those nodes in full.
+struct LegHashLists<'a>(Option<&'a [u8]>);
+
+impl<'a> LegHashLists<'a> {
+    fn next_list(&mut self, count: u64) -> Option<&'a [u8]> {
+        if count > REPAIR_PAGE_ENTRIES {
+            return None;
+        }
+        let rest = self.0?;
+        let len = count as usize * shard::HASH_RECORD_BYTES;
+        if rest.len() < len {
+            self.0 = None;
+            return None;
+        }
+        let (list, rest) = rest.split_at(len);
+        self.0 = Some(rest);
+        Some(list)
+    }
+}
+
 /// Appends advertisement entries as an `a` section (`a-count` + `a{i}-*`).
 fn push_adv_section(snapshot: &mut Message, entries: Vec<FlatEntry>) {
     snapshot.push_element("a-count", entries.len().to_string().into_bytes());
@@ -3079,6 +3207,16 @@ mod tests {
         replication: Option<usize>,
         entries: usize,
     ) -> [(Arc<Broker>, Inbox); 2] {
+        identical_pair_holding(replication, entries, entries / 100)
+    }
+
+    /// [`identical_pair`] with `entries` advertisements and the joins of
+    /// `peers` peers, in two groups each.
+    fn identical_pair_holding(
+        replication: Option<usize>,
+        entries: usize,
+        peers: usize,
+    ) -> [(Arc<Broker>, Inbox); 2] {
         let mut rng = HmacDrbg::from_seed_u64(0x5A11);
         let net = SimNetwork::new(LinkModel::ideal());
         let db = Arc::new(UserDatabase::new());
@@ -3102,7 +3240,7 @@ mod tests {
                 assert!(broker.load_advertisement(owner, &group, "t", &xml, (1, ids[2])));
             }
         }
-        for _ in 0..entries / 100 {
+        for _ in 0..peers {
             let peer = PeerId::random(&mut rng);
             for (broker, _) in &pair {
                 let mut joins = Vec::new();
@@ -3187,6 +3325,164 @@ mod tests {
                 counts
             });
             assert_eq!(counts[0], counts[1], "{replication:?}: the count grew with the entries held");
+        }
+    }
+
+    /// Delivers the traffic queued for `a` and `b` until both inboxes are
+    /// empty.  Returns every message delivered, in order, with whether it
+    /// went to `a`.
+    fn exchange(a: &Broker, a_inbox: &Inbox, b: &Broker, b_inbox: &Inbox) -> Vec<(bool, Message)> {
+        let mut delivered = Vec::new();
+        loop {
+            let mut idle = true;
+            for (to_a, broker, inbox) in [(true, a, a_inbox), (false, b, b_inbox)] {
+                while let Ok(delivery) = inbox.try_recv() {
+                    idle = false;
+                    delivered.push((to_a, Message::from_bytes(&delivery.payload).unwrap()));
+                    broker.process_net(delivery);
+                }
+            }
+            if idle {
+                return delivered;
+            }
+        }
+    }
+
+    /// The owners of the advertisements a snapshot page carries, in order.
+    fn page_owners(page: &Message) -> Vec<PeerId> {
+        let index = page.index();
+        (0..page.entry_count("a-count").unwrap_or(0))
+            .map(|i| PeerId::from_urn(&index.get_str(&format!("a{i}-owner")).unwrap()).unwrap())
+            .collect()
+    }
+
+    /// The records of a leg's or a page's hash list (`None`: no list).
+    fn hash_list(message: &Message) -> Option<Vec<u64>> {
+        message.element("hashes").map(|list| shard::decode_hashes(list).collect())
+    }
+
+    /// A descent's final pages ship exactly the divergent advertisements,
+    /// each at most once per direction, at 100 and at 10 000 held and with
+    /// 1 and 10 of them divergent, in both replication modes.  The leg that
+    /// sends a small child lists its entry hashes; the comparer's page
+    /// ships what that list lacks plus its own list, and the reply ships
+    /// what the comparer's list lacks.  Fully replicated, building the
+    /// legs' lists and the pages reads only the key ranges they cover: the
+    /// index entries visited stay within the records on the wire, and a
+    /// one-entry divergence among 10 000 visits a few hundred.  (Sharded, a
+    /// leg still builds the filtered tree from every entry held.)
+    #[test]
+    fn pages_ship_only_what_the_peer_lacks() {
+        use crate::replica::visit_probe;
+        for replication in [None, Some(2)] {
+            for entries in [100, 10_000] {
+                for divergent in [1, 10] {
+                    let cell = format!("{replication:?}, {entries} held, {divergent} divergent");
+                    let [(a, a_inbox), (b, b_inbox)] = identical_pair(replication, entries);
+                    let shared = |x: &Broker, y: &Broker| x.replica.read().repair_adv_entries(&y.id());
+                    // `b` holds newer versions of shared advertisements `a`
+                    // missed.
+                    let group = GroupId::new("math");
+                    let mut newer: Vec<PeerId> =
+                        shared(&a, &b).iter().take(divergent).map(|(_, owner, ..)| *owner).collect();
+                    for owner in &newer {
+                        assert!(b.load_advertisement(*owner, &group, "t", "<newer/>", (2, b.id())));
+                    }
+                    newer.sort();
+
+                    let before = visit_probe::visited();
+                    a.start_repair_round();
+                    let delivered = exchange(&a, &a_inbox, &b, &b_inbox);
+                    let visited = visit_probe::visited() - before;
+
+                    // Hash records and entries on the wire; the entries each
+                    // direction carried (to `a`, to `b`).
+                    let mut records = 0usize;
+                    let mut carried = [Vec::new(), Vec::new()];
+                    for (to_a, message) in &delivered {
+                        if message.kind == MessageKind::AntiEntropyRange
+                            || message.kind == MessageKind::AntiEntropySnapshot
+                        {
+                            let owners = page_owners(message);
+                            records += hash_list(message).map_or(0, |list| list.len()) + owners.len();
+                            carried[usize::from(!*to_a)].extend(owners);
+                        }
+                    }
+                    for owners in &mut carried {
+                        let shipped = owners.len();
+                        owners.sort();
+                        owners.dedup();
+                        assert_eq!(owners.len(), shipped, "{cell}: an entry shipped twice in one direction");
+                        assert!(
+                            owners.iter().all(|owner| newer.contains(owner)),
+                            "{cell}: a page shipped an entry both sides held"
+                        );
+                    }
+                    assert_eq!(carried[0], newer, "{cell}: every newer version reaches `a`");
+                    assert_eq!(shared(&a, &b), shared(&b, &a), "{cell}");
+                    assert_eq!(a.federation_stats().entries_repaired, divergent as u64, "{cell}");
+                    if replication.is_none() {
+                        let records = records as u64;
+                        assert!(
+                            visited <= 2 * records + 64,
+                            "{cell}: {visited} entries visited for {records} records on the wire"
+                        );
+                        if entries == 10_000 && divergent == 1 {
+                            assert!(visited < 1_000, "{cell}: {visited} entries visited");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Building one membership page and merging it read only the page's
+    /// key range off the ordered membership index, at 100 and at 10 000
+    /// memberships held, and the page lists that range's entries in
+    /// shard-key order, exactly as a walk of the whole registry finds them.
+    #[test]
+    fn membership_pages_read_only_their_key_range() {
+        use crate::replica::visit_probe;
+        for held in [100, 10_000] {
+            let [(a, _), (b, b_inbox)] = identical_pair_holding(None, 0, held / 2);
+            let mut registry: Vec<(u64, GroupId, PeerId)> = a
+                .groups()
+                .snapshot()
+                .into_iter()
+                .flat_map(|(group, members)| {
+                    members.into_iter().map(move |member| (shard::shard_key(&group, &member), group.clone(), member))
+                })
+                .collect();
+            registry.sort();
+            assert_eq!(registry.len(), held);
+            // The depth-2 node around one entry: 1/256 of the entries.
+            let range = shard::node_range(2, registry[held / 2].0 >> 56);
+            let in_range: Vec<(GroupId, PeerId)> = registry
+                .iter()
+                .filter(|(key, ..)| (range.0..=range.1).contains(key))
+                .map(|(_, group, member)| (group.clone(), *member))
+                .collect();
+            let k = in_range.len() as u64;
+
+            let before = visit_probe::visited();
+            a.send_range_pages(b.id(), 'm', range, false, None);
+            let built = visit_probe::visited() - before;
+            let delivery = b_inbox.try_recv().expect("one page");
+            assert!(b_inbox.try_recv().is_err(), "{held}: one page");
+            let page = Message::from_bytes(&delivery.payload).unwrap();
+            let index = page.index();
+            let listed: Vec<(GroupId, PeerId)> = (0..page.entry_count("m-count").unwrap())
+                .map(|i| {
+                    let group = GroupId::new(index.get_str(&format!("m{i}-group")).unwrap());
+                    (group, PeerId::from_urn(&index.get_str(&format!("m{i}-peer")).unwrap()).unwrap())
+                })
+                .collect();
+            assert_eq!(listed, in_range, "{held}: the page lists its range in shard-key order");
+
+            let before = visit_probe::visited();
+            b.process_net(delivery);
+            let merged = visit_probe::visited() - before;
+            assert!(k > 0 && built <= k + 1 && merged <= k + 1, "{held} held: {built}/{merged} visits for {k}");
         }
     }
 
@@ -3516,10 +3812,7 @@ mod tests {
         let rogue_inbox = net.register(rogue);
         let digest = Message::new(MessageKind::AntiEntropyDigest, rogue, 0)
             .with_str("seq", "1")
-            .with_str("a-hash", "1")
-            .with_str("m-hash", "2")
-            .with_str("p-hash", "3")
-            .with_str("x-hash", "4");
+            .with_element("digests", [1u64, 2, 3, 4].map(u64::to_be_bytes).concat());
         deliver(&broker, rogue, &digest);
         assert!(rogue_inbox.try_recv().is_err(), "digests are never acked");
         assert_eq!(broker.federation_stats().rejected_unknown_origin, 1);
@@ -3709,6 +4002,168 @@ mod tests {
             broker.pending_lookups.lock().is_empty(),
             "the shard response was decoded"
         );
+    }
+
+    /// An anti-entropy digest must carry exactly the four 8-byte section
+    /// digests.  A missing, empty, short or long `digests` element, or the
+    /// old decimal `*-hash` fields, is ignored: no mismatch is counted and
+    /// nothing is sent back, where reading it as a mismatch would start a
+    /// descent plus full snapshots both ways.  A well-formed digest that
+    /// disagrees is answered.
+    #[test]
+    fn forged_digest_of_the_wrong_length_draws_no_reply() {
+        let (broker, origin, inbox) = broker_with_peer(3);
+        let digest = |seq: usize| {
+            Message::new(MessageKind::AntiEntropyDigest, origin, 0).with_str("seq", &seq.to_string())
+        };
+        let forged = [
+            digest(1),
+            digest(2).with_element("digests", Vec::new()),
+            digest(3).with_element("digests", vec![0xA5; DIGEST_BYTES - 1]),
+            digest(4).with_element("digests", vec![0xA5; DIGEST_BYTES + 1]),
+            digest(5).with_element("digests", vec![0xA5; 2 * DIGEST_BYTES]),
+            digest(6)
+                .with_str("a-hash", "1")
+                .with_str("m-hash", "2")
+                .with_str("p-hash", "3")
+                .with_str("x-hash", "4"),
+        ];
+        for message in &forged {
+            deliver(&broker, origin, message);
+        }
+        assert!(inbox.try_recv().is_err(), "a malformed digest is never answered");
+        assert_eq!(broker.federation_stats().repair_mismatches, 0);
+
+        deliver(&broker, origin, &digest(7).with_element("digests", vec![0xA5; DIGEST_BYTES]));
+        assert!(inbox.try_recv().is_ok(), "a disagreeing digest is answered");
+        assert_eq!(broker.federation_stats().repair_mismatches, 1);
+    }
+
+    /// A broker holding `entries` advertisements in group "math", with one
+    /// admitted peer broker: the broker, the peer and the peer's inbox.
+    fn broker_with_peer(entries: usize) -> (Arc<Broker>, PeerId, Inbox) {
+        let (net, _db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        broker.add_peer_broker(origin);
+        let inbox = net.register(origin);
+        for i in 0..entries {
+            let owner = PeerId::random(&mut rng);
+            let xml = format!("<adv n='{i}'/>");
+            assert!(broker.load_advertisement(owner, &GroupId::new("math"), "t", &xml, (1, origin)));
+        }
+        (broker, origin, inbox)
+    }
+
+    /// The depth-1 repair-tree node of `broker`'s advertisements that holds
+    /// the most of them towards `peer`: its prefix, and the owners and
+    /// hashes of the entries inside it and outside it, in shard-key order.
+    fn fullest_depth_one_node(broker: &Broker, peer: &PeerId) -> (u64, Vec<(PeerId, u64)>, Vec<u64>) {
+        let held = broker.replica.read().repair_adv_entries_in(peer, (0, u64::MAX), None);
+        let prefix = (0..16u64)
+            .max_by_key(|prefix| held.iter().filter(|(key, _)| key >> 60 == *prefix).count())
+            .unwrap();
+        let (inside, outside): (Vec<_>, Vec<_>) = held.into_iter().partition(|(key, _)| key >> 60 == prefix);
+        let inside = inside.into_iter().map(|(_, (hash, entry))| (entry.unwrap().1, hash)).collect();
+        let outside = outside.into_iter().map(|(_, (hash, _))| hash).collect();
+        (prefix, inside, outside)
+    }
+
+    /// Encodes hashes as a hash list.
+    fn hashes(list: impl IntoIterator<Item = u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for hash in list {
+            shard::encode_hash(&mut out, hash);
+        }
+        out
+    }
+
+    /// A descent leg's hash lists are sized from their element: a list
+    /// whose last record is truncated, or a child whose count runs past
+    /// the element, has no list, and its range is paged in full; a list
+    /// naming only entries outside the node's range leaves every entry in
+    /// it unlisted.  Either way the page ships only the entries held in the
+    /// node's range, and a page built against a list lists this broker's
+    /// hashes of the range.
+    #[test]
+    fn forged_leg_hash_lists_are_sized_by_their_element() {
+        let (broker, origin, inbox) = broker_with_peer(40);
+        let (prefix, inside, outside) = fullest_depth_one_node(&broker, &origin);
+        assert!(inside.len() >= 2 && outside.len() >= 2);
+        let owners: Vec<PeerId> = inside.iter().map(|(owner, _)| *owner).collect();
+        let own_list: Vec<u64> = inside.iter().map(|(_, hash)| *hash).collect();
+        let leg = |seq: usize, count: usize, list: Vec<u8>| {
+            let mut nodes = Vec::new();
+            let summary = shard::NodeSummary { xor: 0x5EED, count: count as u64 };
+            shard::encode_node(&mut nodes, 1, prefix, summary);
+            Message::new(MessageKind::AntiEntropyRange, origin, 0)
+                .with_str("seq", &seq.to_string())
+                .with_str("section", "a")
+                .with_element("nodes", nodes)
+                .with_element("hashes", list)
+        };
+        let mut truncated = hashes(own_list.iter().copied());
+        truncated.truncate(truncated.len() - 3);
+        let cases = [
+            // (leg, owners shipped, the page's own list)
+            (leg(1, inside.len(), truncated), owners.clone(), None),
+            (leg(2, 200, hashes([own_list[0]])), owners.clone(), None),
+            (leg(3, 2, hashes(outside[..2].iter().copied())), owners.clone(), Some(own_list.clone())),
+            (leg(4, inside.len(), hashes(own_list.iter().copied())), Vec::new(), Some(own_list.clone())),
+        ];
+        for (i, (message, shipped, listed)) in cases.into_iter().enumerate() {
+            deliver(&broker, origin, &message);
+            let page = next_message(&inbox);
+            assert_eq!(page.kind, MessageKind::AntiEntropySnapshot, "case {i}");
+            assert_eq!(page_owners(&page), shipped, "case {i}");
+            assert_eq!(hash_list(&page), listed, "case {i}");
+            assert!(inbox.try_recv().is_err(), "case {i}: one page");
+        }
+    }
+
+    /// A final-leg page's hash list costs work linear in the page: a page
+    /// listing 10⁵ junk hashes is answered with exactly the entries held in
+    /// its range, reading only that range off the index, and hashes of
+    /// entries outside the range (or a truncated trailing record) change
+    /// nothing.  Listing every entry in the range leaves one empty reply.
+    #[test]
+    fn forged_page_hash_lists_cost_work_linear_in_the_page() {
+        use crate::replica::visit_probe;
+        let (broker, origin, inbox) = broker_with_peer(40);
+        let (prefix, inside, outside) = fullest_depth_one_node(&broker, &origin);
+        let owners: Vec<PeerId> = inside.iter().map(|(owner, _)| *owner).collect();
+        let (lo, hi) = shard::node_range(1, prefix);
+        let page = |seq: usize, list: Vec<u8>| {
+            Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
+                .with_str("seq", &seq.to_string())
+                .with_str("want", "")
+                .with_str("rsec", "a")
+                .with_str("range-lo", &lo.to_string())
+                .with_str("range-hi", &hi.to_string())
+                .with_element("want-range", b"1".to_vec())
+                .with_element("hashes", list)
+                .with_str("a-count", "0")
+        };
+        let junk = hashes((0..100_000u64).map(|i| shard::mix(i ^ 0xBAD)));
+        let mut outside_list = hashes(outside.iter().copied());
+        outside_list.push(0xA5);
+        let cases = [
+            (page(1, junk), owners.clone()),
+            (page(2, outside_list), owners.clone()),
+            (page(3, hashes(inside.iter().map(|(_, hash)| *hash))), Vec::new()),
+        ];
+        for (i, (message, shipped)) in cases.into_iter().enumerate() {
+            let elements = message.element_count() as u64;
+            let (visits, scans) = (visit_probe::visited(), crate::message::scan_probe::visited());
+            deliver(&broker, origin, &message);
+            let visits = visit_probe::visited() - visits;
+            let scans = crate::message::scan_probe::visited() - scans;
+            assert!(visits <= inside.len() as u64 + 1, "case {i}: {visits} index entries visited");
+            assert!(scans <= 64 * elements, "case {i}: {scans} element lookups");
+            let reply = next_message(&inbox);
+            assert_eq!(page_owners(&reply), shipped, "case {i}");
+            assert_eq!(hash_list(&reply), None, "case {i}: a reply lists nothing");
+            assert!(inbox.try_recv().is_err(), "case {i}: one reply");
+        }
     }
 
     /// The next message `inbox` holds, decoded.

@@ -35,7 +35,7 @@ impl PeerId {
     }
 
     /// Builds an identifier from raw bytes.
-    pub fn from_bytes(bytes: [u8; PEER_ID_LEN]) -> Self {
+    pub const fn from_bytes(bytes: [u8; PEER_ID_LEN]) -> Self {
         PeerId(bytes)
     }
 

@@ -17,15 +17,21 @@
 //! a digest reads the summaries and a healthy repair round hashes nothing.
 //! A stale write, which loses its last-writer-wins comparison, changes
 //! neither the state nor the summaries.
+//!
+//! The same writers keep two shard-key-ordered indexes, of the stored
+//! advertisements' identities and of the membership entries, so an
+//! anti-entropy descent reads the entries of a key range in O(log n + k)
+//! instead of walking everything held.  An advertisement's identity is
+//! written when it is first stored or removed; an overwrite leaves it alone.
 
 use crate::broker::BrokerSession;
 use crate::counter::SyncClock;
 use crate::group::{GroupId, GroupRegistry};
-use crate::id::PeerId;
+use crate::id::{PeerId, PEER_ID_LEN};
 use crate::repair::{self, Edit, RepairSummaries};
 use crate::shard::{self, SectionTree, ShardRing};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Version of a peer's replicated presence state: `(origin sequence, kind
@@ -60,8 +66,35 @@ struct IndexedAdvertisement {
     hash: u64,
 }
 
+/// An advertisement's key within its group: `(owner, doc type)`.
+type AdvKey = (PeerId, String);
+
 /// Advertisement index for one group: (owner, doc type) → versioned XML.
-type GroupAdvertisements = HashMap<(PeerId, String), IndexedAdvertisement>;
+type GroupAdvertisements = HashMap<AdvKey, IndexedAdvertisement>;
+
+/// The lowest peer id, which starts a shard-key range read of an index.
+const MIN_PEER: PeerId = PeerId::from_bytes([0; PEER_ID_LEN]);
+
+/// Test-only instrumentation counting the entries the ordered indexes'
+/// range reads visit, per thread, so tests can pin a descent's legs and
+/// pages to work in proportion to the ranges they cover.
+#[cfg(test)]
+pub(crate) mod visit_probe {
+    use std::cell::Cell;
+
+    thread_local! {
+        static VISITED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn record() {
+        VISITED.with(|visited| visited.set(visited.get() + 1));
+    }
+
+    /// Cumulative index entries visited on the calling thread.
+    pub(crate) fn visited() -> u64 {
+        VISITED.with(Cell::get)
+    }
+}
 
 /// A join the broker must gossip once the replica guard is released.
 pub(crate) struct JoinGossip {
@@ -99,6 +132,9 @@ pub(crate) struct Replica {
     sharded: bool,
     /// Advertisement index: group → (owner, doc type) → XML.
     advertisements: HashMap<GroupId, GroupAdvertisements>,
+    /// The identity of every stored advertisement, `(shard key, group,
+    /// (owner, doc type))`, in shard-key order.
+    adv_order: BTreeSet<(u64, GroupId, AdvKey)>,
     /// Logged-in sessions.
     sessions: HashMap<PeerId, BrokerSession>,
     /// Live local sessions shadowed by a remote join this broker yielded to;
@@ -121,6 +157,9 @@ pub(crate) struct Replica {
     /// The consistent-hash ring over this broker and its peers.
     ring: ShardRing,
     groups: GroupRegistry,
+    /// Every membership entry of `groups`, `(shard key, group, member)`, in
+    /// shard-key order.
+    membership_order: BTreeSet<(u64, GroupId, PeerId)>,
     /// The anti-entropy summaries of everything above, kept current by the
     /// writers (see the module docs).
     summaries: RepairSummaries,
@@ -143,6 +182,7 @@ impl Replica {
             own,
             sharded: replication_factor.is_some(),
             advertisements: HashMap::new(),
+            adv_order: BTreeSet::new(),
             sessions: HashMap::new(),
             displaced: HashMap::new(),
             connected: HashSet::new(),
@@ -152,6 +192,7 @@ impl Replica {
             group_hosts: HashMap::new(),
             ring,
             groups: GroupRegistry::new(),
+            membership_order: BTreeSet::new(),
             summaries,
             clock,
         }
@@ -302,90 +343,135 @@ impl Replica {
         self.peer_versions.get(member).copied().unwrap_or((0, PRESENCE_LEAVE, *member))
     }
 
-    /// `true` when both this broker and `peer` are ring replicas of
-    /// `(group, owner)` — the shared-responsibility test that keeps the two
+    /// `true` when both this broker and `peer` are ring replicas of the
+    /// shard key `key` — the shared-responsibility test that keeps the two
     /// sides of an anti-entropy exchange hashing the same entry set.
-    fn is_shared_replica(&self, group: &GroupId, owner: &PeerId, peer: &PeerId) -> bool {
+    fn is_shared_replica(&self, key: u64, peer: &PeerId) -> bool {
         if !self.sharded {
             return true;
         }
-        let arc = self.ring.arc_of(shard::shard_key(group, owner));
+        let arc = self.ring.arc_of(key);
         self.ring.arc_holds(arc, &self.own) && self.ring.arc_holds(arc, peer)
     }
 
     /// `true` when both this broker and `peer` are responsible for the
-    /// membership entry: a ring replica of it, or the member's home (which
-    /// keeps its sessions' memberships as ground truth and can heal replicas
-    /// that all lost the join).  Both sides read the home from the fully
-    /// replicated routing table, so the sets agree whenever routing does.
-    fn is_membership_shared(&self, group: &GroupId, member: &PeerId, peer: &PeerId) -> bool {
+    /// membership entry of `member` with shard key `key`: a ring replica of
+    /// it, or the member's home (which keeps its sessions' memberships as
+    /// ground truth and can heal replicas that all lost the join).  Both
+    /// sides read the home from the fully replicated routing table, so the
+    /// sets agree whenever routing does.
+    fn is_membership_shared(&self, key: u64, member: &PeerId, peer: &PeerId) -> bool {
         if !self.sharded {
             return true;
         }
         let home = self.home_of(member);
-        let arc = self.ring.arc_of(shard::shard_key(group, member));
+        let arc = self.ring.arc_of(key);
         let responsible = |broker: &PeerId| self.ring.arc_holds(arc, broker) || home == Some(*broker);
         responsible(&self.own) && responsible(peer)
     }
 
+    /// The stored advertisements shared with `peer` whose shard key falls in
+    /// `[lo, hi]`, in shard-key order: a range read of the ordered index,
+    /// O(log n + k) for the k entries in the range.
+    fn shared_adverts_in<'a>(
+        &'a self,
+        peer: &'a PeerId,
+        (lo, hi): (u64, u64),
+    ) -> impl Iterator<Item = (u64, &'a GroupId, &'a AdvKey, &'a IndexedAdvertisement)> + 'a {
+        self.adv_order
+            .range((lo, GroupId::new(""), (MIN_PEER, String::new()))..)
+            .take_while(move |(key, ..)| {
+                #[cfg(test)]
+                visit_probe::record();
+                *key <= hi
+            })
+            .filter(move |(key, ..)| self.is_shared_replica(*key, peer))
+            .filter_map(move |(key, group, adv_key)| {
+                let adv = self.advertisements.get(group)?.get(adv_key)?;
+                Some((*key, group, adv_key, adv))
+            })
+    }
+
     /// Sorted advertisement entries shared with `peer`.
     pub(crate) fn repair_adv_entries(&self, peer: &PeerId) -> Vec<FlatEntry> {
-        let entries = self.repair_adv_entries_in(peer, 0, u64::MAX);
-        let mut out: Vec<FlatEntry> = entries.into_iter().map(|(_, entry)| entry).collect();
+        let mut out: Vec<FlatEntry> = self
+            .shared_adverts_in(peer, (0, u64::MAX))
+            .map(|(_, group, (owner, doc_type), adv)| {
+                (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version)
+            })
+            .collect();
         out.sort();
         out
     }
 
-    /// Advertisement entries shared with `peer` whose shard key falls in
-    /// `[lo, hi]`, sorted by key.
+    /// The advertisements shared with `peer` whose shard key falls in
+    /// `range`, in shard-key order, each with its stored hash.  An entry
+    /// whose hash is `listed` comes without its body: the peer that listed
+    /// the hash stores the entry already.
     pub(crate) fn repair_adv_entries_in(
         &self,
         peer: &PeerId,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<(u64, FlatEntry)> {
-        let mut out = Vec::new();
-        for (group, index) in &self.advertisements {
-            for ((owner, doc_type), adv) in index {
-                let key = shard::shard_key(group, owner);
-                if (lo..=hi).contains(&key) && self.is_shared_replica(group, owner, peer) {
-                    let entry =
-                        (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version);
-                    out.push((key, entry));
-                }
-            }
-        }
-        out.sort();
-        out
+        range: (u64, u64),
+        listed: Option<&HashSet<u64>>,
+    ) -> Vec<(u64, (u64, Option<FlatEntry>))> {
+        self.shared_adverts_in(peer, range)
+            .map(|(key, group, (owner, doc_type), adv)| {
+                let lacked = !listed.is_some_and(|listed| listed.contains(&adv.hash));
+                let entry = lacked.then(|| {
+                    (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version)
+                });
+                (key, (adv.hash, entry))
+            })
+            .collect()
+    }
+
+    /// The stored hashes of the advertisements shared with `peer` whose
+    /// shard key falls in `range`, in shard-key order.
+    pub(crate) fn repair_adv_hashes_in<'a>(
+        &'a self,
+        peer: &'a PeerId,
+        range: (u64, u64),
+    ) -> impl Iterator<Item = u64> + 'a {
+        self.shared_adverts_in(peer, range).map(|(.., adv)| adv.hash)
+    }
+
+    /// The membership entries shared with `peer` whose shard key falls in
+    /// `[lo, hi]`, in shard-key order: a range read of the ordered index.
+    fn shared_memberships_in<'a>(
+        &'a self,
+        peer: &'a PeerId,
+        (lo, hi): (u64, u64),
+    ) -> impl Iterator<Item = &'a (u64, GroupId, PeerId)> + 'a {
+        self.membership_order
+            .range((lo, GroupId::new(""), MIN_PEER)..)
+            .take_while(move |(key, ..)| {
+                #[cfg(test)]
+                visit_probe::record();
+                *key <= hi
+            })
+            .filter(move |(key, _, member)| self.is_membership_shared(*key, member, peer))
     }
 
     /// Sorted membership entries shared with `peer`.
     pub(crate) fn repair_membership_entries(&self, peer: &PeerId) -> Vec<(GroupId, PeerId)> {
-        let entries = self.repair_membership_entries_in(peer, 0, u64::MAX);
-        let mut out: Vec<_> = entries.into_iter().map(|(_, entry)| entry).collect();
+        let mut out: Vec<_> = self
+            .shared_memberships_in(peer, (0, u64::MAX))
+            .map(|(_, group, member)| (group.clone(), *member))
+            .collect();
         out.sort();
         out
     }
 
     /// Membership entries shared with `peer` whose shard key falls in
-    /// `[lo, hi]`, sorted by key.
+    /// `range`, in shard-key order.
     pub(crate) fn repair_membership_entries_in(
         &self,
         peer: &PeerId,
-        lo: u64,
-        hi: u64,
+        range: (u64, u64),
     ) -> Vec<(u64, (GroupId, PeerId))> {
-        let mut out = Vec::new();
-        for (group, members) in self.groups.snapshot() {
-            for member in members {
-                let key = shard::shard_key(&group, &member);
-                if (lo..=hi).contains(&key) && self.is_membership_shared(&group, &member, peer) {
-                    out.push((key, (group.clone(), member)));
-                }
-            }
-        }
-        out.sort();
-        out
+        self.shared_memberships_in(peer, range)
+            .map(|(key, group, member)| (*key, (group.clone(), *member)))
+            .collect()
     }
 
     /// Sorted presence register: every peer's version plus its current home
@@ -424,16 +510,12 @@ impl Replica {
         }
         let mut tree = SectionTree::default();
         if section == 'a' {
-            for (group, index) in &self.advertisements {
-                for ((owner, _), adv) in index {
-                    if self.is_shared_replica(group, owner, peer) {
-                        tree.insert(shard::shard_key(group, owner), adv.hash);
-                    }
-                }
+            for (key, .., adv) in self.shared_adverts_in(peer, (0, u64::MAX)) {
+                tree.insert(key, adv.hash);
             }
         } else {
-            for (key, (group, member)) in self.repair_membership_entries_in(peer, 0, u64::MAX) {
-                tree.insert(key, repair::membership_entry_hash(&group, &member));
+            for (key, group, member) in self.shared_memberships_in(peer, (0, u64::MAX)) {
+                tree.insert(*key, repair::membership_entry_hash(group, member));
             }
         }
         Cow::Owned(tree)
@@ -495,7 +577,7 @@ impl Replica {
     }
 
     /// The one writer of the membership registry's joins: `member` joins
-    /// `group` and its summary.
+    /// `group`, its summary and the ordered index.
     fn join_group(&mut self, group: GroupId, member: PeerId) {
         if self.groups.is_member(&group, &member) {
             return;
@@ -503,6 +585,7 @@ impl Replica {
         let entry = Self::membership_entry(&group, &member);
         let home = self.home_of(&member);
         self.summaries.edit_membership(&self.ring, entry, home, Edit::Insert);
+        self.membership_order.insert((entry.0, group.clone(), member));
         self.groups.join(group, member);
     }
 
@@ -512,6 +595,7 @@ impl Replica {
             let entry = Self::membership_entry(group, member);
             let home = self.home_of(member);
             self.summaries.edit_membership(&self.ring, entry, home, Edit::Remove);
+            self.membership_order.remove(&(entry.0, group.clone(), *member));
         }
     }
 
@@ -731,8 +815,9 @@ impl Replica {
     }
 
     /// Inserts (or LWW-replaces) an advertisement: the one writer of the
-    /// index's inserts, hashing the new entry once.  Returns `false` when a
-    /// greater-or-equal version is already stored.
+    /// index's inserts, hashing the new entry once.  A new identity also
+    /// enters the ordered index; an overwrite leaves it alone.  Returns
+    /// `false` when a greater-or-equal version is already stored.
     pub(crate) fn store_advertisement(
         &mut self,
         from: PeerId,
@@ -749,6 +834,9 @@ impl Replica {
         }
         let shard_key = shard::shard_key(group, &from);
         let hash = repair::adv_entry_hash(group, &from, doc_type, xml, version);
+        if stored.is_none() {
+            self.adv_order.insert((shard_key, group.clone(), key.clone()));
+        }
         let adv = IndexedAdvertisement { xml: xml.to_string(), version, hash };
         if let Some(old) = self.advertisements.entry(group.clone()).or_default().insert(key, adv) {
             self.summaries.edit_adv(&self.ring, shard_key, old.hash, Edit::Remove);
@@ -762,12 +850,14 @@ impl Replica {
         let Some(index) = self.advertisements.get_mut(group) else {
             return;
         };
-        if let Some(old) = index.remove(&(*owner, doc_type.to_string())) {
+        let adv_key = (*owner, doc_type.to_string());
+        if let Some(old) = index.remove(&adv_key) {
             if index.is_empty() {
                 self.advertisements.remove(group);
             }
             let key = shard::shard_key(group, owner);
             self.summaries.edit_adv(&self.ring, key, old.hash, Edit::Remove);
+            self.adv_order.remove(&(key, group.clone(), adv_key));
         }
     }
 
@@ -906,36 +996,37 @@ impl Replica {
     }
 
     /// Merges a membership section.  Deletions first: an entry shared with
-    /// `origin`, `in_range` of the page, missing at the sender and stamped
-    /// strictly older than the sender's version of the member was left (an
-    /// equal version proves it current; a live local session's membership is
-    /// never deleted).  Then the sender's entries are added with their stamps.
-    /// Returns the entries brought up to date.
+    /// `origin`, in the page's key `range`, missing at the sender and
+    /// stamped strictly older than the sender's version of the member was
+    /// left (an equal version proves it current; a live local session's
+    /// membership is never deleted).  Only the range is read, off the
+    /// ordered index.  Then the sender's entries are added with their
+    /// stamps.  Returns the entries brought up to date.
     pub(crate) fn merge_membership(
         &mut self,
         origin: &PeerId,
         entries: Vec<(GroupId, PeerId, PresenceVersion)>,
         sender_versions: &HashMap<PeerId, PresenceVersion>,
-        in_range: impl Fn(u64) -> bool,
+        range: (u64, u64),
     ) -> u64 {
         let mut repaired = 0;
-        let sender_members: HashSet<(GroupId, PeerId)> =
-            entries.iter().map(|(group, member, _)| (group.clone(), *member)).collect();
-        for (group, member) in self.repair_membership_entries(origin) {
-            if !in_range(shard::shard_key(&group, &member))
-                || sender_members.contains(&(group.clone(), member))
-                || self.sessions.contains_key(&member)
-            {
-                continue;
-            }
-            if sender_versions
-                .get(&member)
-                .is_some_and(|theirs| *theirs > self.membership_stamp(&group, &member))
-            {
-                self.leave_group(&group, &member);
-                self.membership_versions.remove(&(group, member));
-                repaired += 1;
-            }
+        let sender_members: HashSet<(&GroupId, &PeerId)> =
+            entries.iter().map(|(group, member, _)| (group, member)).collect();
+        let left: Vec<(GroupId, PeerId)> = self
+            .shared_memberships_in(origin, range)
+            .filter(|(_, group, member)| {
+                !sender_members.contains(&(group, member))
+                    && !self.sessions.contains_key(member)
+                    && sender_versions
+                        .get(member)
+                        .is_some_and(|theirs| *theirs > self.membership_stamp(group, member))
+            })
+            .map(|(_, group, member)| (group.clone(), *member))
+            .collect();
+        for (group, member) in left {
+            self.leave_group(&group, &member);
+            self.membership_versions.remove(&(group, member));
+            repaired += 1;
         }
         for (group, member, carried) in entries {
             if carried.1 != PRESENCE_JOIN
@@ -987,24 +1078,48 @@ impl Replica {
         if section == 'a' {
             for (group, index) in &self.advertisements {
                 for ((owner, doc_type), adv) in index {
-                    if self.is_shared_replica(group, owner, peer) {
+                    let key = shard::shard_key(group, owner);
+                    if self.is_shared_replica(key, peer) {
                         let hash = repair::adv_entry_hash(group, owner, doc_type, &adv.xml, adv.version);
-                        tree.insert(shard::shard_key(group, owner), hash);
+                        tree.insert(key, hash);
                     }
                 }
             }
         } else {
-            for (key, (group, member)) in self.repair_membership_entries_in(peer, 0, u64::MAX) {
-                tree.insert(key, repair::membership_entry_hash(&group, &member));
+            for (group, members) in self.groups.snapshot() {
+                for member in members {
+                    let key = shard::shard_key(&group, &member);
+                    if self.is_membership_shared(key, &member, peer) {
+                        tree.insert(key, repair::membership_entry_hash(&group, &member));
+                    }
+                }
             }
         }
         tree
     }
 
     /// Checks every summary against a from-scratch build: the presence
-    /// digest, and towards each of `peers` the advertisement and membership
-    /// digests and trees.
+    /// digest, the two ordered indexes, and towards each of `peers` the
+    /// advertisement and membership digests and trees.
     pub(crate) fn check_summaries(&self, peers: &[PeerId]) -> Result<(), String> {
+        let adverts: BTreeSet<(u64, GroupId, AdvKey)> = self
+            .advertisements
+            .iter()
+            .flat_map(|(group, index)| {
+                index.keys().map(move |key| (shard::shard_key(group, &key.0), group.clone(), key.clone()))
+            })
+            .collect();
+        let memberships: BTreeSet<(u64, GroupId, PeerId)> = self
+            .groups
+            .snapshot()
+            .into_iter()
+            .flat_map(|(group, members)| {
+                members.into_iter().map(move |member| (shard::shard_key(&group, &member), group.clone(), member))
+            })
+            .collect();
+        if self.adv_order != adverts || self.membership_order != memberships {
+            return Err("an ordered index differs from the entries stored".into());
+        }
         let mut presence = shard::NodeSummary::default();
         for (peer, version, home) in self.repair_presence_entries() {
             presence.insert(repair::presence_entry_hash(&peer, version, home));
@@ -1121,7 +1236,7 @@ mod tests {
                 let entries = (c % 2 == 0).then(|| (group.clone(), peer, presence)).into_iter().collect();
                 let versions = HashMap::from([(peer, presence)]);
                 let split = a.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                replica.merge_membership(&broker, entries, &versions, |key| key <= split);
+                replica.merge_membership(&broker, entries, &versions, (0, split));
             }
             8 => {
                 let entry = (group, peer, "t".to_string(), format!("<x{}/>", b % 3), version);

@@ -61,8 +61,11 @@ pub fn shard_key(group: &GroupId, owner: &PeerId) -> u64 {
 /// Depth of the anti-entropy repair tree over the shard-key space: one hex
 /// digit of the 64-bit key per level, so the tree has 16⁵ ≈ one million
 /// potential leaves.  At the target scale of 10⁵–10⁶ entries per shard a
-/// divergent leaf therefore holds only a handful of entries, and the final
-/// repair leg ships O(delta) bytes instead of the whole section.
+/// descent stops at a node of at most a few hundred entries (a leaf holds
+/// a handful).  The leg that sends such a node also lists its entry hashes,
+/// so the final pages of an advertisement repair ship only the entries
+/// each side lacks: O(delta) entries, plus one 8-byte hash per entry of
+/// the divergent ranges, instead of the whole section.
 pub const REPAIR_TREE_DEPTH: u32 = 5;
 
 /// Fan-out of every repair-tree node (one hex digit of the key per level).
@@ -233,6 +236,26 @@ pub fn decode_nodes(bytes: &[u8]) -> Vec<(u32, u64, NodeSummary)> {
             )
         })
         .collect()
+}
+
+/// Wire size of one record of a hash list: an entry's 8-byte repair hash,
+/// big-endian.  A descent leg lists the entries of each child small enough
+/// to be paged, a final-leg page lists its sender's entries of the range,
+/// and a digest carries its section digests the same way.
+pub const HASH_RECORD_BYTES: usize = 8;
+
+/// Appends one hash record to a wire blob (see [`HASH_RECORD_BYTES`]).
+pub fn encode_hash(out: &mut Vec<u8>, hash: u64) {
+    out.extend_from_slice(&hash.to_be_bytes());
+}
+
+/// Decodes a hash list: one hash per whole record, a trailing partial
+/// record dropped, so decoding allocates nothing and a forged list costs
+/// work linear in its length.
+pub fn decode_hashes(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(HASH_RECORD_BYTES)
+        .map(|record| u64::from_be_bytes(record.try_into().expect("chunks_exact yields whole records")))
 }
 
 /// A deterministic consistent-hash ring over the brokers of a federation.
