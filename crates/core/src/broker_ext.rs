@@ -963,6 +963,7 @@ mod tests {
     use jxta_crypto::envelope::seal_envelope;
     use jxta_overlay::broker::BrokerConfig;
     use jxta_overlay::net::{LinkModel, NetMessage};
+    use jxta_overlay::record::{self, GossipBody, GossipEvent};
     use jxta_overlay::{GroupId, SimNetwork, UserDatabase};
     use std::sync::Arc;
 
@@ -1617,18 +1618,22 @@ mod tests {
         );
     }
 
-    /// A forged gossip count cannot stall pre-verification: a
-    /// `count = u64::MAX` digest of three elements from a peer outside the
-    /// federation is walked only as far as the elements it carries, then
-    /// rejected at admission.  An uncapped walk never returns.
+    /// A forged record length cannot stall pre-verification: a one-event
+    /// digest whose XML claims `u32::MAX` bytes, from a peer outside the
+    /// federation, is walked only as far as its element holds, then
+    /// rejected at admission.
     #[test]
     fn forged_sync_count_from_an_unadmitted_peer_is_rejected() {
         let mut w = world();
         let rogue = PeerId::random(&mut w.rng);
-        let forged = Message::new(MessageKind::BrokerSync, rogue, 0)
-            .with_str("count", &u64::MAX.to_string())
-            .with_str("e0-xml", "<adv/>")
-            .with_str("seq", "1");
+        let (doc_type, xml) = ("jxta:PipeAdvertisement".to_string(), "<adv/>".to_string());
+        let publish = GossipBody::Publish(GroupId::new("math"), rogue, doc_type, xml);
+        let event = GossipEvent { seq: 1, origin: rogue, broadcast: false, repair: false, body: publish };
+        let mut forged = record::sync_message(rogue, &[event]).with_str("seq", "1");
+        // The event ends with the XML's 4-byte length and its 6 bytes.
+        let events = &mut forged.elements[0].content;
+        let at = events.len() - 10;
+        events[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         w.broker.process_net(NetMessage {
             from: rogue,
             to: w.broker.id(),
@@ -1637,6 +1642,48 @@ mod tests {
         });
         assert_eq!(w.broker.federation_stats().rejected_unknown_origin, 1);
         assert_eq!(w.broker.processed_count(), 1);
+        assert_eq!(w.extension.stats().ingress_preverified, 0);
+    }
+
+    /// Ingress pre-verification reads the signed advertisements backbone
+    /// traffic carries: the one in a peer broker's publish gossip and the
+    /// one in its anti-entropy snapshot are each verified before the
+    /// sender is admitted (here it never is).
+    #[test]
+    fn preverify_counts_signed_advertisements_in_gossip_and_pages() {
+        let mut w = world();
+        let client = client_identity(&mut w.rng);
+        let sid = do_secure_connect(&w, &client, b"challenge").element("sid").unwrap().to_vec();
+        let login = build_login_request(&mut w, &client, "alice", "pw-a", &sid);
+        let response = w.broker.handle_message(&login).unwrap();
+        let credential = Credential::from_bytes(response.element("credential").unwrap()).unwrap();
+        let (xml, _) = signed_publish(&client, &credential);
+
+        // A plain peer broker on a network of its own, repairing flat, so a
+        // digest that disagrees draws one snapshot of every section.
+        let network = SimNetwork::new(LinkModel::ideal());
+        let config = BrokerConfig::named("peer").with_flat_repair();
+        let peer = Broker::new(PeerId::random(&mut w.rng), config, Arc::clone(&network), Arc::new(UserDatabase::new()));
+        peer.add_peer_broker(w.broker.id());
+        let inbox = network.register(w.broker.id());
+        peer.index_and_distribute(client.peer_id(), &GroupId::new("math"), "jxta:PipeAdvertisement", &xml);
+        let sync = inbox.try_recv().unwrap();
+        let digest = Message::new(MessageKind::AntiEntropyDigest, w.broker.id(), 0)
+            .with_element("digests", vec![0xA5; 32])
+            .with_str("seq", "1");
+        peer.process_net(NetMessage {
+            from: w.broker.id(),
+            to: peer.id(),
+            payload: digest.to_bytes(),
+            wire_time: std::time::Duration::ZERO,
+        });
+        let snapshot = inbox.try_recv().unwrap();
+        for (carried, delivery) in [sync, snapshot].into_iter().enumerate() {
+            let kind = Message::from_bytes(&delivery.payload).unwrap().kind;
+            w.broker.process_net(delivery);
+            assert_eq!(w.extension.stats().ingress_preverified, carried as u64 + 1, "{kind:?}");
+        }
+        assert_eq!(w.broker.federation_stats().rejected_unknown_origin, 2);
     }
 
     #[test]

@@ -73,16 +73,19 @@
 use crate::counter::{self, SyncClock};
 use crate::database::UserDatabase;
 use crate::endpoint::Endpoint;
-use crate::fabric::{Fabric, GossipEvent, REPAIR_MARK};
+use crate::fabric::Fabric;
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
 use crate::message::{Message, MessageKind};
 use crate::metrics::{FederationMetrics, FederationStats, PipelineMetrics, PipelineStats};
 use crate::net::{NetMessage, SimNetwork};
-use crate::plumtree::{self, GossipId};
+use crate::plumtree::GossipId;
+use crate::record::{self, GossipBody, GossipEvent, Record, SwimVerdict};
 use crate::repair::extension_hash;
-use crate::replica::{FlatEntry, JoinGossip, PresenceEntry, PresenceVersion, Replica, PRESENCE_JOIN};
-use crate::shard::{self, SectionTree};
+use crate::replica::{
+    FlatEntry, JoinGossip, MembershipEntry, PresenceEntry, PresenceVersion, Replica, PRESENCE_JOIN,
+};
+use crate::shard::{self, NodeSummary, SectionTree};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -313,13 +316,13 @@ enum LaneJob {
 const REPAIR_PAGE_ENTRIES: u64 = 256;
 
 /// Size of an anti-entropy digest's one `digests` element: the
-/// advertisement, membership, presence and extension digests as four
-/// big-endian hash records.
-const DIGEST_BYTES: usize = 4 * shard::HASH_RECORD_BYTES;
+/// advertisement, membership, presence and extension digests as four 8-byte
+/// hash records.
+const DIGEST_BYTES: usize = 4 * 8;
 
 /// Entries per range-scoped snapshot page.  Pages bound the size of a repair
 /// message: healing a million-entry divergence ships many pages, never one
-/// million-element `Message`.
+/// million-entry `Message`.
 const REPAIR_PAGE_MAX: usize = 256;
 
 /// Node summaries per descent leg (a 25 KB range message at most).
@@ -716,11 +719,7 @@ impl Broker {
         let Some(seq) = self.replica.write().drop_session(peer) else {
             return;
         };
-        self.gossip_to_all(GossipEvent::new(vec![
-            ("op", "leave".to_string()),
-            ("seq", seq.to_string()),
-            ("peer", peer.to_urn()),
-        ]));
+        self.gossip_to_all(self.event(seq, GossipBody::Leave(*peer)));
         self.flush_gossip();
     }
 
@@ -760,14 +759,8 @@ impl Broker {
         };
         let pushed =
             members.map_or(0, |members| self.push_advertisement(&members, group, doc_type, xml));
-        let event = GossipEvent::new(vec![
-            ("op", "publish".to_string()),
-            ("seq", seq.to_string()),
-            ("group", group.as_str().to_string()),
-            ("doc-type", doc_type.to_string()),
-            ("owner", from.to_urn()),
-            ("xml", xml.to_string()),
-        ]);
+        let body = GossipBody::Publish(group.clone(), from, doc_type.to_string(), xml.to_string());
+        let event = self.event(seq, body);
         let fanout = match sharded_targets {
             Some(targets) => {
                 self.fabric.lock().queue(&targets, event);
@@ -830,6 +823,11 @@ impl Broker {
         self.endpoint.to_broker(to, message, Duration::ZERO, &self.federation).is_some()
     }
 
+    /// A gossip event this broker versions at `seq`.
+    fn event(&self, seq: u64, body: GossipBody) -> GossipEvent {
+        GossipEvent { seq, origin: self.id, broadcast: false, repair: false, body }
+    }
+
     /// Queues a broadcast gossip event and returns the origin's fan-out (see
     /// `Fabric::broadcast`; receivers forward it in [`Broker::handle_sync`]).
     fn gossip_to_all(&self, event: GossipEvent) -> usize {
@@ -841,18 +839,13 @@ impl Broker {
     /// membership part only for entries they own).  The caller flushes.
     fn gossip_joins(&self, joins: Vec<JoinGossip>) {
         for join in joins {
-            let groups: Vec<&str> = join.groups.iter().map(GroupId::as_str).collect();
-            self.gossip_to_all(GossipEvent::new(vec![
-                ("op", "join".to_string()),
-                ("seq", join.seq.to_string()),
-                ("peer", join.peer.to_urn()),
-                ("groups", groups.join(",")),
-            ]));
+            self.gossip_to_all(self.event(join.seq, GossipBody::Join(join.peer, join.groups)));
         }
     }
 
     /// Ships every queued gossip event: one `BrokerSync` digest per
-    /// destination, however many events accumulated for it.  Every public
+    /// destination, however many events accumulated for it, its events
+    /// encoded by [`record::sync_message`].  Every public
     /// operation that gossips flushes before returning (so a single publish
     /// still costs a single message, exactly as before), but an operation
     /// that produces many events — a shard migration, a batched sync
@@ -861,14 +854,7 @@ impl Broker {
     pub fn flush_gossip(&self) {
         let batches = self.fabric.lock().take_outbox();
         for (destination, events) in batches {
-            let mut digest = Message::new(MessageKind::BrokerSync, self.id, 0)
-                .with_str("count", &events.len().to_string());
-            for (i, event) in events.iter().enumerate() {
-                for (field, value) in &event.fields {
-                    digest.push_element(format!("e{i}-{field}"), value.as_bytes().to_vec());
-                }
-            }
-            self.to_broker(destination, digest);
+            self.to_broker(destination, record::sync_message(self.id, &events));
         }
     }
 
@@ -913,77 +899,39 @@ impl Broker {
         self.fabric.lock().admit_message(origin, from, seq, &self.sync_seq, &self.federation)
     }
 
-    /// Applies one admitted gossip message to local state.  Two wire shapes
-    /// are understood: the coalesced digest (`count` element, events in
-    /// `e{i}-*` fields, each carrying its own version `seq`) that
-    /// [`Broker::flush_gossip`] sends, and the original single-event layout
-    /// (`op` at the top level, the transport `seq` doubling as the version),
-    /// which [`Broker::gossip_extension_state`] sends for revocation lists
-    /// and the pipelined-vs-inline equivalence proptest scripts for its
-    /// fake peer broker.
+    /// Applies one admitted gossip digest to local state: the events
+    /// [`record::sync_message`] encoded, each carrying its own version `seq`
+    /// and origin.  An event that fails to decode is dropped (see
+    /// `crate::record`) before anything is relayed, cached, announced or
+    /// applied, so a malformed event stops at its first hop.
     fn handle_sync(&self, message: &Message) {
-        let origin = message.sender;
+        let sender = message.sender;
         let epidemic = self.epidemic_engaged();
         let mut broadcasts = 0usize;
         let mut duplicates = 0usize;
-        if let Some(count) = message.entry_count("count") {
-            // One name→content index up front: per-field `element` scans
-            // would make applying an n-event digest O(n²).  The events'
-            // field lists for relaying are sliced out of one more pass, on
-            // the first fresh broadcast.
-            let index = message.index();
-            let events = std::cell::OnceCell::new();
-            for i in 0..count {
-                // Epidemic bookkeeping first: a broadcast event (it carries
-                // its gossip id in `vorigin`/`seq` plus the `bcast` marker)
-                // is deduplicated on the seen-set, cached for grafts, and
-                // re-queued onward.  Application itself stays on the
-                // byte-faithful closure over the wire message.
-                let gid = if epidemic
-                    && index.get(&format!("e{i}-bcast")) == Some(b"1".as_slice())
-                {
-                    index
-                        .get_str(&format!("e{i}-vorigin"))
-                        .and_then(|urn| PeerId::from_urn(&urn))
-                        .zip(index.get_str(&format!("e{i}-seq")).as_deref().and_then(counter::parse))
-                } else {
-                    None
-                };
-                if let Some(gid) = gid {
-                    // Only a publish's own eager wave votes on pruning: a
-                    // repair copy (marked by the graft that pulled it)
-                    // crosses lazy edges and the tree alike.
-                    let unmarked = index.get(&format!("e{i}-{REPAIR_MARK}")).is_none();
-                    broadcasts += usize::from(unmarked);
-                    let fields = || {
-                        events.get_or_init(|| message.entries("e", count))[i]
-                            .iter()
-                            .map(|(field, value)| {
-                                (field.to_string(), String::from_utf8_lossy(value).into_owned())
-                            })
-                            .collect()
-                    };
-                    let fresh = self.fabric.lock().relay(gid, fields, origin, &self.federation);
-                    if !fresh {
-                        duplicates += usize::from(unmarked);
-                        continue;
-                    }
+        for event in record::sync_events(message) {
+            // Epidemic bookkeeping first: a broadcast event is deduplicated
+            // on the seen-set by its gossip id, cached for grafts, and
+            // re-queued onward.
+            if epidemic && event.broadcast {
+                // Only a publish's own eager wave votes on pruning: a repair
+                // copy (flagged by the graft that pulled it) crosses lazy
+                // edges and the tree alike.
+                let unflagged = !event.repair;
+                broadcasts += usize::from(unflagged);
+                if !self.fabric.lock().relay(&event, sender, &self.federation) {
+                    duplicates += usize::from(unflagged);
+                    continue;
                 }
-                self.apply_sync_event(origin, &|field: &str| {
-                    index.get(&format!("e{i}-{field}")).map(<[u8]>::to_vec)
-                });
             }
-        } else {
-            self.apply_sync_event(origin, &|field: &str| {
-                message.element(field).map(<[u8]>::to_vec)
-            });
+            self.apply_sync_event(event);
         }
-        // A digest whose unmarked broadcasts were all seen already means this
-        // edge duplicates the tree: demote it to lazy and tell the sender to
-        // prune its side too.
+        // A digest whose unflagged broadcasts were all seen already means
+        // this edge duplicates the tree: demote it to lazy and tell the
+        // sender to prune its side too.
         if epidemic && broadcasts > 0 && duplicates == broadcasts {
-            self.fabric.lock().prune(origin);
-            self.to_broker(origin, Message::new(MessageKind::PlumtreePrune, self.id, 0));
+            self.fabric.lock().prune(sender);
+            self.to_broker(sender, Message::new(MessageKind::PlumtreePrune, self.id, 0));
         }
         // Applying events may have re-asserted live local sessions; ship the
         // resulting gossip (and any forwarded broadcasts) in one digest per
@@ -991,77 +939,37 @@ impl Broker {
         self.flush_gossip();
     }
 
-    /// Applies a single replicated write.  `raw` resolves the event's fields
-    /// (either top-level elements or the `e{i}-` slice of a digest) as raw
-    /// bytes; textual fields are decoded through the local `get` helper.
-    fn apply_sync_event(&self, origin: PeerId, raw: &dyn Fn(&str) -> Option<Vec<u8>>) {
-        let get = |field: &str| raw(field).map(|b| String::from_utf8_lossy(&b).into_owned());
-        let peer_field = |field: &str| get(field).and_then(|urn| PeerId::from_urn(&urn));
-        let Some(seq) = get("seq").as_deref().and_then(counter::parse) else {
-            return;
-        };
-        // The version origin (for joins and leaves: the peer's home) travels
-        // with epidemic and migrated events, where the transport sender may
-        // be a forwarder; the direct-delivery layouts fall back to the sender.
-        let version = (seq, peer_field("vorigin").unwrap_or(origin));
+    /// Applies a single replicated write or SWIM verdict, versioned `(seq,
+    /// origin)`.
+    fn apply_sync_event(&self, event: GossipEvent) {
+        let version = (event.seq, event.origin);
         let mut joins = Vec::new();
-        let applied = match get("op").as_deref() {
-            Some("publish") => {
-                let (Some(group), Some(doc_type), Some(owner), Some(xml)) = (
-                    get("group"),
-                    get("doc-type"),
-                    peer_field("owner"),
-                    get("xml"),
-                ) else {
-                    return;
-                };
+        let applied = match event.body {
+            GossipBody::Publish(group, owner, doc_type, xml) => {
                 // A broker outside the replica set can still receive the
                 // publish: group-aware routing addresses member-hosting
                 // brokers so they push to their local members.
-                let group = GroupId::new(group);
                 let members = self.replica.write().publish(owner, &group, &doc_type, &xml, version);
                 if let Some(members) = members {
                     self.push_advertisement(&members, &group, &doc_type, &xml);
                 }
                 true
             }
-            Some("join") => {
-                let Some(peer) = peer_field("peer") else {
-                    return;
-                };
-                let groups = get("groups").unwrap_or_default();
+            GossipBody::Join(peer, groups) => {
                 self.replica.write().apply_join(peer, version, &groups, &mut joins)
             }
-            Some("leave") => {
-                let Some(peer) = peer_field("peer") else {
-                    return;
-                };
-                self.replica.write().apply_leave(peer, version, &mut joins)
+            GossipBody::Leave(peer) => self.replica.write().apply_leave(peer, version, &mut joins),
+            // A migrated membership entry: (group, peer) re-routed onto this
+            // broker after a ring change, carrying the presence version it
+            // was observed under.
+            GossipBody::Membership(group, peer, rank) => {
+                self.replica.write().apply_membership(peer, group, (event.seq, rank, event.origin))
             }
-            Some("membership") => {
-                // A migrated membership entry: (group, peer) re-routed onto
-                // this broker after a ring change, carrying the presence
-                // version it was observed under.
-                let (Some(peer), Some(group), Some(rank), Some(vorigin)) = (
-                    peer_field("peer"),
-                    get("group"),
-                    get("vrank").and_then(|r| r.parse::<u8>().ok()),
-                    peer_field("vorigin"),
-                ) else {
-                    return;
-                };
-                self.replica
-                    .write()
-                    .apply_membership(peer, GroupId::new(group), (seq, rank, vorigin))
-            }
-            Some("ext") => {
+            GossipBody::Ext(blob) => {
                 // An opaque extension-state blob (e.g. an admin-signed
                 // revocation list) replicated over the backbone.  The
                 // extension authenticates the content itself — the overlay
                 // only provides transport and the usual gossip admission.
-                let Some(blob) = raw("blob") else {
-                    return;
-                };
                 if let Some(extension) = self.extension() {
                     let repaired = extension.apply_repair_snapshot(self, &blob);
                     if repaired > 0 {
@@ -1072,27 +980,20 @@ impl Broker {
             }
             // SWIM verdicts ride the same gossip fabric as data events but
             // mutate the failure detector, not the replicated state (so they
-            // do not count as `sync_applied`).  `sinc` is the incarnation
-            // the accusation or refutation is made at; the detector's
-            // precedence rules decide whether it lands.
-            Some(op @ ("swim-suspect" | "swim-alive" | "swim-dead")) => {
-                let (Some(peer), Some(sinc)) =
-                    (peer_field("peer"), get("sinc").as_deref().and_then(counter::parse))
-                else {
-                    return;
-                };
-                let refute = self.fabric.lock().verdict(op, peer, sinc, &self.federation);
+            // do not count as `sync_applied`).  The detector's precedence
+            // rules decide whether one made at `incarnation` lands.
+            GossipBody::Verdict(verdict, peer, incarnation) => {
+                let refute = self.fabric.lock().verdict(verdict, peer, incarnation, &self.federation);
                 if let Some(incarnation) = refute {
                     // An accusation of *this* broker: refute with an alive
                     // announcement at a higher incarnation, which orders
                     // above the accusation everywhere it reached.
                     self.federation.count_swim_refutation();
-                    self.gossip_swim("swim-alive", self.id, incarnation);
+                    self.gossip_swim(SwimVerdict::Alive, self.id, incarnation);
                     self.flush_gossip();
                 }
                 false
             }
-            _ => false,
         };
         self.gossip_joins(joins);
         if applied {
@@ -1100,15 +1001,11 @@ impl Broker {
         }
     }
 
-    /// Queues a SWIM verdict (`swim-suspect`, `swim-dead` or this broker's
-    /// own `swim-alive` refutation) about `peer` at `incarnation`.
-    fn gossip_swim(&self, op: &str, peer: PeerId, incarnation: u64) {
-        self.gossip_to_all(GossipEvent::new(vec![
-            ("op", op.to_string()),
-            ("seq", self.sync_seq.next().to_string()),
-            ("peer", peer.to_urn()),
-            ("sinc", incarnation.to_string()),
-        ]));
+    /// Queues a SWIM verdict (a suspicion, a death or this broker's own
+    /// alive refutation) about `peer` at `incarnation`.
+    fn gossip_swim(&self, verdict: SwimVerdict, peer: PeerId, incarnation: u64) {
+        let body = GossipBody::Verdict(verdict, peer, incarnation);
+        self.gossip_to_all(self.event(self.sync_seq.next(), body));
     }
 
     // ------------------------------------------------------------------
@@ -1147,15 +1044,14 @@ impl Broker {
         self.to_broker(message.sender, reply);
     }
 
-    /// The gossip ids an `IHave` or `Graft` digest lists in its `ids`
-    /// element (see [`plumtree::decode_gossip_ids`]).
+    /// The gossip ids an `IHave` or `Graft` digest lists in its `ids` element.
     fn gossip_ids(message: &Message) -> Option<Vec<GossipId>> {
-        message.element("ids").map(plumtree::decode_gossip_ids)
+        message.element("ids").map(record::decode)
     }
 
     /// An `IHave` or `Graft` digest listing `gids`.
     fn gossip_id_digest(&self, kind: MessageKind, gids: &[GossipId]) -> Message {
-        Message::new(kind, self.id, 0).with_element("ids", plumtree::encode_gossip_ids(gids))
+        Message::new(kind, self.id, 0).with_element("ids", record::encode(gids))
     }
 
     /// Handles a lazy-edge `IHave` digest: an advertised gossip id this
@@ -1239,12 +1135,12 @@ impl Broker {
         for (peer, incarnation) in plan.new_dead {
             self.federation.count_swim_death();
             self.fabric.lock().on_death(&peer);
-            self.gossip_swim("swim-dead", peer, incarnation);
+            self.gossip_swim(SwimVerdict::Dead, peer, incarnation);
             self.flush_gossip();
         }
         for (peer, incarnation) in plan.new_suspects {
             self.federation.count_swim_suspicion();
-            self.gossip_swim("swim-suspect", peer, incarnation);
+            self.gossip_swim(SwimVerdict::Suspect, peer, incarnation);
         }
         if let Some(target) = plan.probe {
             let incarnation = self.swim_incarnation();
@@ -1280,10 +1176,11 @@ impl Broker {
     /// revocation lists) to every peer broker of the federation.  No-op when
     /// no extension is installed or the extension has nothing to share.
     ///
-    /// The update is sent directly (as a single-event `BrokerSync`) rather
-    /// than queued in the gossip outbox: the outbox is shared with the
-    /// broker's event-loop thread, which could pick the event up and ship it
-    /// *after* this call returns.  Sending on the caller's thread completes
+    /// The update is sent directly, as a one-event `BrokerSync` digest from
+    /// the encoder every flush uses ([`record::sync_message`]), rather than
+    /// queued in the gossip outbox: the outbox is shared with the broker's
+    /// event-loop thread, which could pick the event up and ship it *after*
+    /// this call returns.  Sending on the caller's thread completes
     /// before returning, so the per-inbox FIFO guarantees every current peer
     /// applies the update before any request issued afterwards — the
     /// ordering `SecureNetwork::revoke` documents.
@@ -1294,11 +1191,11 @@ impl Broker {
         // Epidemic federations send to the active view only; the x-section
         // anti-entropy exchange spreads the blob transitively from there.
         let peers = self.fabric.lock().targets();
+        // The extension authenticates the blob itself, so the event needs no
+        // version: it goes out at `seq` 0 and is never relayed.
+        let sync = record::sync_message(self.id, &[self.event(0, GossipBody::Ext(blob))]);
         for peer in peers {
-            let sync = Message::new(MessageKind::BrokerSync, self.id, 0)
-                .with_str("op", "ext")
-                .with_element("blob", blob.clone());
-            self.to_broker(peer, sync);
+            self.to_broker(peer, sync.clone());
         }
     }
 
@@ -1320,27 +1217,15 @@ impl Broker {
         // broker must learn every existing route (and the membership
         // entries it now owns ride along in the join's group list).
         self.gossip_joins(plan.joins);
+        // Migrated entries keep the version they were written under.
         let mut fabric = self.fabric.lock();
-        for ((group, owner, doc_type, xml, version), targets) in plan.adverts {
-            fabric.queue(&targets, GossipEvent::new(vec![
-                ("op", "publish".to_string()),
-                ("seq", version.0.to_string()),
-                ("vorigin", version.1.to_urn()),
-                ("group", group.as_str().to_string()),
-                ("doc-type", doc_type),
-                ("owner", owner.to_urn()),
-                ("xml", xml),
-            ]));
+        for ((group, owner, doc_type, xml, (seq, origin)), targets) in plan.adverts {
+            let body = GossipBody::Publish(group, owner, doc_type, xml);
+            fabric.queue(&targets, GossipEvent { origin, ..self.event(seq, body) });
         }
-        for (group, peer, version, targets) in plan.memberships {
-            fabric.queue(&targets, GossipEvent::new(vec![
-                ("op", "membership".to_string()),
-                ("seq", version.0.to_string()),
-                ("vrank", PRESENCE_JOIN.to_string()),
-                ("vorigin", version.2.to_urn()),
-                ("peer", peer.to_urn()),
-                ("group", group.as_str().to_string()),
-            ]));
+        for (group, peer, (seq, _, origin), targets) in plan.memberships {
+            let body = GossipBody::Membership(group, peer, PRESENCE_JOIN);
+            fabric.queue(&targets, GossipEvent { origin, ..self.event(seq, body) });
         }
         drop(fabric);
         self.federation.count_entries_migrated(plan.migrated);
@@ -1420,12 +1305,8 @@ impl Broker {
             };
             let x = self.repair_extension_hash();
             for (peer, (a, m)) in digests {
-                let mut hashes = Vec::with_capacity(DIGEST_BYTES);
-                for hash in [a, m, p, x] {
-                    shard::encode_hash(&mut hashes, hash);
-                }
                 let digest = Message::new(MessageKind::AntiEntropyDigest, self.id, 0)
-                    .with_element("digests", hashes);
+                    .with_element("digests", record::encode(&[a, m, p, x]));
                 self.to_broker(peer, digest);
             }
         }
@@ -1493,7 +1374,7 @@ impl Broker {
         let Some(theirs) = message.element("digests").filter(|d| d.len() == DIGEST_BYTES) else {
             return;
         };
-        let theirs: Vec<u64> = shard::decode_hashes(theirs).collect();
+        let theirs: Vec<u64> = record::decode(theirs);
         let ((a, m), p) = {
             let replica = self.replica.read();
             (replica.repair_digests(&origin), replica.presence_hash())
@@ -1577,15 +1458,14 @@ impl Broker {
         // Only advertisement legs carry hash lists: a membership page must
         // list its range in full, since its deletion rule reads the sender's
         // whole listing.
-        let mut lists = LegHashLists(
-            (section == 'a').then(|| message.element("hashes").unwrap_or_default()),
-        );
+        let hashes: Vec<u64> = message.element("hashes").map(record::decode).unwrap_or_default();
+        let mut lists = LegHashLists((section == 'a').then_some(&hashes[..]));
         let replica = self.replica.read();
         let tree = replica.section_tree(section, &origin);
         let mut reply = DescentLeg::new(section);
         let mut reply_nodes = 0usize;
         let mut pages = Vec::new();
-        for (depth, prefix, theirs) in shard::decode_nodes(blob) {
+        for (depth, prefix, theirs) in record::decode::<(u32, u64, NodeSummary)>(blob) {
             // Taken before the node is checked, so the lists after a
             // malformed node stay aligned with their nodes.
             let listed = lists.next_list(theirs.count);
@@ -1619,7 +1499,7 @@ impl Broker {
             self.to_broker(origin, reply.into_message(self.id));
         }
         for (range, listed) in pages {
-            let listed: Option<HashSet<u64>> = listed.map(|list| shard::decode_hashes(list).collect());
+            let listed: Option<HashSet<u64>> = listed.map(|list| list.iter().copied().collect());
             self.send_range_pages(origin, section, range, true, listed.as_ref());
         }
     }
@@ -1633,14 +1513,13 @@ impl Broker {
         {
             let replica = self.replica.read();
             if sections.contains('a') {
-                push_adv_section(&mut snapshot, replica.repair_adv_entries(peer));
+                snapshot.push_element("a", record::encode(&replica.repair_adv_entries(peer)));
             }
             if sections.contains('m') {
-                let entries = replica.repair_membership_entries(peer);
-                push_membership_section(&replica, &mut snapshot, entries);
+                snapshot.push_element("m", record::encode(&replica.repair_membership_entries(peer)));
             }
             if sections.contains('p') {
-                push_presence_section(&replica, &mut snapshot);
+                snapshot.push_element("p", record::encode(&replica.repair_presence_entries()));
             }
         }
         if sections.contains('x') {
@@ -1674,26 +1553,27 @@ impl Broker {
             'a' => {
                 let entries = self.replica.read().repair_adv_entries_in(&peer, range, listed);
                 let list_own = want && listed.is_some();
-                self.send_pages(peer, section, range, want, entries, |_, snapshot, page| {
+                self.send_pages(peer, section, range, want, entries, |snapshot, page| {
                     if list_own {
-                        let mut hashes = Vec::new();
-                        for (hash, _) in &page {
-                            shard::encode_hash(&mut hashes, *hash);
-                        }
-                        snapshot.push_element("hashes", hashes);
+                        let hashes: Vec<u64> = page.iter().map(|(hash, _)| *hash).collect();
+                        snapshot.push_element("hashes", record::encode(&hashes));
                     }
-                    push_adv_section(snapshot, page.into_iter().filter_map(|(_, entry)| entry).collect());
+                    let entries: Vec<FlatEntry> = page.into_iter().filter_map(|(_, entry)| entry).collect();
+                    snapshot.push_element("a", record::encode(&entries));
                 });
             }
             _ => {
-                let entries = self.replica.read().repair_membership_entries_in(&peer, range);
-                self.send_pages(peer, section, range, want, entries, |broker, snapshot, page| {
-                    let replica = broker.replica.read();
-                    push_membership_section(&replica, snapshot, page);
+                let (entries, presence) = {
+                    let replica = self.replica.read();
+                    let presence = record::encode(&replica.repair_presence_entries());
+                    (replica.repair_membership_entries_in(&peer, range), presence)
+                };
+                self.send_pages(peer, section, range, want, entries, |snapshot, page| {
+                    snapshot.push_element("m", record::encode(&page));
                     // Membership deletions compare against the *sender's*
                     // presence versions, so every m page travels with the
                     // full p section, exactly like a flat m snapshot does.
-                    push_presence_section(&replica, snapshot);
+                    snapshot.push_element("p", presence.clone());
                 });
             }
         }
@@ -1717,7 +1597,7 @@ impl Broker {
         (lo, hi): (u64, u64),
         want: bool,
         entries: Vec<(u64, T)>,
-        fill: impl Fn(&Broker, &mut Message, Vec<T>),
+        fill: impl Fn(&mut Message, Vec<T>),
     ) {
         let mut bounds: Vec<(u64, u64, usize)> = Vec::new();
         if entries.is_empty() {
@@ -1747,7 +1627,7 @@ impl Broker {
             if want {
                 snapshot.push_element("want-range", b"1".to_vec());
             }
-            fill(self, &mut snapshot, page);
+            fill(&mut snapshot, page);
             self.federation.count_repair_page();
             self.to_broker(peer, snapshot);
         }
@@ -1779,8 +1659,8 @@ impl Broker {
                 if section == 'a' || section == 'm' {
                     // The page lists what its sender holds (nothing, when
                     // it lists nothing): the reply ships the rest.
-                    let listed: HashSet<u64> =
-                        shard::decode_hashes(message.element("hashes").unwrap_or_default()).collect();
+                    let hashes: Vec<u64> = record::decode(message.element("hashes").unwrap_or_default());
+                    let listed: HashSet<u64> = hashes.into_iter().collect();
                     self.send_range_pages(origin, section, (lo, hi), false, Some(&listed));
                 }
             }
@@ -1791,63 +1671,23 @@ impl Broker {
 
     /// Merges one snapshot into local state.  Returns the number of entries
     /// actually brought up to date (stale snapshot content merges to zero —
-    /// the no-regression property the repair proptests assert).
+    /// the no-regression property the repair proptests assert).  Each
+    /// section is one element of records (see `crate::record`).
     fn merge_repair_snapshot(&self, origin: PeerId, message: &Message) -> u64 {
-        // Index the elements once: with up to six `a{i}-*` lookups per entry,
-        // the linear `Message::element` scan made merging an n-entry snapshot
-        // O(n²) element visits.
-        let index = message.index();
-        let text = |name: &str| index.get_str(name);
-        let peer = |name: &str| text(name).and_then(|u| PeerId::from_urn(&u));
+        let section = |name: &str| message.element(name);
         // Range-scoped pages (the final legs of a tree descent) only speak
         // for `[lo, hi]` of the shard-key space: an entry the page lacks is
         // evidence of deletion only if its key is inside the page's range.
-        let range = match (
-            text("range-lo").and_then(|s| s.parse::<u64>().ok()),
-            text("range-hi").and_then(|s| s.parse::<u64>().ok()),
-        ) {
+        let bound = |name: &str| message.element_str(name).and_then(|s| s.parse::<u64>().ok());
+        let range = match (bound("range-lo"), bound("range-hi")) {
             (Some(lo), Some(hi)) => (lo, hi),
             _ => (0, u64::MAX),
         };
-
-        // The presence section is parsed up front: the membership deletion
+        // The presence section is decoded up front: the membership deletion
         // rule compares against the *sender's* versions.
-        let presence: Option<Vec<PresenceEntry>> = message.entry_count("p-count").map(|n| {
-            (0..n)
-                .filter_map(|i| {
-                    let seq = text(&format!("p{i}-vseq")).as_deref().and_then(counter::parse)?;
-                    let rank = text(&format!("p{i}-vrank")).and_then(|r| r.parse::<u8>().ok())?;
-                    let version = (seq, rank, peer(&format!("p{i}-vorigin"))?);
-                    Some((peer(&format!("p{i}-peer"))?, version, peer(&format!("p{i}-home"))))
-                })
-                .collect()
-        });
-        let memberships = message.entry_count("m-count").map(|m_count| {
-            // A forged m-count must not reserve memory the message cannot
-            // back: each membership entry occupies at least five elements.
-            let mut entries = Vec::with_capacity(m_count.min(message.element_count() / 5 + 1));
-            entries.extend((0..m_count).filter_map(|i| {
-                let (group, member) = (text(&format!("m{i}-group"))?, peer(&format!("m{i}-peer"))?);
-                let seq = text(&format!("m{i}-vseq")).as_deref().and_then(counter::parse)?;
-                let rank = text(&format!("m{i}-vrank"))?.parse::<u8>().ok()?;
-                Some((GroupId::new(group), member, (seq, rank, peer(&format!("m{i}-vorigin"))?)))
-            }));
-            entries
-        });
-        let adverts: Vec<FlatEntry> = (0..message.entry_count("a-count").unwrap_or(0))
-            .filter_map(|i| {
-                Some((
-                    GroupId::new(text(&format!("a{i}-group"))?),
-                    peer(&format!("a{i}-owner"))?,
-                    text(&format!("a{i}-type"))?,
-                    text(&format!("a{i}-xml"))?,
-                    (
-                        text(&format!("a{i}-vseq")).as_deref().and_then(counter::parse)?,
-                        peer(&format!("a{i}-vorigin"))?,
-                    ),
-                ))
-            })
-            .collect();
+        let presence: Option<Vec<PresenceEntry>> = section("p").map(record::decode);
+        let memberships: Option<Vec<MembershipEntry>> = section("m").map(record::decode);
+        let adverts: Vec<FlatEntry> = section("a").map(record::decode).unwrap_or_default();
 
         let mut joins = Vec::new();
         let mut repaired = 0u64;
@@ -1880,7 +1720,7 @@ impl Broker {
 
         // Extension state (e.g. signed revocation lists): the extension
         // authenticates and merges the blob itself.
-        if let (Some(blob), Some(extension)) = (index.get("ext"), self.extension()) {
+        if let (Some(blob), Some(extension)) = (section("ext"), self.extension()) {
             repaired += extension.apply_repair_snapshot(self, blob);
         }
         repaired
@@ -2776,22 +2616,22 @@ impl Broker {
             let owner = message
                 .element_str("owner")
                 .and_then(|urn| PeerId::from_urn(&urn));
-            let results = self.replica.read().lookup(&group, &doc_type, owner);
-            response = response.with_str("count", &results.len().to_string());
-            for (i, (owner, version, xml)) in results.into_iter().enumerate() {
-                response.push_element(format!("r{i}-owner"), owner.to_urn().into_bytes());
-                response.push_element(format!("r{i}-vseq"), version.0.to_string().into_bytes());
-                response.push_element(format!("r{i}-vorigin"), version.1.to_urn().into_bytes());
-                response.push_element(format!("r{i}-xml"), xml.into_bytes());
-            }
+            let results: Vec<FlatEntry> = self
+                .replica
+                .read()
+                .lookup(&group, &doc_type, owner)
+                .into_iter()
+                .map(|(owner, version, xml)| (group.clone(), owner, doc_type.clone(), xml, version))
+                .collect();
+            response.push_element("results", record::encode(&results));
         }
         self.to_broker(message.sender, response);
     }
 
     /// Merges a replica's `ShardResponse` into the pending lookup it answers
     /// and, once every replica reported, replies to the waiting client.
-    /// The entries are decoded through one index pass before the pending
-    /// lookups are locked.
+    /// The results, one element of advertisement records, are decoded
+    /// before the pending lookups are locked.
     fn handle_shard_response(&self, message: &Message) {
         let Some(query) = message
             .element_str("query")
@@ -2800,23 +2640,14 @@ impl Broker {
             return;
         };
         let is_member = message.element_str("member").is_some_and(|member| member == "true");
-        let index = message.index();
-        let field = |i: usize, name: &str| index.get_str(&format!("r{i}-{name}"));
-        let results: Vec<(PeerId, (u64, PeerId), String)> = (0..message.entry_count("count").unwrap_or(0))
-            .filter_map(|i| {
-                let owner = field(i, "owner").and_then(|urn| PeerId::from_urn(&urn))?;
-                let vseq = field(i, "vseq").as_deref().and_then(counter::parse)?;
-                let vorigin = field(i, "vorigin").and_then(|urn| PeerId::from_urn(&urn))?;
-                Some((owner, (vseq, vorigin), field(i, "xml")?))
-            })
-            .collect();
+        let results: Vec<FlatEntry> = message.element("results").map(record::decode).unwrap_or_default();
         let finished = {
             let mut pending = self.pending_lookups.lock();
             let Some(state) = pending.get_mut(&query) else {
                 return; // unknown or already-answered query
             };
             state.is_member |= is_member;
-            for (owner, version, xml) in results {
+            for (_, owner, _, xml, version) in results {
                 match state.adv_results.entry(owner) {
                     std::collections::btree_map::Entry::Occupied(mut stored) => {
                         // Replicas may race a re-publish: last writer wins,
@@ -2889,10 +2720,10 @@ impl DescentLeg {
     ) {
         for (child, summary) in tree.children(depth, prefix).into_iter().enumerate() {
             let child = (depth + 1, (prefix << 4) | child as u64);
-            shard::encode_node(&mut self.nodes, child.0, child.1, summary);
+            (child.0, child.1, summary).put(&mut self.nodes);
             if self.section == 'a' && summary.count > 0 && summary.count <= REPAIR_PAGE_ENTRIES {
                 for hash in replica.repair_adv_hashes_in(peer, shard::node_range(child.0, child.1)) {
-                    shard::encode_hash(&mut self.hashes, hash);
+                    hash.put(&mut self.hashes);
                 }
             }
         }
@@ -2915,102 +2746,44 @@ impl DescentLeg {
 
 /// The hash lists of an advertisement leg, read in node order: a node of at
 /// most [`REPAIR_PAGE_ENTRIES`] entries at the leg's sender takes the next
-/// `count` records.  Everything is sized from the element's length: a list
+/// `count` hashes.  Everything is sized from the element's length: a list
 /// the element cannot back reads as absent, and so does every list after
 /// it, which pages those nodes in full.
-struct LegHashLists<'a>(Option<&'a [u8]>);
+struct LegHashLists<'a>(Option<&'a [u64]>);
 
 impl<'a> LegHashLists<'a> {
-    fn next_list(&mut self, count: u64) -> Option<&'a [u8]> {
+    fn next_list(&mut self, count: u64) -> Option<&'a [u64]> {
         if count > REPAIR_PAGE_ENTRIES {
             return None;
         }
-        let rest = self.0?;
-        let len = count as usize * shard::HASH_RECORD_BYTES;
-        if rest.len() < len {
-            self.0 = None;
-            return None;
-        }
-        let (list, rest) = rest.split_at(len);
-        self.0 = Some(rest);
-        Some(list)
-    }
-}
-
-/// Appends advertisement entries as an `a` section (`a-count` + `a{i}-*`).
-fn push_adv_section(snapshot: &mut Message, entries: Vec<FlatEntry>) {
-    snapshot.push_element("a-count", entries.len().to_string().into_bytes());
-    for (i, (group, owner, doc_type, xml, version)) in entries.into_iter().enumerate() {
-        snapshot.push_element(format!("a{i}-group"), group.as_str().as_bytes().to_vec());
-        snapshot.push_element(format!("a{i}-owner"), owner.to_urn().into_bytes());
-        snapshot.push_element(format!("a{i}-type"), doc_type.into_bytes());
-        snapshot.push_element(format!("a{i}-xml"), xml.into_bytes());
-        snapshot.push_element(format!("a{i}-vseq"), version.0.to_string().into_bytes());
-        snapshot.push_element(format!("a{i}-vorigin"), version.1.to_urn().into_bytes());
+        let (list, rest) = self.0?.split_at_checked(count as usize).unzip();
+        self.0 = rest;
+        list
     }
 }
 
 /// The advertisement documents `message` carries: a client publish's
-/// `xml`, every event of a `BrokerSync` (the coalesced `count` + `e{i}-xml`
-/// layout [`Broker::flush_gossip`] sends, or the single-event top-level
-/// `xml`), and every entry of an anti-entropy snapshot's `a` section (the
-/// `a-count`/`a{i}-xml` layout repair pages are built with).  Other kinds
-/// carry none.  Each section is read through one [`Message::index`] pass,
-/// and its wire count is capped by [`Message::entry_count`], so the walk is
-/// linear in the message size — it runs at ingress, before the sender is
-/// admitted.
+/// `xml`, every publish event of a `BrokerSync` digest, and every entry of
+/// an anti-entropy snapshot's `a` section.  Other kinds carry none.  Each is
+/// one element of records decoded in one pass, so the walk is linear in the
+/// message size — it runs at ingress, before the sender is admitted.
 pub fn carried_advertisements(message: &Message) -> Vec<Cow<'_, str>> {
-    let section = match message.kind {
-        MessageKind::BrokerSync => message.entry_count("count").map(|count| (count, 'e')),
-        MessageKind::AntiEntropySnapshot => message.entry_count("a-count").map(|count| (count, 'a')),
-        _ => None,
-    };
-    let Some((count, prefix)) = section else {
-        let top_level = matches!(message.kind, MessageKind::PublishAdvertisement | MessageKind::BrokerSync);
-        return top_level
-            .then(|| message.element("xml"))
-            .flatten()
-            .map(String::from_utf8_lossy)
-            .into_iter()
-            .collect();
-    };
-    let index = message.index();
-    (0..count)
-        .filter_map(|i| index.get(&format!("{prefix}{i}-xml")))
-        .map(String::from_utf8_lossy)
-        .collect()
-}
-
-/// Appends membership entries (with their provenance stamps) as an `m`
-/// section (`m-count` + `m{i}-*`).
-fn push_membership_section(
-    replica: &Replica,
-    snapshot: &mut Message,
-    entries: Vec<(GroupId, PeerId)>,
-) {
-    snapshot.push_element("m-count", entries.len().to_string().into_bytes());
-    for (i, (group, member)) in entries.into_iter().enumerate() {
-        let version = replica.membership_stamp(&group, &member);
-        snapshot.push_element(format!("m{i}-group"), group.as_str().as_bytes().to_vec());
-        snapshot.push_element(format!("m{i}-peer"), member.to_urn().into_bytes());
-        snapshot.push_element(format!("m{i}-vseq"), version.0.to_string().into_bytes());
-        snapshot.push_element(format!("m{i}-vrank"), version.1.to_string().into_bytes());
-        snapshot.push_element(format!("m{i}-vorigin"), version.2.to_urn().into_bytes());
-    }
-}
-
-/// Appends the full presence/routing register as a `p` section.
-fn push_presence_section(replica: &Replica, snapshot: &mut Message) {
-    let entries = replica.repair_presence_entries();
-    snapshot.push_element("p-count", entries.len().to_string().into_bytes());
-    for (i, (peer_id, version, home)) in entries.into_iter().enumerate() {
-        snapshot.push_element(format!("p{i}-peer"), peer_id.to_urn().into_bytes());
-        snapshot.push_element(format!("p{i}-vseq"), version.0.to_string().into_bytes());
-        snapshot.push_element(format!("p{i}-vrank"), version.1.to_string().into_bytes());
-        snapshot.push_element(format!("p{i}-vorigin"), version.2.to_urn().into_bytes());
-        if let Some(home) = home {
-            snapshot.push_element(format!("p{i}-home"), home.to_urn().into_bytes());
+    match message.kind {
+        MessageKind::PublishAdvertisement => {
+            message.element("xml").map(String::from_utf8_lossy).into_iter().collect()
         }
+        MessageKind::BrokerSync => record::sync_events(message)
+            .into_iter()
+            .filter_map(|event| match event.body {
+                GossipBody::Publish(.., xml) => Some(Cow::Owned(xml)),
+                _ => None,
+            })
+            .collect(),
+        MessageKind::AntiEntropySnapshot => {
+            let entries: Vec<FlatEntry> = message.element("a").map(record::decode).unwrap_or_default();
+            entries.into_iter().map(|(.., xml, _)| Cow::Owned(xml)).collect()
+        }
+        _ => Vec::new(),
     }
 }
 
@@ -3068,6 +2841,7 @@ const SHARD_QUERY_NOMINAL_BYTES: usize = 512;
 mod tests {
     use super::*;
     use crate::net::LinkModel;
+    use crate::plumtree;
     use crate::swim::PeerState;
     use jxta_crypto::drbg::HmacDrbg;
 
@@ -3244,7 +3018,8 @@ mod tests {
             let peer = PeerId::random(&mut rng);
             for (broker, _) in &pair {
                 let mut joins = Vec::new();
-                assert!(broker.replica.write().apply_join(peer, (1, ids[2]), "math,chem", &mut joins));
+                let groups = [GroupId::new("math"), GroupId::new("chem")];
+                assert!(broker.replica.write().apply_join(peer, (1, ids[2]), &groups, &mut joins));
             }
         }
         pair
@@ -3311,7 +3086,8 @@ mod tests {
                     hashed(&|| assert!(!a.load_advertisement(owner, &group, "t", "<c/>", (4, home))));
                 let join = hashed(&|| {
                     let mut joins = Vec::new();
-                    assert!(a.replica.write().apply_join(peer, (9, home), "math,chem", &mut joins));
+                    let groups = [GroupId::new("math"), GroupId::new("chem")];
+                    assert!(a.replica.write().apply_join(peer, (9, home), &groups, &mut joins));
                 });
                 let joined = a.groups().groups_of(&peer).len() as u64;
                 let leave =
@@ -3350,15 +3126,13 @@ mod tests {
 
     /// The owners of the advertisements a snapshot page carries, in order.
     fn page_owners(page: &Message) -> Vec<PeerId> {
-        let index = page.index();
-        (0..page.entry_count("a-count").unwrap_or(0))
-            .map(|i| PeerId::from_urn(&index.get_str(&format!("a{i}-owner")).unwrap()).unwrap())
-            .collect()
+        let entries: Vec<FlatEntry> = page.element("a").map(record::decode).unwrap_or_default();
+        entries.into_iter().map(|(_, owner, ..)| owner).collect()
     }
 
     /// The records of a leg's or a page's hash list (`None`: no list).
     fn hash_list(message: &Message) -> Option<Vec<u64>> {
-        message.element("hashes").map(|list| shard::decode_hashes(list).collect())
+        message.element("hashes").map(record::decode)
     }
 
     /// A descent's final pages ship exactly the divergent advertisements,
@@ -3470,12 +3244,9 @@ mod tests {
             let delivery = b_inbox.try_recv().expect("one page");
             assert!(b_inbox.try_recv().is_err(), "{held}: one page");
             let page = Message::from_bytes(&delivery.payload).unwrap();
-            let index = page.index();
-            let listed: Vec<(GroupId, PeerId)> = (0..page.entry_count("m-count").unwrap())
-                .map(|i| {
-                    let group = GroupId::new(index.get_str(&format!("m{i}-group")).unwrap());
-                    (group, PeerId::from_urn(&index.get_str(&format!("m{i}-peer")).unwrap()).unwrap())
-                })
+            let listed: Vec<(GroupId, PeerId)> = record::decode::<MembershipEntry>(page.element("m").unwrap())
+                .into_iter()
+                .map(|(group, member, _)| (group, member))
                 .collect();
             assert_eq!(listed, in_range, "{held}: the page lists its range in shard-key order");
 
@@ -3734,11 +3505,7 @@ mod tests {
         let rogue = PeerId::random(&mut rng);
         let rogue_inbox = net.register(rogue);
         let peer = PeerId::random(&mut rng);
-        let sync = Message::new(MessageKind::BrokerSync, rogue, 0)
-            .with_str("op", "join")
-            .with_str("peer", &peer.to_urn())
-            .with_str("groups", "math")
-            .with_str("seq", "1");
+        let sync = gossip(rogue, 1, &[event(rogue, 1, join(peer, &["math"]))]);
         deliver(&broker, rogue, &sync);
         assert!(rogue_inbox.try_recv().is_err(), "gossip is never acked");
         assert_eq!(broker.federation_stats().rejected_unknown_origin, 1);
@@ -3751,11 +3518,7 @@ mod tests {
         let origin = PeerId::random(&mut rng);
         let peer = PeerId::random(&mut rng);
         broker.add_peer_broker(origin);
-        let sync = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "join")
-            .with_str("peer", &peer.to_urn())
-            .with_str("groups", "math,chem")
-            .with_str("seq", "1");
+        let sync = gossip(origin, 1, &[event(origin, 1, join(peer, &["math", "chem"]))]);
         deliver(&broker, origin, &sync);
         assert_eq!(broker.federation_stats().syncs_applied, 1);
         assert_eq!(broker.home_of(&peer), Some(origin));
@@ -3775,30 +3538,17 @@ mod tests {
         let origin = PeerId::random(&mut rng);
         let owner = PeerId::random(&mut rng);
         broker.add_peer_broker(origin);
-        let publish = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "publish")
-            .with_str("group", "math")
-            .with_str("doc-type", "jxta:PipeAdvertisement")
-            .with_str("owner", &owner.to_urn())
-            .with_str("xml", "<remote/>")
-            .with_str("seq", "1");
+        let publish = gossip(origin, 1, &[event(origin, 1, publish(owner, "<remote/>"))]);
         deliver(&broker, origin, &publish);
         assert_eq!(
             broker.lookup(&GroupId::new("math"), "jxta:PipeAdvertisement", Some(owner)),
             vec!["<remote/>".to_string()]
         );
 
-        let join = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "join")
-            .with_str("peer", &owner.to_urn())
-            .with_str("groups", "math")
-            .with_str("seq", "2");
+        let join = gossip(origin, 2, &[event(origin, 2, join(owner, &["math"]))]);
         deliver(&broker, origin, &join);
         assert!(broker.groups().is_member(&GroupId::new("math"), &owner));
-        let leave = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "leave")
-            .with_str("peer", &owner.to_urn())
-            .with_str("seq", "3");
+        let leave = gossip(origin, 3, &[event(origin, 3, GossipBody::Leave(owner))]);
         deliver(&broker, origin, &leave);
         assert!(!broker.groups().is_member(&GroupId::new("math"), &owner));
         assert!(broker.home_of(&owner).is_none());
@@ -3822,13 +3572,7 @@ mod tests {
         let snapshot = Message::new(MessageKind::AntiEntropySnapshot, rogue, 0)
             .with_str("seq", "2")
             .with_str("want", "")
-            .with_str("a-count", "1")
-            .with_str("a0-group", "math")
-            .with_str("a0-owner", &owner.to_urn())
-            .with_str("a0-type", "jxta:PipeAdvertisement")
-            .with_str("a0-xml", "<forged/>")
-            .with_str("a0-vseq", "9")
-            .with_str("a0-vorigin", &rogue.to_urn());
+            .with_element("a", record::encode(&[advert(owner, "<forged/>", (9, rogue))]));
         deliver(&broker, rogue, &snapshot);
         assert_eq!(broker.federation_stats().rejected_unknown_origin, 2);
         assert!(broker.advertisement_snapshot().is_empty());
@@ -3857,22 +3601,16 @@ mod tests {
         // Raise the origin's replay floor: sequence number 100 is stale now.
         let prune = Message::new(MessageKind::PlumtreePrune, origin, 0).with_str("seq", "100");
         deliver(&broker, origin, &prune);
-        // Applied, this payload would re-home `owner` (as a single-event
-        // join) and index an advertisement (as a snapshot's a-section).
+        // Applied, this payload would re-home `owner` (as a sync's join
+        // event) and index an advertisement (as a snapshot's a-section).
         let hostile = |kind: MessageKind, sender: PeerId, seq: &str| {
-            Message::new(kind, sender, 0)
+            let mut message =
+                record::sync_message(sender, &[event(sender, seq.parse().unwrap(), join(owner, &["math"]))]);
+            message.kind = kind;
+            message
                 .with_str("seq", seq)
-                .with_str("op", "join")
-                .with_str("peer", &owner.to_urn())
-                .with_str("groups", "math")
                 .with_str("want", "")
-                .with_str("a-count", "1")
-                .with_str("a0-group", "math")
-                .with_str("a0-owner", &owner.to_urn())
-                .with_str("a0-type", "jxta:PipeAdvertisement")
-                .with_str("a0-xml", "<forged/>")
-                .with_str("a0-vseq", "9")
-                .with_str("a0-vorigin", &sender.to_urn())
+                .with_element("a", record::encode(&[advert(owner, "<forged/>", (9, sender))]))
         };
         let state = |b: &Broker| {
             (
@@ -3935,12 +3673,13 @@ mod tests {
         assert_eq!(broker.home_of(&owner), Some(origin));
     }
 
-    /// Every decoder loop driven by a wire count stops at the elements the
-    /// message carries: a forged count of 10⁶ on a handful of elements costs
-    /// a handful of element lookups, where an uncapped loop costs at least
-    /// one lookup per claimed entry.  The gossip-id lists of `IHave` and
-    /// `Graft` carry no count: a forged `ids` blob, a truncated record or a
-    /// long one, is read as the whole records it holds.
+    /// Every decoder stops at the end of the element it reads: a join
+    /// claiming 10⁶ groups, and records whose length prefix claims 10⁶
+    /// bytes, with nothing behind them, cost a handful of element lookups
+    /// and decode nothing (where a loop driven by the claim would run 10⁶
+    /// times).  The gossip-id lists of `IHave` and `Graft` likewise: a
+    /// forged `ids` blob, a truncated record or a long one, is read as the
+    /// whole records it holds.
     #[test]
     fn forged_entry_counts_are_capped_by_element_count() {
         let (_net, _db, broker, mut rng) = setup();
@@ -3960,25 +3699,27 @@ mod tests {
                 membership: false,
             },
         );
-        let forged = "1000000";
-        let truncated = vec![0xA5; plumtree::GOSSIP_ID_LEN - 1];
-        let long: Vec<u8> = (0..(plumtree::GOSSIP_ID_LEN << 16) + 7)
+        // A gossip id is a 16-byte origin and an 8-byte sequence.
+        let truncated = vec![0xA5; 16 + 8 - 1];
+        let long: Vec<u8> = (0..((16 + 8) << 16) + 7)
             .map(|i: usize| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
             .collect();
+        let mut forged_join = record::sync_message(origin, &[]);
+        forged_join.elements[0].content = forged_tail(event(origin, 1, join(origin, &[])));
         let messages = [
-            Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", forged),
+            forged_join,
             Message::new(MessageKind::PlumtreeIHave, origin, 0).with_element("ids", &truncated[..]),
             Message::new(MessageKind::PlumtreeIHave, origin, 0).with_element("ids", &long[..]),
             Message::new(MessageKind::PlumtreeGraft, origin, 0).with_element("ids", truncated),
             Message::new(MessageKind::PlumtreeGraft, origin, 0).with_element("ids", long),
             Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
                 .with_str("want", "")
-                .with_str("p-count", forged)
-                .with_str("m-count", forged)
-                .with_str("a-count", forged),
+                .with_element("p", forged_tail((origin, (1, PRESENCE_JOIN, origin), None)))
+                .with_element("m", forged_tail((GroupId::new(""), origin, (1, PRESENCE_JOIN, origin))))
+                .with_element("a", forged_tail(advert(origin, "", (1, origin)))),
             Message::new(MessageKind::ShardResponse, origin, 0)
                 .with_str("query", "7")
-                .with_str("count", forged),
+                .with_element("results", forged_tail(advert(origin, "", (1, origin)))),
         ];
         for (seq, message) in messages.into_iter().enumerate() {
             let message = message.with_str("seq", &(seq + 1).to_string());
@@ -3998,10 +3739,21 @@ mod tests {
             (0, 0),
             "every forged message must reach its decoder"
         );
+        assert_eq!((stats.syncs_applied, stats.entries_repaired), (0, 0), "nothing decoded");
         assert!(
             broker.pending_lookups.lock().is_empty(),
             "the shard response was decoded"
         );
+    }
+
+    /// `record` encoded, with the 4-byte length (or count) that ends it
+    /// forged to claim 10⁶.  (A presence record ends in its home tag, which
+    /// this leaves unknown.)
+    fn forged_tail<R: Record>(record: R) -> Vec<u8> {
+        let mut bytes = record::encode(&[record]);
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&1_000_000u32.to_be_bytes());
+        bytes
     }
 
     /// An anti-entropy digest must carry exactly the four 8-byte section
@@ -4070,11 +3822,7 @@ mod tests {
 
     /// Encodes hashes as a hash list.
     fn hashes(list: impl IntoIterator<Item = u64>) -> Vec<u8> {
-        let mut out = Vec::new();
-        for hash in list {
-            shard::encode_hash(&mut out, hash);
-        }
-        out
+        record::encode(&list.into_iter().collect::<Vec<_>>())
     }
 
     /// A descent leg's hash lists are sized from their element: a list
@@ -4092,9 +3840,8 @@ mod tests {
         let owners: Vec<PeerId> = inside.iter().map(|(owner, _)| *owner).collect();
         let own_list: Vec<u64> = inside.iter().map(|(_, hash)| *hash).collect();
         let leg = |seq: usize, count: usize, list: Vec<u8>| {
-            let mut nodes = Vec::new();
-            let summary = shard::NodeSummary { xor: 0x5EED, count: count as u64 };
-            shard::encode_node(&mut nodes, 1, prefix, summary);
+            let summary = NodeSummary { xor: 0x5EED, count: count as u64 };
+            let nodes = record::encode(&[(1, prefix, summary)]);
             Message::new(MessageKind::AntiEntropyRange, origin, 0)
                 .with_str("seq", &seq.to_string())
                 .with_str("section", "a")
@@ -4141,7 +3888,7 @@ mod tests {
                 .with_str("range-hi", &hi.to_string())
                 .with_element("want-range", b"1".to_vec())
                 .with_element("hashes", list)
-                .with_str("a-count", "0")
+                .with_element("a", Vec::new())
         };
         let junk = hashes((0..100_000u64).map(|i| shard::mix(i ^ 0xBAD)));
         let mut outside_list = hashes(outside.iter().copied());
@@ -4237,13 +3984,7 @@ mod tests {
             let origin_inbox = net.register(origin);
             broker.add_peer_broker(origin);
             let peer = PeerId::random(&mut rng);
-            let join = Message::new(MessageKind::BrokerSync, origin, 0)
-                .with_str("count", "1")
-                .with_str("e0-op", "join")
-                .with_str("e0-seq", &forged.to_string())
-                .with_str("e0-peer", &peer.to_urn())
-                .with_str("e0-groups", "math")
-                .with_str("seq", "1");
+            let join = gossip(origin, 1, &[event(origin, forged, join(peer, &["math"]))]);
             deliver(&broker, origin, &join);
             assert_eq!(broker.federation_stats().syncs_applied, applied);
             assert_eq!(broker.home_of(&peer), (applied == 1).then_some(origin));
@@ -4252,8 +3993,9 @@ mod tests {
             assert_eq!(resp.element_str("status").unwrap(), "ok");
             assert_eq!(broker.home_of(&peer), Some(broker.id()));
             let gossip = next_message(&origin_inbox);
-            assert_eq!(gossip.element_str("e0-op").as_deref(), Some("join"));
-            assert_eq!(gossip.element_str("e0-seq"), Some(version.to_string()));
+            let events = record::sync_events(&gossip);
+            assert!(matches!(events[0].body, GossipBody::Join(..)));
+            assert_eq!(events[0].seq, version);
 
             let witness = witness(&net, &db, &mut rng, &broker, &[]);
             deliver(&witness, broker.id(), &gossip);
@@ -4274,31 +4016,33 @@ mod tests {
         let origin = PeerId::random(&mut rng);
         let origin_inbox = net.register(origin);
         broker.add_peer_broker(origin);
-        let verdict = |seq: u64, op: &str, sinc: u64| {
-            Message::new(MessageKind::BrokerSync, origin, 0)
-                .with_str("count", "1")
-                .with_str("e0-op", op)
-                .with_str("e0-seq", &seq.to_string())
-                .with_str("e0-peer", &broker.id().to_urn())
-                .with_str("e0-sinc", &sinc.to_string())
-                .with_str("seq", &seq.to_string())
+        let verdict = |seq: u64, verdict: SwimVerdict, incarnation: u64| {
+            let body = GossipBody::Verdict(verdict, broker.id(), incarnation);
+            gossip(origin, seq, &[event(origin, seq, body)])
         };
-        for (seq, op) in [(1, "swim-suspect"), (2, "swim-dead"), (3, "swim-alive")] {
+        // The incarnation `broker`'s refutation (the one event it gossips)
+        // is made at.
+        let refuted = |refutation: &Message| match record::sync_events(refutation).as_slice() {
+            [GossipEvent { body: GossipBody::Verdict(SwimVerdict::Alive, _, incarnation), .. }] => {
+                Some(*incarnation)
+            }
+            _ => None,
+        };
+        for (seq, op) in [(1, SwimVerdict::Suspect), (2, SwimVerdict::Dead), (3, SwimVerdict::Alive)] {
             deliver(&broker, origin, &verdict(seq, op, u64::MAX));
         }
         assert_eq!(broker.swim_incarnation(), 0, "the forged verdicts are dropped");
         assert_eq!(broker.federation_stats().swim_refutations, 0);
         assert!(origin_inbox.try_recv().is_err());
 
-        deliver(&broker, origin, &verdict(4, "swim-suspect", 0));
+        deliver(&broker, origin, &verdict(4, SwimVerdict::Suspect, 0));
         assert_eq!(broker.swim_incarnation(), 1);
         let refutation = next_message(&origin_inbox);
-        assert_eq!(refutation.element_str("e0-op").as_deref(), Some("swim-alive"));
-        assert_eq!(refutation.element_str("e0-sinc").as_deref(), Some("1"));
+        assert_eq!(refuted(&refutation), Some(1));
 
         let witness = witness(&net, &db, &mut rng, &broker, &[origin]);
         for (seq, op, refuted_at) in
-            [(5, "swim-suspect", (1 << 62) + 1), (6, "swim-dead", (1u64 << 62) + 2)]
+            [(5, SwimVerdict::Suspect, (1 << 62) + 1), (6, SwimVerdict::Dead, (1u64 << 62) + 2)]
         {
             let forged = verdict(seq, op, FORGED_IN_RANGE);
             deliver(&witness, origin, &forged);
@@ -4306,7 +4050,7 @@ mod tests {
             deliver(&broker, origin, &forged);
             assert_eq!(broker.swim_incarnation(), refuted_at);
             let refutation = next_message(&origin_inbox);
-            assert_eq!(refutation.element_str("e0-sinc"), Some(refuted_at.to_string()));
+            assert_eq!(refuted(&refutation), Some(refuted_at));
             deliver(&witness, broker.id(), &refutation);
             let record = witness.swim_record(&broker.id()).unwrap();
             assert_eq!((record.state, record.incarnation), (PeerState::Alive, refuted_at));
@@ -4350,20 +4094,14 @@ mod tests {
     }
 
     /// An anti-entropy page from an admitted peer, carrying one entry of a
-    /// section (`a` or `m`) versioned at `vseq`, plus an empty presence
-    /// section (the membership merge runs only beside one).
-    fn repair_page(origin: PeerId, seq: u64, section: char, vseq: u64, entry: &[(&str, String)]) -> Message {
-        let mut page = Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
+    /// section (`a` or `m`), plus an empty presence section (the membership
+    /// merge runs only beside one).
+    fn repair_page<R: Record>(origin: PeerId, seq: u64, section: &str, entry: R) -> Message {
+        Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
             .with_str("seq", &seq.to_string())
             .with_str("want", "")
-            .with_str("p-count", "0")
-            .with_str(format!("{section}-count"), "1")
-            .with_str(format!("{section}0-vseq"), &vseq.to_string())
-            .with_str(format!("{section}0-vorigin"), &origin.to_urn());
-        for (field, value) in entry {
-            page.push_element(format!("{section}0-{field}"), value.clone().into_bytes());
-        }
-        page
+            .with_element("p", Vec::new())
+            .with_element(section, record::encode(&[entry]))
     }
 
     /// A repair page's advertisement versioned at or above 2^63 is dropped,
@@ -4377,13 +4115,8 @@ mod tests {
         broker.add_peer_broker(origin);
         let owner = PeerId::random(&mut rng);
         let math = GroupId::new("math");
-        let entry = [
-            ("group", "math".to_string()),
-            ("owner", owner.to_urn()),
-            ("type", "jxta:PipeAdvertisement".to_string()),
-            ("xml", "<forged/>".to_string()),
-        ];
-        deliver(&broker, origin, &repair_page(origin, 1, 'a', u64::MAX, &entry));
+        let entry = advert(owner, "<forged/>", (u64::MAX, origin));
+        deliver(&broker, origin, &repair_page(origin, 1, "a", entry));
         assert_eq!(broker.federation_stats().rejected_replayed, 0, "the page itself is admitted");
         assert!(broker.advertisement_snapshot().is_empty(), "the forged version is dropped");
         assert_eq!(broker.federation_stats().entries_repaired, 0);
@@ -4407,12 +4140,8 @@ mod tests {
             let origin = PeerId::random(&mut rng);
             broker.add_peer_broker(origin);
             let member = PeerId::random(&mut rng);
-            let entry = [
-                ("group", "math".to_string()),
-                ("peer", member.to_urn()),
-                ("vrank", PRESENCE_JOIN.to_string()),
-            ];
-            deliver(&broker, origin, &repair_page(origin, 1, 'm', vseq, &entry));
+            let entry = (GroupId::new("math"), member, (vseq, PRESENCE_JOIN, origin));
+            deliver(&broker, origin, &repair_page(origin, 1, "m", entry));
             assert_eq!(broker.groups().is_member(&GroupId::new("math"), &member), stored);
             assert_eq!(broker.federation_stats().entries_repaired, u64::from(stored));
         }
@@ -4446,11 +4175,7 @@ mod tests {
             Message::new(MessageKind::ShardResponse, from, 0)
                 .with_str("seq", "1")
                 .with_str("query", "7")
-                .with_str("count", "1")
-                .with_str("r0-owner", &owner.to_urn())
-                .with_str("r0-vseq", &vseq.to_string())
-                .with_str("r0-vorigin", &from.to_urn())
-                .with_str("r0-xml", xml)
+                .with_element("results", record::encode(&[advert(owner, xml, (vseq, from))]))
         };
         deliver(&broker, liar, &answer(liar, u64::MAX, "<forged/>"));
         deliver(&broker, honest, &answer(honest, 5, "<honest/>"));
@@ -4461,27 +4186,23 @@ mod tests {
     }
 
     /// The advertisements a backbone message carries are found in work
-    /// linear in its element count: for an n-event sync, an n-entry
-    /// snapshot page, and a forged count far beyond the elements present
-    /// (which could make the walk quadratic before the sender is admitted).
+    /// linear in its size: for an n-event sync and an n-entry snapshot page
+    /// each is one element of records, and a forged sync whose first record
+    /// claims a length past the element's end stops at that record (so the
+    /// n events behind it are never read).
     #[test]
     fn forged_or_bulk_counts_keep_the_carried_advertisement_walk_linear() {
         let mut rng = HmacDrbg::from_seed_u64(0xC0A7);
         let origin = PeerId::random(&mut rng);
         let n = 5_000usize;
-        let mut sync = Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", &n.to_string());
-        let mut page = Message::new(MessageKind::AntiEntropySnapshot, origin, 0).with_str("a-count", &n.to_string());
-        for i in 0..n {
-            sync.push_element(format!("e{i}-op"), b"publish".to_vec());
-            sync.push_element(format!("e{i}-xml"), format!("<adv-{i}/>").into_bytes());
-            page.push_element(format!("a{i}-group"), b"math".to_vec());
-            page.push_element(format!("a{i}-xml"), format!("<adv-{i}/>").into_bytes());
-        }
-        let mut forged = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("count", &u64::MAX.to_string());
-        for i in 0..n {
-            forged.push_element(format!("x{i}"), Vec::new());
-        }
+        let events: Vec<GossipEvent> =
+            (0..n).map(|i| event(origin, i as u64 + 1, publish(origin, &format!("<adv-{i}/>")))).collect();
+        let sync = record::sync_message(origin, &events);
+        let entries: Vec<FlatEntry> = (0..n).map(|i| advert(origin, &format!("<adv-{i}/>"), (1, origin))).collect();
+        let page = Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
+            .with_element("a", record::encode(&entries));
+        let mut forged = sync.clone();
+        forged.elements[0].content = [forged_tail(event(origin, 1, publish(origin, ""))), record::encode(&events)].concat();
         for (message, carried) in [(&sync, n), (&page, n), (&forged, 0)] {
             let before = crate::message::scan_probe::visited();
             let documents = carried_advertisements(message);
@@ -4497,36 +4218,62 @@ mod tests {
         assert_eq!(carried_advertisements(&sync)[7], "<adv-7/>");
     }
 
+    /// Every advertisement a message carries is found, in order: each
+    /// publish event of a sync (and nothing of its other events), each
+    /// entry of a snapshot page the repair path builds, and a client
+    /// publish's document.  Other kinds carry none.
+    #[test]
+    fn carried_advertisements_are_every_document_a_message_carries() {
+        let mut rng = HmacDrbg::from_seed_u64(0xCA44);
+        let (origin, owner) = (PeerId::random(&mut rng), PeerId::random(&mut rng));
+        let events = [
+            event(origin, 1, publish(owner, "<first/>")),
+            event(origin, 2, join(owner, &["math"])),
+            event(origin, 3, GossipBody::Ext(b"<not-an-advert/>".to_vec())),
+            event(origin, 4, publish(origin, "<second/>")),
+        ];
+        assert_eq!(carried_advertisements(&record::sync_message(origin, &events)), ["<first/>", "<second/>"]);
+
+        let (broker, peer, inbox) = broker_with_peer(3);
+        let mut held: Vec<String> = broker.advertisement_snapshot().into_iter().map(|(.., xml)| xml).collect();
+        held.sort();
+        broker.send_range_pages(peer, 'a', (0, u64::MAX), false, None);
+        let mut carried: Vec<String> =
+            carried_advertisements(&next_message(&inbox)).into_iter().map(Cow::into_owned).collect();
+        carried.sort();
+        assert_eq!(carried, held, "a page carries every entry of its range");
+
+        let client_publish = Message::new(MessageKind::PublishAdvertisement, owner, 1)
+            .with_str("group", "math")
+            .with_str("xml", "<client/>");
+        assert_eq!(carried_advertisements(&client_publish), ["<client/>"]);
+        let lookup = Message::new(MessageKind::LookupRequest, owner, 2).with_str("xml", "<client/>");
+        assert!(carried_advertisements(&lookup).is_empty());
+    }
+
     /// Regression: merging an n-entry snapshot must stay O(n) element
-    /// visits.  The old merge resolved every `a{i}-*` name with the linear
-    /// `Message::element` scan — ~1.8 × 10⁹ visits for the 10⁴ entries
-    /// below; the indexed merge needs only the handful of whole-message
-    /// scans outside the per-entry loop.
+    /// visits.  Its `a` section is one element of records, decoded in one
+    /// pass; the old per-entry `a{i}-*` names, resolved with the linear
+    /// `Message::element` scan, cost ~1.8 × 10⁹ visits for the 10⁴ entries
+    /// below.
     #[test]
     fn merging_large_snapshot_is_linear_in_element_visits() {
         let (_net, _db, broker, mut rng) = setup();
         let origin = PeerId::random(&mut rng);
         broker.add_peer_broker(origin);
         let entries = 10_000usize;
-        let mut snapshot = Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
+        let adverts: Vec<FlatEntry> = (0..entries)
+            .map(|i| advert(PeerId::random(&mut rng), &format!("<adv-{i}/>"), (1, origin)))
+            .collect();
+        let snapshot = Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
             .with_str("want", "")
-            .with_str("a-count", &entries.to_string());
-        for i in 0..entries {
-            let owner = PeerId::random(&mut rng);
-            snapshot.push_element(format!("a{i}-group"), b"math".to_vec());
-            snapshot.push_element(format!("a{i}-owner"), owner.to_urn().into_bytes());
-            snapshot.push_element(format!("a{i}-type"), b"jxta:PipeAdvertisement".to_vec());
-            snapshot.push_element(format!("a{i}-xml"), format!("<adv-{i}/>").into_bytes());
-            snapshot.push_element(format!("a{i}-vseq"), b"1".to_vec());
-            snapshot.push_element(format!("a{i}-vorigin"), origin.to_urn().into_bytes());
-        }
+            .with_element("a", record::encode(&adverts));
         let before = crate::message::scan_probe::visited();
         let repaired = broker.merge_repair_snapshot(origin, &snapshot);
         let visited = crate::message::scan_probe::visited() - before;
         assert_eq!(repaired, entries as u64);
-        // A generous linear bound (the message holds ~60 000 elements, so a
-        // few whole-message scans are expected); the quadratic merge clocks
-        // in three orders of magnitude above it.
+        // A generous linear bound; the quadratic merge clocks in three
+        // orders of magnitude above it.
         assert!(
             visited < 2_000_000,
             "merge visited {visited} elements for {entries} entries — \
@@ -4534,67 +4281,48 @@ mod tests {
         );
     }
 
-    /// A coalesced sync's fresh broadcasts are relayed with each event's
-    /// fields sliced out of one pass over the message: for an n-event bulk
-    /// digest, and for a forged one whose count far exceeds its elements
-    /// and whose junk names (`e01-`, indices past the count) belong to no
-    /// event.  Walking the whole message once per fresh event, as the relay
-    /// used to, costs O(n²) element visits.
-    #[test]
-    fn forged_or_bulk_digests_keep_the_relay_walk_linear() {
+    /// An engaged broker (`DEFAULT_ACTIVE_VIEW + 1` admitted peers, each
+    /// with an inbox), one of them the `origin` gossip arrives from.
+    fn engaged_relay() -> (Arc<Broker>, PeerId, Vec<Inbox>, HmacDrbg) {
         let (net, _db, broker, mut rng) = setup();
         let origin = PeerId::random(&mut rng);
         broker.add_peer_broker(origin);
-        let peers: Vec<PeerId> = (0..crate::membership::DEFAULT_ACTIVE_VIEW)
-            .map(|_| PeerId::random(&mut rng))
-            .collect();
-        let inboxes: Vec<_> = peers
-            .iter()
-            .map(|peer| {
-                broker.add_peer_broker(*peer);
-                net.register(*peer)
+        let inboxes: Vec<_> = (0..crate::membership::DEFAULT_ACTIVE_VIEW)
+            .map(|_| {
+                let peer = PeerId::random(&mut rng);
+                broker.add_peer_broker(peer);
+                net.register(peer)
             })
             .collect();
         assert!(broker.epidemic_engaged());
+        (broker, origin, inboxes, rng)
+    }
+
+    /// A sync's fresh broadcasts are relayed from one decode of its events
+    /// element: an n-event bulk digest costs a handful of element lookups,
+    /// and each event goes onward as it arrived.  A forged digest of n
+    /// events of an unknown kind decodes to nothing, so none of it is
+    /// relayed.  (Walking the whole message once per fresh event, as the
+    /// relay once did over per-event element names, costs O(n²).)
+    #[test]
+    fn forged_or_bulk_digests_keep_the_relay_walk_linear() {
+        let (broker, origin, inboxes, mut rng) = engaged_relay();
         let vorigin = PeerId::random(&mut rng);
         let n = 2_000usize;
-        let mut bulk =
-            Message::new(MessageKind::BrokerSync, origin, 0).with_str("count", &n.to_string());
+        let broadcast = |seq: u64, body| GossipEvent { broadcast: true, ..event(vorigin, seq, body) };
+        let events: Vec<GossipEvent> = (0..n)
+            .map(|i| broadcast(i as u64 + 1, publish(PeerId::random(&mut rng), &format!("<adv-{i}/>"))))
+            .collect();
+        let bulk = record::sync_message(origin, &events);
+        // The same number of records, each of an unknown kind.
+        let mut forged = record::sync_message(origin, &[]);
         for i in 0..n {
-            let fields = [
-                ("op", "publish".to_string()),
-                ("seq", (i + 1).to_string()),
-                ("group", "math".to_string()),
-                ("doc-type", "jxta:PipeAdvertisement".to_string()),
-                ("owner", PeerId::random(&mut rng).to_urn()),
-                ("xml", format!("<adv-{i}/>")),
-                ("vorigin", vorigin.to_urn()),
-                ("bcast", "1".to_string()),
-            ];
-            for (field, value) in fields {
-                bulk.push_element(format!("e{i}-{field}"), value.into_bytes());
-            }
+            let mut record = record::encode(&[broadcast((n + i + 1) as u64, GossipBody::Leave(vorigin))]);
+            record[0] = 0xEE;
+            forged.elements[0].content.extend(record);
         }
-        let mut forged = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("count", &u64::MAX.to_string());
-        for i in 0..n {
-            forged.push_element(format!("e{i}-bcast"), b"1".to_vec());
-            forged.push_element(format!("e{i}-vorigin"), vorigin.to_urn().into_bytes());
-            forged.push_element(format!("e{i}-seq"), (n + i + 1).to_string().into_bytes());
-            forged.push_element(format!("e0{i}-xml"), b"<junk/>".to_vec());
-            forged.push_element(format!("e{}-xml", 10 * n + i), b"<junk/>".to_vec());
-        }
-        let count = forged.entry_count("count").unwrap();
-        let before = crate::message::scan_probe::visited();
-        let sliced = forged.entries("e", count);
-        let visited = crate::message::scan_probe::visited() - before;
-        assert_eq!(visited, forged.element_count() as u64, "one pass");
-        let fields: Vec<&str> = sliced[7].iter().map(|(field, _)| *field).collect();
-        assert_eq!(fields, ["bcast", "vorigin", "seq"]);
-        assert!(sliced[n..].iter().all(Vec::is_empty), "junk names belong to no event");
-        assert_eq!(bulk.entries("e", n)[7][5], ("xml", b"<adv-7/>".as_slice()));
 
-        for (seq, message) in [bulk, forged].into_iter().enumerate() {
+        for (seq, (message, relayed)) in [(bulk, true), (forged, false)].into_iter().enumerate() {
             let message = message.with_str("seq", &(seq + 1).to_string());
             let elements = message.element_count() as u64;
             let before = crate::message::scan_probe::visited();
@@ -4604,22 +4332,100 @@ mod tests {
                 visited <= 8 * elements,
                 "{visited} element visits for {elements} elements"
             );
-            // Every fresh event goes onward to the eager peers, with the
-            // fields it arrived with.
-            let relayed = next_message(&inboxes[0]);
-            assert_eq!(relayed.entry_count("count"), Some(n));
-            let relayed = relayed.entries("e", n);
-            let original = message.entries("e", n);
-            for i in [0, 7, n - 1] {
-                assert_eq!(relayed[i], original[i], "event {i}");
+            if relayed {
+                // Every fresh event goes onward to the eager peers, as it
+                // arrived.
+                let onward = record::sync_events(&next_message(&inboxes[0]));
+                assert_eq!(onward.len(), n);
+                for i in [0, 7, n - 1] {
+                    assert_eq!(onward[i], events[i], "event {i}");
+                }
+                for inbox in &inboxes {
+                    while inbox.try_recv().is_ok() {}
+                }
+            } else {
+                assert!(inboxes.iter().all(|inbox| inbox.try_recv().is_err()), "undecodable events are not relayed");
             }
         }
+    }
+
+    /// An engaged broker given broadcast events that fail to decode — a
+    /// publish whose XML is not UTF-8, an event of an unknown kind, one
+    /// versioned at 2^63, a truncated record — queues, caches, announces
+    /// and applies none of them: its eager peers receive nothing, the next
+    /// `IHave` round lists none of their ids, a `Graft` for them finds
+    /// nothing cached, and its state is unchanged.  A decodable copy of the
+    /// first one, arriving afterwards, is fresh: applied and relayed.
+    #[test]
+    fn undecodable_broadcast_events_stop_at_the_first_hop() {
+        let (broker, origin, inboxes, mut rng) = engaged_relay();
+        let (vorigin, owner) = (PeerId::random(&mut rng), PeerId::random(&mut rng));
+        let broadcast = |seq: u64, body| GossipEvent { broadcast: true, ..event(vorigin, seq, body) };
+        let valid = broadcast(1, publish(owner, "<x/>"));
+        let encoded = |event: &GossipEvent| record::encode(std::slice::from_ref(event));
+        let mut non_utf8 = encoded(&valid);
+        let last = non_utf8.len() - 2;
+        non_utf8[last] = 0x80;
+        let mut unknown_kind = encoded(&broadcast(2, GossipBody::Leave(owner)));
+        unknown_kind[0] = 0xEE;
+        let out_of_range = encoded(&broadcast(1 << 63, GossipBody::Leave(owner)));
+        let truncated = encoded(&broadcast(3, GossipBody::Leave(owner)));
+        let truncated = truncated[..truncated.len() - 1].to_vec();
+        let gids = [(vorigin, 1), (vorigin, 2), (vorigin, 1 << 63), (vorigin, 3)];
+        let state = |b: &Broker| (b.advertisement_snapshot(), b.routing_snapshot(), b.replica.read().state_dump());
+        let before = state(&broker);
+        for (seq, element) in [non_utf8, unknown_kind, out_of_range, truncated].into_iter().enumerate() {
+            let mut sync = gossip(origin, seq as u64 + 1, &[]);
+            sync.elements[0].content = element;
+            deliver(&broker, origin, &sync);
+        }
+        assert!(inboxes.iter().all(|inbox| inbox.try_recv().is_err()), "nothing relayed");
+        assert!(broker.fabric.lock().take_ihaves().is_empty(), "nothing announced");
+        let graft = Message::new(MessageKind::PlumtreeGraft, origin, 0)
+            .with_element("ids", record::encode(&gids))
+            .with_str("seq", "5");
+        deliver(&broker, origin, &graft);
+        assert_eq!(broker.federation_stats().graft_misses, 3, "nothing cached (the 2^63 id is not decoded)");
+        assert_eq!(state(&broker), before, "nothing applied");
+        assert_eq!(broker.federation_stats().syncs_applied, 0);
+
+        deliver(&broker, origin, &gossip(origin, 6, std::slice::from_ref(&valid)));
+        assert_eq!(broker.lookup(&GroupId::new("math"), "jxta:PipeAdvertisement", Some(owner)), ["<x/>"]);
+        assert_eq!(record::sync_events(&next_message(&inboxes[0])), [valid]);
+    }
+
+    /// A `BrokerSync` digest of `events` from `origin`, stamped with
+    /// transport `seq`.
+    fn gossip(origin: PeerId, seq: u64, events: &[GossipEvent]) -> Message {
+        record::sync_message(origin, events).with_str("seq", &seq.to_string())
+    }
+
+    /// An event versioned `(seq, origin)`, for direct delivery.
+    fn event(origin: PeerId, seq: u64, body: GossipBody) -> GossipEvent {
+        GossipEvent { seq, origin, broadcast: false, repair: false, body }
+    }
+
+    /// A join of `peer` into `groups`.
+    fn join(peer: PeerId, groups: &[&str]) -> GossipBody {
+        GossipBody::Join(peer, groups.iter().map(|group| GroupId::new(*group)).collect())
+    }
+
+    /// A publish of `owner`'s pipe advertisement `xml` in group "math".
+    fn publish(owner: PeerId, xml: &str) -> GossipBody {
+        let (group, owner, doc_type, xml, _) = advert(owner, xml, (0, owner));
+        GossipBody::Publish(group, owner, doc_type, xml)
+    }
+
+    /// `owner`'s pipe advertisement `xml` in group "math", versioned
+    /// `version`, as a repair page or shard response carries it.
+    fn advert(owner: PeerId, xml: &str, version: (u64, PeerId)) -> FlatEntry {
+        (GroupId::new("math"), owner, "jxta:PipeAdvertisement".to_string(), xml.to_string(), version)
     }
 
     /// An `IHave` listing `gids`, stamped with transport `seq`.
     fn ihave(from: PeerId, gids: &[GossipId], seq: u64) -> Message {
         Message::new(MessageKind::PlumtreeIHave, from, 0)
-            .with_element("ids", plumtree::encode_gossip_ids(gids))
+            .with_element("ids", record::encode(gids))
             .with_str("seq", &seq.to_string())
     }
 
@@ -4632,7 +4438,7 @@ mod tests {
             .try_iter()
             .filter_map(|delivery| Message::from_bytes(&delivery.payload).ok())
             .filter(|message| message.kind == MessageKind::PlumtreeGraft)
-            .map(|graft| plumtree::decode_gossip_ids(graft.element("ids").unwrap()))
+            .map(|graft| record::decode(graft.element("ids").unwrap()))
             .collect()
     }
 
@@ -4700,19 +4506,8 @@ mod tests {
 
         let owner = PeerId::random(&mut rng);
         let group = GroupId::new("math");
-        let copy = Message::new(MessageKind::BrokerSync, lazy[1].0, 0)
-            .with_str("count", "1")
-            .with_str("e0-op", "publish")
-            .with_str("e0-seq", "7")
-            .with_str("e0-group", group.as_str())
-            .with_str("e0-doc-type", "jxta:PipeAdvertisement")
-            .with_str("e0-owner", &owner.to_urn())
-            .with_str("e0-xml", "<adv/>")
-            .with_str("e0-vorigin", &origin.to_urn())
-            .with_str("e0-bcast", "1")
-            .with_str("e0-repair", "1")
-            .with_str("seq", "3");
-        deliver(&broker, lazy[1].0, &copy);
+        let copy = GossipEvent { broadcast: true, repair: true, ..event(origin, 7, publish(owner, "<adv/>")) };
+        deliver(&broker, lazy[1].0, &gossip(lazy[1].0, 3, &[copy]));
         assert_eq!(broker.lookup(&group, "jxta:PipeAdvertisement", Some(owner)).len(), 1);
         assert_eq!(broker.federation_stats().entries_repaired, 0, "no anti-entropy involved");
         assert_eq!(broker.fabric.lock().pending_grafts(), 0, "seen, and the lone id dropped");
@@ -4744,7 +4539,7 @@ mod tests {
         let (broker, lazy, mut rng) = engaged_with_lazy_edges(1);
         let origin = PeerId::random(&mut rng);
         let gids = [(origin, 1 << 63), (origin, u64::MAX), (origin, FORGED_IN_RANGE)];
-        assert_eq!(plumtree::decode_gossip_ids(&plumtree::encode_gossip_ids(&gids)), [gids[2]]);
+        assert_eq!(record::decode::<GossipId>(&record::encode(&gids)), [gids[2]]);
         deliver(&broker, lazy[0].0, &ihave(lazy[0].0, &gids, 2));
         assert_eq!(grafts_in(&lazy[0].1), [vec![(origin, FORGED_IN_RANGE)]]);
         assert_eq!(broker.fabric.lock().pending_grafts(), 1);

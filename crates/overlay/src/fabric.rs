@@ -13,12 +13,12 @@
 //! drains the queues and turns SWIM plans into wire traffic after releasing
 //! the guard.
 //!
-//! Payloads re-sent to answer a `Graft` carry a `repair` mark
-//! ([`REPAIR_MARK`]) that relays copy along with every other event field, so
-//! a whole tick-time repair wave is recognisable.  The broker's all-duplicates
-//! prune rule ignores marked events (see `crate::plumtree`): a repair copy
-//! travels over lazy edges and across the tree, so a duplicate of one says
-//! nothing about which tree edge is redundant.
+//! Events re-sent to answer a `Graft` carry the repair flag
+//! ([`GossipEvent::repair`]), which relays keep, so a whole tick-time repair
+//! wave is recognisable.  The broker's all-duplicates prune rule ignores
+//! flagged events (see `crate::plumtree`): a repair copy travels over lazy
+//! edges and across the tree, so a duplicate of one says nothing about which
+//! tree edge is redundant.
 
 use crate::broker::BrokerConfig;
 use crate::counter::SyncClock;
@@ -26,6 +26,7 @@ use crate::id::PeerId;
 use crate::membership::PartialView;
 use crate::metrics::FederationMetrics;
 use crate::plumtree::{GossipId, PlumtreeState};
+use crate::record::{GossipEvent, SwimVerdict};
 use crate::shard::{fnv1a, mix, FNV_OFFSET};
 use crate::swim::{
     AliveOutcome, DeadOutcome, PeerRecord, PeerState, SuspectOutcome, SwimDetector, TickPlan,
@@ -34,24 +35,6 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Peers named by one shuffle or shuffle reply.
 const SHUFFLE_SAMPLE: usize = 4;
-
-/// The event field marking a payload re-sent for a `Graft` and every relay
-/// of it (value `1`).
-pub(crate) const REPAIR_MARK: &str = "repair";
-
-/// One gossip event queued for a peer broker: the fields of a single
-/// replicated write (`op`, its version `seq`, the op-specific rest),
-/// coalesced per destination into one `BrokerSync` digest per flush.
-#[derive(Debug, Clone)]
-pub(crate) struct GossipEvent {
-    pub(crate) fields: Vec<(String, String)>,
-}
-
-impl GossipEvent {
-    pub(crate) fn new(fields: Vec<(&str, String)>) -> Self {
-        GossipEvent { fields: fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect() }
-    }
-}
 
 /// Admission, membership and dissemination state of one broker.
 pub(crate) struct Fabric {
@@ -251,64 +234,53 @@ impl Fabric {
 
     /// Queues a broadcast event and returns how many brokers it was queued
     /// to directly: every peer on a full mesh; once epidemic, the event is
-    /// stamped with its version origin and a broadcast marker, recorded as
-    /// seen, cached for grafts, queued on the eager edges and advertised on
-    /// the lazy ones.
+    /// flagged broadcast, recorded as seen and disseminated.
     pub(crate) fn broadcast(
         &mut self,
         mut event: GossipEvent,
         metrics: &FederationMetrics,
     ) -> usize {
-        let gid = if self.engaged() {
-            event.fields.push(("vorigin".to_string(), self.own.to_urn()));
-            event.fields.push(("bcast".to_string(), "1".to_string()));
-            let seq = event.fields.iter().find(|(k, _)| k == "seq");
-            seq.and_then(|(_, v)| v.parse().ok()).map(|seq| (self.own, seq))
-        } else {
-            None
-        };
-        let Some(gid) = gid else {
-            // Direct delivery (also the fallback for an event without a
-            // parseable version, which forwarders could not dedup).
+        if !self.engaged() {
             let peers = self.peer_brokers.clone();
             self.queue(&peers, event);
             return peers.len();
-        };
-        self.plumtree.note_seen(gid);
-        self.plumtree.cache_event(gid, event.fields.clone());
-        let eager = self.plumtree.eager();
-        self.queue(&eager, event);
-        metrics.count_eager_pushes(eager.len() as u64);
-        for peer in self.plumtree.lazy() {
-            self.ihave_outbox.entry(peer).or_default().push(gid);
         }
-        eager.len()
+        event.broadcast = true;
+        self.plumtree.note_seen((event.origin, event.seq));
+        self.disseminate(&event, self.own, metrics)
     }
 
-    /// Forwards a received broadcast event `gid` (arrived from `origin`,
-    /// its payload built by `fields`): eager edges get the payload, lazy
-    /// edges an `IHave`, neither the sender nor the event's origin.  Returns
-    /// `false` for a duplicate, which the caller must not apply.
+    /// Forwards a received broadcast `event` (arrived from `sender`) unless
+    /// its gossip id was seen.  Returns `false` for a duplicate, which the
+    /// caller must not apply.
     pub(crate) fn relay(
         &mut self,
-        gid: GossipId,
-        fields: impl FnOnce() -> Vec<(String, String)>,
-        origin: PeerId,
+        event: &GossipEvent,
+        sender: PeerId,
         metrics: &FederationMetrics,
     ) -> bool {
-        if !self.plumtree.note_seen(gid) {
-            return false;
+        let fresh = self.plumtree.note_seen((event.origin, event.seq));
+        if fresh {
+            self.disseminate(event, sender, metrics);
         }
-        let fields = fields();
-        self.plumtree.cache_event(gid, fields.clone());
-        let onward = |p: &PeerId| *p != origin && *p != gid.0;
+        fresh
+    }
+
+    /// Caches a broadcast `event` for grafts under its gossip id (its
+    /// version `(origin, seq)`), queues it on the eager edges and advertises
+    /// the id on the lazy ones, neither towards `sender` nor the event's
+    /// origin.  Returns how many eager edges it was queued on.
+    fn disseminate(&mut self, event: &GossipEvent, sender: PeerId, metrics: &FederationMetrics) -> usize {
+        let gid = (event.origin, event.seq);
+        self.plumtree.cache_event(gid, event.clone());
+        let onward = |p: &PeerId| *p != sender && *p != gid.0;
         let forward: Vec<PeerId> = self.plumtree.eager().into_iter().filter(onward).collect();
-        self.queue(&forward, GossipEvent { fields });
+        self.queue(&forward, event.clone());
         metrics.count_eager_pushes(forward.len() as u64);
         for peer in self.plumtree.lazy().into_iter().filter(onward) {
             self.ihave_outbox.entry(peer).or_default().push(gid);
         }
-        true
+        forward.len()
     }
 
     /// The sender's edge duplicates the tree: demote it to lazy.
@@ -348,8 +320,8 @@ impl Fabric {
         self.plumtree.pending_grafts()
     }
 
-    /// Handles a `Graft`: the edge turns eager and every requested payload
-    /// still cached is queued back with the [`REPAIR_MARK`] (evicted ones
+    /// Handles a `Graft`: the edge turns eager and every requested event
+    /// still cached is queued back flagged as a repair copy (evicted ones
     /// count as graft misses).
     pub(crate) fn graft(
         &mut self,
@@ -360,12 +332,7 @@ impl Fabric {
         self.plumtree.promote(sender);
         for gid in gids {
             match self.plumtree.cached(&gid) {
-                Some(mut fields) => {
-                    if !fields.iter().any(|(field, _)| field == REPAIR_MARK) {
-                        fields.push((REPAIR_MARK.to_string(), "1".to_string()));
-                    }
-                    self.queue(&[sender], GossipEvent { fields })
-                }
+                Some(event) => self.queue(&[sender], GossipEvent { repair: true, ..event }),
                 None => metrics.count_graft_miss(),
             }
         }
@@ -423,23 +390,23 @@ impl Fabric {
         self.cleared(peer, outcome);
     }
 
-    /// A gossiped SWIM verdict (`op`) about `peer` at `incarnation`: a
-    /// confirmed death evicts the member, a cleared one re-enters.  Returns
-    /// the incarnation to refute at when the verdict accuses this broker.
+    /// A gossiped SWIM `verdict` about `peer` at `incarnation`: a confirmed
+    /// death evicts the member, a cleared one re-enters.  Returns the
+    /// incarnation to refute at when the verdict accuses this broker.
     pub(crate) fn verdict(
         &mut self,
-        op: &str,
+        verdict: SwimVerdict,
         peer: PeerId,
         incarnation: u64,
         metrics: &FederationMetrics,
     ) -> Option<u64> {
-        match op {
-            "swim-suspect" => match self.swim.on_suspect(peer, incarnation) {
+        match verdict {
+            SwimVerdict::Suspect => match self.swim.on_suspect(peer, incarnation) {
                 SuspectOutcome::RefuteWith(refute) => return Some(refute),
                 SuspectOutcome::Suspected => metrics.count_swim_suspicion(),
                 SuspectOutcome::Ignored => {}
             },
-            "swim-dead" => match self.swim.on_dead(peer, incarnation) {
+            SwimVerdict::Dead => match self.swim.on_dead(peer, incarnation) {
                 DeadOutcome::RefuteWith(refute) => return Some(refute),
                 DeadOutcome::Confirmed => {
                     metrics.count_swim_death();
@@ -447,7 +414,7 @@ impl Fabric {
                 }
                 DeadOutcome::Ignored => {}
             },
-            _ => {
+            SwimVerdict::Alive => {
                 let outcome = self.swim.on_alive(peer, incarnation);
                 self.cleared(peer, outcome);
             }

@@ -16,7 +16,8 @@
 //!   paper's Figure 2 discussion does).  Adversaries can be attached to the
 //!   network to eavesdrop, drop, redirect or replay traffic.
 //! * [`message`] — JXTA-style messages: a kind plus a set of named binary
-//!   elements, with a compact binary wire encoding.
+//!   elements, with a compact binary wire encoding; [`record`] — the binary
+//!   records bulk backbone messages carry their entries in.
 //! * [`advertisement`] — XML advertisements (peer, pipe, file, presence,
 //!   statistics) built on [`jxta_xmldoc`], the metadata documents that peers
 //!   periodically broadcast for every group they belong to.
@@ -79,6 +80,7 @@ pub mod message;
 pub mod metrics;
 pub mod net;
 pub mod plumtree;
+pub mod record;
 mod repair;
 mod replica;
 pub mod shard;

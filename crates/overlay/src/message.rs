@@ -237,32 +237,6 @@ impl Message {
         ElementIndex::new(self)
     }
 
-    /// The fields of entries `0..count` of a bulk message, sliced out of one
-    /// pass over the elements: entry `i` gets every element named
-    /// `{prefix}{i}-{field}`, as `(field, content)` in message order.  This
-    /// is exactly what a `strip_prefix` of `{prefix}{i}-` per entry finds
-    /// (the index must be written canonically: `e7-` is entry 7, `e07-` no
-    /// entry), without that walk's O(n²) cost over an n-entry message.
-    pub fn entries(&self, prefix: &str, count: usize) -> Vec<Vec<(&str, &[u8])>> {
-        #[cfg(test)]
-        scan_probe::record(self.elements.len());
-        let mut entries = vec![Vec::new(); count.min(self.elements.len())];
-        for element in &self.elements {
-            let Some((index, field)) =
-                element.name.strip_prefix(prefix).and_then(|rest| rest.split_once('-'))
-            else {
-                continue;
-            };
-            let canonical = index.bytes().all(|b| b.is_ascii_digit())
-                && (index == "0" || !index.starts_with('0'));
-            let entry = index.parse::<usize>().ok().filter(|_| canonical);
-            if let Some(fields) = entry.and_then(|i| entries.get_mut(i)) {
-                fields.push((field, element.content.as_slice()));
-            }
-        }
-        entries
-    }
-
     /// Number of elements this message carries.  Bulk decoders use it to cap
     /// allocations sized by a count that arrived on the wire: entries cannot
     /// outnumber the elements that encode them.
@@ -309,10 +283,9 @@ impl Message {
     /// 4-byte element count, then per element a 2-byte name length, the name,
     /// a 4-byte content length and the content (all integers big-endian).
     ///
-    /// The element count is 32-bit: bulk messages (flat anti-entropy
-    /// snapshots of large shards) legitimately exceed 65 535 elements, and a
-    /// 16-bit count would wrap silently, producing bytes the receiver
-    /// rejects as trailing garbage.
+    /// The element count is 32-bit: a 16-bit count would wrap silently past
+    /// 65 535 elements, producing bytes the receiver rejects as trailing
+    /// garbage.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut size = 4 + 1 + PEER_ID_LEN + 8 + 4;
         for e in &self.elements {
@@ -545,9 +518,9 @@ mod tests {
 
     #[test]
     fn wire_roundtrip_beyond_u16_element_count() {
-        // A flat anti-entropy snapshot of a 10⁵-entry shard carries 600k+
-        // elements; the old 16-bit element count wrapped silently and the
-        // receiver rejected the bytes as trailing garbage.
+        // A message may carry more than 65 535 elements; the old 16-bit
+        // element count wrapped silently and the receiver rejected the bytes
+        // as trailing garbage.
         let mut msg = Message::new(MessageKind::AntiEntropySnapshot, peer(), 3);
         for i in 0..70_000u32 {
             msg.push_element(format!("e{i}"), i.to_be_bytes().to_vec());

@@ -20,17 +20,16 @@
 //! per announcer, each of which the next eager wave prunes again.
 //!
 //! On the wire an `IHave` or `Graft` carries its ids as one `ids` element of
-//! fixed [`GOSSIP_ID_LEN`]-byte records ([`encode_gossip_ids`],
-//! [`decode_gossip_ids`]).
+//! gossip-id records (`crate::record`).
 //!
 //! One eager tree serves every origin, which takes two rules:
 //!
 //! * **edges are symmetric** — the active view holds each edge at both ends
 //!   (see [`crate::membership`]), so a prune or graft changes an edge both
 //!   brokers hold and pushes flow along it both ways;
-//! * **repair copies never prune** — payloads re-sent for a `Graft`, and
-//!   every relay of them, carry a `repair` mark, and the all-duplicates
-//!   rule counts only unmarked events.  A prune then happens only inside a
+//! * **repair copies never prune** — events re-sent for a `Graft`, and
+//!   every relay of them, carry the repair flag, and the all-duplicates
+//!   rule counts only unflagged events.  A prune then happens only inside a
 //!   publish's own eager wave, where a duplicate always arrives over an edge
 //!   outside that publish's first-arrival tree: the tree still connects
 //!   both ends, so removing the edge keeps the undirected eager graph
@@ -40,49 +39,20 @@
 //!   from whichever origin pruned last.
 //!
 //! This module is the bookkeeping only — eager/lazy edge sets, the bounded
-//! seen-set, payload cache and pending grafts keyed by [`GossipId`], and the
-//! id codec.  The broker's fabric (`crate::fabric`) owns one
+//! seen-set, payload cache and pending grafts keyed by [`GossipId`].  The broker's fabric (`crate::fabric`) owns one
 //! [`PlumtreeState`], keeps its edges in step with the active view, and
 //! drives it from the gossip paths and the
 //! `PlumtreeIHave`/`PlumtreeGraft`/`PlumtreePrune` wire messages.
 
-use crate::counter;
-use crate::id::{PeerId, PEER_ID_LEN};
+use crate::id::PeerId;
+use crate::record::GossipEvent;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Identity of one broadcast gossip event: the version origin that created
 /// it and the sequence number it was versioned under.  The pair is exactly
 /// the event's last-writer-wins version, so it is already unique per write
-/// and travels in the event's existing `vorigin`/`seq` fields.
+/// and travels in every event record (`crate::record`).
 pub type GossipId = (PeerId, u64);
-
-/// Bytes of one gossip id on the wire: the 16-byte origin, then the
-/// sequence number as 8 big-endian bytes.
-pub const GOSSIP_ID_LEN: usize = PEER_ID_LEN + 8;
-
-/// Encodes `gids` as the `ids` element of an `IHave` or `Graft`: one
-/// [`GOSSIP_ID_LEN`]-byte record per id, in order.
-pub fn encode_gossip_ids(gids: &[GossipId]) -> Vec<u8> {
-    let mut ids = Vec::with_capacity(gids.len() * GOSSIP_ID_LEN);
-    for (origin, seq) in gids {
-        ids.extend_from_slice(origin.as_bytes());
-        ids.extend_from_slice(&seq.to_be_bytes());
-    }
-    ids
-}
-
-/// Decodes an `ids` element.  A trailing partial record is ignored, and so
-/// is a record whose sequence number breaks the wire-counter rule (at or
-/// above 2^63, see `crate::counter`), as every received counter is.
-pub fn decode_gossip_ids(ids: &[u8]) -> Vec<GossipId> {
-    ids.chunks_exact(GOSSIP_ID_LEN)
-        .filter_map(|record| {
-            let (origin, seq) = record.split_at(PEER_ID_LEN);
-            let seq = counter::received(u64::from_be_bytes(seq.try_into().ok()?))?;
-            Some((PeerId::from_bytes(origin.try_into().ok()?), seq))
-        })
-        .collect()
-}
 
 /// Default bound of the seen-set, the graft cache and the pending grafts.
 /// Eviction is FIFO; an evicted entry can only cost a redundant application
@@ -100,8 +70,8 @@ pub struct PlumtreeState {
     /// Gossip ids this broker has already received or originated.
     seen: HashSet<GossipId>,
     seen_order: VecDeque<GossipId>,
-    /// Recently seen payloads, kept to answer `Graft` pulls.
-    cache: HashMap<GossipId, Vec<(String, String)>>,
+    /// Recently seen events, kept to answer `Graft` pulls.
+    cache: HashMap<GossipId, GossipEvent>,
     cache_order: VecDeque<GossipId>,
     /// Unseen ids grafted this round, each with its announcers in order:
     /// the peer grafted from first, then the fallbacks.
@@ -162,9 +132,9 @@ impl PlumtreeState {
         self.seen.contains(gid)
     }
 
-    /// Stores an event's field list so a later `Graft` can pull it.
-    pub fn cache_event(&mut self, gid: GossipId, fields: Vec<(String, String)>) {
-        if self.cache.insert(gid, fields).is_none() {
+    /// Stores an event so a later `Graft` can pull it.
+    pub fn cache_event(&mut self, gid: GossipId, event: GossipEvent) {
+        if self.cache.insert(gid, event).is_none() {
             self.cache_order.push_back(gid);
         }
         while self.cache_order.len() > self.capacity {
@@ -174,8 +144,8 @@ impl PlumtreeState {
         }
     }
 
-    /// The cached field list of `gid`, if it has not been evicted.
-    pub fn cached(&self, gid: &GossipId) -> Option<Vec<(String, String)>> {
+    /// The cached event of `gid`, if it has not been evicted.
+    pub fn cached(&self, gid: &GossipId) -> Option<GossipEvent> {
         self.cache.get(gid).cloned()
     }
 
@@ -272,6 +242,8 @@ impl PlumtreeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::PEER_ID_LEN;
+    use crate::record::{self, GossipBody};
     use jxta_crypto::drbg::HmacDrbg;
 
     fn peers(n: usize, seed: u64) -> Vec<PeerId> {
@@ -312,38 +284,48 @@ mod tests {
     fn cache_serves_grafts_until_evicted() {
         let ids = peers(1, 3);
         let mut state = PlumtreeState::new(2);
-        let fields = vec![("op".to_string(), "publish".to_string())];
-        state.cache_event((ids[0], 1), fields.clone());
-        state.cache_event((ids[0], 2), vec![]);
-        assert_eq!(state.cached(&(ids[0], 1)), Some(fields));
-        state.cache_event((ids[0], 3), vec![]);
+        let event = |seq| GossipEvent {
+            seq,
+            origin: ids[0],
+            broadcast: true,
+            repair: false,
+            body: GossipBody::Leave(ids[0]),
+        };
+        state.cache_event((ids[0], 1), event(1));
+        state.cache_event((ids[0], 2), event(2));
+        assert_eq!(state.cached(&(ids[0], 1)), Some(event(1)));
+        state.cache_event((ids[0], 3), event(3));
         assert_eq!(state.cached(&(ids[0], 1)), None, "FIFO eviction");
         assert!(state.cached(&(ids[0], 3)).is_some());
     }
+
+    /// Bytes of one gossip id on the wire: the 16-byte origin, then the
+    /// sequence number as 8 big-endian bytes.
+    const GOSSIP_ID_LEN: usize = PEER_ID_LEN + 8;
 
     #[test]
     fn gossip_ids_round_trip_as_fixed_records() {
         let ids = peers(2, 5);
         let gids = [(ids[0], 0), (ids[1], (1 << 63) - 1), (ids[0], 42)];
-        let encoded = encode_gossip_ids(&gids);
+        let encoded = record::encode(&gids);
         assert_eq!(encoded.len(), 3 * GOSSIP_ID_LEN);
         assert_eq!(&encoded[..PEER_ID_LEN], ids[0].as_bytes());
         assert_eq!(
             &encoded[2 * GOSSIP_ID_LEN + PEER_ID_LEN..],
             &42u64.to_be_bytes()
         );
-        assert_eq!(decode_gossip_ids(&encoded), gids);
-        assert_eq!(decode_gossip_ids(&[]), []);
+        assert_eq!(record::decode::<GossipId>(&encoded), gids);
+        assert_eq!(record::decode::<GossipId>(&[]), []);
     }
 
     #[test]
     fn gossip_id_decoder_ignores_a_partial_trailing_record() {
         let ids = peers(1, 6);
         let gids = [(ids[0], 1), (ids[0], 2)];
-        let mut encoded = encode_gossip_ids(&gids);
-        encoded.extend_from_slice(&encode_gossip_ids(&[(ids[0], 3)])[..GOSSIP_ID_LEN - 1]);
-        assert_eq!(decode_gossip_ids(&encoded), gids);
-        assert_eq!(decode_gossip_ids(&encoded[..GOSSIP_ID_LEN - 1]), []);
+        let mut encoded = record::encode(&gids);
+        encoded.extend_from_slice(&record::encode(&[(ids[0], 3)])[..GOSSIP_ID_LEN - 1]);
+        assert_eq!(record::decode::<GossipId>(&encoded), gids);
+        assert_eq!(record::decode::<GossipId>(&encoded[..GOSSIP_ID_LEN - 1]), []);
     }
 
     #[test]

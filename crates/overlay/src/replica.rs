@@ -52,6 +52,9 @@ pub(crate) type FlatEntry = (GroupId, PeerId, String, String, (u64, PeerId));
 /// A presence-register entry: the peer, its version and its home broker.
 pub(crate) type PresenceEntry = (PeerId, PresenceVersion, Option<PeerId>);
 
+/// A membership entry: the group, the member and its provenance stamp.
+pub(crate) type MembershipEntry = (GroupId, PeerId, PresenceVersion);
+
 /// One indexed advertisement: the XML document plus its last-writer-wins
 /// version `(sequence number at the origin broker, origin broker id)`.
 /// Every broker keeps the entry with the greatest version, so concurrent
@@ -452,25 +455,23 @@ impl Replica {
             .filter(move |(key, _, member)| self.is_membership_shared(*key, member, peer))
     }
 
-    /// Sorted membership entries shared with `peer`.
-    pub(crate) fn repair_membership_entries(&self, peer: &PeerId) -> Vec<(GroupId, PeerId)> {
-        let mut out: Vec<_> = self
-            .shared_memberships_in(peer, (0, u64::MAX))
-            .map(|(_, group, member)| (group.clone(), *member))
-            .collect();
+    /// Sorted membership entries shared with `peer`, with their stamps.
+    pub(crate) fn repair_membership_entries(&self, peer: &PeerId) -> Vec<MembershipEntry> {
+        let mut out: Vec<_> =
+            self.repair_membership_entries_in(peer, (0, u64::MAX)).into_iter().map(|(_, entry)| entry).collect();
         out.sort();
         out
     }
 
     /// Membership entries shared with `peer` whose shard key falls in
-    /// `range`, in shard-key order.
+    /// `range`, in shard-key order, with their stamps.
     pub(crate) fn repair_membership_entries_in(
         &self,
         peer: &PeerId,
         range: (u64, u64),
-    ) -> Vec<(u64, (GroupId, PeerId))> {
+    ) -> Vec<(u64, MembershipEntry)> {
         self.shared_memberships_in(peer, range)
-            .map(|(key, group, member)| (*key, (group.clone(), *member)))
+            .map(|(key, group, member)| (*key, (group.clone(), *member, self.membership_stamp(group, member))))
             .collect()
     }
 
@@ -890,13 +891,13 @@ impl Replica {
         true
     }
 
-    /// Applies a remote join of `peer` (versioned `seq` at its new `home`,
-    /// comma-joined `groups`).  Returns `true` unless stale or absorbed.
+    /// Applies a remote join of `peer` into `groups` (versioned `seq` at its
+    /// new `home`).  Returns `true` unless stale or absorbed.
     pub(crate) fn apply_join(
         &mut self,
         peer: PeerId,
         (seq, home): (u64, PeerId),
-        groups: &str,
+        groups: &[GroupId],
         joins: &mut Vec<JoinGossip>,
     ) -> bool {
         if !self.try_version_presence(peer, (seq, PRESENCE_JOIN, home))
@@ -909,15 +910,14 @@ impl Replica {
         self.forget_memberships(&peer);
         self.clear_group_hosts(&peer);
         self.write_presence(peer, PresenceWrite::RemoteHome(Some(home)));
-        for group in groups.split(',').filter(|s| !s.is_empty()) {
-            let group = GroupId::new(group);
+        for group in groups {
             // Every broker records which broker hosts the member (the
             // group-aware publish routing digest), but sharded membership
             // entries live on their ring replicas only.
-            self.set_group_hosts(&peer, std::slice::from_ref(&group), home);
-            if self.is_local_replica(&group, &peer) {
-                self.stamp_membership(&group, peer, (seq, PRESENCE_JOIN, home));
-                self.join_group(group, peer);
+            self.set_group_hosts(&peer, std::slice::from_ref(group), home);
+            if self.is_local_replica(group, &peer) {
+                self.stamp_membership(group, peer, (seq, PRESENCE_JOIN, home));
+                self.join_group(group.clone(), peer);
             }
         }
         true
@@ -1005,7 +1005,7 @@ impl Replica {
     pub(crate) fn merge_membership(
         &mut self,
         origin: &PeerId,
-        entries: Vec<(GroupId, PeerId, PresenceVersion)>,
+        entries: Vec<MembershipEntry>,
         sender_versions: &HashMap<PeerId, PresenceVersion>,
         range: (u64, u64),
     ) -> u64 {
@@ -1220,8 +1220,7 @@ mod tests {
             // Remote joins and leaves: they re-home the peer, and a live or
             // shadowed session here re-asserts, yields or resurrects.
             4 => {
-                let groups: Vec<String> = groups_of(c).iter().map(|g| g.as_str().to_string()).collect();
-                replica.apply_join(peer, (c % 7 + 1, broker), &groups.join(","), &mut joins);
+                replica.apply_join(peer, (c % 7 + 1, broker), &groups_of(c), &mut joins);
             }
             5 => {
                 replica.apply_leave(peer, (c % 7 + 1, broker), &mut joins);

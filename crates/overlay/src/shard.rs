@@ -74,10 +74,6 @@ pub const REPAIR_TREE_ARITY: usize = 16;
 /// Bits of shard key consumed by the leaf level.
 const LEAF_BITS: u32 = 4 * REPAIR_TREE_DEPTH;
 
-/// Wire size of one encoded tree-node summary inside an `AntiEntropyRange`
-/// message: depth (u8) · prefix (u64) · xor (u64) · count (u64), big-endian.
-pub const NODE_RECORD_BYTES: usize = 25;
-
 /// Aggregate summary of one repair-tree node: the XOR of the entry hashes
 /// under it plus their count.  XOR is order-independent and self-inverse, so
 /// summaries compose up the tree and an insert never needs a rebuild; the
@@ -208,54 +204,6 @@ pub fn node_range(depth: u32, prefix: u64) -> (u64, u64) {
     let shift = 64 - 4 * depth;
     let lo = prefix << shift;
     (lo, lo | ((1u64 << shift) - 1))
-}
-
-/// Appends one node-summary record to a wire blob (see [`NODE_RECORD_BYTES`]).
-pub fn encode_node(out: &mut Vec<u8>, depth: u32, prefix: u64, summary: NodeSummary) {
-    out.push(depth as u8);
-    out.extend_from_slice(&prefix.to_be_bytes());
-    out.extend_from_slice(&summary.xor.to_be_bytes());
-    out.extend_from_slice(&summary.count.to_be_bytes());
-}
-
-/// Decodes a wire blob of node-summary records.  Trailing partial records
-/// are dropped; a malformed blob simply yields fewer nodes (the descent is
-/// stateless, so under-delivery only delays convergence by a round).
-pub fn decode_nodes(bytes: &[u8]) -> Vec<(u32, u64, NodeSummary)> {
-    bytes
-        .chunks_exact(NODE_RECORD_BYTES)
-        .map(|record| {
-            let word = |at: usize| u64::from_be_bytes(record[at..at + 8].try_into().unwrap());
-            (
-                u32::from(record[0]),
-                word(1),
-                NodeSummary {
-                    xor: word(9),
-                    count: word(17),
-                },
-            )
-        })
-        .collect()
-}
-
-/// Wire size of one record of a hash list: an entry's 8-byte repair hash,
-/// big-endian.  A descent leg lists the entries of each child small enough
-/// to be paged, a final-leg page lists its sender's entries of the range,
-/// and a digest carries its section digests the same way.
-pub const HASH_RECORD_BYTES: usize = 8;
-
-/// Appends one hash record to a wire blob (see [`HASH_RECORD_BYTES`]).
-pub fn encode_hash(out: &mut Vec<u8>, hash: u64) {
-    out.extend_from_slice(&hash.to_be_bytes());
-}
-
-/// Decodes a hash list: one hash per whole record, a trailing partial
-/// record dropped, so decoding allocates nothing and a forged list costs
-/// work linear in its length.
-pub fn decode_hashes(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    bytes
-        .chunks_exact(HASH_RECORD_BYTES)
-        .map(|record| u64::from_be_bytes(record.try_into().expect("chunks_exact yields whole records")))
 }
 
 /// A deterministic consistent-hash ring over the brokers of a federation.
@@ -665,18 +613,19 @@ mod tests {
 
     #[test]
     fn node_records_roundtrip_and_tolerate_truncation() {
-        let mut blob = Vec::new();
+        use crate::record;
+        // Depth (one byte), prefix, XOR and count (8 bytes each).
+        const NODE_RECORD_BYTES: usize = 25;
         let summary = NodeSummary { xor: 0xabcd, count: 42 };
-        encode_node(&mut blob, 3, 0x123, summary);
-        encode_node(&mut blob, 5, 0xf_ffff, NodeSummary::default());
+        let mut blob = record::encode(&[(3, 0x123, summary), (5, 0xf_ffff, NodeSummary::default())]);
         assert_eq!(blob.len(), 2 * NODE_RECORD_BYTES);
-        let decoded = decode_nodes(&blob);
+        let decoded: Vec<(u32, u64, NodeSummary)> = record::decode(&blob);
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[0], (3, 0x123, summary));
         assert_eq!(decoded[1].2, NodeSummary::default());
         // A truncated trailing record is dropped, not misparsed.
         blob.truncate(2 * NODE_RECORD_BYTES - 1);
-        assert_eq!(decode_nodes(&blob).len(), 1);
+        assert_eq!(record::decode::<(u32, u64, NodeSummary)>(&blob).len(), 1);
     }
 
     /// The replica set of `key` by the clockwise walk the arc table

@@ -4,6 +4,7 @@
 //! replay/redirect/tamper threats re-appear on the broker–broker links and
 //! must be re-validated there.
 
+use jxta_overlay::record::{sync_message, GossipBody, GossipEvent};
 use jxta_overlay::{GroupId, MessageKind};
 use jxta_overlay_secure::attacks::{
     EdgeAdversary, Eavesdropper, FakeBroker, InterBrokerReplayAttacker, LoginReplayAttacker,
@@ -194,13 +195,10 @@ fn forged_gossip_from_outside_the_federation_is_rejected() {
     // A rogue peer (never admitted to the backbone) sends a well-formed
     // publish gossip trying to poison broker A's index.
     let rogue = world.plain_client("rogue");
-    let forged = jxta_overlay::Message::new(MessageKind::BrokerSync, rogue.id(), 0)
-        .with_str("op", "publish")
-        .with_str("group", "ops")
-        .with_str("doc-type", "jxta:PipeAdvertisement")
-        .with_str("owner", &rogue.id().to_urn())
-        .with_str("xml", "<forged/>")
-        .with_str("seq", "1");
+    let (doc_type, xml) = ("jxta:PipeAdvertisement".to_string(), "<forged/>".to_string());
+    let publish = GossipBody::Publish(GroupId::new("ops"), rogue.id(), doc_type, xml);
+    let event = GossipEvent { seq: 1, origin: rogue.id(), broadcast: false, repair: false, body: publish };
+    let forged = sync_message(rogue.id(), &[event]).with_str("seq", "1");
     let index_before = world.broker_at(0).advertisement_snapshot();
     world
         .network()

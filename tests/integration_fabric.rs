@@ -35,7 +35,7 @@ use jxta_crypto::drbg::HmacDrbg;
 use jxta_overlay::broker::{Broker, BrokerConfig};
 use jxta_overlay::federation::InlineFederation;
 use jxta_overlay::net::{Adversary, LinkModel, NetMessage, RandomDrop, SimNetwork, Verdict};
-use jxta_overlay::plumtree::encode_gossip_ids;
+use jxta_overlay::record::{encode, sync_message, GossipBody, GossipEvent, SwimVerdict};
 use jxta_overlay::{GroupId, Message, MessageKind, PeerId, UserDatabase};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -163,14 +163,14 @@ impl World {
             }
             Step::Graft(i, n) => {
                 let graft = Message::new(MessageKind::PlumtreeGraft, self.peers[i], 0)
-                    .with_element("ids", encode_gossip_ids(&[(broker.id(), n + 1)]));
+                    .with_element("ids", encode(&[(broker.id(), n + 1)]));
                 self.deliver(i, graft);
             }
             Step::IHave(i, n) => {
                 self.version += 1;
                 let origin = self.peers[(i + n as usize) % PEERS];
                 let ihave = Message::new(MessageKind::PlumtreeIHave, self.peers[i], 0)
-                    .with_element("ids", encode_gossip_ids(&[(origin, self.version)]));
+                    .with_element("ids", encode(&[(origin, self.version)]));
                 self.deliver(i, ihave);
             }
             Step::SwimAck(i, n) => {
@@ -181,13 +181,15 @@ impl World {
             Step::SwimDead(i, about) => {
                 self.version += 1;
                 let accused = if about == PEERS { broker.id() } else { self.peers[about] };
-                let dead = Message::new(MessageKind::BrokerSync, self.peers[i], 0)
-                    .with_str("count", "1")
-                    .with_str("e0-op", "swim-dead")
-                    .with_str("e0-seq", &self.version.to_string())
-                    .with_str("e0-peer", &accused.to_urn())
-                    .with_str("e0-sinc", "0");
-                self.deliver(i, dead);
+                let body = GossipBody::Verdict(SwimVerdict::Dead, accused, 0);
+                let event = GossipEvent {
+                    seq: self.version,
+                    origin: self.peers[i],
+                    broadcast: false,
+                    repair: false,
+                    body,
+                };
+                self.deliver(i, sync_message(self.peers[i], &[event]));
             }
             Step::Login(c) => {
                 broker.mark_connected(self.clients[c]);

@@ -30,6 +30,7 @@ use jxta_overlay::broker::{Broker, BrokerConfig};
 use jxta_overlay::client::{ClientConfig, ClientEvent, ClientPeer};
 use jxta_overlay::federation::BrokerNetwork;
 use jxta_overlay::net::{LinkModel, NetMessage, RandomDrop, SimNetwork};
+use jxta_overlay::record::{sync_message, GossipBody, GossipEvent};
 use jxta_overlay::{GroupId, Message, MessageKind, PeerId, UserDatabase};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -87,17 +88,18 @@ fn script_message(
                 .to_bytes(),
         ),
         4 => (from, vec![a, b, 0xde, 0xad]), // undecodable traffic
-        _ => (
-            fake_broker,
-            Message::new(MessageKind::BrokerSync, fake_broker, 0)
-                .with_str("op", "publish")
-                .with_str("seq", &(u64::from(a) % 8).to_string())
-                .with_str("group", group)
-                .with_str("doc-type", "jxta:FileAdvertisement")
-                .with_str("owner", &owner.to_urn())
-                .with_str("xml", &format!("<file b=\"{b}\"/>"))
-                .to_bytes(),
-        ),
+        _ => {
+            // The event's version and the transport sequence are both
+            // `a % 8`, so stale and duplicate ones occur.
+            let seq = u64::from(a) % 8;
+            let (doc_type, xml) = ("jxta:FileAdvertisement".to_string(), format!("<file b=\"{b}\"/>"));
+            let publish = GossipBody::Publish(GroupId::new(group), owner, doc_type, xml);
+            let event = GossipEvent { seq, origin: fake_broker, broadcast: false, repair: false, body: publish };
+            (
+                fake_broker,
+                sync_message(fake_broker, &[event]).with_str("seq", &seq.to_string()).to_bytes(),
+            )
+        }
     }
 }
 
