@@ -1204,7 +1204,7 @@ pub struct EpidemicFanoutResult {
 /// broadcasts `publishes` advertisements from a single origin broker and is
 /// pumped to quiescence.  Two warm-up broadcasts run first so the epidemic
 /// rows measure the *pruned* eager tree, not the initial flood.  Per-broker
-/// send counts are read as [`SimNetwork::sent_by`] deltas around the batch,
+/// send counts are read as [`jxta_overlay::SimNetwork::sent_by`] deltas around the batch,
 /// so warm-up and any trailing repair traffic are not attributed.
 pub fn measure_epidemic_fanout(
     brokers: usize,

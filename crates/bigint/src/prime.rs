@@ -29,8 +29,8 @@ pub const DEFAULT_MILLER_RABIN_ROUNDS: usize = 40;
 
 /// Returns `true` if `candidate` is probably prime.
 ///
-/// Runs trial division against [`SMALL_PRIMES`] followed by `rounds` rounds
-/// of Miller–Rabin with random bases drawn from `rng`.
+/// Runs trial division against the 54 primes below 256 followed by
+/// `rounds` rounds of Miller–Rabin with random bases drawn from `rng`.
 pub fn is_probable_prime<R: RngCore + ?Sized>(
     candidate: &BigUint,
     rounds: usize,

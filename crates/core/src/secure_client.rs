@@ -774,6 +774,13 @@ impl SecureClient {
 mod tests {
     use super::*;
     use crate::setup::SecureNetworkBuilder;
+    use jxta_overlay::net::LinkModel;
+    use std::time::Duration;
+
+    /// Models a 1 ms link (latency only) between `a` and `b`.
+    fn one_ms_link(setup: &crate::setup::SecureNetwork, a: PeerId, b: PeerId) {
+        setup.network().set_link_between(a, b, LinkModel::new(Duration::from_millis(1), 0));
+    }
 
     fn two_peer_setup() -> (crate::setup::SecureNetwork, SecureClient, SecureClient) {
         let mut setup = SecureNetworkBuilder::new(0x5EC1)
@@ -817,8 +824,10 @@ mod tests {
     #[test]
     fn secure_connection_authenticates_broker() {
         let (setup, mut alice, _bob) = two_peer_setup();
+        one_ms_link(&setup, alice.id(), setup.broker_id());
         let timing = alice.secure_connection(setup.broker_id()).unwrap();
-        assert!(timing.cpu > std::time::Duration::ZERO);
+        // The challenge and the broker's response each cross the link.
+        assert_eq!(timing.wire, Duration::from_millis(2));
         assert!(alice.broker_credential().is_some());
         assert_eq!(alice.trust().brokers().len(), 1);
         assert!(alice.credential().is_none(), "no credential before login");
@@ -836,10 +845,12 @@ mod tests {
     #[test]
     fn secure_join_issues_credential_and_session() {
         let (setup, mut alice, _bob) = two_peer_setup();
+        one_ms_link(&setup, alice.id(), setup.broker_id());
         let timing = alice
             .secure_join(setup.broker_id(), "alice", "pw-a")
             .unwrap();
-        assert!(timing.cpu > std::time::Duration::ZERO);
+        // Two request/response exchanges: secureConnection, secureLogin.
+        assert_eq!(timing.wire, Duration::from_millis(4));
         assert!(alice.inner().is_logged_in());
         let credential = alice.credential().unwrap();
         assert_eq!(credential.subject_name, "alice");
@@ -884,10 +895,12 @@ mod tests {
         alice.publish_secure_pipe(&group).unwrap();
         bob.publish_secure_pipe(&group).unwrap();
 
+        one_ms_link(&setup, alice.id(), bob.id());
         let timing = alice
             .secure_msg_peer(&group, bob.id(), "the exam is on friday")
             .unwrap();
-        assert!(timing.cpu > std::time::Duration::ZERO);
+        // One hop to bob; the broker lookup crosses an ideal link.
+        assert_eq!(timing.wire, Duration::from_millis(1));
 
         let received = bob.receive_secure_messages().unwrap();
         assert_eq!(received.len(), 1);

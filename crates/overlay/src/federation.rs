@@ -1329,6 +1329,11 @@ mod tests {
 
     /// Sends `message` from a registered client endpoint into `broker` and
     /// pumps until the client's inbox yields a `LookupResponse`.
+    /// The advertisement documents a `LookupResponse` carries.
+    pub(super) fn adverts(response: &crate::message::Message) -> Vec<String> {
+        response.element("adverts").map(crate::record::decode).unwrap_or_default()
+    }
+
     fn query_via_network(
         net: &SimNetwork,
         federation: &InlineFederation,
@@ -1407,8 +1412,8 @@ mod tests {
             .with_str("owner", &remote_owner.to_urn());
         let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
         assert_eq!(response.request_id, 71);
-        assert_eq!(response.element_str("count").unwrap(), "1");
-        assert_eq!(response.element_str("adv-0").unwrap(), "<remote/>");
+        assert_eq!(adverts(&response).len(), 1);
+        assert_eq!(adverts(&response)[0], "<remote/>");
         assert_eq!(federation.broker(0).federation_stats().shard_misses, 1);
 
         // Local key: answered from broker 0's own shard.
@@ -1417,7 +1422,7 @@ mod tests {
             .with_str("doc-type", "jxta:PipeAdvertisement")
             .with_str("owner", &local_owner.to_urn());
         let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
-        assert_eq!(response.element_str("adv-0").unwrap(), "<local/>");
+        assert_eq!(adverts(&response)[0], "<local/>");
         assert_eq!(federation.broker(0).federation_stats().shard_hits, 1);
 
         // Group-wide search: scatter-gather merges both shards.
@@ -1425,7 +1430,7 @@ mod tests {
             .with_str("group", "math")
             .with_str("doc-type", "jxta:PipeAdvertisement");
         let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
-        assert_eq!(response.element_str("count").unwrap(), "2");
+        assert_eq!(adverts(&response).len(), 2);
     }
 
     #[test]
@@ -1478,7 +1483,7 @@ mod tests {
                 .with_str("owner", &owners[i].to_urn());
             let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
             assert_eq!(response.request_id, request);
-            assert_eq!(response.element_str("adv-0").unwrap(), format!("<adv-{i}/>"));
+            assert_eq!(adverts(&response)[0], format!("<adv-{i}/>"));
         }
 
         // A group-wide search scatters to the live brokers only and still
@@ -1488,7 +1493,7 @@ mod tests {
             .with_str("doc-type", "jxta:PipeAdvertisement");
         let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
         assert_eq!(response.request_id, 99);
-        assert_eq!(response.element_str("count").unwrap(), "40");
+        assert_eq!(adverts(&response).len(), 40);
     }
 
     #[test]
@@ -1824,7 +1829,7 @@ mod tests {
                 .with_str("doc-type", "jxta:PipeAdvertisement")
                 .with_str("owner", &owner.to_urn());
             let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
-            assert_eq!(response.element_str("adv-0").unwrap(), "<hot/>");
+            assert_eq!(adverts(&response)[0], "<hot/>");
         }
         let deltas: Vec<u64> = replicas
             .iter()
@@ -1959,7 +1964,7 @@ mod tests {
                 .with_str("doc-type", "jxta:PipeAdvertisement")
                 .with_str("owner", &owner.to_urn());
             let response = query_via_network(&net, &federation, &rx, client, 0, lookup);
-            assert_eq!(response.element_str("adv-0").unwrap(), "<hot/>");
+            assert_eq!(adverts(&response)[0], "<hot/>");
         }
         let deltas: Vec<u64> = replicas
             .iter()
@@ -2753,15 +2758,14 @@ mod shard_proptests {
                         .with_str("doc-type", DOC_TYPE)
                         .with_str("owner", &world.peers[user].to_urn());
                     let response = query(&world, lookup);
-                    let count = response.element_str("count");
-                    let first_adv = response.element_str("adv-0");
+                    let found = super::tests::adverts(&response);
                     match oracle_ads.get(&(g, user)) {
                         Some(xml) => {
-                            prop_assert_eq!(count.as_deref(), Some("1"));
-                            prop_assert_eq!(first_adv.as_deref(), Some(xml.as_str()));
+                            prop_assert_eq!(found.len(), 1);
+                            prop_assert_eq!(found.first(), Some(xml));
                         }
                         None => {
-                            prop_assert_eq!(count.as_deref(), Some("0"));
+                            prop_assert_eq!(found.len(), 0);
                         }
                     }
                     // membership query.
@@ -2786,9 +2790,7 @@ mod shard_proptests {
                     .with_str("doc-type", DOC_TYPE);
                 let response = query(&world, sweep);
                 let expected: usize = (0..USERS).filter(|u| oracle_ads.contains_key(&(g, *u))).count();
-                let count = response.element_str("count");
-                let expected = expected.to_string();
-                prop_assert_eq!(count.as_deref(), Some(expected.as_str()));
+                prop_assert_eq!(super::tests::adverts(&response).len(), expected);
             }
         }
     }

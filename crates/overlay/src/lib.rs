@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod advertisement;
+mod antientropy;
 pub mod broker;
 pub mod client;
 pub mod clock;

@@ -69,17 +69,19 @@ pub enum MessageKind {
     /// whose own hashes disagree answers with
     /// [`MessageKind::AntiEntropySnapshot`].
     AntiEntropyDigest = 44,
-    /// Broker ↔ broker: a full snapshot of the mismatched anti-entropy
-    /// sections, merged with last-writer-wins versions so repair can never
-    /// regress a newer write.  Also carries range-scoped *pages* during a
-    /// hash-tree descent: the same element layout plus a `[range-lo,
-    /// range-hi]` shard-key window that bounds what the page covers.
+    /// Broker ↔ broker: a snapshot of anti-entropy sections, merged with
+    /// last-writer-wins versions so repair can never regress a newer write.
+    /// Its binary scope record says what it speaks for: whole sections
+    /// (plus the sections the receiver should send back), or, as a *page*
+    /// of a hash-tree descent, one shard-keyed section's key range `[lo,
+    /// hi]`, which bounds the deletions the page can authorise.
     AntiEntropySnapshot = 45,
-    /// Broker ↔ broker: one leg of a hash-tree descent.  Carries the child
-    /// summaries of repair-tree nodes the two brokers disagree on; the
-    /// receiver compares them against its own tree and answers with the next
-    /// level down, or with range-scoped [`MessageKind::AntiEntropySnapshot`]
-    /// pages once a divergent range is small enough to ship.
+    /// Broker ↔ broker: one leg of a hash-tree descent, its scope record
+    /// naming the section.  Carries the child summaries of repair-tree
+    /// nodes the two brokers disagree on; the receiver compares them against
+    /// its own tree and answers with the next level down, or with
+    /// [`MessageKind::AntiEntropySnapshot`] pages once a divergent range is
+    /// small enough to ship.
     AntiEntropyRange = 46,
     /// Broker ↔ broker: a membership shuffle — a pseudo-random sample of the
     /// sender's known peer set and its SWIM incarnation, sent each repair
@@ -218,10 +220,9 @@ impl Message {
 
     /// Looks up an element's raw content by name.
     ///
-    /// This is a linear scan — fine for the handful of named fields a normal
-    /// message carries, quadratic when called per entry of a bulk message.
-    /// Loops over `{prefix}{i}-{field}` style names must build an
-    /// [`ElementIndex`] once instead.
+    /// This is a linear scan — fine for the handful of named fields a
+    /// message carries.  A bulk message carries its entries as one element
+    /// of records (see [`crate::record`]), never one element per entry.
     pub fn element(&self, name: &str) -> Option<&[u8]> {
         let position = self.elements.iter().position(|e| e.name == name);
         #[cfg(test)]
@@ -230,28 +231,6 @@ impl Message {
             None => self.elements.len(),
         });
         position.map(|at| self.elements[at].content.as_slice())
-    }
-
-    /// Builds a one-pass name→content index over the elements.
-    pub fn index(&self) -> ElementIndex<'_> {
-        ElementIndex::new(self)
-    }
-
-    /// Number of elements this message carries.  Bulk decoders use it to cap
-    /// allocations sized by a count that arrived on the wire: entries cannot
-    /// outnumber the elements that encode them.
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// Parses element `name` as an entry count, capped at
-    /// [`Message::element_count`].  The count arrives on the wire, and every
-    /// entry is encoded by at least one element, so the cap loses nothing
-    /// genuine while a forged count (up to `u64::MAX`) can no longer drive a
-    /// decoder loop past the size of the message that carries it.
-    pub fn entry_count(&self, name: &str) -> Option<usize> {
-        let count = self.element_str(name)?.parse::<usize>().ok()?;
-        Some(count.min(self.element_count()))
     }
 
     /// Looks up an element and decodes it as UTF-8.
@@ -363,46 +342,9 @@ impl Message {
     }
 }
 
-/// A name→content index built in one pass over a message's elements.
-///
-/// Handlers that address entries via `{section}{i}-{field}` style names must
-/// use this instead of per-name [`Message::element`] calls: each of those is
-/// a linear scan, so an n-entry bulk message merged field-by-field costs
-/// O(n²) element visits.  First occurrence of a name wins, matching
-/// [`Message::element`].
-pub struct ElementIndex<'a> {
-    by_name: std::collections::HashMap<&'a str, &'a [u8]>,
-}
-
-impl<'a> ElementIndex<'a> {
-    /// Indexes every element of `message`.
-    pub fn new(message: &'a Message) -> Self {
-        let mut by_name = std::collections::HashMap::with_capacity(message.elements.len());
-        for element in &message.elements {
-            by_name
-                .entry(element.name.as_str())
-                .or_insert_with(|| element.content.as_slice());
-        }
-        ElementIndex { by_name }
-    }
-
-    /// Raw content of element `name`.
-    pub fn get(&self, name: &str) -> Option<&'a [u8]> {
-        #[cfg(test)]
-        scan_probe::record(1);
-        self.by_name.get(name).copied()
-    }
-
-    /// UTF-8 decoded content of element `name`.
-    pub fn get_str(&self, name: &str) -> Option<String> {
-        self.get(name).map(|b| String::from_utf8_lossy(b).into_owned())
-    }
-}
-
-/// Test-only instrumentation counting element lookups: the elements each
-/// linear [`Message::element`] scan visits plus one per [`ElementIndex`]
-/// lookup, so regression tests can pin bulk decode paths to work linear in
-/// the message size.  Counted per thread, so tests running in parallel do
+/// Test-only instrumentation counting the elements each linear
+/// [`Message::element`] scan visits, so regression tests can pin bulk decode
+/// paths to work linear in the message size.  Counted per thread, so tests running in parallel do
 /// not see each other's lookups.
 #[cfg(test)]
 pub(crate) mod scan_probe {
@@ -528,19 +470,6 @@ mod tests {
         let parsed = Message::from_bytes(&msg.to_bytes()).unwrap();
         assert_eq!(parsed.elements.len(), 70_000);
         assert_eq!(parsed, msg);
-    }
-
-    #[test]
-    fn element_index_matches_linear_lookup() {
-        let msg = Message::new(MessageKind::Ack, peer(), 0)
-            .with_str("first", "1")
-            .with_element("blob", vec![7u8, 8])
-            .with_str("first", "shadowed");
-        let idx = msg.index();
-        assert_eq!(idx.get_str("first").as_deref(), Some("1"));
-        assert_eq!(idx.get("blob"), msg.element("blob"));
-        assert_eq!(idx.get("missing"), None);
-        assert_eq!(idx.get_str("first"), msg.element_str("first"));
     }
 
     #[test]

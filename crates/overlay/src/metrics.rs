@@ -99,13 +99,6 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
-
-    /// Restarts the stopwatch and returns the time elapsed up to now.
-    pub fn lap(&mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.start = crate::clock::now();
-        elapsed
-    }
 }
 
 impl Default for Stopwatch {
@@ -619,12 +612,11 @@ mod tests {
 
     #[test]
     fn stopwatch_measures_time() {
-        let mut sw = Stopwatch::start();
+        let sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(5));
-        let first = sw.lap();
-        assert!(first >= Duration::from_millis(4));
-        let second = sw.elapsed();
-        assert!(second < first, "lap restarts the stopwatch");
+        // A sleep lasts at least its duration, so this holds however the
+        // thread is scheduled.
+        assert!(sw.elapsed() >= Duration::from_millis(5));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! One record codec for every entry a bulk backbone message carries: gossip
-//! events, snapshot sections, shard results, gossip ids, hashes and node
-//! summaries each travel as one element of back-to-back binary records.  Ids
-//! take 16 bytes, counters and hashes 8 big-endian bytes, a rank one byte,
-//! text or a blob a 4-byte big-endian length and its bytes; a version is laid
-//! out as a gossip id (origin, then sequence).  Nothing counts the records:
-//! [`decode`] reads to the element's end.  A record that cannot be framed
-//! (truncated, a length past the end, text that is not UTF-8, an unknown kind
-//! or tag) ends the decode; one holding a counter at or above 2^63 is dropped
-//! alone (see `crate::counter`).
+//! One record codec for every entry a bulk message carries: gossip events,
+//! snapshot sections, shard results, gossip ids, hashes, node summaries and
+//! a lookup's documents each travel as one element of back-to-back binary
+//! records.  Ids take 16 bytes, counters and hashes 8 big-endian bytes, a
+//! rank one byte, text or a blob a 4-byte big-endian length and its bytes;
+//! a version is laid out as a gossip id (origin, then sequence).  Nothing
+//! counts the records: [`decode`] reads to the element's end.  A record
+//! that cannot be framed (truncated, a length past the end, text that is
+//! not UTF-8, an unknown kind or tag) ends the decode; one holding a
+//! counter at or above 2^63 is dropped alone (see `crate::counter`).
 
 use crate::counter;
 use crate::group::GroupId;
@@ -203,6 +203,17 @@ fn put_membership(out: &mut Vec<u8>, group: &GroupId, member: &PeerId, rank: u8)
 fn get_membership(input: &mut Input<'_>) -> Option<(GroupId, PeerId, u8)> {
     let (rank, member) = (input.byte()?, input.id()?);
     Some((GroupId::new(input.text()?), member, rank))
+}
+
+/// A text record: a `LookupResponse`'s advertisement documents.
+impl Record for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_blob(out, self.as_bytes());
+    }
+
+    fn get(input: &mut Input<'_>) -> Option<Self> {
+        input.text()
+    }
 }
 
 /// A hash list's record: an entry's (or a section's) 8-byte repair hash.
@@ -438,7 +449,7 @@ mod tests {
 
     /// The smallest record of each kind: empty strings, no home, an empty
     /// extension blob.
-    fn smallest() -> [usize; 7] {
+    fn smallest() -> [usize; 8] {
         let zero = PeerId::from_bytes([0; PEER_ID_LEN]);
         let group = GroupId::new("");
         let ext = GossipEvent {
@@ -456,6 +467,7 @@ mod tests {
             encode(&[(zero, 0)]).len(),
             encode(&[0u64]).len(),
             encode(&[(0, 0, NodeSummary::default())]).len(),
+            encode(&[String::new()]).len(),
         ]
     }
 
@@ -469,17 +481,17 @@ mod tests {
 
         /// Every record kind round-trips: events of every body, empty
         /// strings and XML, absent and present homes, counters up to 2^63 −
-        /// 1, gossip ids, hashes and node summaries, and a sync digest
+        /// 1, gossip ids, hashes, node summaries and text, and a sync digest
         /// carries its events.
         #[test]
         fn record_round_trip_over_every_kind(
             drawn in BoxedStrategy::from_fn(|rng| {
                 let repair = (records(rng, advert), records(rng, membership), records(rng, presence));
                 let fixed = (records(rng, |rng| (id(rng), counter(rng))), records(rng, |rng| rng.next_u64()));
-                (events(rng), repair, fixed, records(rng, node), id(rng))
+                (events(rng), repair, fixed, (records(rng, node), records(rng, text)), id(rng))
             }),
         ) {
-            let (events, (adverts, memberships, presences), (gids, hashes), nodes, sender) = drawn;
+            let (events, (adverts, memberships, presences), (gids, hashes), (nodes, texts), sender) = drawn;
             prop_assert_eq!(round_trip(&events), events.clone());
             prop_assert_eq!(round_trip(&adverts), adverts);
             prop_assert_eq!(round_trip(&memberships), memberships);
@@ -487,6 +499,7 @@ mod tests {
             prop_assert_eq!(round_trip(&gids), gids);
             prop_assert_eq!(round_trip(&hashes), hashes);
             prop_assert_eq!(round_trip(&nodes), nodes);
+            prop_assert_eq!(round_trip(&texts), texts);
             let sync = sync_message(sender, &events);
             prop_assert_eq!(sync.kind, MessageKind::BrokerSync);
             prop_assert_eq!(sync_events(&Message::from_bytes(&sync.to_bytes()).unwrap()), events);
@@ -498,7 +511,7 @@ mod tests {
         fn forged_bytes_decode_into_at_most_len_over_the_smallest_record(
             bytes in proptest::collection::vec(any::<u8>(), 0..512),
         ) {
-            let [event, advert, membership, presence, gid, hash, node] = smallest();
+            let [event, advert, membership, presence, gid, hash, node, text] = smallest();
             let len = bytes.len();
             prop_assert!(decode::<GossipEvent>(&bytes).len() <= len / event);
             prop_assert!(decode::<FlatEntry>(&bytes).len() <= len / advert);
@@ -507,6 +520,7 @@ mod tests {
             prop_assert!(decode::<GossipId>(&bytes).len() <= len / gid);
             prop_assert!(decode::<u64>(&bytes).len() <= len / hash);
             prop_assert!(decode::<(u32, u64, NodeSummary)>(&bytes).len() <= len / node);
+            prop_assert!(decode::<String>(&bytes).len() <= len / text);
         }
     }
 

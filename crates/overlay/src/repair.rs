@@ -1,7 +1,7 @@
 //! Anti-entropy summaries, kept current by the writes that change the state.
 //!
 //! An anti-entropy digest compares per-section summaries of the state two
-//! brokers hold jointly (see the anti-entropy section of `crate::broker`).
+//! brokers hold jointly (see `crate::antientropy`).
 //! Each summary is an XOR of per-entry hashes plus a count
 //! ([`NodeSummary`]).  XOR is order-independent and self-inverse, so the
 //! [`crate::replica::Replica`] method that inserts, overwrites or removes an
@@ -22,6 +22,7 @@
 //!   membership keeps a second table per home.  A digest mismatch builds the
 //!   filtered tree on demand from the stored hashes.
 
+use crate::antientropy::Section;
 use crate::group::GroupId;
 use crate::id::PeerId;
 use crate::replica::PresenceVersion;
@@ -266,11 +267,11 @@ impl RepairSummaries {
         self.presence.digest()
     }
 
-    /// The live tree of `section` (`'a'` or `'m'`) in full replication;
-    /// `None` when sharded, where each peer shares a different slice.
-    pub(crate) fn tree(&self, section: char) -> Option<&SectionTree> {
+    /// The live tree of a shard-keyed `section` in full replication; `None`
+    /// when sharded, where each peer shares a different slice.
+    pub(crate) fn tree(&self, section: Section) -> Option<&SectionTree> {
         match &self.sections {
-            Sections::Full { adv, .. } if section == 'a' => Some(adv),
+            Sections::Full { adv, .. } if section == Section::Adverts => Some(adv),
             Sections::Full { membership, .. } => Some(membership),
             Sections::Sharded { .. } => None,
         }

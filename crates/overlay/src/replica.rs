@@ -24,6 +24,7 @@
 //! instead of walking everything held.  An advertisement's identity is
 //! written when it is first stored or removed; an overwrite leaves it alone.
 
+use crate::antientropy::Section;
 use crate::broker::BrokerSession;
 use crate::counter::SyncClock;
 use crate::group::{GroupId, GroupRegistry};
@@ -199,6 +200,11 @@ impl Replica {
             summaries,
             clock,
         }
+    }
+
+    /// The broker this replica belongs to.
+    pub(crate) fn id(&self) -> PeerId {
+        self.own
     }
 
     pub(crate) fn groups(&self) -> &GroupRegistry {
@@ -395,18 +401,6 @@ impl Replica {
             })
     }
 
-    /// Sorted advertisement entries shared with `peer`.
-    pub(crate) fn repair_adv_entries(&self, peer: &PeerId) -> Vec<FlatEntry> {
-        let mut out: Vec<FlatEntry> = self
-            .shared_adverts_in(peer, (0, u64::MAX))
-            .map(|(_, group, (owner, doc_type), adv)| {
-                (group.clone(), *owner, doc_type.clone(), adv.xml.clone(), adv.version)
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
     /// The advertisements shared with `peer` whose shard key falls in
     /// `range`, in shard-key order, each with its stored hash.  An entry
     /// whose hash is `listed` comes without its body: the peer that listed
@@ -455,14 +449,6 @@ impl Replica {
             .filter(move |(key, _, member)| self.is_membership_shared(*key, member, peer))
     }
 
-    /// Sorted membership entries shared with `peer`, with their stamps.
-    pub(crate) fn repair_membership_entries(&self, peer: &PeerId) -> Vec<MembershipEntry> {
-        let mut out: Vec<_> =
-            self.repair_membership_entries_in(peer, (0, u64::MAX)).into_iter().map(|(_, entry)| entry).collect();
-        out.sort();
-        out
-    }
-
     /// Membership entries shared with `peer` whose shard key falls in
     /// `range`, in shard-key order, with their stamps.
     pub(crate) fn repair_membership_entries_in(
@@ -500,17 +486,17 @@ impl Replica {
         self.summaries.digests(&self.ring, &self.own, peer)
     }
 
-    /// The repair tree of one shard-keyed section (`'a'` or `'m'`) over the
-    /// entries shared with `peer`: the live tree in full replication, where
-    /// every peer shares everything.  Sharded, a descent builds the filtered
-    /// tree from the stored advertisement hashes (membership hashes are
-    /// short and recomputed), re-hashing no XML.
-    pub(crate) fn section_tree(&self, section: char, peer: &PeerId) -> Cow<'_, SectionTree> {
+    /// The repair tree of one shard-keyed section over the entries shared
+    /// with `peer`: the live tree in full replication, where every peer
+    /// shares everything.  Sharded, a descent builds the filtered tree from
+    /// the stored advertisement hashes (membership hashes are short and
+    /// recomputed), re-hashing no XML.
+    pub(crate) fn section_tree(&self, section: Section, peer: &PeerId) -> Cow<'_, SectionTree> {
         if let Some(tree) = self.summaries.tree(section) {
             return Cow::Borrowed(tree);
         }
         let mut tree = SectionTree::default();
-        if section == 'a' {
+        if section == Section::Adverts {
             for (key, .., adv) in self.shared_adverts_in(peer, (0, u64::MAX)) {
                 tree.insert(key, adv.hash);
             }
@@ -1073,9 +1059,9 @@ impl Replica {
 impl Replica {
     /// The repair tree of `section` towards `peer`, built from scratch:
     /// every shared entry re-hashed, the advertisements from their XML.
-    fn scratch_tree(&self, section: char, peer: &PeerId) -> SectionTree {
+    fn scratch_tree(&self, section: Section, peer: &PeerId) -> SectionTree {
         let mut tree = SectionTree::default();
-        if section == 'a' {
+        if section == Section::Adverts {
             for (group, index) in &self.advertisements {
                 for ((owner, doc_type), adv) in index {
                     let key = shard::shard_key(group, owner);
@@ -1128,11 +1114,11 @@ impl Replica {
             return Err("presence summary differs from a from-scratch build".into());
         }
         for peer in peers {
-            let (a, m) = (self.scratch_tree('a', peer), self.scratch_tree('m', peer));
+            let (a, m) = (self.scratch_tree(Section::Adverts, peer), self.scratch_tree(Section::Membership, peer));
             if self.repair_digests(peer) != (a.root().digest(), m.root().digest()) {
                 return Err(format!("digests towards {peer:?} differ from a from-scratch build"));
             }
-            if *self.section_tree('a', peer) != a || *self.section_tree('m', peer) != m {
+            if *self.section_tree(Section::Adverts, peer) != a || *self.section_tree(Section::Membership, peer) != m {
                 return Err(format!("trees towards {peer:?} differ from a from-scratch build"));
             }
         }

@@ -19,7 +19,7 @@
 //!   broker orders above the suspicion.  Only an unrefuted deadline expiry
 //!   confirms `Dead`.
 //! * **Local health.**  A broker that is itself backlogged cannot tell a slow
-//!   peer from a dead one.  The [`SwimDetector::set_health`] multiplier
+//!   peer from a dead one.  The [`SwimDetector::set_backlog`] multiplier
 //!   stretches every timeout while the local inbox lags, so overload degrades
 //!   to slower detection instead of a false-positive storm.
 //!

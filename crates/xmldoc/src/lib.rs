@@ -13,7 +13,7 @@
 //! This crate provides the substrate for that:
 //!
 //! * [`Element`]/[`Node`] — a small, allocation-friendly XML tree model.
-//! * [`parse`](parser::parse) — a namespace-agnostic XML parser sufficient
+//! * [`parse`] — a namespace-agnostic XML parser sufficient
 //!   for JXTA-style documents (elements, attributes, text, CDATA, comments).
 //! * [`Element::to_xml`] / [`Element::to_canonical_xml`] — serialisation and
 //!   a deterministic canonical form (sorted attributes, no insignificant

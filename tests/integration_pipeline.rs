@@ -30,7 +30,7 @@ use jxta_overlay::broker::{Broker, BrokerConfig};
 use jxta_overlay::client::{ClientConfig, ClientEvent, ClientPeer};
 use jxta_overlay::federation::BrokerNetwork;
 use jxta_overlay::net::{LinkModel, NetMessage, RandomDrop, SimNetwork};
-use jxta_overlay::record::{sync_message, GossipBody, GossipEvent};
+use jxta_overlay::record::{self, sync_message, GossipBody, GossipEvent};
 use jxta_overlay::{GroupId, Message, MessageKind, PeerId, UserDatabase};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -321,8 +321,9 @@ fn barrier_observes_all_prior_lane_applies() {
         if message.kind != MessageKind::LookupResponse {
             continue;
         }
-        assert_eq!(message.element_str("count").as_deref(), Some("1"));
-        let xml = message.element_str("adv-0").unwrap_or_default();
+        let adverts: Vec<String> = message.element("adverts").map(record::decode).unwrap_or_default();
+        assert_eq!(adverts.len(), 1);
+        let xml = adverts[0].clone();
         assert_eq!(
             xml,
             format!("<adv round=\"{lookups_seen}\"/>"),
