@@ -37,6 +37,7 @@ use jxta_crypto::drbg::HmacDrbg;
 use jxta_overlay::net::{Adversary, NetMessage, SimNetwork, Verdict};
 use jxta_overlay::{Message, MessageKind, PeerId};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ----------------------------------------------------------------------
@@ -238,7 +239,7 @@ enum EdgeBehavior {
 pub struct EdgeAdversary {
     edge: (PeerId, PeerId),
     behavior: EdgeBehavior,
-    intercepted: Mutex<u64>,
+    intercepted: AtomicU64,
 }
 
 impl EdgeAdversary {
@@ -247,7 +248,7 @@ impl EdgeAdversary {
         Arc::new(EdgeAdversary {
             edge: (from, to),
             behavior: EdgeBehavior::Redirect(rogue),
-            intercepted: Mutex::with_class("attacks.intercepted", 0),
+            intercepted: AtomicU64::new(0),
         })
     }
 
@@ -256,7 +257,7 @@ impl EdgeAdversary {
         Arc::new(EdgeAdversary {
             edge: (from, to),
             behavior: EdgeBehavior::Tamper,
-            intercepted: Mutex::with_class("attacks.intercepted", 0),
+            intercepted: AtomicU64::new(0),
         })
     }
 
@@ -265,13 +266,13 @@ impl EdgeAdversary {
         Arc::new(EdgeAdversary {
             edge: (from, to),
             behavior: EdgeBehavior::Drop,
-            intercepted: Mutex::with_class("attacks.intercepted", 0),
+            intercepted: AtomicU64::new(0),
         })
     }
 
     /// Number of messages this adversary acted upon.
     pub fn intercepted_count(&self) -> u64 {
-        *self.intercepted.lock()
+        self.intercepted.load(Ordering::Relaxed)
     }
 }
 
@@ -280,7 +281,7 @@ impl Adversary for EdgeAdversary {
         if (message.from, message.to) != self.edge {
             return Verdict::Deliver;
         }
-        *self.intercepted.lock() += 1;
+        self.intercepted.fetch_add(1, Ordering::Relaxed);
         match &self.behavior {
             EdgeBehavior::Redirect(rogue) => Verdict::Redirect(*rogue),
             EdgeBehavior::Tamper => {

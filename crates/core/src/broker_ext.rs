@@ -155,6 +155,25 @@ pub struct SecureBrokerStats {
     pub ingress_sig_failures: u64,
 }
 
+/// The counters behind [`SecureBrokerStats`], one atomic each.
+#[derive(Default)]
+struct SecureCounts {
+    challenges_answered: AtomicU64,
+    credentials_issued: AtomicU64,
+    replays_rejected: AtomicU64,
+    logins_rejected: AtomicU64,
+    expired_rejected: AtomicU64,
+    revoked_rejected: AtomicU64,
+    forged_rejected: AtomicU64,
+    ingress_preverified: AtomicU64,
+    ingress_sig_failures: AtomicU64,
+}
+
+/// Counts one event.
+fn count(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// Stateless verdict over one advertisement XML document: everything about
 /// it that is a **pure function of the bytes** — parseability, whether it is
 /// signed, the embedded credential, and whether the XMLdsig signature
@@ -391,10 +410,11 @@ impl Sessions {
 /// The broker-side secure extension.  Its mutable state has four owners:
 /// the trust anchors and revocations (behind one `RwLock`), the
 /// verification memo (fixed at construction, absent when caching is off),
-/// the login sessions and the stats.  Lock order: `secure.trust` before `secure.memo` and
-/// `sigcache.verified` (a chain check runs under the trust read lock); the
-/// memo and session locks are never held across another lock, and no
-/// secure lock is held across a call into the broker.
+/// the login sessions and the counters, which are atomics and take no lock.
+/// Lock order: `secure.trust` before `secure.memo` and `sigcache.verified`
+/// (a chain check runs under the trust read lock); the memo and session
+/// locks are never held across another lock, and no secure lock is held
+/// across a call into the broker.
 pub struct SecureBrokerExtension {
     identity: PeerIdentity,
     credential: Credential,
@@ -406,7 +426,7 @@ pub struct SecureBrokerExtension {
     trust: RwLock<Trust>,
     memo: Option<Memo>,
     sessions: Mutex<Sessions>,
-    stats: Mutex<SecureBrokerStats>,
+    counts: SecureCounts,
 }
 
 /// Serialises a set of revocation lists into one opaque blob (2-byte count,
@@ -504,7 +524,7 @@ impl SecureBrokerExtension {
                     drbg: HmacDrbg::from_seed_u64(rng_seed),
                 },
             ),
-            stats: Mutex::with_class("secure.stats", SecureBrokerStats::default()),
+            counts: SecureCounts::default(),
         })
     }
 
@@ -670,7 +690,19 @@ impl SecureBrokerExtension {
 
     /// Activity counters.
     pub fn stats(&self) -> SecureBrokerStats {
-        *self.stats.lock()
+        let counts = &self.counts;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        SecureBrokerStats {
+            challenges_answered: read(&counts.challenges_answered),
+            credentials_issued: read(&counts.credentials_issued),
+            replays_rejected: read(&counts.replays_rejected),
+            logins_rejected: read(&counts.logins_rejected),
+            expired_rejected: read(&counts.expired_rejected),
+            revoked_rejected: read(&counts.revoked_rejected),
+            forged_rejected: read(&counts.forged_rejected),
+            ingress_preverified: read(&counts.ingress_preverified),
+            ingress_sig_failures: read(&counts.ingress_sig_failures),
+        }
     }
 
     fn error_response(&self, broker: &Broker, message: &Message, kind: MessageKind, reason: &str) -> Message {
@@ -685,7 +717,7 @@ impl SecureBrokerExtension {
         // prove its legitimacy; serving secure connections with it would
         // teach clients to accept expired credentials.
         if self.credential.is_expired(self.now()) {
-            self.stats.lock().expired_rejected += 1;
+            count(&self.counts.expired_rejected);
             return self.error_response(
                 broker,
                 message,
@@ -694,7 +726,7 @@ impl SecureBrokerExtension {
             );
         }
         if self.is_revoked(&message.sender, None) {
-            self.stats.lock().revoked_rejected += 1;
+            count(&self.counts.revoked_rejected);
             return self.error_response(
                 broker,
                 message,
@@ -712,7 +744,7 @@ impl SecureBrokerExtension {
             return self.error_response(broker, message, MessageKind::SecureConnectResponse, "signing failure");
         };
         broker.mark_connected(message.sender);
-        self.stats.lock().challenges_answered += 1;
+        count(&self.counts.challenges_answered);
 
         let mut response =
             Message::new(MessageKind::SecureConnectResponse, broker.id(), message.request_id)
@@ -762,24 +794,24 @@ impl SecureBrokerExtension {
         // Step 5: the session identifier must be outstanding; consume it so a
         // replayed request can never succeed.
         if !self.sessions.lock().consume(sid) {
-            self.stats.lock().replays_rejected += 1;
+            count(&self.counts.replays_rejected);
             return reply_err("unknown or already-used session identifier");
         }
 
         // The request must be signed by the enclosed key.
         let Ok(public_key) = RsaPublicKey::from_bytes(public_key_bytes) else {
-            self.stats.lock().logins_rejected += 1;
+            count(&self.counts.logins_rejected);
             return reply_err("malformed public key");
         };
         let signed = login_signed_content(&username, &password, public_key_bytes);
         if public_key.verify(&signed, signature).is_err() {
-            self.stats.lock().logins_rejected += 1;
+            count(&self.counts.logins_rejected);
             return reply_err("login request signature does not verify");
         }
 
         // Step 6: username/password against the central database.
         if !broker.database().verify(&username, &password) {
-            self.stats.lock().logins_rejected += 1;
+            count(&self.counts.logins_rejected);
             return reply_err("authentication failed");
         }
 
@@ -788,14 +820,14 @@ impl SecureBrokerExtension {
         // request must match the key.
         let expected_id = PeerId::from_cbid(&Cbid::from_public_key(&public_key));
         if message.sender != expected_id || inner.sender != expected_id {
-            self.stats.lock().logins_rejected += 1;
+            count(&self.counts.logins_rejected);
             return reply_err("public key does not belong to the claimed peer identifier");
         }
 
         // Revocation: a revoked identity or username is refused a (new)
         // credential even with valid database credentials.
         if self.is_revoked(&expected_id, Some(&username)) {
-            self.stats.lock().revoked_rejected += 1;
+            count(&self.counts.revoked_rejected);
             return reply_err("credential revoked by the administrator");
         }
 
@@ -823,7 +855,7 @@ impl SecureBrokerExtension {
             .collect::<Vec<_>>()
             .join(",");
 
-        self.stats.lock().credentials_issued += 1;
+        count(&self.counts.credentials_issued);
         Message::new(MessageKind::SecureLoginResponse, broker.id(), message.request_id)
             .with_str("status", "ok")
             .with_element("credential", credential.to_bytes())
@@ -860,10 +892,10 @@ impl BrokerExtension for SecureBrokerExtension {
                     // Warm the credential-chain verdict too, so the
                     // apply-stage policy check is pure cache lookups.
                     let _ = self.credential_chains(&self.trust.read(), &credential);
-                    self.stats.lock().ingress_preverified += 1;
+                    count(&self.counts.ingress_preverified);
                 }
                 VetVerdict::SignatureInvalid | VetVerdict::MalformedCredential => {
-                    self.stats.lock().ingress_sig_failures += 1;
+                    count(&self.counts.ingress_sig_failures);
                 }
                 VetVerdict::Unsigned => {}
             }
@@ -899,7 +931,7 @@ impl BrokerExtension for SecureBrokerExtension {
                 return Err("malformed credential embedded in signed advertisement".to_string());
             }
             VetVerdict::SignatureInvalid => {
-                self.stats.lock().forged_rejected += 1;
+                count(&self.counts.forged_rejected);
                 return Err("advertisement signature does not verify".to_string());
             }
             VetVerdict::Verified(credential) => credential,
@@ -907,7 +939,7 @@ impl BrokerExtension for SecureBrokerExtension {
         // Stateful part, re-evaluated on every publish: the deployment
         // clock, the revocation lists and the known-issuer set all move.
         if credential.is_expired(self.now()) {
-            self.stats.lock().expired_rejected += 1;
+            count(&self.counts.expired_rejected);
             return Err("credential expired".to_string());
         }
         let trust = self.trust.read();
@@ -915,12 +947,12 @@ impl BrokerExtension for SecureBrokerExtension {
             || trust.is_revoked(&from, None)
         {
             drop(trust);
-            self.stats.lock().revoked_rejected += 1;
+            count(&self.counts.revoked_rejected);
             return Err("credential revoked".to_string());
         }
         if !self.credential_chains(&trust, &credential) {
             drop(trust);
-            self.stats.lock().forged_rejected += 1;
+            count(&self.counts.forged_rejected);
             return Err("credential does not chain to a known issuer".to_string());
         }
         Ok(())
@@ -1006,7 +1038,7 @@ mod tests {
             )
             .unwrap(),
         );
-        broker.set_extension(extension.clone() as Arc<dyn BrokerExtension>);
+        broker.set_extension(extension.clone() as Arc<dyn BrokerExtension>).unwrap();
         World {
             broker,
             extension,
@@ -1277,13 +1309,19 @@ mod tests {
     #[test]
     fn expired_broker_credential_refuses_secure_connect() {
         let mut w = world();
-        // The broker credential in `world()` never expires; build one that
-        // lapsed at t=100 and advance the clock past it.
+        // The broker credential in `world()` never expires; build a broker
+        // whose credential lapsed at t=100 and advance the clock past it.
         let identity = PeerIdentity::generate(&mut w.rng, 512).unwrap();
         let credential = w
             .admin
             .issue_broker_credential("short-lived", identity.peer_id(), identity.public_key(), 100)
             .unwrap();
+        w.broker = Broker::new(
+            identity.peer_id(),
+            BrokerConfig::named("short-lived"),
+            SimNetwork::new(LinkModel::ideal()),
+            Arc::clone(w.broker.database()),
+        );
         let extension = Arc::new(
             SecureBrokerExtension::new(
                 identity,
@@ -1295,7 +1333,7 @@ mod tests {
             )
             .unwrap(),
         );
-        w.broker.set_extension(extension.clone() as Arc<dyn BrokerExtension>);
+        w.broker.set_extension(extension.clone() as Arc<dyn BrokerExtension>).unwrap();
 
         extension.set_now(99);
         let client = client_identity(&mut w.rng);

@@ -280,7 +280,7 @@ impl Deployment {
                 .and_then(|()| extension.add_peer_broker_credential(existing.credential().clone()));
             admitted.expect("admin-issued broker credentials");
         }
-        broker.set_extension(extension.clone());
+        broker.set_extension(extension.clone()).expect("a new broker has no extension");
         self.extensions.push(extension);
         broker
     }

@@ -62,9 +62,12 @@
 //!   allocation order, and counted by kind; replies, pushes and relay leaves
 //!   leave through its client paths, which refuse inter-broker kinds.
 //! * The ingress **pipeline** (see [`Broker::spawn`]) has its own locks; the
-//!   broker keeps the extension slot and pending shard lookups.
-//! * The lock-free sequence clock (`crate::counter`) stamps messages and
-//!   local writes; that module's rule keeps every counter sent in range.
+//!   broker keeps pending shard lookups (lock `broker.pending_lookups`), each
+//!   with the brokers it still awaits.
+//! * Lock-free: the extension slot, installed once; the sequence clock
+//!   (`crate::counter`), which stamps messages and local writes (that
+//!   module's rule keeps every counter sent in range); and the counter
+//!   registry (`crate::metrics`), one atomic slot per counter.
 //!
 //! Lock discipline: hold at most one of `replica` and `fabric`, and neither
 //! across a send, an extension hook or an endpoint call.  A replica
@@ -77,11 +80,12 @@ use crate::antientropy;
 use crate::counter::{self, SyncClock};
 use crate::database::UserDatabase;
 use crate::endpoint::Endpoint;
+use crate::error::OverlayError;
 use crate::fabric::Fabric;
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
 use crate::message::{Message, MessageKind};
-use crate::metrics::{FederationMetrics, FederationStats, PipelineMetrics, PipelineStats};
+use crate::metrics::{Counter, FederationStats, PipelineStats, Registry};
 use crate::net::{NetMessage, SimNetwork};
 use crate::plumtree::GossipId;
 use crate::record::{self, GossipBody, GossipEvent, SwimVerdict};
@@ -89,9 +93,9 @@ use crate::repair::extension_hash;
 use crate::replica::{FlatEntry, JoinGossip, Replica, PRESENCE_JOIN};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -322,6 +326,15 @@ const SWIM_BACKLOG_THRESHOLD: u64 = 64;
 /// so a lone arrival is never held back waiting for company.
 const INGRESS_BATCH: usize = 32;
 
+/// The apply lanes a spawned broker built with `config` runs: none for the
+/// classic loop, else [`BrokerConfig::apply_lanes`] or one per verify worker.
+fn apply_lanes(config: &BrokerConfig) -> usize {
+    match config.verify_workers {
+        0 => 0,
+        workers => config.apply_lanes.unwrap_or(workers).max(1),
+    }
+}
+
 /// Stage-1 state shared by the verify workers: the network inbox plus the
 /// monotone ticket counter.  Holding the lock across `recv` + stamp is what
 /// makes ticket order identical to arrival order.
@@ -414,8 +427,11 @@ pub struct BrokerSession {
 struct PendingLookup {
     client: PeerId,
     client_request: u64,
-    /// Replica answers still outstanding.
-    remaining: usize,
+    /// The brokers whose answers the lookup still waits for.  It is
+    /// answered with what merged once this empties: by their answers, by
+    /// [`Broker::remove_peer_broker`], or by a repair round finding them
+    /// dead.
+    awaiting: Vec<PeerId>,
     /// Advertisement results merged so far: owner → (version, xml); scatter
     /// responses from several replicas deduplicate by keeping the greatest
     /// last-writer-wins version per owner.
@@ -438,17 +454,17 @@ pub struct Broker {
     replica: RwLock<Replica>,
     /// Admission, membership and dissemination state (see the module docs).
     fabric: Mutex<Fabric>,
-    extension: RwLock<Option<Arc<dyn BrokerExtension>>>,
+    /// Installed once, at setup; read without a lock.
+    extension: OnceLock<Arc<dyn BrokerExtension>>,
     /// Sequence number stamped on outgoing inter-broker messages (shared
     /// with the endpoint and the replica, which versions local writes
     /// with it).
     sync_seq: Arc<SyncClock>,
-    /// Federation activity counters.
-    federation: FederationMetrics,
-    /// Ingress-pipeline activity counters (all zero without a pipeline).
-    pipeline: PipelineMetrics,
+    /// Federation and ingress-pipeline counters (the pipeline's are all
+    /// zero without a pipeline).
+    metrics: Registry,
     /// Lookups routed to remote shard replicas, keyed by query identifier.
-    pending_lookups: Mutex<HashMap<u64, PendingLookup>>,
+    pending_lookups: Mutex<BTreeMap<u64, PendingLookup>>,
     /// Next shard-query identifier.
     next_query: AtomicU64,
     /// Network messages fully processed by this broker (monotone; compared
@@ -466,6 +482,7 @@ impl Broker {
     ) -> Arc<Self> {
         let sync_seq = Arc::new(SyncClock::default());
         let replica = Replica::new(id, config.replication_factor, Arc::clone(&sync_seq));
+        let metrics = Registry::new(apply_lanes(&config));
         Arc::new(Broker {
             id,
             replica: RwLock::with_class("broker.replica", replica),
@@ -473,11 +490,10 @@ impl Broker {
             config,
             endpoint: Endpoint::new(id, network, Arc::clone(&sync_seq)),
             database,
-            extension: RwLock::with_class("broker.extension", None),
+            extension: OnceLock::new(),
             sync_seq,
-            federation: FederationMetrics::new(),
-            pipeline: PipelineMetrics::new(),
-            pending_lookups: Mutex::with_class("broker.pending_lookups", HashMap::new()),
+            metrics,
+            pending_lookups: Mutex::with_class("broker.pending_lookups", BTreeMap::new()),
             next_query: AtomicU64::new(1),
             processed: AtomicU64::new(0),
         })
@@ -504,14 +520,17 @@ impl Broker {
         self.replica.read().groups().clone()
     }
 
-    /// Installs the security extension.
-    pub fn set_extension(&self, extension: Arc<dyn BrokerExtension>) {
-        *self.extension.write() = Some(extension);
+    /// Installs the security extension.  A broker takes one extension, once:
+    /// a second install is refused.
+    pub fn set_extension(&self, extension: Arc<dyn BrokerExtension>) -> Result<(), OverlayError> {
+        self.extension
+            .set(extension)
+            .map_err(|_| OverlayError::Rejected("the broker already has an extension".into()))
     }
 
-    /// The installed extension, cloned out so no lock is held while it runs.
-    fn extension(&self) -> Option<Arc<dyn BrokerExtension>> {
-        self.extension.read().clone()
+    /// The installed extension.
+    fn extension(&self) -> Option<&Arc<dyn BrokerExtension>> {
+        self.extension.get()
     }
 
     // ------------------------------------------------------------------
@@ -534,17 +553,14 @@ impl Broker {
     /// their replicated group memberships are dropped (a crashed broker
     /// never gossips their leaves — without this cleanup they would stay
     /// ghost members forever).  Entry migration is the caller's job via
-    /// [`Broker::reshard`].  Lookups awaiting a shard answer are resolved
-    /// with whatever merged so far: the awaited replica may be the one that
-    /// just left, and an unanswered client would otherwise only see its own
-    /// timeout (and the pending entry would leak).
+    /// [`Broker::reshard`].  Lookups stop waiting for the departed broker's
+    /// answer, and one that awaited no other broker is answered with what
+    /// merged so far (its client would otherwise only see its own timeout,
+    /// and the pending entry would leak).
     pub fn remove_peer_broker(&self, broker: &PeerId) {
         self.fabric.lock().forget(broker);
         self.replica.write().remove_broker(broker);
-        let stranded = std::mem::take(&mut *self.pending_lookups.lock());
-        for state in stranded.into_values() {
-            self.finish_pending_lookup(state);
-        }
+        self.release_lookups(|awaited| awaited == broker);
     }
 
     /// The configured shard replication factor (`None` = full replication).
@@ -616,12 +632,12 @@ impl Broker {
 
     /// Federation activity counters (gossip, relays, rejected traffic).
     pub fn federation_stats(&self) -> FederationStats {
-        self.federation.snapshot()
+        self.metrics.federation()
     }
 
     /// Ingress-pipeline activity counters (batch sizes, reorder waits).
     pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline.snapshot()
+        self.metrics.pipeline()
     }
 
     /// Peers currently connected to this broker (logged in or not) — the
@@ -746,7 +762,9 @@ impl Broker {
             }
             None => self.gossip_to_all(event),
         };
-        self.federation.count_publish_fanout(fanout as u64);
+        self.metrics.add(Counter::Publishes, 1);
+        self.metrics.add(Counter::PublishFanoutTotal, fanout as u64);
+        self.metrics.max(Counter::PublishFanoutMax, fanout as u64);
         self.flush_gossip();
         pushed
     }
@@ -798,7 +816,7 @@ impl Broker {
     /// endpoint, which stamps its sequence number and counts it by kind.
     /// Returns whether the send succeeded.
     fn to_broker(&self, to: PeerId, message: Message) -> bool {
-        self.endpoint.to_broker(to, message, Duration::ZERO, &self.federation).is_some()
+        self.endpoint.to_broker(to, message, Duration::ZERO, &self.metrics).is_some()
     }
 
     /// A gossip event this broker versions at `seq`.
@@ -809,7 +827,7 @@ impl Broker {
     /// Queues a broadcast gossip event and returns the origin's fan-out (see
     /// `Fabric::broadcast`; receivers forward it in [`Broker::handle_sync`]).
     fn gossip_to_all(&self, event: GossipEvent) -> usize {
-        self.fabric.lock().broadcast(event, &self.federation)
+        self.fabric.lock().broadcast(event, &self.metrics)
     }
 
     /// Queues the joins a replica transition handed back for every peer: the
@@ -854,8 +872,7 @@ impl Broker {
         for (destination, gids) in ihaves {
             // Per-publish flushing would have shipped each id in its own
             // digest; coalescing n ids saves n-1 sends to this destination.
-            self.federation
-                .count_ihave_digests_saved(gids.len().saturating_sub(1) as u64);
+            self.metrics.add(Counter::IhaveDigestsSaved, gids.len().saturating_sub(1) as u64);
             let digest = self.gossip_id_digest(MessageKind::PlumtreeIHave, &gids);
             self.to_broker(destination, digest);
         }
@@ -874,7 +891,7 @@ impl Broker {
     /// cryptography of the secure extension, never by the overlay.
     fn accept_from_peer_broker(&self, origin: PeerId, from: PeerId, seq: Option<String>) -> bool {
         let seq = seq.as_deref().and_then(counter::parse);
-        self.fabric.lock().admit_message(origin, from, seq, &self.sync_seq, &self.federation)
+        self.fabric.lock().admit_message(origin, from, seq, &self.sync_seq, &self.metrics)
     }
 
     /// Applies one admitted gossip digest to local state: the events
@@ -897,7 +914,7 @@ impl Broker {
                 // edges and the tree alike.
                 let unflagged = !event.repair;
                 broadcasts += usize::from(unflagged);
-                if !self.fabric.lock().relay(&event, sender, &self.federation) {
+                if !self.fabric.lock().relay(&event, sender, &self.metrics) {
                     duplicates += usize::from(unflagged);
                     continue;
                 }
@@ -951,7 +968,7 @@ impl Broker {
                 if let Some(extension) = self.extension() {
                     let repaired = extension.apply_repair_snapshot(self, &blob);
                     if repaired > 0 {
-                        self.federation.count_entries_repaired(repaired);
+                        self.metrics.add(Counter::EntriesRepaired, repaired);
                     }
                 }
                 true
@@ -961,12 +978,12 @@ impl Broker {
             // do not count as `sync_applied`).  The detector's precedence
             // rules decide whether one made at `incarnation` lands.
             GossipBody::Verdict(verdict, peer, incarnation) => {
-                let refute = self.fabric.lock().verdict(verdict, peer, incarnation, &self.federation);
+                let refute = self.fabric.lock().verdict(verdict, peer, incarnation, &self.metrics);
                 if let Some(incarnation) = refute {
                     // An accusation of *this* broker: refute with an alive
                     // announcement at a higher incarnation, which orders
                     // above the accusation everywhere it reached.
-                    self.federation.count_swim_refutation();
+                    self.metrics.add(Counter::SwimRefutations, 1);
                     self.gossip_swim(SwimVerdict::Alive, self.id, incarnation);
                     self.flush_gossip();
                 }
@@ -975,7 +992,7 @@ impl Broker {
         };
         self.gossip_joins(joins);
         if applied {
-            self.federation.count_sync_applied();
+            self.metrics.add(Counter::SyncsApplied, 1);
         }
     }
 
@@ -1059,7 +1076,7 @@ impl Broker {
         let Some(gids) = Self::gossip_ids(message) else {
             return;
         };
-        self.fabric.lock().graft(message.sender, gids, &self.federation);
+        self.fabric.lock().graft(message.sender, gids, &self.metrics);
         self.flush_gossip();
     }
 
@@ -1111,13 +1128,13 @@ impl Broker {
         let backlog = self.delivered_count().saturating_sub(self.processed_count());
         let plan = self.fabric.lock().tick(backlog, SWIM_BACKLOG_THRESHOLD);
         for (peer, incarnation) in plan.new_dead {
-            self.federation.count_swim_death();
+            self.metrics.add(Counter::SwimDeaths, 1);
             self.fabric.lock().on_death(&peer);
             self.gossip_swim(SwimVerdict::Dead, peer, incarnation);
             self.flush_gossip();
         }
         for (peer, incarnation) in plan.new_suspects {
-            self.federation.count_swim_suspicion();
+            self.metrics.add(Counter::SwimSuspicions, 1);
             self.gossip_swim(SwimVerdict::Suspect, peer, incarnation);
         }
         if let Some(target) = plan.probe {
@@ -1206,7 +1223,7 @@ impl Broker {
             fabric.queue(&targets, GossipEvent { origin, ..self.event(seq, body) });
         }
         drop(fabric);
-        self.federation.count_entries_migrated(plan.migrated);
+        self.metrics.add(Counter::EntriesMigrated, plan.migrated);
         // The whole migration ships as one digest per destination — the
         // coalescing is what keeps re-sharding O(brokers) messages instead
         // of O(entries).
@@ -1237,6 +1254,7 @@ impl Broker {
     /// anti-entropy).  The shuffle, the re-grafts, the `IHave` flush and the
     /// SWIM period run even when there is nobody to digest: a broker that
     /// buried its whole view must keep probing to dig its peers back out.
+    /// Last, routed lookups stop waiting on brokers SWIM holds dead.
     pub fn start_repair_round(&self) {
         // Epidemic federations repair over the active-view edges only:
         // state flows transitively edge by edge (the view graph is
@@ -1247,7 +1265,7 @@ impl Broker {
         // within `|view|` rounds.
         let peers = self.fabric.lock().repair_round();
         if !peers.is_empty() {
-            self.federation.count_repair_round();
+            self.metrics.add(Counter::RepairRounds, 1);
             let x = self.repair_extension_hash();
             let digests = antientropy::digests(&self.replica.read(), peers, x);
             for (peer, digest) in digests {
@@ -1272,6 +1290,12 @@ impl Broker {
         // And the same cadence is the SWIM protocol period: one direct
         // probe per round, suspicion/death expirations, verdict gossip.
         self.start_swim_probe();
+        // A routed lookup waiting on a broker SWIM now holds dead (it may
+        // have crashed after the query left) would wait forever.
+        if !self.pending_lookups.lock().is_empty() {
+            let live = self.fabric.lock().live_peers();
+            self.release_lookups(|broker| !live.contains(broker));
+        }
     }
 
     /// Sends one `MembershipShuffle` to a pseudo-random active peer: a
@@ -1307,7 +1331,7 @@ impl Broker {
             _ => antientropy::on_snapshot(&mut self.replica.write(), message),
         };
         if effects.mismatch {
-            self.federation.count_repair_mismatch();
+            self.metrics.add(Counter::RepairMismatches, 1);
         }
         // The members homed here missed the original pushes along with the
         // gossip; deliver them now that the entries healed.
@@ -1321,16 +1345,14 @@ impl Broker {
             effects.repaired += self.extension().map_or(0, |e| e.apply_repair_snapshot(self, blob));
         }
         if effects.repaired > 0 {
-            self.federation.count_entries_repaired(effects.repaired);
+            self.metrics.add(Counter::EntriesRepaired, effects.repaired);
         }
         if effects.with_extension {
             if let Some(blob) = self.extension().and_then(|e| e.repair_snapshot()) {
                 effects.send[0].push_element("ext", blob);
             }
         }
-        for _ in 0..effects.pages {
-            self.federation.count_repair_page();
-        }
+        self.metrics.add(Counter::RepairPages, effects.pages as u64);
         for reply in effects.send {
             self.to_broker(sender, reply);
         }
@@ -1362,33 +1384,33 @@ impl Broker {
 
         if local {
             return if self.endpoint.relay_leaf(dest, payload, carried_wire) {
-                self.federation.count_relay_delivered();
+                self.metrics.add(Counter::RelaysDelivered, 1);
                 Some(
                     Message::new(MessageKind::Ack, self.id, message.request_id)
                         .with_str("status", "ok")
                         .with_str("route", "local"),
                 )
             } else {
-                self.federation.count_relay_failed();
+                self.metrics.add(Counter::RelaysFailed, 1);
                 Some(self.reject(message, "destination unreachable"))
             };
         }
 
         let Some(home) = home else {
-            self.federation.count_relay_failed();
+            self.metrics.add(Counter::RelaysFailed, 1);
             return Some(self.reject(message, "unknown destination peer"));
         };
         let relay = Message::new(MessageKind::BrokerRelay, self.id, message.request_id)
             .with_str("to", &to_urn)
             .with_element("payload", payload.to_vec());
-        if self.endpoint.to_broker(home, relay, carried_wire, &self.federation).is_some() {
+        if self.endpoint.to_broker(home, relay, carried_wire, &self.metrics).is_some() {
             Some(
                 Message::new(MessageKind::Ack, self.id, message.request_id)
                     .with_str("status", "ok")
                     .with_str("route", "federation"),
             )
         } else {
-            self.federation.count_relay_failed();
+            self.metrics.add(Counter::RelaysFailed, 1);
             Some(self.reject(message, "home broker unreachable"))
         }
     }
@@ -1399,21 +1421,21 @@ impl Broker {
     fn handle_broker_relay(&self, message: &Message, carried_wire: Duration) {
         let (Some(to_urn), Some(payload)) = (message.element_str("to"), message.element("payload"))
         else {
-            self.federation.count_relay_failed();
+            self.metrics.add(Counter::RelaysFailed, 1);
             return;
         };
         let Some(dest) = PeerId::from_urn(&to_urn) else {
-            self.federation.count_relay_failed();
+            self.metrics.add(Counter::RelaysFailed, 1);
             return;
         };
         if self.replica.read().session(&dest).is_none() {
-            self.federation.count_relay_failed();
+            self.metrics.add(Counter::RelaysFailed, 1);
             return;
         }
         if self.endpoint.relay_leaf(dest, payload, carried_wire) {
-            self.federation.count_relay_delivered();
+            self.metrics.add(Counter::RelaysDelivered, 1);
         } else {
-            self.federation.count_relay_failed();
+            self.metrics.add(Counter::RelaysFailed, 1);
         }
     }
 
@@ -1504,15 +1526,14 @@ impl Broker {
         // Lane pool: partition-local messages apply here in parallel, one
         // FIFO lane per shard-key slice.  Bounded queues keep the
         // backpressure chain intact: a slow lane stalls the dispatcher.
-        let lanes = self.config.apply_lanes.unwrap_or(workers).max(1);
-        let lane_counters = self.pipeline.configure_lanes(lanes);
+        let lanes = apply_lanes(&self.config);
+        self.metrics.add(Counter::ApplyLanes, lanes as u64);
         let mut lane_txs = Vec::with_capacity(lanes);
         let mut lane_busy = Vec::with_capacity(lanes);
         for lane in 0..lanes {
             let (lane_tx, lane_rx) = crossbeam::channel::bounded::<LaneJob>(workers * 8);
             let busy = Arc::new(AtomicU64::new(0));
             let broker = Arc::clone(self);
-            let counters = Arc::clone(&lane_counters);
             let in_flight = Arc::clone(&busy);
             threads.push(
                 std::thread::Builder::new()
@@ -1523,7 +1544,7 @@ impl Broker {
                                 LaneJob::Apply(net_message, message) => {
                                     // Counted before `apply_net` publishes
                                     // the message as processed.
-                                    counters[lane].fetch_add(1, Ordering::Relaxed);
+                                    broker.metrics.lane(lane);
                                     broker.apply_net(net_message, Some(message));
                                     // Release pairs with the dispatcher's
                                     // Acquire: a zero in-flight count proves
@@ -1622,7 +1643,7 @@ impl Broker {
                                     // verified elsewhere: park this one.
                                     // Inserting can never fill the gap, so
                                     // there is nothing to drain here.
-                                    broker.pipeline.count_reorder_wait();
+                                    broker.metrics.add(Counter::ReorderWaits, 1);
                                     router.reorder.insert(ticket, (net_message, decoded));
                                     continue;
                                 }
@@ -1643,7 +1664,10 @@ impl Broker {
                             // counted.  The router lock stays held, so
                             // routing order is unchanged.
                             if !ready.is_empty() {
-                                broker.pipeline.record_apply_batch(ready.len() as u64);
+                                let batch = ready.len() as u64;
+                                broker.metrics.add(Counter::MessagesPipelined, batch);
+                                broker.metrics.add(Counter::ApplyBatches, 1);
+                                broker.metrics.max(Counter::MaxApplyBatch, batch);
                             }
                             for (net_message, decoded) in ready.drain(..) {
                                 broker.dispatch_apply(
@@ -1699,7 +1723,7 @@ impl Broker {
                 // it does, so partition FIFO holds trivially, and the
                 // message still counts against its lane for load metrics.
                 if eager_inline {
-                    self.pipeline.count_lane_message(lane);
+                    self.metrics.lane(lane);
                     self.apply_net(net_message, Some(message));
                     return;
                 }
@@ -1727,12 +1751,12 @@ impl Broker {
                     }
                 }
                 if !pending.is_empty() {
-                    self.pipeline.count_barrier_drain();
+                    self.metrics.add(Counter::BarrierDrains, 1);
                     for ack in pending {
                         let _ = ack.recv();
                     }
                 }
-                self.pipeline.count_barrier();
+                self.metrics.add(Counter::BarriersApplied, 1);
                 self.apply_net(net_message, Some(message));
             }
         }
@@ -2013,11 +2037,11 @@ impl Broker {
             };
             if let Some(is_member) = local {
                 if self.is_sharded() {
-                    self.federation.count_shard_hit();
+                    self.metrics.add(Counter::ShardHits, 1);
                 }
                 return Some(self.membership_response(message.request_id, is_member));
             }
-            self.federation.count_shard_miss();
+            self.metrics.add(Counter::ShardMisses, 1);
             return self.route_shard_query(message, &group, None, Some(member));
         }
 
@@ -2031,19 +2055,19 @@ impl Broker {
         match owner {
             // Keyed search: one shard owns (group, owner).
             Some(owner) if !self.replica.read().is_local_replica(&group, &owner) => {
-                self.federation.count_shard_miss();
+                self.metrics.add(Counter::ShardMisses, 1);
                 self.route_shard_query(message, &group, Some(&doc_type), Some(owner))
             }
             // Group-wide search in sharded mode: the owners (and hence the
             // owning shards) are unknown — scatter over the backbone and
             // merge.
             None if self.is_sharded() && !self.fabric.lock().peers().is_empty() => {
-                self.federation.count_shard_miss();
+                self.metrics.add(Counter::ShardMisses, 1);
                 self.route_shard_scatter(message, &group, &doc_type)
             }
             _ => {
                 if self.is_sharded() {
-                    self.federation.count_shard_hit();
+                    self.metrics.add(Counter::ShardHits, 1);
                 }
                 let results = self.lookup(&group, &doc_type, owner);
                 Some(self.lookup_response(message.request_id, results))
@@ -2144,7 +2168,7 @@ impl Broker {
             PendingLookup {
                 client: message.sender,
                 client_request: message.request_id,
-                remaining: 1,
+                awaiting: vec![target],
                 adv_results: BTreeMap::new(),
                 is_member: false,
                 membership,
@@ -2168,15 +2192,17 @@ impl Broker {
         for (owner, version, xml) in self.replica.read().lookup(group, doc_type, None) {
             adv_results.insert(owner, (version, xml));
         }
-        let mut remaining = 0usize;
+        let mut awaiting = Vec::new();
         for target in peers {
             let query = Message::new(MessageKind::ShardQuery, self.id, 0)
                 .with_str("query", &query_id.to_string())
                 .with_str("group", group.as_str())
                 .with_str("doc-type", doc_type);
-            remaining += usize::from(self.to_broker(target, query));
+            if self.to_broker(target, query) {
+                awaiting.push(target);
+            }
         }
-        if remaining == 0 {
+        if awaiting.is_empty() {
             // No live peer reachable: answer from the local shard alone.
             let results = adv_results.into_values().map(|(_, xml)| xml).collect();
             return Some(self.lookup_response(message.request_id, results));
@@ -2186,7 +2212,7 @@ impl Broker {
             PendingLookup {
                 client: message.sender,
                 client_request: message.request_id,
-                remaining,
+                awaiting,
                 adv_results,
                 is_member: false,
                 membership: false,
@@ -2236,9 +2262,11 @@ impl Broker {
     }
 
     /// Merges a replica's `ShardResponse` into the pending lookup it answers
-    /// and, once every replica reported, replies to the waiting client.
-    /// The results, one element of advertisement records, are decoded
-    /// before the pending lookups are locked.
+    /// and, once every awaited broker reported, replies to the waiting
+    /// client.  An answer from a broker the lookup does not await (not asked,
+    /// already answered or released) merges nothing.  The results, one
+    /// element of advertisement records, are decoded before the pending
+    /// lookups are locked.
     fn handle_shard_response(&self, message: &Message) {
         let Some(query) = message
             .element_str("query")
@@ -2253,6 +2281,10 @@ impl Broker {
             let Some(state) = pending.get_mut(&query) else {
                 return; // unknown or already-answered query
             };
+            let Some(at) = state.awaiting.iter().position(|broker| *broker == message.sender) else {
+                return;
+            };
+            state.awaiting.swap_remove(at);
             state.is_member |= is_member;
             for (_, owner, _, xml, version) in results {
                 match state.adv_results.entry(owner) {
@@ -2268,14 +2300,30 @@ impl Broker {
                     }
                 }
             }
-            state.remaining -= 1;
-            if state.remaining == 0 {
+            if state.awaiting.is_empty() {
                 pending.remove(&query)
             } else {
                 None
             }
         };
         if let Some(state) = finished {
+            self.finish_pending_lookup(state);
+        }
+    }
+
+    /// Stops every pending lookup waiting on a broker `gone` names; each one
+    /// left awaiting no broker is answered with what merged so far, in query
+    /// order.
+    fn release_lookups(&self, gone: impl Fn(&PeerId) -> bool) {
+        let released: Vec<(u64, PendingLookup)> = self
+            .pending_lookups
+            .lock()
+            .extract_if(.., |_, state| {
+                state.awaiting.retain(|broker| !gone(broker));
+                state.awaiting.is_empty()
+            })
+            .collect();
+        for (_, state) in released {
             self.finish_pending_lookup(state);
         }
     }
@@ -2382,6 +2430,7 @@ mod tests {
     use crate::shard::{self, NodeSummary};
     use crate::plumtree;
     use crate::swim::PeerState;
+    use std::collections::HashMap;
     use jxta_crypto::drbg::HmacDrbg;
 
     fn setup() -> (Arc<SimNetwork>, Arc<UserDatabase>, Arc<Broker>, HmacDrbg) {
@@ -3017,7 +3066,8 @@ mod tests {
     #[test]
     fn extension_receives_secure_kinds() {
         let (_net, _db, broker, mut rng) = setup();
-        broker.set_extension(Arc::new(EchoExtension));
+        broker.set_extension(Arc::new(EchoExtension)).unwrap();
+        assert!(broker.set_extension(Arc::new(EchoExtension)).is_err(), "installed once");
         let peer = PeerId::random(&mut rng);
         let msg = Message::new(MessageKind::SecureConnectChallenge, peer, 1);
         let resp = broker.handle_message(&msg).unwrap();
@@ -3253,7 +3303,7 @@ mod tests {
             PendingLookup {
                 client,
                 client_request: 1,
-                remaining: 1,
+                awaiting: vec![origin],
                 adv_results: BTreeMap::new(),
                 is_member: false,
                 membership: false,
@@ -3764,6 +3814,55 @@ mod tests {
         }
     }
 
+    /// A scatter lookup waits only on brokers that can still answer: it
+    /// stays pending when one awaited broker is removed, is answered with
+    /// what the other sends once that one responds, and takes no second
+    /// answer from it.
+    #[test]
+    fn routed_lookups_wait_only_on_brokers_that_can_still_answer() {
+        let mut rng = HmacDrbg::from_seed_u64(0x5CA7);
+        let net = SimNetwork::new(LinkModel::ideal());
+        let db = Arc::new(UserDatabase::new());
+        db.register_user(&mut rng, "alice", "pw-a", &[GroupId::new("math")]);
+        let config = BrokerConfig::sharded("broker-1", 2);
+        let broker = Broker::new(PeerId::random(&mut rng), config, Arc::clone(&net), db);
+        let (x, y) = (PeerId::random(&mut rng), PeerId::random(&mut rng));
+        let x_inbox = net.register(x);
+        let _y_inbox = net.register(y);
+        broker.add_peer_broker(x);
+        broker.add_peer_broker(y);
+        let client = PeerId::random(&mut rng);
+        let client_inbox = net.register(client);
+        broker.establish_session(client, "alice");
+
+        let lookup = Message::new(MessageKind::LookupRequest, client, 9)
+            .with_str("group", "math")
+            .with_str("doc-type", "jxta:PipeAdvertisement");
+        assert!(broker.handle_message(&lookup).is_none(), "the search is scattered");
+        let query = x_inbox
+            .try_iter()
+            .map(|delivered| Message::from_bytes(&delivered.payload).unwrap())
+            .find(|message| message.kind == MessageKind::ShardQuery)
+            .and_then(|message| message.element_str("query"))
+            .expect("x was asked");
+
+        broker.remove_peer_broker(&x);
+        assert!(client_inbox.try_recv().is_err(), "the lookup still awaits y");
+        let answer = |seq: &str, xml: &str| {
+            Message::new(MessageKind::ShardResponse, y, 0)
+                .with_str("seq", seq)
+                .with_str("query", &query)
+                .with_element("results", record::encode(&[advert(y, xml, (1, y))]))
+        };
+        deliver(&broker, y, &answer("1", "<from-y/>"));
+        let response = next_message(&client_inbox);
+        assert_eq!((response.kind, response.request_id), (MessageKind::LookupResponse, 9));
+        assert_eq!(adverts(&response), vec!["<from-y/>".to_string()]);
+        assert!(broker.pending_lookups.lock().is_empty());
+        deliver(&broker, y, &answer("2", "<again/>"));
+        assert!(client_inbox.try_recv().is_err(), "a lookup is answered once");
+    }
+
     /// A replica's answer versioned at or above 2^63 is dropped from the
     /// merged lookup, as the same version is on every other wire path.
     /// (Kept, it outranks the honest replica's entry in the last-writer-wins
@@ -3781,7 +3880,7 @@ mod tests {
             PendingLookup {
                 client,
                 client_request: 1,
-                remaining: 2,
+                awaiting: vec![liar, honest],
                 adv_results: BTreeMap::new(),
                 is_member: false,
                 membership: false,

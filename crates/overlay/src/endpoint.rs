@@ -12,7 +12,8 @@
 //!   and sends under one lock, `broker.send_lock`: without it, seqs S and
 //!   S+1 could leave in the opposite order and the genuine S be dropped.
 //! * **Every backbone send is counted by kind**, once it succeeds, through
-//!   the one kind → counter table (`FederationMetrics::count_sent`).
+//!   the one kind → counter table of the broker's counter registry
+//!   (`Registry::sent`), with one atomic add and no lock.
 //!
 //! Client-facing traffic carries no `seq` and counts nothing.  The client
 //! methods refuse an inter-broker kind and `to_broker` refuses a client
@@ -21,7 +22,7 @@
 use crate::counter::SyncClock;
 use crate::id::PeerId;
 use crate::message::Message;
-use crate::metrics::FederationMetrics;
+use crate::metrics::Registry;
 use crate::net::{LinkModel, NetMessage, SimNetwork};
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
@@ -51,7 +52,7 @@ impl Endpoint {
         to: PeerId,
         mut message: Message,
         carried_wire: Duration,
-        metrics: &FederationMetrics,
+        metrics: &Registry,
     ) -> Option<usize> {
         if !message.kind.is_inter_broker() {
             return None;
@@ -64,7 +65,7 @@ impl Endpoint {
             self.network.forward(self.id, to, bytes, carried_wire).ok()?;
             size
         };
-        metrics.count_sent(message.kind, size as u64);
+        metrics.sent(message.kind, size as u64);
         Some(size)
     }
 
@@ -169,7 +170,7 @@ mod tests {
     #[test]
     fn backbone_sends_arrive_with_strictly_increasing_seqs() {
         let (endpoint, peer, inbox) = setup();
-        let metrics = FederationMetrics::new();
+        let metrics = Registry::new(0);
         let mut last = 0;
         for kind in inter_broker_kinds().into_iter().cycle().take(40) {
             let message = Message::new(kind, peer, 0);
@@ -192,7 +193,7 @@ mod tests {
         use MessageKind::*;
         let (endpoint, peer, inbox) = setup();
         for kind in inter_broker_kinds() {
-            let metrics = FederationMetrics::new();
+            let metrics = Registry::new(0);
             let size = endpoint
                 .to_broker(peer, Message::new(kind, peer, 0), Duration::ZERO, &metrics)
                 .unwrap() as u64;
@@ -216,12 +217,12 @@ mod tests {
                 MembershipShuffle | MembershipShuffleReply | ShardQuery | ShardResponse => zero,
                 other => unreachable!("{other:?} is not an inter-broker kind"),
             };
-            assert_eq!(metrics.snapshot(), expected, "{kind:?}");
+            assert_eq!(metrics.federation(), expected, "{kind:?}");
         }
         // A failed send counts nothing: the endpoint's own id has no inbox.
-        let metrics = FederationMetrics::new();
+        let metrics = Registry::new(0);
         let sync = Message::new(BrokerSync, peer, 0);
         assert_eq!(endpoint.to_broker(endpoint.id, sync, Duration::ZERO, &metrics), None);
-        assert_eq!(metrics.snapshot(), FederationStats::default());
+        assert_eq!(metrics.federation(), FederationStats::default());
     }
 }

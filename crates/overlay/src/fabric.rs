@@ -24,7 +24,7 @@ use crate::broker::BrokerConfig;
 use crate::counter::SyncClock;
 use crate::id::PeerId;
 use crate::membership::PartialView;
-use crate::metrics::FederationMetrics;
+use crate::metrics::{Counter, Registry};
 use crate::plumtree::{GossipId, PlumtreeState};
 use crate::record::{GossipEvent, SwimVerdict};
 use crate::shard::{fnv1a, mix, FNV_OFFSET};
@@ -204,10 +204,10 @@ impl Fabric {
         from: PeerId,
         seq: Option<u64>,
         clock: &SyncClock,
-        metrics: &FederationMetrics,
+        metrics: &Registry,
     ) -> bool {
         if from != origin || !self.is_admitted(&origin) {
-            metrics.count_rejected_unknown_origin();
+            metrics.add(Counter::RejectedUnknownOrigin, 1);
             return false;
         }
         let fresh = seq.is_some_and(|seq| {
@@ -218,7 +218,7 @@ impl Fabric {
             fresh
         });
         if !fresh {
-            metrics.count_rejected_replayed();
+            metrics.add(Counter::RejectedReplayed, 1);
         }
         fresh
     }
@@ -238,7 +238,7 @@ impl Fabric {
     pub(crate) fn broadcast(
         &mut self,
         mut event: GossipEvent,
-        metrics: &FederationMetrics,
+        metrics: &Registry,
     ) -> usize {
         if !self.engaged() {
             let peers = self.peer_brokers.clone();
@@ -257,7 +257,7 @@ impl Fabric {
         &mut self,
         event: &GossipEvent,
         sender: PeerId,
-        metrics: &FederationMetrics,
+        metrics: &Registry,
     ) -> bool {
         let fresh = self.plumtree.note_seen((event.origin, event.seq));
         if fresh {
@@ -270,13 +270,13 @@ impl Fabric {
     /// version `(origin, seq)`), queues it on the eager edges and advertises
     /// the id on the lazy ones, neither towards `sender` nor the event's
     /// origin.  Returns how many eager edges it was queued on.
-    fn disseminate(&mut self, event: &GossipEvent, sender: PeerId, metrics: &FederationMetrics) -> usize {
+    fn disseminate(&mut self, event: &GossipEvent, sender: PeerId, metrics: &Registry) -> usize {
         let gid = (event.origin, event.seq);
         self.plumtree.cache_event(gid, event.clone());
         let onward = |p: &PeerId| *p != sender && *p != gid.0;
         let forward: Vec<PeerId> = self.plumtree.eager().into_iter().filter(onward).collect();
         self.queue(&forward, event.clone());
-        metrics.count_eager_pushes(forward.len() as u64);
+        metrics.add(Counter::EagerPushes, forward.len() as u64);
         for peer in self.plumtree.lazy().into_iter().filter(onward) {
             self.ihave_outbox.entry(peer).or_default().push(gid);
         }
@@ -327,13 +327,13 @@ impl Fabric {
         &mut self,
         sender: PeerId,
         gids: Vec<GossipId>,
-        metrics: &FederationMetrics,
+        metrics: &Registry,
     ) {
         self.plumtree.promote(sender);
         for gid in gids {
             match self.plumtree.cached(&gid) {
                 Some(event) => self.queue(&[sender], GossipEvent { repair: true, ..event }),
-                None => metrics.count_graft_miss(),
+                None => metrics.add(Counter::GraftMisses, 1),
             }
         }
     }
@@ -398,18 +398,18 @@ impl Fabric {
         verdict: SwimVerdict,
         peer: PeerId,
         incarnation: u64,
-        metrics: &FederationMetrics,
+        metrics: &Registry,
     ) -> Option<u64> {
         match verdict {
             SwimVerdict::Suspect => match self.swim.on_suspect(peer, incarnation) {
                 SuspectOutcome::RefuteWith(refute) => return Some(refute),
-                SuspectOutcome::Suspected => metrics.count_swim_suspicion(),
+                SuspectOutcome::Suspected => metrics.add(Counter::SwimSuspicions, 1),
                 SuspectOutcome::Ignored => {}
             },
             SwimVerdict::Dead => match self.swim.on_dead(peer, incarnation) {
                 DeadOutcome::RefuteWith(refute) => return Some(refute),
                 DeadOutcome::Confirmed => {
-                    metrics.count_swim_death();
+                    metrics.add(Counter::SwimDeaths, 1);
                     self.on_death(&peer);
                 }
                 DeadOutcome::Ignored => {}

@@ -1496,6 +1496,61 @@ mod tests {
         assert_eq!(adverts(&response).len(), 40);
     }
 
+    /// A group-wide lookup scattered while a broker is crashed but not yet
+    /// suspected waits on that broker's answer, which never comes; once SWIM
+    /// confirms the crash, a repair round stops the wait and the client gets
+    /// every entry the live replicas hold.
+    #[test]
+    fn scattered_lookup_awaiting_a_crashed_broker_is_answered_once_swim_confirms_it() {
+        use crate::message::{Message, MessageKind};
+        use crate::net::FaultPlan;
+        use crate::swim::{PeerState, PROBE_BUDGET_TICKS};
+        let (net, _db, brokers) = make_sharded_brokers(4, 2, 0xBD);
+        let federation = InlineFederation::new(brokers);
+        let ids: Vec<PeerId> = (0..4).map(|i| federation.broker(i).id()).collect();
+        let mut rng = HmacDrbg::from_seed_u64(0xBE);
+        let group = GroupId::new("math");
+        let client = PeerId::random(&mut rng);
+        let rx = net.register(client);
+        federation.broker(0).establish_session(client, "alice");
+        for i in 0..40 {
+            let owner = PeerId::random(&mut rng);
+            let xml = format!("<adv-{i}/>");
+            federation.broker(1).index_and_distribute(owner, &group, "jxta:PipeAdvertisement", &xml);
+        }
+        federation.pump();
+        assert!(federation.converged());
+
+        let plan = FaultPlan::new(0xBF).crash_stop(ids[3], 0).into_adversary();
+        net.set_adversary(plan.clone());
+        let lookup = Message::new(MessageKind::LookupRequest, client, 77)
+            .with_str("group", "math")
+            .with_str("doc-type", "jxta:PipeAdvertisement");
+        net.send(client, ids[0], lookup.to_bytes()).unwrap();
+        federation.pump();
+        let response = || {
+            rx.try_iter()
+                .filter_map(|delivered| Message::from_bytes(&delivered.payload).ok())
+                .find(|message| message.kind == MessageKind::LookupResponse)
+        };
+        assert!(response().is_none(), "the lookup awaits the crashed broker");
+
+        let mut answered = None;
+        for _ in 0..PROBE_BUDGET_TICKS {
+            for i in 0..3 {
+                federation.broker(i).start_repair_round();
+            }
+            federation.pump();
+            plan.advance_tick();
+            answered = answered.or_else(response);
+        }
+        let record = federation.broker(0).swim_record(&ids[3]);
+        assert!(matches!(record.map(|r| r.state), Some(PeerState::Dead)), "{record:?}");
+        let answered = answered.expect("answered once SWIM confirmed the crash");
+        assert_eq!(answered.request_id, 77);
+        assert_eq!(adverts(&answered).len(), 40, "every entry has a live replica");
+    }
+
     #[test]
     fn sharded_membership_query_routes_across_shards() {
         use crate::message::{Message, MessageKind};

@@ -41,7 +41,7 @@
 //! shuffle wire messages ([`crate::message::MessageKind::MembershipShuffle`]).
 
 use crate::id::PeerId;
-use crate::shard::{fnv1a, mix, FNV_OFFSET};
+use crate::shard::{fnv1a, mix, SplitMix64, FNV_OFFSET};
 
 /// Default bound of the active view.  Existing federations of up to this
 /// many peers keep complete views (every peer active), which preserves the
@@ -59,9 +59,9 @@ pub struct PartialView {
     known: Vec<PeerId>,
     /// The derived view, sorted; recomputed on every change of `known`.
     active: Vec<PeerId>,
-    /// SplitMix-style deterministic pseudo-random state for shuffles, seeded
-    /// from the broker's own id so every run of a seeded test is identical.
-    rng: u64,
+    /// The shuffles' SplitMix64 stream, seeded from the broker's own id so
+    /// every run of a seeded test is identical.
+    rng: SplitMix64,
 }
 
 impl PartialView {
@@ -74,14 +74,8 @@ impl PartialView {
             capacity: capacity.max(2),
             known: Vec::new(),
             active: Vec::new(),
-            rng: mix(fnv1a(FNV_OFFSET, own.as_bytes())),
+            rng: SplitMix64::new(mix(fnv1a(FNV_OFFSET, own.as_bytes()))),
         }
-    }
-
-    /// Next deterministic pseudo-random value.
-    fn next_rand(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix(self.rng)
     }
 
     /// The broker's ring successor: the next known peer id in sorted
@@ -138,7 +132,7 @@ impl PartialView {
         let mut pool = self.known.clone();
         let mut sample = Vec::with_capacity(k.min(pool.len()));
         while sample.len() < k && !pool.is_empty() {
-            let at = (self.next_rand() % pool.len() as u64) as usize;
+            let at = (self.rng.next() % pool.len() as u64) as usize;
             sample.push(pool.swap_remove(at));
         }
         sample
@@ -149,7 +143,7 @@ impl PartialView {
         if self.active.is_empty() {
             return None;
         }
-        let at = (self.next_rand() % self.active.len() as u64) as usize;
+        let at = (self.rng.next() % self.active.len() as u64) as usize;
         Some(self.active[at])
     }
 

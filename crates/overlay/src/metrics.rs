@@ -1,4 +1,4 @@
-//! CPU/wire time accounting for experiments.
+//! Counters and CPU/wire time accounting for experiments.
 //!
 //! The paper's evaluation reports the *overhead* of the secure primitives
 //! relative to the plain ones: +81.76 % for joining the network, and a
@@ -14,9 +14,14 @@
 //!
 //! An [`OperationTiming`] combines both, and [`overhead_percent`] computes the
 //! relative overhead between a secure and a plain run of the same operation.
+//!
+//! Every experiment also reads what a broker did from its counters.  They
+//! live in one crate-private registry per broker, a typed array of atomic
+//! counters with one `add` (and one `max` for the two high-water marks), so
+//! counting takes no lock; [`FederationStats`] and [`PipelineStats`] are its
+//! snapshots, built field for field.
 
 use crate::message::MessageKind;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -107,18 +112,11 @@ impl Default for Stopwatch {
     }
 }
 
-/// Thread-safe accumulator for virtual wire time.
-#[derive(Debug)]
+/// Thread-safe accumulator for virtual wire time: a nanosecond count, so
+/// adding takes no lock.
+#[derive(Debug, Default)]
 pub struct WireTimeAccumulator {
-    total: Mutex<Duration>,
-}
-
-impl Default for WireTimeAccumulator {
-    fn default() -> Self {
-        WireTimeAccumulator {
-            total: Mutex::with_class("metrics.wire_time", Duration::ZERO),
-        }
-    }
+    nanos: AtomicU64,
 }
 
 impl WireTimeAccumulator {
@@ -129,23 +127,25 @@ impl WireTimeAccumulator {
 
     /// Adds a wire-time contribution.
     pub fn add(&self, wire: Duration) {
-        *self.total.lock() += wire;
+        let nanos = u64::try_from(wire.as_nanos()).unwrap_or(u64::MAX);
+        self.nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Current accumulated total.
     pub fn total(&self) -> Duration {
-        *self.total.lock()
+        Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
     }
 
     /// Returns the accumulated total and resets it to zero.
     pub fn take(&self) -> Duration {
-        std::mem::take(&mut *self.total.lock())
+        Duration::from_nanos(self.nanos.swap(0, Ordering::Relaxed))
     }
 }
 
 /// Snapshot of a broker's ingress-pipeline activity (see
-/// [`PipelineMetrics`]).  All zeros when the broker runs the classic
-/// single-thread loop (`verify_workers == 0`) or is driven inline.
+/// [`crate::broker::Broker::pipeline_stats`]).  All zeros when the broker
+/// runs the classic single-thread loop (`verify_workers == 0`) or is driven
+/// inline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Messages that traversed the staged pipeline (ticketed at ingress,
@@ -178,111 +178,8 @@ pub struct PipelineStats {
     pub barrier_drains: u64,
 }
 
-/// Thread-safe counters for the broker's staged ingress pipeline.
-#[derive(Debug)]
-pub struct PipelineMetrics {
-    messages_pipelined: AtomicU64,
-    apply_batches: AtomicU64,
-    max_apply_batch: AtomicU64,
-    reorder_waits: AtomicU64,
-    barriers_applied: AtomicU64,
-    barrier_drains: AtomicU64,
-    /// One applied-message counter per apply lane, sized by
-    /// [`PipelineMetrics::configure_lanes`] when the broker spawns.  Each
-    /// lane thread holds a clone of the `Arc` and bumps its own slot, so the
-    /// hot path never touches this mutex.
-    lane_counters: Mutex<std::sync::Arc<[AtomicU64]>>,
-}
-
-impl Default for PipelineMetrics {
-    fn default() -> Self {
-        PipelineMetrics {
-            messages_pipelined: AtomicU64::new(0),
-            apply_batches: AtomicU64::new(0),
-            max_apply_batch: AtomicU64::new(0),
-            reorder_waits: AtomicU64::new(0),
-            barriers_applied: AtomicU64::new(0),
-            barrier_drains: AtomicU64::new(0),
-            lane_counters: Mutex::with_class("metrics.lane_counters", std::sync::Arc::from(Vec::new())),
-        }
-    }
-}
-
-impl PipelineMetrics {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an apply-stage drain of `batch` consecutive tickets.
-    pub fn record_apply_batch(&self, batch: u64) {
-        self.messages_pipelined.fetch_add(batch, Ordering::Relaxed);
-        self.apply_batches.fetch_add(1, Ordering::Relaxed);
-        self.max_apply_batch.fetch_max(batch, Ordering::Relaxed);
-    }
-
-    /// Records a completion that had to park in the reorder buffer.
-    pub fn count_reorder_wait(&self) {
-        self.reorder_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sizes the per-lane counters for a broker spawning `lanes` apply lanes
-    /// and returns the shared counter array (one slot per lane).  Each lane
-    /// thread keeps a clone and bumps its own slot directly.
-    pub fn configure_lanes(&self, lanes: usize) -> std::sync::Arc<[AtomicU64]> {
-        let counters: std::sync::Arc<[AtomicU64]> =
-            (0..lanes).map(|_| AtomicU64::new(0)).collect();
-        *self.lane_counters.lock() = std::sync::Arc::clone(&counters);
-        counters
-    }
-
-    /// Records a partition-local message the router applied itself, which
-    /// it does only on a single-core host (see [`crate::Broker::spawn`]); it
-    /// still counts against the lane that owns the partition, so lane-load
-    /// metrics reflect routing, not thread identity.
-    pub fn count_lane_message(&self, lane: usize) {
-        if let Some(counter) = self.lane_counters.lock().get(lane) {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a partition-spanning message applied after a lane drain.
-    pub fn count_barrier(&self) {
-        self.barriers_applied.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a barrier that found at least one busy lane and had to wait.
-    pub fn count_barrier_drain(&self) {
-        self.barrier_drains.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-lane applied-message counts, in lane order.
-    pub fn lane_loads(&self) -> Vec<u64> {
-        self.lane_counters
-            .lock()
-            .iter()
-            .map(|counter| counter.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Consistent snapshot of the counters.
-    pub fn snapshot(&self) -> PipelineStats {
-        let lanes = self.lane_loads();
-        PipelineStats {
-            messages_pipelined: self.messages_pipelined.load(Ordering::Relaxed),
-            apply_batches: self.apply_batches.load(Ordering::Relaxed),
-            max_apply_batch: self.max_apply_batch.load(Ordering::Relaxed),
-            reorder_waits: self.reorder_waits.load(Ordering::Relaxed),
-            apply_lanes: lanes.len() as u64,
-            lane_messages: lanes.iter().sum(),
-            busiest_lane_messages: lanes.iter().copied().max().unwrap_or(0),
-            barriers_applied: self.barriers_applied.load(Ordering::Relaxed),
-            barrier_drains: self.barrier_drains.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of a broker's federation activity (see [`FederationMetrics`]).
+/// Snapshot of a broker's federation activity (see
+/// [`crate::broker::Broker::federation_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FederationStats {
     /// Gossip messages sent to peer brokers.
@@ -371,211 +268,155 @@ pub struct FederationStats {
     pub swim_deaths: u64,
 }
 
-/// Thread-safe counters describing a broker's participation in the
-/// federation backbone: gossip replication, client-payload relaying and the
-/// rejection of unauthentic or replayed inter-broker traffic.
-#[derive(Debug, Default)]
-pub struct FederationMetrics {
-    syncs_sent: AtomicU64,
-    syncs_applied: AtomicU64,
-    relays_forwarded: AtomicU64,
-    relays_delivered: AtomicU64,
-    relays_failed: AtomicU64,
-    rejected_unknown_origin: AtomicU64,
-    rejected_replayed: AtomicU64,
-    shard_hits: AtomicU64,
-    shard_misses: AtomicU64,
-    entries_migrated: AtomicU64,
-    repair_rounds: AtomicU64,
-    repair_mismatches: AtomicU64,
-    entries_repaired: AtomicU64,
-    repair_bytes: AtomicU64,
-    descent_rounds: AtomicU64,
-    repair_pages: AtomicU64,
-    eager_pushes: AtomicU64,
-    ihaves_sent: AtomicU64,
-    grafts_sent: AtomicU64,
-    prunes_sent: AtomicU64,
-    graft_misses: AtomicU64,
-    publishes: AtomicU64,
-    publish_fanout_total: AtomicU64,
-    publish_fanout_max: AtomicU64,
-    ihave_digests_saved: AtomicU64,
-    swim_probes: AtomicU64,
-    swim_indirect_probes: AtomicU64,
-    swim_acks: AtomicU64,
-    swim_suspicions: AtomicU64,
-    swim_refutations: AtomicU64,
-    swim_deaths: AtomicU64,
+/// Declares [`Counter`] with [`Counter::ALL`], its variants in slot order.
+macro_rules! counters {
+    ($($counter:ident),* $(,)?) => {
+        /// One slot of a [`Registry`]: each counter is the [`FederationStats`]
+        /// or [`PipelineStats`] field of the same name.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Counter {
+            $($counter),*
+        }
+
+        impl Counter {
+            /// Every counter, in slot order.
+            pub(crate) const ALL: &'static [Counter] = &[$(Counter::$counter),*];
+        }
+    };
 }
 
-impl FederationMetrics {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
+counters!(
+    SyncsSent, SyncsApplied, RelaysForwarded, RelaysDelivered, RelaysFailed,
+    RejectedUnknownOrigin, RejectedReplayed, ShardHits, ShardMisses, EntriesMigrated,
+    RepairRounds, RepairMismatches, EntriesRepaired, RepairBytes, DescentRounds, RepairPages,
+    EagerPushes, IhavesSent, GraftsSent, PrunesSent, GraftMisses,
+    Publishes, PublishFanoutTotal, PublishFanoutMax, IhaveDigestsSaved,
+    SwimProbes, SwimIndirectProbes, SwimAcks, SwimSuspicions, SwimRefutations, SwimDeaths,
+    MessagesPipelined, ApplyBatches, MaxApplyBatch, ReorderWaits, ApplyLanes,
+    BarriersApplied, BarrierDrains,
+);
+
+/// A broker's counters: one atomic slot per [`Counter`], plus one
+/// applied-message slot per apply lane, allocated with the broker.  Every
+/// count is one atomic add, so counting takes no lock; the snapshots read
+/// each slot once.
+#[derive(Debug)]
+pub(crate) struct Registry {
+    counters: [AtomicU64; Counter::ALL.len()],
+    lanes: Box<[AtomicU64]>,
+}
+
+impl Registry {
+    /// Zeroed counters with `lanes` apply-lane slots.
+    pub(crate) fn new(lanes: usize) -> Self {
+        Registry {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            lanes: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+        }
     }
 
-    /// Records one successful backbone send of `kind`, `bytes` long on the
-    /// wire: the one kind → counter table, called only by the broker's
-    /// network endpoint once the send succeeded.  Repair traffic counts its
-    /// bytes (and a descent leg its leg); shuffles and shard queries and
-    /// responses count nothing.
-    pub fn count_sent(&self, kind: MessageKind, bytes: u64) {
+    /// Adds `n` to `counter`.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raises the high-water mark `counter` to `n`.
+    pub(crate) fn max(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Counts one message applied for apply lane `lane`; a lane past the
+    /// slots the broker was built with counts nothing.
+    pub(crate) fn lane(&self, lane: usize) {
+        if let Some(slot) = self.lanes.get(lane) {
+            slot.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The one kind → counter table: what a successful backbone send of
+    /// `kind`, `bytes` long on the wire, counts.  Only the broker's network
+    /// endpoint calls it.  Repair traffic counts its bytes (and a descent
+    /// leg its leg); shuffles and shard queries and responses count nothing.
+    pub(crate) fn sent(&self, kind: MessageKind, bytes: u64) {
         let counter = match kind {
-            MessageKind::BrokerSync => &self.syncs_sent,
-            MessageKind::BrokerRelay => &self.relays_forwarded,
-            MessageKind::PlumtreeIHave => &self.ihaves_sent,
-            MessageKind::PlumtreeGraft => &self.grafts_sent,
-            MessageKind::PlumtreePrune => &self.prunes_sent,
+            MessageKind::BrokerSync => Counter::SyncsSent,
+            MessageKind::BrokerRelay => Counter::RelaysForwarded,
+            MessageKind::PlumtreeIHave => Counter::IhavesSent,
+            MessageKind::PlumtreeGraft => Counter::GraftsSent,
+            MessageKind::PlumtreePrune => Counter::PrunesSent,
             // Direct probes and relayed pings alike.
-            MessageKind::SwimPing => &self.swim_probes,
-            MessageKind::SwimPingReq => &self.swim_indirect_probes,
-            MessageKind::SwimAck => &self.swim_acks,
+            MessageKind::SwimPing => Counter::SwimProbes,
+            MessageKind::SwimPingReq => Counter::SwimIndirectProbes,
+            MessageKind::SwimAck => Counter::SwimAcks,
             MessageKind::AntiEntropyRange => {
-                self.repair_bytes.fetch_add(bytes, Ordering::Relaxed);
-                &self.descent_rounds
+                self.add(Counter::RepairBytes, bytes);
+                Counter::DescentRounds
             }
             MessageKind::AntiEntropyDigest | MessageKind::AntiEntropySnapshot => {
-                self.repair_bytes.fetch_add(bytes, Ordering::Relaxed);
-                return;
+                return self.add(Counter::RepairBytes, bytes);
             }
             _ => return,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.add(counter, 1);
     }
 
-    /// Records a gossip message applied to local state.
-    pub fn count_sync_applied(&self) {
-        self.syncs_applied.fetch_add(1, Ordering::Relaxed);
+    fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Records a relay delivered to a locally homed peer.
-    pub fn count_relay_delivered(&self) {
-        self.relays_delivered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a relay that could not be routed.
-    pub fn count_relay_failed(&self) {
-        self.relays_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an inter-broker message from an unknown origin.
-    pub fn count_rejected_unknown_origin(&self) {
-        self.rejected_unknown_origin.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a replayed (stale-sequence) inter-broker message.
-    pub fn count_rejected_replayed(&self) {
-        self.rejected_replayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a lookup answered from the local shard.
-    pub fn count_shard_hit(&self) {
-        self.shard_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a lookup routed to a remote shard replica.
-    pub fn count_shard_miss(&self) {
-        self.shard_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` entries migrated off this broker during re-sharding.
-    pub fn count_entries_migrated(&self, n: u64) {
-        self.entries_migrated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records an initiated anti-entropy round.
-    pub fn count_repair_round(&self) {
-        self.repair_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an anti-entropy digest that disagreed with the local state.
-    pub fn count_repair_mismatch(&self) {
-        self.repair_mismatches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` entries healed by an anti-entropy snapshot merge.
-    pub fn count_entries_repaired(&self, n: u64) {
-        self.entries_repaired.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a range-scoped snapshot page sent.
-    pub fn count_repair_page(&self) {
-        self.repair_pages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` eager pushes of one broadcast event (one per tree edge).
-    pub fn count_eager_pushes(&self, n: u64) {
-        self.eager_pushes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a grafted gossip id whose payload was no longer cached.
-    pub fn count_graft_miss(&self) {
-        self.graft_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one originated publish that directly addressed `fanout` peers.
-    pub fn count_publish_fanout(&self, fanout: u64) {
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.publish_fanout_total.fetch_add(fanout, Ordering::Relaxed);
-        self.publish_fanout_max.fetch_max(fanout, Ordering::Relaxed);
-    }
-
-    /// Records `n` lazy `IHave` digests saved by batching advertisements
-    /// across publishes into one digest per repair tick.
-    pub fn count_ihave_digests_saved(&self, n: u64) {
-        self.ihave_digests_saved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a member newly marked `Suspect`.
-    pub fn count_swim_suspicion(&self) {
-        self.swim_suspicions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an accusation about this broker it refuted.
-    pub fn count_swim_refutation(&self) {
-        self.swim_refutations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a member confirmed `Dead` and evicted from the view.
-    pub fn count_swim_death(&self) {
-        self.swim_deaths.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Consistent snapshot of the counters.
-    pub fn snapshot(&self) -> FederationStats {
+    /// The federation counters, field for field.
+    pub(crate) fn federation(&self) -> FederationStats {
+        use Counter::*;
         FederationStats {
-            syncs_sent: self.syncs_sent.load(Ordering::Relaxed),
-            syncs_applied: self.syncs_applied.load(Ordering::Relaxed),
-            relays_forwarded: self.relays_forwarded.load(Ordering::Relaxed),
-            relays_delivered: self.relays_delivered.load(Ordering::Relaxed),
-            relays_failed: self.relays_failed.load(Ordering::Relaxed),
-            rejected_unknown_origin: self.rejected_unknown_origin.load(Ordering::Relaxed),
-            rejected_replayed: self.rejected_replayed.load(Ordering::Relaxed),
-            shard_hits: self.shard_hits.load(Ordering::Relaxed),
-            shard_misses: self.shard_misses.load(Ordering::Relaxed),
-            entries_migrated: self.entries_migrated.load(Ordering::Relaxed),
-            repair_rounds: self.repair_rounds.load(Ordering::Relaxed),
-            repair_mismatches: self.repair_mismatches.load(Ordering::Relaxed),
-            entries_repaired: self.entries_repaired.load(Ordering::Relaxed),
-            repair_bytes: self.repair_bytes.load(Ordering::Relaxed),
-            descent_rounds: self.descent_rounds.load(Ordering::Relaxed),
-            repair_pages: self.repair_pages.load(Ordering::Relaxed),
-            eager_pushes: self.eager_pushes.load(Ordering::Relaxed),
-            ihaves_sent: self.ihaves_sent.load(Ordering::Relaxed),
-            grafts_sent: self.grafts_sent.load(Ordering::Relaxed),
-            prunes_sent: self.prunes_sent.load(Ordering::Relaxed),
-            graft_misses: self.graft_misses.load(Ordering::Relaxed),
-            publishes: self.publishes.load(Ordering::Relaxed),
-            publish_fanout_total: self.publish_fanout_total.load(Ordering::Relaxed),
-            publish_fanout_max: self.publish_fanout_max.load(Ordering::Relaxed),
-            ihave_digests_saved: self.ihave_digests_saved.load(Ordering::Relaxed),
-            swim_probes: self.swim_probes.load(Ordering::Relaxed),
-            swim_indirect_probes: self.swim_indirect_probes.load(Ordering::Relaxed),
-            swim_acks: self.swim_acks.load(Ordering::Relaxed),
-            swim_suspicions: self.swim_suspicions.load(Ordering::Relaxed),
-            swim_refutations: self.swim_refutations.load(Ordering::Relaxed),
-            swim_deaths: self.swim_deaths.load(Ordering::Relaxed),
+            syncs_sent: self.get(SyncsSent),
+            syncs_applied: self.get(SyncsApplied),
+            relays_forwarded: self.get(RelaysForwarded),
+            relays_delivered: self.get(RelaysDelivered),
+            relays_failed: self.get(RelaysFailed),
+            rejected_unknown_origin: self.get(RejectedUnknownOrigin),
+            rejected_replayed: self.get(RejectedReplayed),
+            shard_hits: self.get(ShardHits),
+            shard_misses: self.get(ShardMisses),
+            entries_migrated: self.get(EntriesMigrated),
+            repair_rounds: self.get(RepairRounds),
+            repair_mismatches: self.get(RepairMismatches),
+            entries_repaired: self.get(EntriesRepaired),
+            repair_bytes: self.get(RepairBytes),
+            descent_rounds: self.get(DescentRounds),
+            repair_pages: self.get(RepairPages),
+            eager_pushes: self.get(EagerPushes),
+            ihaves_sent: self.get(IhavesSent),
+            grafts_sent: self.get(GraftsSent),
+            prunes_sent: self.get(PrunesSent),
+            graft_misses: self.get(GraftMisses),
+            publishes: self.get(Publishes),
+            publish_fanout_total: self.get(PublishFanoutTotal),
+            publish_fanout_max: self.get(PublishFanoutMax),
+            ihave_digests_saved: self.get(IhaveDigestsSaved),
+            swim_probes: self.get(SwimProbes),
+            swim_indirect_probes: self.get(SwimIndirectProbes),
+            swim_acks: self.get(SwimAcks),
+            swim_suspicions: self.get(SwimSuspicions),
+            swim_refutations: self.get(SwimRefutations),
+            swim_deaths: self.get(SwimDeaths),
+        }
+    }
+
+    /// The pipeline counters, field for field; the lane fields aggregate
+    /// the lane slots.
+    pub(crate) fn pipeline(&self) -> PipelineStats {
+        use Counter::*;
+        let lanes = self.lanes.iter().map(|slot| slot.load(Ordering::Relaxed));
+        PipelineStats {
+            messages_pipelined: self.get(MessagesPipelined),
+            apply_batches: self.get(ApplyBatches),
+            max_apply_batch: self.get(MaxApplyBatch),
+            reorder_waits: self.get(ReorderWaits),
+            apply_lanes: self.get(ApplyLanes),
+            lane_messages: lanes.clone().sum(),
+            busiest_lane_messages: lanes.max().unwrap_or(0),
+            barriers_applied: self.get(BarriersApplied),
+            barrier_drains: self.get(BarrierDrains),
         }
     }
 }
@@ -629,46 +470,87 @@ mod tests {
         assert_eq!(acc.total(), Duration::ZERO);
     }
 
+    /// Every snapshot field, federation then pipeline.
+    fn fields(registry: &Registry) -> Vec<u64> {
+        let f = registry.federation();
+        let p = registry.pipeline();
+        vec![
+            f.syncs_sent, f.syncs_applied, f.relays_forwarded, f.relays_delivered, f.relays_failed,
+            f.rejected_unknown_origin, f.rejected_replayed, f.shard_hits, f.shard_misses,
+            f.entries_migrated, f.repair_rounds, f.repair_mismatches, f.entries_repaired,
+            f.repair_bytes, f.descent_rounds, f.repair_pages, f.eager_pushes, f.ihaves_sent,
+            f.grafts_sent, f.prunes_sent, f.graft_misses, f.publishes, f.publish_fanout_total,
+            f.publish_fanout_max, f.ihave_digests_saved, f.swim_probes, f.swim_indirect_probes,
+            f.swim_acks, f.swim_suspicions, f.swim_refutations, f.swim_deaths,
+            p.messages_pipelined, p.apply_batches, p.max_apply_batch, p.reorder_waits,
+            p.apply_lanes, p.lane_messages, p.busiest_lane_messages, p.barriers_applied,
+            p.barrier_drains,
+        ]
+    }
+
+    /// Walks every counter: `bump` on a fresh registry moves exactly one
+    /// snapshot field, and a different one for each counter.
+    fn each_counter_moves_its_own_field(bump: fn(&Registry, Counter)) {
+        let mut moved: Vec<usize> = Counter::ALL
+            .iter()
+            .map(|&counter| {
+                let registry = Registry::new(2);
+                bump(&registry, counter);
+                let changed: Vec<usize> =
+                    fields(&registry).iter().enumerate().filter(|(_, v)| **v != 0).map(|(i, _)| i).collect();
+                assert_eq!(changed.len(), 1, "{counter:?} moved fields {changed:?}");
+                changed[0]
+            })
+            .collect();
+        moved.sort_unstable();
+        moved.dedup();
+        assert_eq!(moved.len(), Counter::ALL.len(), "two counters share a field");
+    }
+
     #[test]
     fn federation_metrics_count_and_snapshot() {
-        let metrics = FederationMetrics::new();
-        assert_eq!(metrics.snapshot(), FederationStats::default());
-        metrics.count_sent(MessageKind::BrokerSync, 100);
-        metrics.count_sent(MessageKind::BrokerSync, 100);
-        metrics.count_sync_applied();
-        metrics.count_sent(MessageKind::BrokerRelay, 100);
-        metrics.count_relay_delivered();
-        metrics.count_relay_failed();
-        metrics.count_rejected_unknown_origin();
-        metrics.count_rejected_replayed();
-        metrics.count_shard_hit();
-        metrics.count_shard_miss();
-        metrics.count_shard_miss();
-        metrics.count_entries_migrated(3);
-        metrics.count_repair_round();
-        metrics.count_repair_mismatch();
-        metrics.count_repair_mismatch();
-        metrics.count_entries_repaired(5);
-        metrics.count_sent(MessageKind::AntiEntropySnapshot, 128);
-        metrics.count_sent(MessageKind::AntiEntropyRange, 64);
-        metrics.count_repair_page();
-        metrics.count_repair_page();
-        metrics.count_eager_pushes(4);
-        metrics.count_sent(MessageKind::PlumtreeIHave, 100);
-        metrics.count_sent(MessageKind::PlumtreeGraft, 100);
-        metrics.count_sent(MessageKind::PlumtreePrune, 100);
-        metrics.count_graft_miss();
-        metrics.count_publish_fanout(3);
-        metrics.count_publish_fanout(7);
-        metrics.count_ihave_digests_saved(4);
-        metrics.count_sent(MessageKind::SwimPing, 100);
-        metrics.count_sent(MessageKind::SwimPing, 100);
-        metrics.count_sent(MessageKind::SwimPingReq, 100);
-        metrics.count_sent(MessageKind::SwimAck, 100);
-        metrics.count_swim_suspicion();
-        metrics.count_swim_refutation();
-        metrics.count_swim_death();
-        let stats = metrics.snapshot();
+        use Counter::*;
+        let metrics = Registry::new(0);
+        assert_eq!(metrics.federation(), FederationStats::default());
+        metrics.sent(MessageKind::BrokerSync, 100);
+        metrics.sent(MessageKind::BrokerSync, 100);
+        metrics.add(SyncsApplied, 1);
+        metrics.sent(MessageKind::BrokerRelay, 100);
+        metrics.add(RelaysDelivered, 1);
+        metrics.add(RelaysFailed, 1);
+        metrics.add(RejectedUnknownOrigin, 1);
+        metrics.add(RejectedReplayed, 1);
+        metrics.add(ShardHits, 1);
+        metrics.add(ShardMisses, 1);
+        metrics.add(ShardMisses, 1);
+        metrics.add(EntriesMigrated, 3);
+        metrics.add(RepairRounds, 1);
+        metrics.add(RepairMismatches, 1);
+        metrics.add(RepairMismatches, 1);
+        metrics.add(EntriesRepaired, 5);
+        metrics.sent(MessageKind::AntiEntropySnapshot, 128);
+        metrics.sent(MessageKind::AntiEntropyRange, 64);
+        metrics.add(RepairPages, 1);
+        metrics.add(RepairPages, 1);
+        metrics.add(EagerPushes, 4);
+        metrics.sent(MessageKind::PlumtreeIHave, 100);
+        metrics.sent(MessageKind::PlumtreeGraft, 100);
+        metrics.sent(MessageKind::PlumtreePrune, 100);
+        metrics.add(GraftMisses, 1);
+        for fanout in [3, 7] {
+            metrics.add(Publishes, 1);
+            metrics.add(PublishFanoutTotal, fanout);
+            metrics.max(PublishFanoutMax, fanout);
+        }
+        metrics.add(IhaveDigestsSaved, 4);
+        metrics.sent(MessageKind::SwimPing, 100);
+        metrics.sent(MessageKind::SwimPing, 100);
+        metrics.sent(MessageKind::SwimPingReq, 100);
+        metrics.sent(MessageKind::SwimAck, 100);
+        metrics.add(SwimSuspicions, 1);
+        metrics.add(SwimRefutations, 1);
+        metrics.add(SwimDeaths, 1);
+        let stats = metrics.federation();
         assert_eq!(stats.syncs_sent, 2);
         assert_eq!(stats.syncs_applied, 1);
         assert_eq!(stats.relays_forwarded, 1);
@@ -700,43 +582,67 @@ mod tests {
         assert_eq!(stats.swim_suspicions, 1);
         assert_eq!(stats.swim_refutations, 1);
         assert_eq!(stats.swim_deaths, 1);
+        // The federation counters move no pipeline field.
+        assert_eq!(metrics.pipeline(), PipelineStats::default());
+        each_counter_moves_its_own_field(|registry, counter| registry.add(counter, 1));
     }
 
     #[test]
     fn pipeline_metrics_count_batches() {
-        let metrics = PipelineMetrics::new();
-        assert_eq!(metrics.snapshot(), PipelineStats::default());
-        metrics.record_apply_batch(3);
-        metrics.record_apply_batch(1);
-        metrics.record_apply_batch(5);
-        metrics.count_reorder_wait();
-        let stats = metrics.snapshot();
+        use Counter::*;
+        let metrics = Registry::new(0);
+        assert_eq!(metrics.pipeline(), PipelineStats::default());
+        for batch in [3, 1, 5] {
+            metrics.add(MessagesPipelined, batch);
+            metrics.add(ApplyBatches, 1);
+            metrics.max(MaxApplyBatch, batch);
+        }
+        metrics.add(ReorderWaits, 1);
+        let stats = metrics.pipeline();
         assert_eq!(stats.messages_pipelined, 9);
         assert_eq!(stats.apply_batches, 3);
         assert_eq!(stats.max_apply_batch, 5);
         assert_eq!(stats.reorder_waits, 1);
         assert_eq!(stats.apply_lanes, 0, "no lanes configured");
+        // A high-water mark never falls, and `max` too moves one field.
+        metrics.max(MaxApplyBatch, 2);
+        assert_eq!(metrics.pipeline().max_apply_batch, 5);
+        each_counter_moves_its_own_field(|registry, counter| registry.max(counter, 1));
     }
 
     #[test]
     fn pipeline_metrics_aggregate_lane_counters() {
-        let metrics = PipelineMetrics::new();
-        let counters = metrics.configure_lanes(3);
-        counters[0].fetch_add(4, Ordering::Relaxed);
-        counters[2].fetch_add(7, Ordering::Relaxed);
-        metrics.count_barrier();
-        metrics.count_barrier();
-        metrics.count_barrier_drain();
-        let stats = metrics.snapshot();
+        use Counter::*;
+        let metrics = Registry::new(3);
+        metrics.add(ApplyLanes, 3);
+        for _ in 0..4 {
+            metrics.lane(0);
+        }
+        for _ in 0..7 {
+            metrics.lane(2);
+        }
+        metrics.add(BarriersApplied, 1);
+        metrics.add(BarriersApplied, 1);
+        metrics.add(BarrierDrains, 1);
+        let stats = metrics.pipeline();
         assert_eq!(stats.apply_lanes, 3);
         assert_eq!(stats.lane_messages, 11);
         assert_eq!(stats.busiest_lane_messages, 7);
         assert_eq!(stats.barriers_applied, 2);
         assert_eq!(stats.barrier_drains, 1);
-        assert_eq!(metrics.lane_loads(), vec![4, 0, 7]);
-        // Reconfiguring replaces the counter array.
-        metrics.configure_lanes(1);
-        assert_eq!(metrics.snapshot().lane_messages, 0);
+        // The lane slots are fixed when the broker is built: a lane past
+        // them counts nothing.
+        metrics.lane(3);
+        assert_eq!(metrics.pipeline(), stats);
+        // One lane message moves the lane total and, on an idle registry,
+        // the busiest lane: the lane slots feed nothing else.
+        for lane in 0..3 {
+            let registry = Registry::new(3);
+            registry.lane(lane);
+            let changed: Vec<u64> = fields(&registry).into_iter().filter(|v| *v != 0).collect();
+            assert_eq!(changed, vec![1, 1], "lane {lane}");
+            assert_eq!((registry.pipeline().lane_messages, registry.pipeline().busiest_lane_messages), (1, 1));
+        }
     }
 
     #[test]

@@ -15,11 +15,17 @@
 //! The network also supports pluggable [`Adversary`] implementations used by
 //! the security evaluation: an adversary can observe (eavesdrop), drop,
 //! rewrite or redirect messages, and inject new ones (replay).
+//!
+//! A delivery only reads the network's three locks (endpoints, link
+//! overrides, adversary): every count, the backpressure timeout and the
+//! seeded adversaries' SplitMix64 streams are atomics.
 
 use crate::error::OverlayError;
 use crate::id::PeerId;
+use crate::metrics::WireTimeAccumulator;
+use crate::shard::SplitMix64;
 use crossbeam::channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -150,47 +156,36 @@ pub trait Adversary: Send + Sync {
 /// federation to.
 pub struct RandomDrop {
     percent: u32,
-    state: Mutex<u64>,
+    stream: SplitMix64,
     scope: Option<Vec<PeerId>>,
-    dropped: Mutex<u64>,
+    dropped: AtomicU64,
 }
 
 impl RandomDrop {
     /// Drops every message with probability `percent`/100 (clamped to 100),
     /// deterministically from `seed`.
     pub fn new(seed: u64, percent: u32) -> Arc<Self> {
-        Arc::new(RandomDrop {
-            percent: percent.min(100),
-            state: Mutex::with_class("net.randomdrop.state", seed),
-            scope: None,
-            dropped: Mutex::with_class("net.randomdrop.dropped", 0),
-        })
+        Self::scoped(seed, percent, None)
     }
 
     /// Like [`RandomDrop::new`], but only messages whose sender *and*
     /// receiver are both in `peers` are subject to dropping.
     pub fn between(seed: u64, percent: u32, peers: Vec<PeerId>) -> Arc<Self> {
+        Self::scoped(seed, percent, Some(peers))
+    }
+
+    fn scoped(seed: u64, percent: u32, scope: Option<Vec<PeerId>>) -> Arc<Self> {
         Arc::new(RandomDrop {
             percent: percent.min(100),
-            state: Mutex::with_class("net.randomdrop.state", seed),
-            scope: Some(peers),
-            dropped: Mutex::with_class("net.randomdrop.dropped", 0),
+            stream: SplitMix64::new(seed),
+            scope,
+            dropped: AtomicU64::new(0),
         })
     }
 
     /// Number of messages dropped so far.
     pub fn dropped_count(&self) -> u64 {
-        *self.dropped.lock()
-    }
-
-    /// Next value of the SplitMix64 stream.
-    fn next(&self) -> u64 {
-        let mut state = self.state.lock();
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -201,8 +196,8 @@ impl Adversary for RandomDrop {
                 return Verdict::Deliver;
             }
         }
-        if (self.next() % 100) < u64::from(self.percent) {
-            *self.dropped.lock() += 1;
+        if (self.stream.next() % 100) < u64::from(self.percent) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
             Verdict::Drop
         } else {
             Verdict::Deliver
@@ -299,8 +294,8 @@ pub enum Fault {
 pub struct FaultPlan {
     faults: Vec<Fault>,
     tick: AtomicU64,
-    /// Seeded SplitMix64 stream behind the flaky-link decisions.
-    state: Mutex<u64>,
+    /// Seeded stream behind the flaky-link decisions.
+    stream: SplitMix64,
     dropped: AtomicU64,
 }
 
@@ -310,7 +305,7 @@ impl FaultPlan {
         FaultPlan {
             faults: Vec::new(),
             tick: AtomicU64::new(0),
-            state: Mutex::with_class("net.faultplan.state", seed),
+            stream: SplitMix64::new(seed),
             dropped: AtomicU64::new(0),
         }
     }
@@ -415,16 +410,6 @@ impl FaultPlan {
         })
     }
 
-    /// Next value of the SplitMix64 stream.
-    fn next(&self) -> u64 {
-        let mut state = self.state.lock();
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     fn count_drop(&self) -> Verdict {
         self.dropped.fetch_add(1, Ordering::Relaxed);
         Verdict::Drop
@@ -457,7 +442,7 @@ impl Adversary for FaultPlan {
                 Fault::FlakyLink { a, b, drop_percent } => {
                     let on_edge = (message.from == *a && message.to == *b)
                         || (message.from == *b && message.to == *a);
-                    if on_edge && (self.next() % 100) < u64::from(*drop_percent) {
+                    if on_edge && (self.stream.next() % 100) < u64::from(*drop_percent) {
                         return self.count_drop();
                     }
                 }
@@ -508,30 +493,68 @@ pub struct NetStats {
 
 /// The in-process message-passing network connecting all peers.
 pub struct SimNetwork {
-    endpoints: RwLock<HashMap<PeerId, Sender<NetMessage>>>,
+    /// Every peer ever registered or counted as a sender: its inbox while
+    /// registered, and its traffic counts, which outlive
+    /// [`SimNetwork::unregister`] and a later registration.
+    endpoints: RwLock<HashMap<PeerId, PeerSlot>>,
     link: LinkModel,
     /// Per-edge link overrides (e.g. WAN links between brokers while clients
     /// stay on the default LAN).  Keyed by the directed `(from, to)` pair;
     /// [`SimNetwork::set_link_between`] installs both directions.
     link_overrides: RwLock<HashMap<(PeerId, PeerId), LinkModel>>,
     adversary: RwLock<Option<Arc<dyn Adversary>>>,
-    stats: Mutex<NetStats>,
-    /// How long a delivery into a full bounded inbox waits before dropping.
-    backpressure_timeout: Mutex<Duration>,
-    /// Messages successfully enqueued per destination, ever.  Paired with a
+    counts: NetCounts,
+    /// How long a delivery into a full bounded inbox waits before dropping,
+    /// in nanoseconds.
+    backpressure_timeout: AtomicU64,
+}
+
+/// One peer's slot in the network.
+#[derive(Default)]
+struct PeerSlot {
+    inbox: Option<Sender<NetMessage>>,
+    /// Shared with deliveries in flight, which count after the slot's lock
+    /// is released.
+    counts: Arc<PeerCounts>,
+}
+
+/// A peer's monotone traffic counts.
+#[derive(Default)]
+struct PeerCounts {
+    /// Messages successfully enqueued for the peer.  Paired with a
     /// receiver-side processed counter this gives a race-free quiescence
     /// check (see `BrokerNetwork::converged`): a destination is idle exactly
     /// when it has processed as many messages as were delivered to it.
-    delivered: Mutex<HashMap<PeerId, u64>>,
-    /// Messages shed per destination after the backpressure timeout — the
-    /// per-peer breakdown of [`NetStats::overflow_dropped`].  Benchmarks use
-    /// it to prove a measured row dropped nothing at a specific broker.
-    shed: Mutex<HashMap<PeerId, u64>>,
-    /// Messages successfully enqueued per **sender**, ever.  The per-broker
-    /// load view the backbone experiments need: a full-mesh origin sends
-    /// O(N) messages per publish while an epidemic origin sends O(fanout),
-    /// which only a sender-side counter can show.
-    sent: Mutex<HashMap<PeerId, u64>>,
+    delivered: AtomicU64,
+    /// Messages shed at the peer's inbox after the backpressure timeout —
+    /// the per-peer breakdown of [`NetStats::overflow_dropped`].  Benchmarks
+    /// use it to prove a measured row dropped nothing at a specific broker.
+    shed: AtomicU64,
+    /// Messages successfully enqueued with the peer as **sender**.  The
+    /// per-broker load view the backbone experiments need: a full-mesh
+    /// origin sends O(N) messages per publish while an epidemic origin sends
+    /// O(fanout), which only a sender-side counter can show.
+    sent: AtomicU64,
+}
+
+/// The counters behind [`NetStats`].
+#[derive(Default)]
+struct NetCounts {
+    messages_sent: AtomicU64,
+    messages_dropped: AtomicU64,
+    bytes_sent: AtomicU64,
+    wire_time: WireTimeAccumulator,
+    inbox_overflows: AtomicU64,
+    overflow_dropped: AtomicU64,
+}
+
+impl NetCounts {
+    /// Counts one accepted delivery of `bytes`, charging `wire` of this hop.
+    fn delivered(&self, bytes: usize, wire: Duration) {
+        self.messages_sent.fetch_add(1, Ordering::Relaxed);
+        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.wire_time.add(wire);
+    }
 }
 
 impl SimNetwork {
@@ -542,11 +565,8 @@ impl SimNetwork {
             link,
             link_overrides: RwLock::with_class("net.link_overrides", HashMap::new()),
             adversary: RwLock::with_class("net.adversary", None),
-            stats: Mutex::with_class("net.stats", NetStats::default()),
-            backpressure_timeout: Mutex::with_class("net.backpressure_timeout", DEFAULT_BACKPRESSURE_TIMEOUT),
-            delivered: Mutex::with_class("net.delivered", HashMap::new()),
-            shed: Mutex::with_class("net.shed", HashMap::new()),
-            sent: Mutex::with_class("net.sent", HashMap::new()),
+            counts: NetCounts::default(),
+            backpressure_timeout: AtomicU64::new(DEFAULT_BACKPRESSURE_TIMEOUT.as_nanos() as u64),
         })
     }
 
@@ -578,7 +598,7 @@ impl SimNetwork {
     /// receiver stops getting messages), mirroring a peer that reconnects.
     pub fn register(&self, peer: PeerId) -> Receiver<NetMessage> {
         let (tx, rx) = unbounded();
-        self.endpoints.write().insert(peer, tx);
+        self.endpoints.write().entry(peer).or_default().inbox = Some(tx);
         rx
     }
 
@@ -591,7 +611,7 @@ impl SimNetwork {
     /// instead of growing an unbounded queue.
     pub fn register_bounded(&self, peer: PeerId, capacity: usize) -> Receiver<NetMessage> {
         let (tx, rx) = bounded(capacity);
-        self.endpoints.write().insert(peer, tx);
+        self.endpoints.write().entry(peer).or_default().inbox = Some(tx);
         rx
     }
 
@@ -600,22 +620,26 @@ impl SimNetwork {
     /// [`DEFAULT_BACKPRESSURE_TIMEOUT`]).  Tests use a tiny timeout to
     /// exercise the shedding path deterministically.
     pub fn set_backpressure_timeout(&self, timeout: Duration) {
-        *self.backpressure_timeout.lock() = timeout;
+        let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        self.backpressure_timeout.store(nanos, Ordering::Relaxed);
     }
 
-    /// Removes a peer from the network (it becomes unreachable).
+    /// Removes a peer from the network (it becomes unreachable).  Its
+    /// traffic counts stay.
     pub fn unregister(&self, peer: &PeerId) {
-        self.endpoints.write().remove(peer);
+        if let Some(slot) = self.endpoints.write().get_mut(peer) {
+            slot.inbox = None;
+        }
     }
 
     /// Returns `true` if the peer currently has a registered endpoint.
     pub fn is_registered(&self, peer: &PeerId) -> bool {
-        self.endpoints.read().contains_key(peer)
+        self.endpoints.read().get(peer).is_some_and(|slot| slot.inbox.is_some())
     }
 
     /// Number of registered peers.
     pub fn peer_count(&self) -> usize {
-        self.endpoints.read().len()
+        self.endpoints.read().values().filter(|slot| slot.inbox.is_some()).count()
     }
 
     /// Installs (or replaces) the network adversary.
@@ -628,9 +652,19 @@ impl SimNetwork {
         *self.adversary.write() = None;
     }
 
-    /// Snapshot of the aggregate traffic statistics.
+    /// Snapshot of the aggregate traffic statistics.  Each field is read
+    /// once; a snapshot taken while traffic flows may see a delivery in some
+    /// fields and not yet in others.
     pub fn stats(&self) -> NetStats {
-        *self.stats.lock()
+        let counts = &self.counts;
+        NetStats {
+            messages_sent: counts.messages_sent.load(Ordering::Relaxed),
+            messages_dropped: counts.messages_dropped.load(Ordering::Relaxed),
+            bytes_sent: counts.bytes_sent.load(Ordering::Relaxed),
+            total_wire_time: counts.wire_time.total(),
+            inbox_overflows: counts.inbox_overflows.load(Ordering::Relaxed),
+            overflow_dropped: counts.overflow_dropped.load(Ordering::Relaxed),
+        }
     }
 
     /// Sends `payload` from `from` to `to`.
@@ -674,7 +708,7 @@ impl SimNetwork {
             match adv.intercept(&message) {
                 Verdict::Deliver => {}
                 Verdict::Drop => {
-                    self.stats.lock().messages_dropped += 1;
+                    self.counts.messages_dropped.fetch_add(1, Ordering::Relaxed);
                     // The sender still paid the wire time; the message just
                     // never arrives.
                     return Ok(wire_time);
@@ -694,24 +728,16 @@ impl SimNetwork {
             // the sender still paid the wire time, like an adversarial drop.
             return Ok(message.wire_time);
         }
-        {
-            let mut stats = self.stats.lock();
-            stats.messages_sent += 1;
-            stats.bytes_sent += message.payload.len() as u64;
-            // Aggregate accounting is per hop: previous hops of a relayed
-            // delivery were already charged when they were sent.
-            stats.total_wire_time += hop_time;
-        }
+        // Aggregate accounting is per hop: previous hops of a relayed
+        // delivery were already charged when they were sent.
+        self.counts.delivered(message.payload.len(), hop_time);
 
         if let Some(adv) = &adversary {
             for injected in adv.inject(&message) {
                 // Injected traffic is delivered on a best-effort basis and
                 // counted as ordinary traffic.
                 if matches!(self.deliver(&injected), Ok(true)) {
-                    let mut stats = self.stats.lock();
-                    stats.messages_sent += 1;
-                    stats.bytes_sent += injected.payload.len() as u64;
-                    stats.total_wire_time += injected.wire_time;
+                    self.counts.delivered(injected.payload.len(), injected.wire_time);
                 }
             }
         }
@@ -723,57 +749,69 @@ impl SimNetwork {
     /// delivered, `Ok(false)` when a bounded inbox shed it after the
     /// backpressure timeout, and `Err` when the destination has no endpoint.
     fn deliver(&self, message: &NetMessage) -> Result<bool, OverlayError> {
-        // Clone the sender out of the endpoint map so a backpressure wait
-        // never blocks registrations.
-        let tx = self
-            .endpoints
-            .read()
-            .get(&message.to)
-            .cloned()
-            .ok_or(OverlayError::PeerUnreachable(message.to))?;
-        match tx.try_send(message.clone()) {
+        let unreachable = || OverlayError::PeerUnreachable(message.to);
+        // Clone the inbox and the counts out of the map so a backpressure
+        // wait never blocks registrations.
+        let (inbox, to, from) = {
+            let endpoints = self.endpoints.read();
+            let slot = endpoints.get(&message.to).ok_or_else(unreachable)?;
+            let inbox = slot.inbox.clone().ok_or_else(unreachable)?;
+            let from = endpoints.get(&message.from).map(|slot| Arc::clone(&slot.counts));
+            (inbox, Arc::clone(&slot.counts), from)
+        };
+        match inbox.try_send(message.clone()) {
             Ok(()) => {}
-            Err(TrySendError::Disconnected(_)) => {
-                return Err(OverlayError::PeerUnreachable(message.to));
-            }
+            Err(TrySendError::Disconnected(_)) => return Err(unreachable()),
             Err(TrySendError::Full(queued)) => {
-                self.stats.lock().inbox_overflows += 1;
-                let timeout = *self.backpressure_timeout.lock();
-                match tx.send_timeout(queued, timeout) {
+                self.counts.inbox_overflows.fetch_add(1, Ordering::Relaxed);
+                let timeout = Duration::from_nanos(self.backpressure_timeout.load(Ordering::Relaxed));
+                match inbox.send_timeout(queued, timeout) {
                     Ok(()) => {}
                     Err(SendTimeoutError::Timeout(_)) => {
-                        self.stats.lock().overflow_dropped += 1;
-                        *self.shed.lock().entry(message.to).or_insert(0) += 1;
+                        self.counts.overflow_dropped.fetch_add(1, Ordering::Relaxed);
+                        to.shed.fetch_add(1, Ordering::Relaxed);
                         return Ok(false);
                     }
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        return Err(OverlayError::PeerUnreachable(message.to));
-                    }
+                    Err(SendTimeoutError::Disconnected(_)) => return Err(unreachable()),
                 }
             }
         }
-        *self.delivered.lock().entry(message.to).or_insert(0) += 1;
-        *self.sent.lock().entry(message.from).or_insert(0) += 1;
+        // Release pairs with `delivered_to`'s Acquire, as the broker's
+        // processed count does with its reader.
+        to.delivered.fetch_add(1, Ordering::Release);
+        let sent = |counts: &PeerCounts| counts.sent.fetch_add(1, Ordering::Relaxed);
+        match from {
+            Some(from) => sent(&from),
+            // A sender that never registered an inbox gets a slot for its
+            // count.
+            None => sent(&self.endpoints.write().entry(message.from).or_default().counts),
+        };
         Ok(true)
+    }
+
+    /// `peer`'s counts, all zero for a peer never registered nor counted.
+    fn count(&self, peer: &PeerId, read: impl Fn(&PeerCounts) -> u64) -> u64 {
+        self.endpoints.read().get(peer).map_or(0, |slot| read(&slot.counts))
     }
 
     /// Total messages ever enqueued for `peer` (monotone).
     pub fn delivered_to(&self, peer: &PeerId) -> u64 {
-        self.delivered.lock().get(peer).copied().unwrap_or(0)
+        self.count(peer, |counts| counts.delivered.load(Ordering::Acquire))
     }
 
     /// Total messages ever shed at `peer`'s bounded inbox after the
     /// backpressure timeout (monotone) — the per-peer view of
     /// [`NetStats::overflow_dropped`].
     pub fn shed_to(&self, peer: &PeerId) -> u64 {
-        self.shed.lock().get(peer).copied().unwrap_or(0)
+        self.count(peer, |counts| counts.shed.load(Ordering::Relaxed))
     }
 
-    /// Total messages ever successfully sent *by* `peer` (monotone).
-    /// Redirected deliveries still count against the original sender; shed
-    /// and adversarially dropped messages never enqueued, so they don't.
+    /// Total messages ever successfully sent *by* `peer` (monotone), whether
+    /// or not it has an inbox.  Redirected deliveries still count against
+    /// the original sender; shed and adversarially dropped messages never
+    /// enqueued, so they don't.
     pub fn sent_by(&self, peer: &PeerId) -> u64 {
-        self.sent.lock().get(peer).copied().unwrap_or(0)
+        self.count(peer, |counts| counts.sent.load(Ordering::Relaxed))
     }
 }
 
@@ -1106,7 +1144,7 @@ mod tests {
     #[test]
     fn reregistering_replaces_endpoint() {
         let net = SimNetwork::new(LinkModel::ideal());
-        let ids = peers(2);
+        let ids = peers(3);
         let _rx_a = net.register(ids[0]);
         let rx_old = net.register(ids[1]);
         let rx_new = net.register(ids[1]);
@@ -1114,6 +1152,36 @@ mod tests {
         net.send(ids[0], ids[1], vec![7]).unwrap();
         assert!(rx_old.try_recv().is_err());
         assert!(rx_new.try_recv().is_ok());
+
+        // The per-peer counts are monotone: unregistering and registering
+        // again neither resets nor loses them.
+        let counts = |peer: &PeerId| (net.delivered_to(peer), net.shed_to(peer), net.sent_by(peer));
+        assert_eq!((counts(&ids[0]), counts(&ids[1])), ((0, 0, 1), (1, 0, 0)));
+        net.set_backpressure_timeout(Duration::from_millis(1));
+        let _rx_bounded = net.register_bounded(ids[1], 1);
+        net.send(ids[0], ids[1], vec![8]).unwrap();
+        net.send(ids[0], ids[1], vec![9]).unwrap(); // the inbox is full: shed
+        assert_eq!(counts(&ids[1]), (2, 1, 0));
+        net.unregister(&ids[1]);
+        assert!(!net.is_registered(&ids[1]));
+        assert_eq!(net.peer_count(), 1);
+        assert_eq!(counts(&ids[1]), (2, 1, 0), "unregistering keeps the counts");
+        net.send(ids[1], ids[0], vec![10]).unwrap();
+        assert_eq!(counts(&ids[1]), (2, 1, 1), "an unregistered peer's sends count");
+        let rx_again = net.register(ids[1]);
+        assert_eq!(counts(&ids[1]), (2, 1, 1), "registering again keeps the counts");
+        net.send(ids[0], ids[1], vec![11]).unwrap();
+        assert_eq!(rx_again.try_recv().unwrap().payload, vec![11]);
+        assert_eq!(counts(&ids[1]), (3, 1, 1));
+        assert_eq!(counts(&ids[0]), (1, 0, 3), "the shed message was never sent");
+
+        // A sender that never registered an inbox is counted, and stays
+        // unregistered.
+        net.send(ids[2], ids[0], vec![12]).unwrap();
+        assert_eq!(counts(&ids[2]), (0, 0, 1));
+        assert!(!net.is_registered(&ids[2]));
+        assert_eq!(net.peer_count(), 2);
+        assert!(net.send(ids[0], ids[2], vec![13]).is_err(), "a counted sender has no inbox");
     }
 
     #[test]

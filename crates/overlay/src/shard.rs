@@ -22,6 +22,7 @@
 
 use crate::group::GroupId;
 use crate::id::PeerId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ring points contributed by each broker.  16 points keep the per-broker
 /// load within a few percent of even for the backbone sizes the federation
@@ -47,6 +48,27 @@ pub(crate) fn mix(mut state: u64) -> u64 {
     state = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     state = (state ^ (state >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     state ^ (state >> 31)
+}
+
+/// A seeded SplitMix64 stream: the network's fault adversaries, the
+/// membership shuffles and SWIM draw from one each, so every seeded run
+/// repeats exactly.  The state is a Weyl sequence (a counter advanced by a
+/// fixed odd constant), so a draw is one `fetch_add` plus [`mix`] and takes
+/// no lock.
+#[derive(Debug)]
+pub(crate) struct SplitMix64(AtomicU64);
+
+impl SplitMix64 {
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    pub(crate) fn new(seed: u64) -> Self {
+        SplitMix64(AtomicU64::new(seed))
+    }
+
+    /// The next value of the stream.
+    pub(crate) fn next(&self) -> u64 {
+        mix(self.0.fetch_add(Self::GAMMA, Ordering::Relaxed).wrapping_add(Self::GAMMA))
+    }
 }
 
 /// The shard key of an index or membership entry: the ring position of

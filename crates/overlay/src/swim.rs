@@ -32,7 +32,7 @@
 
 use crate::counter;
 use crate::id::PeerId;
-use crate::shard::{fnv1a, mix, FNV_OFFSET};
+use crate::shard::{fnv1a, mix, SplitMix64, FNV_OFFSET};
 use std::collections::BTreeMap;
 
 /// How many ticks an unrefuted suspicion survives before it is confirmed
@@ -159,9 +159,9 @@ pub struct SwimDetector {
     /// resurrection path) in deterministically shuffled order.
     ring: Vec<PeerId>,
     cursor: usize,
-    /// SplitMix-style deterministic pseudo-random state (same construction
-    /// as [`crate::membership::PartialView`]), seeded from the broker id.
-    rng: u64,
+    /// SplitMix64 stream for the probe order and relay picks, seeded from
+    /// the broker id (as [`crate::membership::PartialView`]'s is).
+    rng: SplitMix64,
     tick: u64,
     /// Lifeguard local-health multiplier (≥ 1): all timeouts stretch by it.
     health: u64,
@@ -179,19 +179,13 @@ impl SwimDetector {
             members: BTreeMap::new(),
             ring: Vec::new(),
             cursor: 0,
-            rng: mix(fnv1a(FNV_OFFSET, own.as_bytes())),
+            rng: SplitMix64::new(mix(fnv1a(FNV_OFFSET, own.as_bytes()))),
             tick: 0,
             health: 1,
             outstanding: None,
             suspect_ticks: DEFAULT_SUSPECT_TICKS,
             indirect_probes: DEFAULT_INDIRECT_PROBES,
         }
-    }
-
-    /// Next deterministic pseudo-random value.
-    fn next_rand(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix(self.rng)
     }
 
     /// This broker's current incarnation.
@@ -256,7 +250,7 @@ impl SwimDetector {
     fn reshuffle_ring(&mut self) {
         self.ring = self.members.keys().copied().collect();
         for i in (1..self.ring.len()).rev() {
-            let j = (self.next_rand() % (i as u64 + 1)) as usize;
+            let j = (self.rng.next() % (i as u64 + 1)) as usize;
             self.ring.swap(i, j);
         }
         self.cursor = 0;
@@ -297,7 +291,7 @@ impl SwimDetector {
                     .map(|(peer, _)| *peer)
                     .collect();
                 for _ in 0..self.indirect_probes.min(relays.len()) {
-                    let at = (self.next_rand() % relays.len() as u64) as usize;
+                    let at = (self.rng.next() % relays.len() as u64) as usize;
                     plan.indirect.push((relays.swap_remove(at), probe.target));
                 }
             }
