@@ -397,24 +397,6 @@ impl BigUint {
         self.mul_ref(self)
     }
 
-    /// Multiplies by a single `u64`.
-    pub fn mul_u64(&self, rhs: u64) -> BigUint {
-        if rhs == 0 || self.is_zero() {
-            return BigUint::zero();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry: u128 = 0;
-        for &a in &self.limbs {
-            let cur = (a as u128) * (rhs as u128) + carry;
-            out.push(cur as u64);
-            carry = cur >> 64;
-        }
-        if carry > 0 {
-            out.push(carry as u64);
-        }
-        BigUint::from_limbs(out)
-    }
-
     /// Divides by a single `u64`, returning `(quotient, remainder)`.
     ///
     /// # Panics

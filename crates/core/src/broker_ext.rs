@@ -625,11 +625,6 @@ impl SecureBrokerExtension {
             .map(|_| ())
     }
 
-    /// The verified revocation lists installed on this broker.
-    pub fn revocation_lists(&self) -> Vec<RevocationList> {
-        self.trust.read().lists.clone()
-    }
-
     /// Returns `true` if the peer identifier or username is revoked.
     pub fn is_revoked(&self, id: &PeerId, name: Option<&str>) -> bool {
         self.trust.read().is_revoked(id, name)

@@ -33,11 +33,6 @@ impl PeerIdentity {
         Ok(Self::from_keypair(keypair))
     }
 
-    /// Generates a fresh identity with the default key size.
-    pub fn generate_default<R: RngCore + ?Sized>(rng: &mut R) -> Result<Self, CryptoError> {
-        Self::generate(rng, DEFAULT_KEY_BITS)
-    }
-
     /// Builds an identity from an existing key pair.
     pub fn from_keypair(keypair: RsaKeyPair) -> Self {
         let cbid = Cbid::from_public_key(&keypair.public);

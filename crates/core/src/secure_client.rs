@@ -495,17 +495,7 @@ impl SecureClient {
         let validated = self.resolve_secure_pipe(group, to)?;
 
         // Step 4: encrypt the message and its signature for the recipient.
-        let envelope = Self::seal_text_for(
-            &mut self.rng,
-            &self.identity,
-            self.client.id(),
-            &validated.credential.public_key,
-            group,
-            text,
-        )?;
-        let request_id = self.client.next_request_id();
-        let message = Message::new(MessageKind::SecurePeerText, self.id(), request_id)
-            .with_element("envelope", envelope.to_bytes());
+        let message = self.sealed_message(&validated.credential.public_key, group, text)?;
         self.client.send_message(to, &message)?;
 
         let wire = self.client.take_wire_time();
@@ -533,17 +523,7 @@ impl SecureClient {
         // Identical sealing path to secure_msg_peer: validate the signed
         // advertisement, then encrypt the message plus its signature.
         let validated = self.resolve_secure_pipe(group, to)?;
-        let envelope = Self::seal_text_for(
-            &mut self.rng,
-            &self.identity,
-            self.client.id(),
-            &validated.credential.public_key,
-            group,
-            text,
-        )?;
-        let request_id = self.client.next_request_id();
-        let message = Message::new(MessageKind::SecurePeerText, self.id(), request_id)
-            .with_element("envelope", envelope.to_bytes());
+        let message = self.sealed_message(&validated.credential.public_key, group, text)?;
         // Only the delivery differs: via the federation instead of directly.
         self.client.relay_payload(to, message.to_bytes())?;
 
@@ -551,9 +531,49 @@ impl SecureClient {
         Ok(OperationTiming::new(stopwatch.elapsed(), wire))
     }
 
-    /// The `secureMsgPeerGroup` primitive: iteratively applies
-    /// [`SecureClient::secure_msg_peer`] to every other member of the group,
-    /// exactly as the plain primitive is resolved.
+    /// The outer `SecurePeerText` message carrying `text`, signed and
+    /// sealed for the holder of `recipient_key`.
+    fn sealed_message(
+        &mut self,
+        recipient_key: &RsaPublicKey,
+        group: &GroupId,
+        text: &str,
+    ) -> Result<Message, OverlayError> {
+        let envelope =
+            Self::seal_text_for(&mut self.rng, &self.identity, self.client.id(), recipient_key, group, text)?;
+        let request_id = self.client.next_request_id();
+        Ok(Message::new(MessageKind::SecurePeerText, self.id(), request_id)
+            .with_element("envelope", envelope.to_bytes()))
+    }
+
+    /// The other members of `group` a group message goes to, each once,
+    /// with the key its validated signed pipe advertisement carries.  A
+    /// member whose advertisement is missing or does not validate is
+    /// skipped, so it neither stops nor splits the send to the others; a
+    /// lookup the broker does not answer fails the send.
+    fn group_recipients(&mut self, group: &GroupId) -> Result<Vec<(PeerId, RsaPublicKey)>, OverlayError> {
+        let mut recipients = Vec::new();
+        for member in self.client.resolve_group_pipes(group)? {
+            if member.owner == self.id() {
+                continue;
+            }
+            match self.resolve_secure_pipe(group, member.owner) {
+                Ok(validated) => recipients.push((member.owner, validated.credential.public_key)),
+                Err(
+                    error @ (OverlayError::Timeout { .. }
+                    | OverlayError::Rejected(_)
+                    | OverlayError::PeerUnreachable(_)),
+                ) => return Err(error),
+                Err(_) => {}
+            }
+        }
+        Ok(recipients)
+    }
+
+    /// The `secureMsgPeerGroup` primitive: applies `secureMsgPeer` to every
+    /// other member of the group, exactly as the plain primitive is
+    /// resolved, skipping members it cannot authenticate.  Returns the
+    /// number of members sent to and the combined timing.
     pub fn secure_msg_peer_group(
         &mut self,
         group: &GroupId,
@@ -563,22 +583,13 @@ impl SecureClient {
         let stopwatch = Stopwatch::start();
         let _ = self.client.take_wire_time();
 
-        let members = self.client.resolve_group_pipes(group)?;
-        // Wire time spent resolving the member list.
-        let mut total_wire = self.client.take_wire_time();
-        let mut sent = 0usize;
-        for advertisement in members {
-            if advertisement.owner == self.id() {
-                continue;
-            }
-            // secure_msg_peer drains the accumulator itself, so its per-call
-            // wire time is added back into the aggregate explicitly.
-            let timing = self.secure_msg_peer(group, advertisement.owner, text)?;
-            total_wire += timing.wire;
-            sent += 1;
+        let recipients = self.group_recipients(group)?;
+        for (peer, key) in &recipients {
+            let message = self.sealed_message(key, group, text)?;
+            self.client.send_message(*peer, &message)?;
         }
-        total_wire += self.client.take_wire_time();
-        Ok((sent, OperationTiming::new(stopwatch.elapsed(), total_wire)))
+        let wire = self.client.take_wire_time();
+        Ok((recipients.len(), OperationTiming::new(stopwatch.elapsed(), wire)))
     }
 
     /// Parallel variant of `secureMsgPeerGroup`: the per-recipient public-key
@@ -596,15 +607,7 @@ impl SecureClient {
         let _ = self.client.take_wire_time();
 
         // Resolve and validate every member's signed advertisement first.
-        let members = self.client.resolve_group_pipes(group)?;
-        let mut recipients: Vec<(PeerId, RsaPublicKey)> = Vec::with_capacity(members.len());
-        for advertisement in members {
-            if advertisement.owner == self.id() {
-                continue;
-            }
-            let validated = self.resolve_secure_pipe(group, advertisement.owner)?;
-            recipients.push((advertisement.owner, validated.credential.public_key.clone()));
-        }
+        let recipients = self.group_recipients(group)?;
 
         // Seal one envelope per recipient in parallel.
         let signature = self
@@ -971,6 +974,69 @@ mod tests {
                 assert_eq!(message.sender_username, "alice");
             }
         }
+    }
+
+    /// alice, bob and carol, joined in group `g`; alice and bob publish
+    /// signed pipes.
+    fn group_of_three(seed: u64) -> (crate::setup::SecureNetwork, [SecureClient; 3]) {
+        let mut setup = SecureNetworkBuilder::new(seed)
+            .with_user("alice", "pw-a", &["g"])
+            .with_user("bob", "pw-b", &["g"])
+            .with_user("carol", "pw-c", &["g"])
+            .build();
+        let group = GroupId::new("g");
+        let clients = ["alice", "bob", "carol"].map(|name| {
+            let mut client = setup.secure_client(name);
+            client.secure_join(setup.broker_id(), name, &format!("pw-{}", &name[..1])).unwrap();
+            client
+        });
+        let [mut alice, mut bob, carol] = clients;
+        alice.publish_secure_pipe(&group).unwrap();
+        bob.publish_secure_pipe(&group).unwrap();
+        (setup, [alice, bob, carol])
+    }
+
+    /// A member with a plain pipe cannot be authenticated: both secure group
+    /// sends skip it and reach the others.
+    #[test]
+    fn secure_group_send_skips_a_member_it_cannot_authenticate() {
+        let (_setup, [mut alice, mut bob, mut carol]) = group_of_three(0x6A0);
+        let group = GroupId::new("g");
+        carol.inner_mut().publish_pipe(&group).unwrap();
+
+        let (sent, _) = alice.secure_msg_peer_group(&group, "sequential").unwrap();
+        assert_eq!(sent, 1, "bob only");
+        let (sent, _) = alice.secure_msg_peer_group_parallel(&group, "parallel").unwrap();
+        assert_eq!(sent, 1, "bob only");
+        let texts: Vec<String> = bob.receive_secure_messages().unwrap().into_iter().map(|m| m.text).collect();
+        assert_eq!(texts, ["sequential", "parallel"]);
+        assert!(carol.receive_secure_messages().unwrap().is_empty());
+    }
+
+    /// Any member can publish a document naming another member as its
+    /// owner: a group send still reaches that member once, plain or secure.
+    #[test]
+    fn group_send_reaches_each_owner_once() {
+        let (_setup, [mut alice, mut bob, mut carol]) = group_of_three(0x6A1);
+        let group = GroupId::new("g");
+        let naming_bob = PipeAdvertisement { owner: bob.id(), group: group.clone(), name: "forged".into() };
+        carol
+            .inner_mut()
+            .publish_advertisement(&group, PipeAdvertisement::DOC_TYPE, &naming_bob.to_xml())
+            .unwrap();
+
+        let (sent, _) = alice.inner_mut().send_msg_peer_group(&group, "plain").unwrap();
+        assert_eq!(sent, 1);
+        let (sent, _) = alice.secure_msg_peer_group(&group, "secure").unwrap();
+        assert_eq!(sent, 1);
+        let secure: Vec<String> = bob.receive_secure_messages().unwrap().into_iter().map(|m| m.text).collect();
+        assert_eq!(secure, ["secure"]);
+        let plain = bob
+            .drain_other_events()
+            .into_iter()
+            .filter(|event| matches!(event, ClientEvent::Text { text, .. } if text == "plain"))
+            .count();
+        assert_eq!(plain, 1);
     }
 
     #[test]

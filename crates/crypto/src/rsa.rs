@@ -117,11 +117,6 @@ impl RsaKeyPair {
 }
 
 impl RsaPublicKey {
-    /// Constructs a public key from raw modulus and exponent.
-    pub fn from_parts(n: BigUint, e: BigUint) -> Self {
-        RsaPublicKey { n, e }
-    }
-
     /// The modulus `n`.
     pub fn modulus(&self) -> &BigUint {
         &self.n
@@ -301,11 +296,6 @@ impl RsaPrivateKey {
     /// The matching public key.
     pub fn public_key(&self) -> &RsaPublicKey {
         &self.public
-    }
-
-    /// The private exponent `d` (exposed for tests and diagnostics only).
-    pub fn private_exponent(&self) -> &BigUint {
-        &self.d
     }
 
     /// Raw RSA private operation `c^d mod n`, accelerated with the CRT.

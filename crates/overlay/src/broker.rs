@@ -50,9 +50,10 @@
 //!   everything replicated or repaired — advertisements, sessions, routing
 //!   and presence versions, membership and its stamps, group hosts, the
 //!   shard ring, with the anti-entropy summaries its writers keep current.
-//!   The anti-entropy protocol (`crate::antientropy`) only reads the replica
-//!   or merges into it and hands back what to send, so no repair code can
-//!   send, call the extension or take a second lock under its guard.
+//!   The anti-entropy protocol (`crate::antientropy`) and the lookup
+//!   protocol (`crate::lookup`) only read the replica or merge into it and
+//!   hand back what to send, so neither can send, call the extension or
+//!   take a second lock under its guard.
 //! * The **fabric** (`crate::fabric::Fabric`, lock `broker.fabric`):
 //!   admission, membership (derived view, SWIM) and dissemination (Plumtree,
 //!   the gossip and `IHave` queues), kept in step with the view by itself.
@@ -62,8 +63,8 @@
 //!   allocation order, and counted by kind; replies, pushes and relay leaves
 //!   leave through its client paths, which refuse inter-broker kinds.
 //! * The ingress **pipeline** (see [`Broker::spawn`]) has its own locks; the
-//!   broker keeps pending shard lookups (lock `broker.pending_lookups`), each
-//!   with the brokers it still awaits.
+//!   lookup module's table of routed lookups, each with the brokers it still
+//!   awaits, is behind lock `broker.pending_lookups`.
 //! * Lock-free: the extension slot, installed once; the sequence clock
 //!   (`crate::counter`), which stamps messages and local writes (that
 //!   module's rule keeps every counter sent in range); and the counter
@@ -84,6 +85,7 @@ use crate::error::OverlayError;
 use crate::fabric::Fabric;
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
+use crate::lookup::{self, Answer, Pending, Query};
 use crate::message::{Message, MessageKind};
 use crate::metrics::{Counter, FederationStats, PipelineStats, Registry};
 use crate::net::{NetMessage, SimNetwork};
@@ -421,28 +423,6 @@ pub struct BrokerSession {
     pub groups: Vec<GroupId>,
 }
 
-/// A lookup this broker routed to remote shard replicas and has not answered
-/// yet: the requesting client, its request identifier, and the merge state.
-#[derive(Debug)]
-struct PendingLookup {
-    client: PeerId,
-    client_request: u64,
-    /// The brokers whose answers the lookup still waits for.  It is
-    /// answered with what merged once this empties: by their answers, by
-    /// [`Broker::remove_peer_broker`], or by a repair round finding them
-    /// dead.
-    awaiting: Vec<PeerId>,
-    /// Advertisement results merged so far: owner → (version, xml); scatter
-    /// responses from several replicas deduplicate by keeping the greatest
-    /// last-writer-wins version per owner.
-    adv_results: BTreeMap<PeerId, ((u64, PeerId), String)>,
-    /// Membership answer (true as soon as any replica confirms membership).
-    is_member: bool,
-    /// Whether this pending lookup is a membership query (versus an
-    /// advertisement search).
-    membership: bool,
-}
-
 /// The broker peer.
 pub struct Broker {
     id: PeerId,
@@ -463,10 +443,8 @@ pub struct Broker {
     /// Federation and ingress-pipeline counters (the pipeline's are all
     /// zero without a pipeline).
     metrics: Registry,
-    /// Lookups routed to remote shard replicas, keyed by query identifier.
-    pending_lookups: Mutex<BTreeMap<u64, PendingLookup>>,
-    /// Next shard-query identifier.
-    next_query: AtomicU64,
+    /// Lookups routed to remote shard replicas (see `crate::lookup`).
+    pending_lookups: Mutex<Pending>,
     /// Network messages fully processed by this broker (monotone; compared
     /// against [`Broker::delivered_count`] for quiescence detection).
     processed: AtomicU64,
@@ -493,8 +471,7 @@ impl Broker {
             extension: OnceLock::new(),
             sync_seq,
             metrics,
-            pending_lookups: Mutex::with_class("broker.pending_lookups", BTreeMap::new()),
-            next_query: AtomicU64::new(1),
+            pending_lookups: Mutex::with_class("broker.pending_lookups", Pending::new(id)),
             processed: AtomicU64::new(0),
         })
     }
@@ -2001,313 +1978,95 @@ impl Broker {
             .with_str("pushed-to", &pushed.to_string())
     }
 
-    /// `lookup` handling: search the advertisement index, or — when the
-    /// request carries a `member` element — answer a group-membership query.
-    ///
-    /// In full-replication mode every broker answers from its own copy.  In
-    /// sharded mode the broker answers locally only when it is a ring
-    /// replica of the queried key; otherwise it routes the query across the
-    /// backbone with [`MessageKind::ShardQuery`] (one owning replica for
-    /// keyed queries, scatter-gather over the backbone for group-wide
-    /// searches whose owners are unknown) and replies to the client when the
-    /// replica answers arrive — in which case this returns `None`.
+    /// `lookup` handling (see `crate::lookup`).  A broker answers from its
+    /// own replica, in full-replication mode always.  In sharded mode it
+    /// routes a query whose key it holds no replica of, or a group-wide
+    /// search while it has peers, and replies once the answers arrive, in
+    /// which case this returns `None`.
     fn handle_lookup(&self, message: &Message) -> Option<Message> {
         let Some(session) = self.session(&message.sender) else {
             return Some(self.reject(message, "login required"));
         };
-        let Some(group) = message.element_str("group") else {
-            return Some(self.reject(message, "missing lookup fields"));
+        let Some((_, group, query)) = lookup::read(message) else {
+            return Some(self.reject(message, lookup::MISSING_FIELDS));
         };
-        let group = GroupId::new(group);
         if !session.groups.contains(&group) {
             return Some(self.reject(message, "not a member of the target group"));
         }
-
-        // Membership query: is `member` currently part of `group`?
-        if let Some(member) = message.element_str("member") {
-            let Some(member) = PeerId::from_urn(&member) else {
-                return Some(self.reject(message, "malformed member identifier"));
-            };
-            // Local ground truth (the member's session is here) or local
-            // replica: answer directly.
-            let local = {
+        let query = match query {
+            Ok(query) => query,
+            Err(reason) => return Some(self.reject(message, reason)),
+        };
+        let routed = match &query {
+            // The member's own session here is ground truth too.
+            Query::Member(member) => {
                 let replica = self.replica.read();
-                (replica.session(&member).is_some() || replica.is_local_replica(&group, &member))
-                    .then(|| replica.groups().is_member(&group, &member))
-            };
-            if let Some(is_member) = local {
-                if self.is_sharded() {
-                    self.metrics.add(Counter::ShardHits, 1);
-                }
-                return Some(self.membership_response(message.request_id, is_member));
+                replica.session(member).is_none() && !replica.is_local_replica(&group, member)
             }
+            Query::Adverts { owner: Some(owner), .. } => !self.replica.read().is_local_replica(&group, owner),
+            Query::Adverts { owner: None, .. } => self.is_sharded() && !self.fabric.lock().peers().is_empty(),
+        };
+        if routed {
             self.metrics.add(Counter::ShardMisses, 1);
-            return self.route_shard_query(message, &group, None, Some(member));
+            if self.route_lookup(message, &group, &query) {
+                return None;
+            }
+        } else if self.is_sharded() {
+            self.metrics.add(Counter::ShardHits, 1);
         }
-
-        let Some(doc_type) = message.element_str("doc-type") else {
-            return Some(self.reject(message, "missing lookup fields"));
-        };
-        let owner = message
-            .element_str("owner")
-            .and_then(|urn| PeerId::from_urn(&urn));
-
-        match owner {
-            // Keyed search: one shard owns (group, owner).
-            Some(owner) if !self.replica.read().is_local_replica(&group, &owner) => {
-                self.metrics.add(Counter::ShardMisses, 1);
-                self.route_shard_query(message, &group, Some(&doc_type), Some(owner))
-            }
-            // Group-wide search in sharded mode: the owners (and hence the
-            // owning shards) are unknown — scatter over the backbone and
-            // merge.
-            None if self.is_sharded() && !self.fabric.lock().peers().is_empty() => {
-                self.metrics.add(Counter::ShardMisses, 1);
-                self.route_shard_scatter(message, &group, &doc_type)
-            }
-            _ => {
-                if self.is_sharded() {
-                    self.metrics.add(Counter::ShardHits, 1);
-                }
-                let results = self.lookup(&group, &doc_type, owner);
-                Some(self.lookup_response(message.request_id, results))
-            }
-        }
+        // Unrouted, or routed but none of its queries left.
+        Some(Answer::local(&self.replica.read(), &group, &query).response(self.id, message.request_id))
     }
 
-    /// Builds the client-facing response of an advertisement search: the
-    /// documents found, as one element of text records.
-    fn lookup_response(&self, request_id: u64, results: Vec<String>) -> Message {
-        Message::new(MessageKind::LookupResponse, self.id, request_id)
-            .with_str("status", "ok")
-            .with_element("adverts", record::encode(&results))
-    }
-
-    /// Builds the client-facing response of a membership query.
-    fn membership_response(&self, request_id: u64, is_member: bool) -> Message {
-        Message::new(MessageKind::LookupResponse, self.id, request_id)
-            .with_str("status", "ok")
-            .with_str("member", if is_member { "true" } else { "false" })
-    }
-
-    /// Routes a keyed query (advertisement search with a known owner, or a
-    /// membership probe) to one ring replica of its `(group, key)`,
-    /// rotating deterministically across the replica set so repeated lookups
-    /// of a hot key spread over all K replicas instead of hammering the
-    /// first one on the ring walk.
-    fn route_shard_query(
-        &self,
-        message: &Message,
-        group: &GroupId,
-        doc_type: Option<&str>,
-        key_peer: Option<PeerId>,
-    ) -> Option<Message> {
-        let Some(key) = key_peer else {
-            return Some(self.reject(message, "malformed shard query"));
-        };
-        // A replica SWIM holds dead would never answer: route around it.
+    /// Sends `query` to the live brokers that can answer it and records the
+    /// lookup as pending on those the query reached: a keyed lookup starts
+    /// from nothing, a group-wide search from the local shard.  Returns
+    /// whether any query left.
+    fn route_lookup(&self, message: &Message, group: &GroupId, query: &Query) -> bool {
+        // A broker SWIM holds dead would never answer: route around it.
         let live = self.fabric.lock().live_peers();
-        let candidates: Vec<PeerId> = self
-            .shard_replicas(group, &key)
+        let candidates = match query.key() {
+            Some(key) => self.shard_replicas(group, &key).into_iter().filter(|b| live.contains(b)).collect(),
+            None => live,
+        };
+        let id = self.pending_lookups.lock().next_id();
+        let shard_query = lookup::write(MessageKind::ShardQuery, self.id, id, group, query);
+        let awaiting: Vec<PeerId> = lookup::targets(query, id, candidates, |peer| self.endpoint.link_to(peer))
             .into_iter()
-            .filter(|replica| live.contains(replica))
+            .filter(|target| self.to_broker(*target, shard_query.clone()))
             .collect();
-        if candidates.is_empty() {
-            // No live remote replica (a degenerate ring, or every other
-            // replica is dead) — answer from what we have.
-            return Some(match doc_type {
-                Some(doc_type) => self.lookup_response(
-                    message.request_id,
-                    self.lookup(group, doc_type, Some(key)),
-                ),
-                None => self.membership_response(
-                    message.request_id,
-                    self.replica.read().groups().is_member(group, &key),
-                ),
-            });
-        }
-        let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        // Link-cost-aware replica choice: prefer the replicas behind the
-        // cheapest link from this broker (per-edge LinkModel — a WAN-priced
-        // replica loses to a LAN one), then rotate among the cheapest using
-        // the monotone query identifier, so the choice stays deterministic
-        // for reproducible tests yet spreads a hot key's queries over every
-        // equally cheap replica.  With uniform links this degenerates to the
-        // original full rotation.
-        let costs: Vec<Duration> = candidates
-            .iter()
-            .map(|replica| self.endpoint.link_to(*replica).transfer_time(SHARD_QUERY_NOMINAL_BYTES))
-            .collect();
-        let cheapest_cost = *costs.iter().min().expect("candidates is non-empty");
-        let cheapest: Vec<PeerId> = candidates
-            .iter()
-            .zip(&costs)
-            .filter(|(_, cost)| **cost == cheapest_cost)
-            .map(|(replica, _)| *replica)
-            .collect();
-        let target = cheapest[(query_id as usize) % cheapest.len()];
-        let membership = doc_type.is_none();
-        let mut query = Message::new(MessageKind::ShardQuery, self.id, 0)
-            .with_str("query", &query_id.to_string())
-            .with_str("group", group.as_str());
-        match doc_type {
-            Some(doc_type) => {
-                query = query
-                    .with_str("doc-type", doc_type)
-                    .with_str("owner", &key.to_urn());
-            }
-            None => query = query.with_str("member", &key.to_urn()),
-        }
-        if !self.to_broker(target, query) {
-            // The replica is gone; fail the query towards the client rather
-            // than leaving it waiting for a response that cannot come.
-            return Some(self.reject(message, "shard replica unreachable"));
-        }
-        self.pending_lookups.lock().insert(
-            query_id,
-            PendingLookup {
-                client: message.sender,
-                client_request: message.request_id,
-                awaiting: vec![target],
-                adv_results: BTreeMap::new(),
-                is_member: false,
-                membership,
-            },
-        );
-        None
-    }
-
-    /// Scatters a group-wide advertisement search to every peer broker SWIM
-    /// does not hold dead (a dead one would leave the merge waiting forever)
-    /// and seeds the merge state with this broker's own shard.
-    fn route_shard_scatter(
-        &self,
-        message: &Message,
-        group: &GroupId,
-        doc_type: &str,
-    ) -> Option<Message> {
-        let peers = self.fabric.lock().live_peers();
-        let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let mut adv_results = BTreeMap::new();
-        for (owner, version, xml) in self.replica.read().lookup(group, doc_type, None) {
-            adv_results.insert(owner, (version, xml));
-        }
-        let mut awaiting = Vec::new();
-        for target in peers {
-            let query = Message::new(MessageKind::ShardQuery, self.id, 0)
-                .with_str("query", &query_id.to_string())
-                .with_str("group", group.as_str())
-                .with_str("doc-type", doc_type);
-            if self.to_broker(target, query) {
-                awaiting.push(target);
-            }
-        }
         if awaiting.is_empty() {
-            // No live peer reachable: answer from the local shard alone.
-            let results = adv_results.into_values().map(|(_, xml)| xml).collect();
-            return Some(self.lookup_response(message.request_id, results));
+            return false;
         }
-        self.pending_lookups.lock().insert(
-            query_id,
-            PendingLookup {
-                client: message.sender,
-                client_request: message.request_id,
-                awaiting,
-                adv_results,
-                is_member: false,
-                membership: false,
-            },
-        );
-        None
+        let seed = match query.key() {
+            Some(_) => Answer::none(query),
+            None => Answer::local(&self.replica.read(), group, query),
+        };
+        self.pending_lookups.lock().open(id, message.sender, message.request_id, awaiting, seed);
+        true
     }
 
-    /// Serves a `ShardQuery` arriving over the backbone: after the same
-    /// admission control as gossip, answer from the local shard with a
-    /// `ShardResponse`.  Signed advertisements are returned verbatim — the
-    /// XMLdsig envelope travels the extra hop unmodified, so client-side
-    /// validation is unaffected by where the entry happened to live.
+    /// Answers an admitted `ShardQuery` from the local shard.  Signed
+    /// advertisements travel verbatim, so client-side validation does not
+    /// depend on where an entry lived.
     fn handle_shard_query(&self, message: &Message) {
-        let (Some(query), Some(group)) = (
-            message.element_str("query"),
-            message.element_str("group"),
-        ) else {
+        let Some((id, group, Ok(query))) = lookup::read(message) else {
             return;
         };
-        let group = GroupId::new(group);
-        let mut response = Message::new(MessageKind::ShardResponse, self.id, 0)
-            .with_str("query", &query);
-        if let Some(member) = message
-            .element_str("member")
-            .and_then(|urn| PeerId::from_urn(&urn))
-        {
-            let is_member = self.replica.read().groups().is_member(&group, &member);
-            response = response.with_str("member", if is_member { "true" } else { "false" });
-        } else {
-            let Some(doc_type) = message.element_str("doc-type") else {
-                return;
-            };
-            let owner = message
-                .element_str("owner")
-                .and_then(|urn| PeerId::from_urn(&urn));
-            let results: Vec<FlatEntry> = self
-                .replica
-                .read()
-                .lookup(&group, &doc_type, owner)
-                .into_iter()
-                .map(|(owner, version, xml)| (group.clone(), owner, doc_type.clone(), xml, version))
-                .collect();
-            response.push_element("results", record::encode(&results));
-        }
-        self.to_broker(message.sender, response);
+        let answer = Answer::local(&self.replica.read(), &group, &query);
+        self.to_broker(message.sender, answer.shard_response(self.id, id, &group, &query));
     }
 
-    /// Merges a replica's `ShardResponse` into the pending lookup it answers
-    /// and, once every awaited broker reported, replies to the waiting
-    /// client.  An answer from a broker the lookup does not await (not asked,
-    /// already answered or released) merges nothing.  The results, one
-    /// element of advertisement records, are decoded before the pending
-    /// lookups are locked.
+    /// Merges a replica's `ShardResponse` into the lookup it answers and,
+    /// once no awaited broker is left, replies to the waiting client.  The
+    /// response is decoded before the pending lookups are locked.
     fn handle_shard_response(&self, message: &Message) {
-        let Some(query) = message
-            .element_str("query")
-            .and_then(|q| q.parse::<u64>().ok())
-        else {
+        let Some((id, answer)) = Answer::read_shard_response(message) else {
             return;
         };
-        let is_member = message.element_str("member").is_some_and(|member| member == "true");
-        let results: Vec<FlatEntry> = message.element("results").map(record::decode).unwrap_or_default();
-        let finished = {
-            let mut pending = self.pending_lookups.lock();
-            let Some(state) = pending.get_mut(&query) else {
-                return; // unknown or already-answered query
-            };
-            let Some(at) = state.awaiting.iter().position(|broker| *broker == message.sender) else {
-                return;
-            };
-            state.awaiting.swap_remove(at);
-            state.is_member |= is_member;
-            for (_, owner, _, xml, version) in results {
-                match state.adv_results.entry(owner) {
-                    std::collections::btree_map::Entry::Occupied(mut stored) => {
-                        // Replicas may race a re-publish: last writer wins,
-                        // exactly as it does in the index itself.
-                        if version > stored.get().0 {
-                            stored.insert((version, xml));
-                        }
-                    }
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert((version, xml));
-                    }
-                }
-            }
-            if state.awaiting.is_empty() {
-                pending.remove(&query)
-            } else {
-                None
-            }
-        };
-        if let Some(state) = finished {
-            self.finish_pending_lookup(state);
+        let reply = self.pending_lookups.lock().merge(id, &message.sender, answer);
+        if let Some((client, reply)) = reply {
+            self.endpoint.to_client(client, &reply);
         }
     }
 
@@ -2315,33 +2074,10 @@ impl Broker {
     /// left awaiting no broker is answered with what merged so far, in query
     /// order.
     fn release_lookups(&self, gone: impl Fn(&PeerId) -> bool) {
-        let released: Vec<(u64, PendingLookup)> = self
-            .pending_lookups
-            .lock()
-            .extract_if(.., |_, state| {
-                state.awaiting.retain(|broker| !gone(broker));
-                state.awaiting.is_empty()
-            })
-            .collect();
-        for (_, state) in released {
-            self.finish_pending_lookup(state);
+        let replies = self.pending_lookups.lock().release(gone);
+        for (client, reply) in replies {
+            self.endpoint.to_client(client, &reply);
         }
-    }
-
-    /// Answers the client of a (fully or best-effort) completed routed
-    /// lookup with the results merged so far.
-    fn finish_pending_lookup(&self, state: PendingLookup) {
-        let response = if state.membership {
-            self.membership_response(state.client_request, state.is_member)
-        } else {
-            let results = state
-                .adv_results
-                .into_values()
-                .map(|(_, xml)| xml)
-                .collect();
-            self.lookup_response(state.client_request, results)
-        };
-        self.endpoint.to_client(state.client, &response);
     }
 }
 
@@ -2415,10 +2151,6 @@ impl Drop for BrokerHandle {
         }
     }
 }
-
-/// Nominal shard-query size used to price replica links against each other
-/// (queries are small; only the relative order of the links matters).
-const SHARD_QUERY_NOMINAL_BYTES: usize = 512;
 
 #[cfg(test)]
 mod tests {
@@ -3298,17 +3030,7 @@ mod tests {
         broker.add_peer_broker(origin);
         // A routed lookup awaiting its replica, so the shard response's
         // result loop runs.
-        broker.pending_lookups.lock().insert(
-            7,
-            PendingLookup {
-                client,
-                client_request: 1,
-                awaiting: vec![origin],
-                adv_results: BTreeMap::new(),
-                is_member: false,
-                membership: false,
-            },
-        );
+        let query = open_lookup(&broker, client, vec![origin]);
         // A gossip id is a 16-byte origin and an 8-byte sequence.
         let truncated = vec![0xA5; 16 + 8 - 1];
         let long: Vec<u8> = (0..((16 + 8) << 16) + 7)
@@ -3328,7 +3050,7 @@ mod tests {
                 .with_element("m", forged_tail((GroupId::new(""), origin, (1, PRESENCE_JOIN, origin))))
                 .with_element("a", forged_tail(advert(origin, "", (1, origin)))),
             Message::new(MessageKind::ShardResponse, origin, 0)
-                .with_str("query", "7")
+                .with_str("query", &query.to_string())
                 .with_element("results", forged_tail(advert(origin, "", (1, origin)))),
         ];
         for (seq, message) in messages.into_iter().enumerate() {
@@ -3354,6 +3076,15 @@ mod tests {
             broker.pending_lookups.lock().is_empty(),
             "the shard response was decoded"
         );
+    }
+
+    /// Opens a routed advertisement lookup of `client`'s request 1, awaiting
+    /// `awaiting`, in `broker`'s pending table; returns its query id.
+    fn open_lookup(broker: &Broker, client: PeerId, awaiting: Vec<PeerId>) -> u64 {
+        let mut pending = broker.pending_lookups.lock();
+        let query = pending.next_id();
+        pending.open(query, client, 1, awaiting, Answer::Adverts(Vec::new()));
+        query
     }
 
     /// `record` encoded, with the 4-byte length (or count) that ends it
@@ -3863,6 +3594,41 @@ mod tests {
         assert!(client_inbox.try_recv().is_err(), "a lookup is answered once");
     }
 
+    /// A keyed lookup none of whose queries left, here because its one live
+    /// replica has no inbox, is answered from the local replica, as an
+    /// unrouted lookup is.
+    #[test]
+    fn keyed_lookup_whose_one_live_replica_has_no_inbox_is_answered_locally() {
+        let mut rng = HmacDrbg::from_seed_u64(0x10CA);
+        let net = SimNetwork::new(LinkModel::ideal());
+        let db = Arc::new(UserDatabase::new());
+        db.register_user(&mut rng, "alice", "pw-a", &[GroupId::new("math")]);
+        let config = BrokerConfig::sharded("broker-1", 1);
+        let broker = Broker::new(PeerId::random(&mut rng), config, Arc::clone(&net), db);
+        let replica = PeerId::random(&mut rng);
+        broker.add_peer_broker(replica);
+        let group = GroupId::new("math");
+        let owner = loop {
+            let owner = PeerId::random(&mut rng);
+            if broker.shard_replicas(&group, &owner) == vec![replica] {
+                break owner;
+            }
+        };
+        broker.load_advertisement(owner, &group, "jxta:PipeAdvertisement", "<local/>", (1, owner));
+        let client = PeerId::random(&mut rng);
+        broker.establish_session(client, "alice");
+
+        let lookup = Message::new(MessageKind::LookupRequest, client, 3)
+            .with_str("group", "math")
+            .with_str("doc-type", "jxta:PipeAdvertisement")
+            .with_str("owner", &owner.to_urn());
+        let response = broker.handle_message(&lookup).expect("answered at once");
+        assert_eq!((response.kind, response.request_id), (MessageKind::LookupResponse, 3));
+        assert_eq!(adverts(&response), vec!["<local/>".to_string()]);
+        assert_eq!(broker.federation_stats().shard_misses, 1, "the lookup was routed");
+        assert!(broker.pending_lookups.lock().is_empty());
+    }
+
     /// A replica's answer versioned at or above 2^63 is dropped from the
     /// merged lookup, as the same version is on every other wire path.
     /// (Kept, it outranks the honest replica's entry in the last-writer-wins
@@ -3875,22 +3641,12 @@ mod tests {
         broker.add_peer_broker(honest);
         let client = PeerId::random(&mut rng);
         let client_inbox = net.register(client);
-        broker.pending_lookups.lock().insert(
-            7,
-            PendingLookup {
-                client,
-                client_request: 1,
-                awaiting: vec![liar, honest],
-                adv_results: BTreeMap::new(),
-                is_member: false,
-                membership: false,
-            },
-        );
+        let query = open_lookup(&broker, client, vec![liar, honest]);
         let owner = PeerId::random(&mut rng);
         let answer = |from: PeerId, vseq: u64, xml: &str| {
             Message::new(MessageKind::ShardResponse, from, 0)
                 .with_str("seq", "1")
-                .with_str("query", "7")
+                .with_str("query", &query.to_string())
                 .with_element("results", record::encode(&[advert(owner, xml, (vseq, from))]))
         };
         deliver(&broker, liar, &answer(liar, u64::MAX, "<forged/>"));

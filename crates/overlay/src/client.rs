@@ -11,11 +11,13 @@
 //!   extension later removes).
 //! * **Messenger primitives** — [`ClientPeer::send_msg_peer`] and
 //!   [`ClientPeer::send_msg_peer_group`], which resolve the destination's
-//!   pipe advertisement and deliver a simple text message without broker
-//!   intervention.
-//! * **Advertisement publication** — pipe, file, presence and statistics
-//!   advertisements are published through the broker, which indexes them and
-//!   pushes them to the other members of the group.
+//!   pipe advertisement (a group send, each member's once) and deliver a
+//!   simple text message without broker intervention.
+//! * **Advertisement publication and lookup** — pipe, file, presence and
+//!   statistics advertisements are published through the broker, which
+//!   indexes them and pushes them to the other members of the group.
+//!   Searches and membership queries are the lookup protocol's requests
+//!   (`crate::lookup`).
 //! * **Events** — incoming messages surface through
 //!   [`ClientPeer::poll_events`].
 //!
@@ -28,13 +30,13 @@ use crate::advertisement::{Advertisement, FileEntry, FileAdvertisement, PipeAdve
 use crate::error::OverlayError;
 use crate::group::GroupId;
 use crate::id::PeerId;
+use crate::lookup::{self, Query};
 use crate::message::{Message, MessageKind};
 use crate::metrics::{OperationTiming, Stopwatch, WireTimeAccumulator};
 use crate::net::{NetMessage, SimNetwork};
-use crate::record;
 use crossbeam::channel::Receiver;
 use rand::RngCore;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -482,19 +484,8 @@ impl ClientPeer {
         doc_type: &str,
         owner: Option<PeerId>,
     ) -> Result<Vec<String>, OverlayError> {
-        let broker = self.broker.ok_or(OverlayError::NotConnected)?;
-        if !self.is_logged_in() {
-            return Err(OverlayError::NotLoggedIn);
-        }
-        let request_id = self.next_request_id();
-        let mut message = Message::new(MessageKind::LookupRequest, self.id, request_id)
-            .with_str("group", group.as_str())
-            .with_str("doc-type", doc_type);
-        if let Some(owner) = owner {
-            message.push_element("owner", owner.to_urn().into_bytes());
-        }
-        let response = self.request(broker, &message, MessageKind::LookupResponse)?;
-        Ok(response.element("adverts").map(record::decode).unwrap_or_default())
+        let query = Query::Adverts { doc_type: doc_type.to_string(), owner };
+        Ok(lookup::documents(&self.request_lookup(group, &query)?))
     }
 
     /// Asks the broker whether `peer` is currently a member of `group`.
@@ -508,16 +499,19 @@ impl ClientPeer {
         group: &GroupId,
         peer: PeerId,
     ) -> Result<bool, OverlayError> {
+        Ok(lookup::is_member(&self.request_lookup(group, &Query::Member(peer))?))
+    }
+
+    /// Sends `query` about `group` to the broker and waits for its
+    /// `LookupResponse`.
+    fn request_lookup(&mut self, group: &GroupId, query: &Query) -> Result<Message, OverlayError> {
         let broker = self.broker.ok_or(OverlayError::NotConnected)?;
         if !self.is_logged_in() {
             return Err(OverlayError::NotLoggedIn);
         }
         let request_id = self.next_request_id();
-        let message = Message::new(MessageKind::LookupRequest, self.id, request_id)
-            .with_str("group", group.as_str())
-            .with_str("member", &peer.to_urn());
-        let response = self.request(broker, &message, MessageKind::LookupResponse)?;
-        Ok(response.element_str("member").as_deref() == Some("true"))
+        let message = lookup::write(MessageKind::LookupRequest, self.id, request_id, group, query);
+        self.request(broker, &message, MessageKind::LookupResponse)
     }
 
     /// Resolves the pipe advertisement of `owner` within `group`, consulting
@@ -531,30 +525,30 @@ impl ClientPeer {
         if let Some(adv) = self.pipe_cache.get(&(group.clone(), owner)) {
             return Ok(adv.clone());
         }
-        let results =
-            self.lookup_advertisements(group, PipeAdvertisement::DOC_TYPE, Some(owner))?;
-        let xml = results.first().ok_or_else(|| {
-            OverlayError::AdvertisementNotFound(format!("pipe of {owner} in {group}"))
-        })?;
-        let advertisement = PipeAdvertisement::from_xml(xml)?;
+        let advertisement = PipeAdvertisement::from_xml(&self.resolve_pipe_xml(group, owner)?)?;
         self.pipe_cache
             .insert((group.clone(), owner), advertisement.clone());
         Ok(advertisement)
     }
 
-    /// Resolves every pipe advertisement published in `group` (the member
-    /// list used by `sendMsgPeerGroup`).
+    /// Resolves the pipe advertisements published in `group` (the member
+    /// list used by `sendMsgPeerGroup`): one per owner, the first found of
+    /// those naming it.  Any member can publish a document naming another,
+    /// or one that is not a pipe advertisement; a document that does not
+    /// parse is skipped.
     pub fn resolve_group_pipes(
         &mut self,
         group: &GroupId,
     ) -> Result<Vec<PipeAdvertisement>, OverlayError> {
         let results = self.lookup_advertisements(group, PipeAdvertisement::DOC_TYPE, None)?;
-        let mut advertisements = Vec::with_capacity(results.len());
-        for xml in &results {
-            let adv = PipeAdvertisement::from_xml(xml)?;
-            self.pipe_cache
-                .insert((group.clone(), adv.owner), adv.clone());
-            advertisements.push(adv);
+        let mut owners = HashSet::new();
+        let mut advertisements = Vec::new();
+        for adv in results.iter().filter_map(|xml| PipeAdvertisement::from_xml(xml).ok()) {
+            if owners.insert(adv.owner) {
+                self.pipe_cache
+                    .insert((group.clone(), adv.owner), adv.clone());
+                advertisements.push(adv);
+            }
         }
         Ok(advertisements)
     }
@@ -698,6 +692,7 @@ mod tests {
     use crate::broker::{Broker, BrokerConfig};
     use crate::database::UserDatabase;
     use crate::net::LinkModel;
+    use crate::record;
     use jxta_crypto::drbg::HmacDrbg;
 
     struct Fixture {
@@ -907,6 +902,33 @@ mod tests {
                 "every member receives the text"
             );
         }
+    }
+
+    /// Any member can publish a document under the pipe type that is not a
+    /// pipe advertisement; a group send skips it and reaches the others.
+    #[test]
+    fn group_send_skips_a_member_whose_pipe_does_not_parse() {
+        let mut fx = fixture();
+        let group = GroupId::new("math");
+        let mut alice = logged_in_client(&mut fx, "alice-pc", "alice", "pw-a");
+        let mut bob = logged_in_client(&mut fx, "bob-pc", "bob", "pw-b");
+        let mut carol = logged_in_client(&mut fx, "carol-pc", "carol", "pw-c");
+        alice.publish_pipe(&group).unwrap();
+        bob.publish_pipe(&group).unwrap();
+        carol
+            .publish_advertisement(&group, PipeAdvertisement::DOC_TYPE, "<not-a-pipe/>")
+            .unwrap();
+
+        let (sent, _) = alice.send_msg_peer_group(&group, "hello").unwrap();
+        assert_eq!(sent, 1, "bob only");
+        let texts = |client: &mut ClientPeer| {
+            client
+                .poll_events()
+                .into_iter()
+                .filter(|e| matches!(e, ClientEvent::Text { text, .. } if text == "hello"))
+                .count()
+        };
+        assert_eq!((texts(&mut bob), texts(&mut carol)), (1, 0));
     }
 
     #[test]

@@ -76,6 +76,7 @@ mod fabric;
 pub mod federation;
 pub mod group;
 pub mod id;
+mod lookup;
 pub mod membership;
 pub mod message;
 pub mod metrics;
